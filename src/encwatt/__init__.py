@@ -13,7 +13,6 @@ from .dataset import Dataset, DatasetRow, load_dataset_csv
 from .energy import (
     ConfidencePolicy,
     MeasurementRecord,
-    PowerSample,
     PowerTrace,
     confidence_check,
     integrate_energy,
@@ -54,9 +53,8 @@ from .meter import (
     MeterSession,
     SyntheticMeter,
     SyntheticRecipe,
-    TraceSourceSpec,
     generate_synthetic_trace,
-    make_meter,
+    open_meter,
     parse_trace_csv,
     sample_counter_file,
     write_trace_csv,

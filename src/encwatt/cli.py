@@ -7,6 +7,7 @@ problem, 4 encoder problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,13 +25,7 @@ from .errors import (
     TraceWindowError,
 )
 from .fitting import MODEL_KINDS, OBJECTIVES, FitReport, cross_validate, fit_report
-from .meter import (
-    DEFAULT_POLL_PERIOD,
-    make_meter,
-    parse_meter_spec,
-    parse_trace_csv,
-    read_counter_uj,
-)
+from .meter import DEFAULT_POLL_PERIOD, open_meter, parse_trace_csv
 from .models import (
     PRESETS,
     load_default_params,
@@ -61,10 +56,7 @@ def _policy_from_args(args: argparse.Namespace) -> ConfidencePolicy:
 def cmd_measure(args: argparse.Namespace) -> int:
     jobs = load_manifest(args.manifest)
     policy = _policy_from_args(args)
-    spec = parse_meter_spec(args.meter, sample_period=args.sample_period)
-    if spec.kind == "counter_file":
-        read_counter_uj(spec.path_or_recipe)  # fail fast if the meter is unreachable
-    meter = make_meter(spec)
+    meter = open_meter(args.meter, args.sample_period)
     idle_trace = parse_trace_csv(args.idle_trace) if args.idle_trace else None
     dataset = run_campaign(
         jobs,
@@ -200,10 +192,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.recipe:
         recipe = load_dataset_recipe(args.recipe)
         if args.seed is not None:
-            recipe = SynthDatasetRecipe(
-                n_sequences=recipe.n_sequences, crfs=recipe.crfs, frames=recipe.frames,
-                noise=recipe.noise, time_jitter=recipe.time_jitter, seed=args.seed,
-            )
+            recipe = dataclasses.replace(recipe, seed=args.seed)
     else:
         recipe = SynthDatasetRecipe(
             noise=args.noise,

@@ -14,7 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betaincinv
@@ -29,7 +29,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "PowerSample",
     "PowerTrace",
     "ConfidencePolicy",
     "MeasurementRecord",
@@ -41,71 +40,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    """One timestamped power reading: ``t`` seconds, ``p`` watts."""
+def _first_invalid_row(samples: np.ndarray) -> int:
+    """Index of the first ``(t, p)`` row breaking a trace invariant, or -1.
 
-    t: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or self.t < 0:
-            raise MalformedTraceError(f"sample timestamp must be finite and >= 0, got {self.t!r}")
-        if not math.isfinite(self.p) or self.p < 0:
-            raise MalformedTraceError(f"sample power must be finite and >= 0, got {self.p!r}")
+    A row is invalid if a value is non-finite or negative, or if its
+    timestamp is not greater than the previous row's.
+    """
+    bad = ~np.isfinite(samples).all(axis=1) | (samples < 0).any(axis=1)
+    t = samples[:, 0]
+    bad[1:] |= t[1:] <= t[:-1]
+    return int(np.argmax(bad)) if bad.any() else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerTrace:
-    """An ordered series of power samples from one source.
+    """Power readings from one source: ``samples`` rows of ``(t_s, p_w)``.
 
-    Timestamps must be strictly increasing and at least two samples are
-    required, so every trace has a positive duration and can be
-    integrated.
+    ``samples`` is copied into a read-only float64 array of shape (n, 2),
+    column-major so that :meth:`times` and :meth:`powers` are contiguous.
+    At least two rows are required, every value must be finite and
+    non-negative, and timestamps must be strictly increasing, so every
+    trace has a positive duration and can be integrated.
     """
 
-    samples: tuple[PowerSample, ...]
+    samples: np.ndarray
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) < 2:
+        samples = np.array(self.samples, dtype=np.float64, order="F")
+        if samples.ndim != 2 or samples.shape[1] != 2:
             raise MalformedTraceError(
-                f"trace {self.source_label!r} has {len(self.samples)} sample(s); need at least 2"
+                f"trace {self.source_label!r}: expected (t, p) rows, got shape {samples.shape}"
             )
-        for i in range(1, len(self.samples)):
-            if self.samples[i].t <= self.samples[i - 1].t:
-                raise MalformedTraceError(
-                    f"trace {self.source_label!r}: timestamps not strictly increasing "
-                    f"at sample {i} ({self.samples[i - 1].t} -> {self.samples[i].t})"
-                )
+        if len(samples) < 2:
+            raise MalformedTraceError(
+                f"trace {self.source_label!r} has {len(samples)} sample(s); need at least 2"
+            )
+        i = _first_invalid_row(samples)
+        if i >= 0:
+            raise MalformedTraceError(
+                f"trace {self.source_label!r}: sample {i} {tuple(samples[i].tolist())} breaks "
+                f"the invariants (finite, >= 0, timestamps strictly increasing)"
+            )
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     @classmethod
     def from_arrays(
-        cls, times: Iterable[float], powers: Iterable[float], source_label: str = ""
+        cls, times: Sequence[float], powers: Sequence[float], source_label: str = ""
     ) -> "PowerTrace":
-        return cls(
-            samples=tuple(PowerSample(float(t), float(p)) for t, p in zip(times, powers)),
-            source_label=source_label,
-        )
+        return cls(np.column_stack((times, powers)), source_label=source_label)
 
     @property
     def start(self) -> float:
-        return self.samples[0].t
+        return float(self.samples[0, 0])
 
     @property
     def end(self) -> float:
-        return self.samples[-1].t
+        return float(self.samples[-1, 0])
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples], dtype=float)
+        return self.samples[:, 0]
 
     def powers(self) -> np.ndarray:
-        return np.array([s.p for s in self.samples], dtype=float)
+        return self.samples[:, 1]
 
     def __len__(self) -> int:
         return len(self.samples)

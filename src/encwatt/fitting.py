@@ -490,7 +490,7 @@ def cross_validate(
             )
         per_fold.append(mean_abs_relative_error(errs))
 
-    report_kwargs = _full_data_params(data, model_kind, objective)
+    report_kwargs = _report_params(_full_data_fits(data, model_kind, objective), model_kind)
     return FitReport(
         model_kind=model_kind,
         validation="kfold",
@@ -506,22 +506,33 @@ def cross_validate(
     )
 
 
-def _full_data_params(data: Dataset, model_kind: str, objective: str) -> dict:
-    """Parameters fitted on the complete dataset, for the report tables."""
+def _full_data_fits(data: Dataset, model_kind: str, objective: str) -> dict:
+    """One fit per cell of the complete dataset.
+
+    Maps each preset to its :class:`LinearFitResult`, or for the QP model
+    to ``{class: QpFitResult}``.
+    """
+    presets = _evaluated_presets(data, model_kind)
     if model_kind == "qp_cubic":
-        qp_params: dict[str, dict[str, QpModelParams]] = {}
-        for preset in _evaluated_presets(data, model_kind):
-            qp_params[preset] = {
-                cls: _fit_qp_rows(rows, preset, cls, objective).params
+        return {
+            preset: {
+                cls: _fit_qp_rows(rows, preset, cls, objective)
                 for cls, rows in _qp_cells(data, preset).items()
             }
-        return {"qp_params": qp_params}
+            for preset in presets
+        }
     covariate = _linear_covariate_kind(model_kind)
-    linear_params = {
-        preset: fit_linear_model(data, preset, covariate, objective).params
-        for preset in _evaluated_presets(data, model_kind)
-    }
-    return {"linear_params": linear_params}
+    return {preset: fit_linear_model(data, preset, covariate, objective) for preset in presets}
+
+
+def _report_params(fits: dict, model_kind: str) -> dict:
+    """The report's parameter tables from :func:`_full_data_fits`."""
+    if model_kind == "qp_cubic":
+        return {"qp_params": {
+            preset: {cls: fit.params for cls, fit in cells.items()}
+            for preset, cells in fits.items()
+        }}
+    return {"linear_params": {preset: fit.params for preset, fit in fits.items()}}
 
 
 def fit_report(
@@ -533,22 +544,19 @@ def fit_report(
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation)."""
     model_kind = _validated_model_kind(model_kind)
-    per_preset_error: dict[str, float] = {}
-    per_class_error: dict[str, dict[str, float]] = {}
-    for preset in _evaluated_presets(data, model_kind):
-        if model_kind == "qp_cubic":
-            class_means = {
-                cls: _fit_qp_rows(rows, preset, cls, objective).mean_abs_rel_error
-                for cls, rows in _qp_cells(data, preset).items()
-            }
-            per_class_error[preset] = class_means
-            per_preset_error[preset] = float(np.mean(list(class_means.values())))
-        else:
-            covariate = _linear_covariate_kind(model_kind)
-            per_preset_error[preset] = fit_linear_model(
-                data, preset, covariate, objective
-            ).mean_abs_rel_error
-    report_kwargs = _full_data_params(data, model_kind, objective)
+    fits = _full_data_fits(data, model_kind, objective)
+    per_class_error: Optional[dict[str, dict[str, float]]] = None
+    if model_kind == "qp_cubic":
+        per_class_error = {
+            preset: {cls: fit.mean_abs_rel_error for cls, fit in cells.items()}
+            for preset, cells in fits.items()
+        }
+        per_preset_error = {
+            preset: float(np.mean(list(means.values())))
+            for preset, means in per_class_error.items()
+        }
+    else:
+        per_preset_error = {preset: fit.mean_abs_rel_error for preset, fit in fits.items()}
     return FitReport(
         model_kind=model_kind,
         validation="in_sample",
@@ -557,7 +565,7 @@ def fit_report(
         objective=objective,
         per_preset_error=per_preset_error,
         overall_error=float(np.mean(list(per_preset_error.values()))),
-        per_class_error=per_class_error if model_kind == "qp_cubic" else None,
+        per_class_error=per_class_error,
         tool_version=tool_version,
-        **report_kwargs,
+        **_report_params(fits, model_kind),
     )

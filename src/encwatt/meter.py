@@ -5,8 +5,9 @@ rows, UTF-8, ``.`` decimal separator, LF line endings.
 
 Counter files follow the RAPL convention: a text file holding one
 non-negative integer, a cumulative energy counter in microjoules, re-read
-on every poll.  The wrap-around modulus is configuration (default 2**32),
-overridable through the ``ENCWATT_WRAP_UJ`` environment variable.
+on every poll.  The wrap-around modulus is read from a sibling
+``max_energy_range_uj`` file when there is one (as in a powercap zone),
+else from the ``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import PowerSample, PowerTrace
+from .energy import PowerTrace, _first_invalid_row
 from .errors import (
     AcquisitionError,
     CorruptCounterError,
@@ -31,7 +32,6 @@ from .errors import (
 )
 
 __all__ = [
-    "TraceSourceSpec",
     "SyntheticRecipe",
     "parse_trace_csv",
     "write_trace_csv",
@@ -43,8 +43,7 @@ __all__ = [
     "CounterMeter",
     "SyntheticMeter",
     "CsvReplayMeter",
-    "make_meter",
-    "parse_meter_spec",
+    "open_meter",
     "DEFAULT_POLL_PERIOD",
     "DEFAULT_WRAP_UJ",
 ]
@@ -54,21 +53,6 @@ DEFAULT_WRAP_UJ = 2**32
 WRAP_ENV_VAR = "ENCWATT_WRAP_UJ"
 
 TRACE_HEADER = "t_s,p_w"
-
-
-@dataclass(frozen=True)
-class TraceSourceSpec:
-    """Where a power trace comes from: a CSV, a live counter, or a recipe."""
-
-    kind: str  # csv_file | counter_file | synthetic
-    path_or_recipe: str
-    sample_period: float = DEFAULT_POLL_PERIOD
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("csv_file", "counter_file", "synthetic"):
-            raise ValueError(f"unknown trace source kind {self.kind!r}")
-        if self.kind in ("counter_file", "synthetic") and self.sample_period <= 0:
-            raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
 
 
 @dataclass(frozen=True)
@@ -105,29 +89,34 @@ def parse_trace_csv(path: str | Path) -> PowerTrace:
             f"{path}: expected header {TRACE_HEADER!r}, got {lines[0]!r}" if lines
             else f"{path}: empty file"
         )
-    samples: list[PowerSample] = []
-    prev_t: Optional[float] = None
+    values: list[float] = []
+    unparsed: Optional[str] = None  # complaint about the first unparseable line
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 2:
-            raise MalformedTraceError(
-                f"{path}, line {lineno}: expected 2 columns, got {len(fields)}"
-            )
+            unparsed = f"line {lineno}: expected 2 columns, got {len(fields)}"
+            break
         try:
-            t, p = float(fields[0]), float(fields[1])
+            values += float(fields[0]), float(fields[1])
         except ValueError as exc:
-            raise MalformedTraceError(f"{path}, line {lineno}: {exc}") from exc
+            unparsed = f"line {lineno}: {exc}"
+            break
+    samples = np.array(values, dtype=np.float64).reshape(-1, 2)
+    i = _first_invalid_row(samples)  # reported first: it precedes any unparseable line
+    if i >= 0:
+        t, p = samples[i].tolist()
         if p < 0:
-            raise MalformedTraceError(f"{path}, line {lineno}: negative power {p}")
-        if prev_t is not None and t <= prev_t:
-            raise MalformedTraceError(
-                f"{path}, line {lineno}: timestamp {t} not greater than previous {prev_t}"
-            )
-        prev_t = t
-        samples.append(PowerSample(t, p))
+            why = f"negative power {p}"
+        elif i > 0 and t <= samples[i - 1, 0]:
+            why = f"timestamp {t} not greater than previous {float(samples[i - 1, 0])}"
+        else:
+            why = f"values must be finite and >= 0, got {t}, {p}"
+        raise MalformedTraceError(f"{path}, line {i + 2}: {why}")
+    if unparsed is not None:
+        raise MalformedTraceError(f"{path}, {unparsed}")
     if len(samples) < 2:
         raise MalformedTraceError(f"{path}: fewer than 2 samples")
-    return PowerTrace(tuple(samples), source_label=str(path))
+    return PowerTrace(samples, source_label=str(path))
 
 
 def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
@@ -135,23 +124,28 @@ def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for s in trace.samples:
-            fh.write(f"{s.t!r},{s.p!r}\n")
+        fh.writelines(f"{t!r},{p!r}\n" for t, p in trace.samples.tolist())
 
 
-def _wrap_modulus(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(WRAP_ENV_VAR)
-    if env is not None:
+def _wrap_modulus(counter_path: str | Path) -> int:
+    """The counter's wrap modulus: sibling range file, else environment, else 2**32."""
+    range_file = Path(counter_path).with_name("max_energy_range_uj")
+    source, raw = WRAP_ENV_VAR, os.environ.get(WRAP_ENV_VAR)
+    if range_file.is_file():
+        source = str(range_file)
         try:
-            value = int(env)
-        except ValueError as exc:
-            raise AcquisitionError(f"{WRAP_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise AcquisitionError(f"{WRAP_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_WRAP_UJ
+            raw = range_file.read_text().strip()
+        except OSError as exc:
+            raise AcquisitionError(f"cannot read {source}: {exc}") from exc
+    if raw is None:
+        return DEFAULT_WRAP_UJ
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise AcquisitionError(f"{source} must be an integer, got {raw!r}") from exc
+    if value <= 0:
+        raise AcquisitionError(f"{source} must be positive, got {value}")
+    return value
 
 
 def read_counter_uj(path: str | Path) -> int:
@@ -172,17 +166,18 @@ def read_counter_uj(path: str | Path) -> int:
 def counter_delta_uj(prev: int, current: int, modulus: int, wrap_fraction: float = 0.5) -> int:
     """Microjoules consumed between two counter readings, handling wrap-around.
 
-    A decrease is interpreted as one wrap of the counter; if the implied
-    interval energy reaches ``wrap_fraction`` of the modulus the decrease
-    cannot be a plausible wrap and the counter is reported corrupt.
+    A decrease is interpreted as one wrap of the counter.  If the implied
+    interval energy is negative (the drop exceeds the modulus) or reaches
+    ``wrap_fraction`` of the modulus, the decrease cannot be a plausible
+    wrap and the counter is reported corrupt.
     """
     delta = current - prev
     if delta < 0:
         delta += modulus
-        if delta >= wrap_fraction * modulus:
+        if not 0 <= delta < wrap_fraction * modulus:
             raise CorruptCounterError(
                 f"counter fell from {prev} to {current}; implied wrap energy {delta} uJ "
-                f"exceeds {wrap_fraction:.0%} of modulus {modulus}"
+                f"is outside [0, {wrap_fraction:.0%} of modulus {modulus})"
             )
     return delta
 
@@ -216,7 +211,7 @@ def sample_counter_file(
         raise ValueError(f"period must be > 0, got {period}")
     if stop_signal is None and max_duration is None:
         raise ValueError("need a stop_signal or a max_duration; refusing to poll forever")
-    modulus = _wrap_modulus(wrap_modulus)
+    modulus = wrap_modulus if wrap_modulus is not None else _wrap_modulus(path)
     if wait is None:
         wait = stop_signal.wait if stop_signal is not None else time.sleep
 
@@ -226,7 +221,7 @@ def sample_counter_file(
     prev_c = read_counter_uj(path)
     if ready is not None:
         ready.set()
-    samples: list[PowerSample] = []
+    samples: list[tuple[float, float]] = []
 
     def take_reading() -> None:
         nonlocal prev_t, prev_c
@@ -237,7 +232,7 @@ def sample_counter_file(
             return
         delta = counter_delta_uj(prev_c, current, modulus)
         midpoint = (prev_t + now) / 2.0 - t0
-        samples.append(PowerSample(midpoint, delta / dt / 1e6))
+        samples.append((midpoint, delta / dt / 1e6))
         prev_t, prev_c = now, current
 
     while True:
@@ -256,7 +251,7 @@ def sample_counter_file(
             f"counter sampling of {path} yielded {len(samples)} interval(s); "
             f"need at least 2 (sampled for {clock() - t0:.3f} s at period {period} s)"
         )
-    return PowerTrace(tuple(samples), source_label=label)
+    return PowerTrace(samples, source_label=label)
 
 
 def generate_synthetic_trace(
@@ -381,6 +376,7 @@ class CounterMeter(Meter):
         self.path = Path(path)
         self.sample_period = sample_period
         self.wrap_modulus = wrap_modulus
+        read_counter_uj(self.path)  # an unreachable counter fails here, not mid-campaign
 
     def session(self) -> MeterSession:
         return _CounterSession(self)
@@ -527,22 +523,21 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, Optional[float]]:
     return _parse_inline_recipe(path_or_inline)
 
 
-def parse_meter_spec(text: str, sample_period: float = DEFAULT_POLL_PERIOD) -> TraceSourceSpec:
-    """Parse a CLI meter spec: ``csv:<path> | counter:<path> | synth:<recipe>``."""
-    if ":" not in text:
-        raise ValueError(f"meter spec {text!r} must look like kind:target")
-    kind, target = text.split(":", 1)
-    kinds = {"csv": "csv_file", "counter": "counter_file", "synth": "synthetic"}
-    if kind not in kinds:
+def open_meter(spec: str, sample_period: float) -> Meter:
+    """Open the meter a CLI spec names: ``csv:<path> | counter:<path> | synth:<recipe>``.
+
+    A synthetic recipe's own ``period`` overrides ``sample_period``.
+    """
+    kind, colon, target = spec.partition(":")
+    if not colon:
+        raise ValueError(f"meter spec {spec!r} must look like kind:target")
+    if kind not in ("csv", "counter", "synth"):
         raise ValueError(f"unknown meter kind {kind!r}; expected csv, counter, or synth")
-    return TraceSourceSpec(kind=kinds[kind], path_or_recipe=target, sample_period=sample_period)
-
-
-def make_meter(spec: TraceSourceSpec) -> Meter:
-    """Build the meter implementation for a trace source spec."""
-    if spec.kind == "csv_file":
-        return CsvReplayMeter(spec.path_or_recipe, sample_period=spec.sample_period)
-    if spec.kind == "counter_file":
-        return CounterMeter(spec.path_or_recipe, sample_period=spec.sample_period)
-    recipe, period = load_recipe(spec.path_or_recipe)
-    return SyntheticMeter(recipe, sample_period=period if period is not None else spec.sample_period)
+    if kind == "csv":
+        return CsvReplayMeter(target, sample_period=sample_period)
+    if sample_period <= 0:
+        raise ValueError(f"sample_period must be > 0, got {sample_period}")
+    if kind == "counter":
+        return CounterMeter(target, sample_period=sample_period)
+    recipe, period = load_recipe(target)
+    return SyntheticMeter(recipe, sample_period=period if period is not None else sample_period)

@@ -15,6 +15,7 @@ to each job.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -286,10 +287,7 @@ def run_campaign(
         logger.info("resuming campaign: %d rows already present", len(rows))
 
     failures: list[tuple[str, str]] = []
-    writer = DatasetWriter(out_csv) if out_csv is not None else None
-    try:
-        if writer is not None:
-            writer.__enter__()
+    with DatasetWriter(out_csv) if out_csv is not None else contextlib.nullcontext() as writer:
         for job in ordered:
             if job.key() in completed:
                 continue
@@ -343,9 +341,6 @@ def run_campaign(
                 "%s: %.2f J over %d rep(s), confident=%s",
                 job.label(), record.mean_energy, record.reps, record.confident,
             )
-    finally:
-        if writer is not None:
-            writer.__exit__(None, None, None)
     return Dataset(
         rows=tuple(rows),
         provenance=str(out_csv) if out_csv else "in-memory campaign",

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from encwatt.energy import (
     ConfidencePolicy,
     MeasurementRecord,
-    PowerSample,
     PowerTrace,
     confidence_check,
     integrate_energy,
@@ -41,20 +40,52 @@ def ramp_trace(t0=0.0, t1=10.0, n=11, label="ramp"):
 
 def test_trace_requires_two_samples():
     with pytest.raises(MalformedTraceError, match="at least 2"):
-        PowerTrace((PowerSample(0.0, 1.0),))
+        PowerTrace.from_arrays([0.0], [1.0])
 
 
 def test_trace_timestamps_strictly_increasing():
-    samples = (PowerSample(0.0, 1.0), PowerSample(0.0, 2.0))
     with pytest.raises(MalformedTraceError, match="strictly increasing"):
-        PowerTrace(samples)
+        PowerTrace.from_arrays([0.0, 0.0], [1.0, 2.0])
 
 
 def test_sample_rejects_negative_values():
     with pytest.raises(MalformedTraceError):
-        PowerSample(-1.0, 5.0)
+        PowerTrace.from_arrays([-1.0, 1.0], [5.0, 5.0])
     with pytest.raises(MalformedTraceError):
-        PowerSample(1.0, -5.0)
+        PowerTrace.from_arrays([0.0, 1.0], [5.0, -5.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trace_rejects_non_finite_values(bad):
+    with pytest.raises(MalformedTraceError, match="sample 1"):
+        PowerTrace.from_arrays([0.0, bad], [1.0, 1.0])
+    with pytest.raises(MalformedTraceError, match="sample 1"):
+        PowerTrace.from_arrays([0.0, 1.0], [1.0, bad])
+
+
+def test_trace_is_read_only_and_does_not_alias_its_input():
+    times = np.array([0.0, 1.0, 2.0])
+    trace = PowerTrace.from_arrays(times, [1.0, 2.0, 3.0])
+    samples = np.array([[0.0, 1.0], [1.0, 2.0]])
+    copied = PowerTrace(samples)
+    samples[0, 1] = 99.0
+    assert copied.powers()[0] == 1.0
+    assert samples.flags.writeable  # the caller's array is left alone
+    assert trace.samples.dtype == np.float64 and trace.samples.shape == (3, 2)
+    with pytest.raises(ValueError):
+        trace.samples[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        trace.times()[0] = 5.0
+    with pytest.raises(ValueError):
+        trace.powers()[:] = 0.0
+    assert np.array_equal(trace.times(), times)
+
+
+def test_trace_equality_and_hash_are_by_identity():
+    a = const_trace(1.0)
+    b = const_trace(1.0)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_trace_duration():

@@ -401,3 +401,25 @@ def test_uf_model_has_no_ultrafast_entry():
     assert len(report.per_preset_error) == 8
     own = cross_validate(ds, "time_linear", k=4, seed=1)
     assert "ultrafast" in own.per_preset_error
+
+
+@pytest.mark.parametrize("model_kind", ["qp_cubic", "time_linear"])
+def test_fit_report_fits_each_cell_once(monkeypatch, model_kind):
+    import encwatt.fitting as fitting
+
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+    calls = []
+    solve = fitting._solve_relative_ls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_solve_relative_ls", counted)
+    report = fit_report(ds, model_kind)
+    if model_kind == "qp_cubic":
+        cells = sum(len(classes) for classes in report.qp_params.values())
+    else:
+        cells = len(report.linear_params)
+    assert cells == len(report.per_preset_error) * (5 if model_kind == "qp_cubic" else 1)
+    assert len(calls) == cells

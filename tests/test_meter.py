@@ -18,11 +18,9 @@ from encwatt.meter import (
     CsvReplayMeter,
     SyntheticMeter,
     SyntheticRecipe,
-    TraceSourceSpec,
     counter_delta_uj,
     generate_synthetic_trace,
-    make_meter,
-    parse_meter_spec,
+    open_meter,
     parse_trace_csv,
     sample_counter_file,
     write_trace_csv,
@@ -35,7 +33,7 @@ def test_parse_minimal_constant_trace(tmp_path):
     f.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
     trace = parse_trace_csv(f)
     assert len(trace) == 2
-    assert trace.samples[0].p == 20.0
+    assert trace.powers()[0] == 20.0
     assert trace.duration == 1.0
 
 
@@ -57,6 +55,21 @@ def test_parse_rejects_negative_power_with_line(tmp_path):
     f = tmp_path / "trace.csv"
     f.write_text("t_s,p_w\n0.0,20.0\n1.0,-3.0\n")
     with pytest.raises(MalformedTraceError, match="line 3"):
+        parse_trace_csv(f)
+
+
+@pytest.mark.parametrize("bad_row", ["1.0,nan", "1.0,inf", "nan,20.0", "inf,20.0"])
+def test_parse_rejects_non_finite_value_with_line(tmp_path, bad_row):
+    f = tmp_path / "trace.csv"
+    f.write_text(f"t_s,p_w\n0.0,20.0\n{bad_row}\n2.0,20.0\n")
+    with pytest.raises(MalformedTraceError, match="line 3"):
+        parse_trace_csv(f)
+
+
+def test_parse_reports_the_first_bad_line(tmp_path):
+    f = tmp_path / "trace.csv"
+    f.write_text("t_s,p_w\n0.0,20.0\n1.0,-3.0\n2.0\n")
+    with pytest.raises(MalformedTraceError, match="line 3: negative power"):
         parse_trace_csv(f)
 
 
@@ -103,6 +116,42 @@ def test_counter_delta_half_modulus_drop_is_corrupt():
         counter_delta_uj(900_000, 900_000 - modulus // 2, modulus)
 
 
+def test_counter_delta_drop_beyond_modulus_is_corrupt():
+    # a real RAPL counter wrapping at its 2.6e11 uJ range, read with the
+    # 2**32 default, would otherwise give a negative interval energy
+    with pytest.raises(CorruptCounterError):
+        counter_delta_uj(262143328850 - 1000, 500, 2**32)
+
+
+def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("ENCWATT_WRAP_UJ", raising=False)
+    zone = tmp_path / "intel-rapl:0"
+    zone.mkdir()
+    rapl_max = 262143328850
+    (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
+    f = zone / "energy_uj"
+    values = iter([500, 1500, 2500])  # wraps on the first interval: 1500 uJ, then 1000 each
+    state = {"now": 0.0}
+
+    def wait(seconds):
+        state["now"] += seconds
+        f.write_text(str(next(values)))
+
+    f.write_text(str(rapl_max - 1000))
+    trace = sample_counter_file(
+        f, 1.0, max_duration=3.0, clock=lambda: state["now"], wait=wait
+    )
+    assert np.allclose(trace.powers(), [1500 / 1e6, 1000 / 1e6, 1000 / 1e6])
+
+
+def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
+    (tmp_path / "max_energy_range_uj").write_text("lots")
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
+        sample_counter_file(f, 0.01, max_duration=0.05)
+
+
 class FakeCounterEnv:
     """Deterministic clock/wait pair driving a counter file."""
 
@@ -133,8 +182,8 @@ def test_sampling_constant_rate_counter_gives_constant_power(tmp_path):
     powers = trace.powers()
     assert np.all(np.abs(powers - 1.0) < 1e-6)
     # samples sit at interval midpoints
-    assert trace.samples[0].t == pytest.approx(0.05)
-    assert trace.samples[1].t == pytest.approx(0.15)
+    assert trace.times()[0] == pytest.approx(0.05)
+    assert trace.times()[1] == pytest.approx(0.15)
 
 
 def test_sampling_handles_wrap_midrun(tmp_path):
@@ -247,12 +296,12 @@ def test_synthetic_deterministic_for_fixed_seed():
     recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, duration=5.0, seed=11)
     a = generate_synthetic_trace(recipe, (1.0, 4.0))
     b = generate_synthetic_trace(recipe, (1.0, 4.0))
-    assert a.samples == b.samples
+    assert np.array_equal(a.samples, b.samples)
     c = generate_synthetic_trace(
         SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, duration=5.0, seed=12),
         (1.0, 4.0),
     )
-    assert a.samples != c.samples
+    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_synthetic_noisy_mean_within_standard_error():
@@ -291,26 +340,40 @@ def test_recipe_validation():
 
 # ── meter factory and specs ───────────────────────────────────────────────
 
-def test_parse_meter_spec_kinds():
-    assert parse_meter_spec("csv:/tmp/x.csv").kind == "csv_file"
-    assert parse_meter_spec("counter:/sys/foo").kind == "counter_file"
-    spec = parse_meter_spec("synth:base=20,active=30,noise=0,seed=1")
-    assert spec.kind == "synthetic"
+def test_open_meter_kinds(tmp_path):
+    trace = tmp_path / "x.csv"
+    trace.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
+    counter = tmp_path / "energy_uj"
+    counter.write_text("0")
+    assert isinstance(open_meter(f"csv:{trace}", 0.1), CsvReplayMeter)
+    assert isinstance(open_meter(f"counter:{counter}", 0.1), CounterMeter)
+    meter = open_meter("synth:base=20,active=30,noise=0,seed=1", 0.1)
+    assert isinstance(meter, SyntheticMeter)
+    assert meter.sample_period == 0.1
     with pytest.raises(ValueError):
-        parse_meter_spec("bogus:/x")
+        open_meter("bogus:/x", 0.1)
     with pytest.raises(ValueError):
-        parse_meter_spec("no-colon")
+        open_meter("no-colon", 0.1)
 
 
-def test_trace_source_spec_validation():
+def test_open_meter_validation(tmp_path):
+    counter = tmp_path / "energy_uj"
+    counter.write_text("0")
     with pytest.raises(ValueError):
-        TraceSourceSpec(kind="synthetic", path_or_recipe="x", sample_period=0.0)
+        open_meter("synth:base=20", 0.0)
     with pytest.raises(ValueError):
-        TraceSourceSpec(kind="weird", path_or_recipe="x")
+        open_meter(f"counter:{counter}", 0.0)
 
 
-def test_make_meter_synthetic_inline_and_json(tmp_path):
-    meter = make_meter(parse_meter_spec("synth:base=20,active=30,noise=0,duration=4,period=0.05"))
+def test_open_meter_counter_must_be_readable(tmp_path):
+    with pytest.raises(AcquisitionError, match="cannot read counter file"):
+        open_meter(f"counter:{tmp_path / 'missing'}", 0.1)
+    with pytest.raises(AcquisitionError):
+        CounterMeter(tmp_path / "missing")
+
+
+def test_open_meter_synthetic_inline_and_json(tmp_path):
+    meter = open_meter("synth:base=20,active=30,noise=0,duration=4,period=0.05", 0.1)
     assert isinstance(meter, SyntheticMeter)
     assert meter.sample_period == 0.05
     assert meter.recipe.base_power == 20.0
@@ -319,7 +382,7 @@ def test_make_meter_synthetic_inline_and_json(tmp_path):
     recipe_file.write_text(
         '{"base_power": 10.0, "active_power": 5.0, "noise_std": 0.0, "duration": 2.0, "seed": 4}'
     )
-    meter = make_meter(parse_meter_spec(f"synth:{recipe_file}"))
+    meter = open_meter(f"synth:{recipe_file}", 0.1)
     assert meter.recipe.active_power == 5.0
 
 

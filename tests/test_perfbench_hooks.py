@@ -1,0 +1,48 @@
+"""The benchmark's layer spans (perfbench/tracer.py) still find what they patch.
+
+The tracer wraps encwatt's functions where their callers look them up, so
+a rename in encwatt silently drops a per-layer metric.  The check runs in
+a subprocess so the patches cannot leak into other tests.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    from tracer import Tracer, install
+
+    from encwatt import cli
+
+    tracer = Tracer()
+    install(tracer)  # fails if a name the tracer patches is gone
+    trace = cli.parse_trace_csv(sys.argv[2])
+    spans = {name: attrs for _sid, _parent, name, _t0, _t1, attrs in tracer.spans}
+    assert spans["energy.trace_build"] == {"n": len(trace)}, spans
+    assert spans["meter.parse_trace_csv"] == {"n": len(trace)}, spans
+    print(len(trace))
+    """
+)
+
+
+def test_tracer_records_trace_build_with_sample_count(tmp_path):
+    trace_csv = tmp_path / "trace.csv"
+    trace_csv.write_text("t_s,p_w\n" + "".join(f"{t}.0,{20 + t}.5\n" for t in range(7)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(trace_csv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "7"
