@@ -50,7 +50,6 @@ from .meter import (
     CounterMeter,
     CsvReplayMeter,
     Meter,
-    MeterSession,
     SyntheticMeter,
     SyntheticRecipe,
     generate_synthetic_trace,

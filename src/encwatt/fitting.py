@@ -10,6 +10,7 @@ error instead, for sensitivity checks.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +24,14 @@ from .errors import (
     SingularFitError,
     UnderdeterminedFitError,
 )
-from .models import PRESETS, LinearParams, QpModelParams
+from .models import (
+    PRESETS,
+    LinearParams,
+    QpModelParams,
+    QpRangeWarning,
+    predict_energy_linear,
+    predict_energy_qp,
+)
 
 __all__ = [
     "OBJECTIVES",
@@ -432,20 +440,23 @@ def cross_validate(
                 raise ValueError(f"{context}: {len(ordered)} rows cannot fill {k} folds")
             folds = kfold_split(len(ordered), k, seed)
         held_out: list[float] = []
-        for fold_index, fold in enumerate(folds):
-            if not fold:
-                continue  # joint split: this preset has no bitstream in the fold
-            fold_set = set(fold)
-            train = [r for i, r in enumerate(ordered) if i not in fold_set]
-            try:
-                fitted = fit(train)
-            except FitError as exc:
-                raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-            for i in fold:
-                row = ordered[i]
-                err = relative_error(fitted(row), row.energy)
-                held_out.append(err)
-                fold_errors[fold_index].append(err)
+        # Held-out QPs may lie outside the training fold's range by design.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QpRangeWarning)
+            for fold_index, fold in enumerate(folds):
+                if not fold:
+                    continue  # joint split: this preset has no bitstream in the fold
+                fold_set = set(fold)
+                train = [r for i, r in enumerate(ordered) if i not in fold_set]
+                try:
+                    fitted = fit(train)
+                except FitError as exc:
+                    raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
+                for i in fold:
+                    row = ordered[i]
+                    err = relative_error(fitted(row), row.energy)
+                    held_out.append(err)
+                    fold_errors[fold_index].append(err)
         return held_out
 
     for preset in _evaluated_presets(data, model_kind):
@@ -458,12 +469,8 @@ def cross_validate(
                     raise DatasetError(f"{context}: rows missing avg_qp: {missing}")
 
                 def fit(train, _preset=preset, _cls=class_label):
-                    result = _fit_qp_rows(train, _preset, _cls, objective)
-                    p = result.params
-                    return lambda row: p.p_avg * (
-                        p.kappa * row.avg_qp**3 - p.lam * row.avg_qp**2
-                        - p.mu * row.avg_qp + p.t0
-                    )
+                    params = _fit_qp_rows(train, _preset, _cls, objective).params
+                    return lambda row: predict_energy_qp(params, row.avg_qp)
 
                 errors = run_cell(rows, fit, context)
                 class_means[class_label] = mean_abs_relative_error(errors)
@@ -474,9 +481,8 @@ def cross_validate(
             context = f"preset {preset!r}"
 
             def fit(train, _preset=preset, _cov=covariate):
-                result = _fit_linear_rows(train, _preset, _cov, objective)
-                params = result.params
-                return lambda row: params.e0 + params.p * _covariate(row, _cov)
+                params = _fit_linear_rows(train, _preset, _cov, objective).params
+                return lambda row: predict_energy_linear(params, _covariate(row, _cov))
 
             errors = run_cell(data.rows_for_preset(preset), fit, context)
             per_preset_error[preset] = mean_abs_relative_error(errors)

@@ -13,13 +13,14 @@ else from the ``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
 from __future__ import annotations
 
 import abc
+import contextlib
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "sample_counter_file",
     "generate_synthetic_trace",
     "Meter",
-    "MeterSession",
     "CounterMeter",
     "SyntheticMeter",
     "CsvReplayMeter",
@@ -53,6 +53,11 @@ DEFAULT_WRAP_UJ = 2**32
 WRAP_ENV_VAR = "ENCWATT_WRAP_UJ"
 
 TRACE_HEADER = "t_s,p_w"
+
+# How long a counter recording waits for its sampler's first reading.
+_READY_TIMEOUT_S = 10.0
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -288,43 +293,25 @@ def generate_synthetic_trace(
     return PowerTrace.from_arrays(times, powers, source_label=source_label)
 
 
-class MeterSession(abc.ABC):
-    """One start/stop measurement window of a meter.
-
-    ``needs_settle`` tells the caller whether real time must pass after
-    the measured activity ends so the trace covers its full duration.
-    """
-
-    needs_settle = True
-
-    @abc.abstractmethod
-    def start(self) -> None: ...
-
-    def mark_activity(self, t_start: float, t_end: float) -> None:
-        """Note when the measured activity ran, relative to session start.
-
-        Real meters observe activity through the hardware and ignore this;
-        synthetic meters use it to place their active window.
-        """
-
-    @abc.abstractmethod
-    def stop(self) -> PowerTrace: ...
-
-
 class Meter(abc.ABC):
     """A source of power traces for measured runs and idle baselines."""
 
-    sample_period: float
-
     @abc.abstractmethod
-    def session(self) -> MeterSession: ...
+    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+        """Run ``activity`` while measuring; return the trace and its result.
+
+        The trace starts before the activity and covers all of it, so the
+        activity's energy is the trace's integral over a window of the
+        activity's duration anchored at the trace's first sample.  An
+        exception from ``activity`` propagates unchanged.
+        """
 
     @abc.abstractmethod
     def capture_idle(self, duration: float) -> PowerTrace: ...
 
 
-class _CounterSession(MeterSession):
-    needs_settle = True
+class _CounterSession:
+    """The sampler thread of one counter recording."""
 
     def __init__(self, meter: "CounterMeter"):
         self._meter = meter
@@ -351,11 +338,15 @@ class _CounterSession(MeterSession):
         self._thread = threading.Thread(target=run, name="encwatt-sampler", daemon=True)
         self._thread.start()
         # the measured activity must not begin before sampling has
-        self._ready.wait(timeout=10.0)
+        if not self._ready.wait(timeout=_READY_TIMEOUT_S):
+            self._stop.set()
+            raise AcquisitionError(
+                f"sampler of counter file {self._meter.path} not ready "
+                f"after {_READY_TIMEOUT_S} s"
+            )
 
     def stop(self) -> PowerTrace:
-        if self._thread is None:
-            raise AcquisitionError("sampler session stopped before start")
+        assert self._thread is not None, "stop() before start()"
         self._stop.set()
         self._thread.join()
         if self._error is not None:
@@ -378,8 +369,19 @@ class CounterMeter(Meter):
         self.wrap_modulus = wrap_modulus
         read_counter_uj(self.path)  # an unreachable counter fails here, not mid-campaign
 
-    def session(self) -> MeterSession:
-        return _CounterSession(self)
+    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+        session = _CounterSession(self)
+        session.start()
+        try:
+            result = activity()
+        except BaseException:
+            # A sampler stopped this early may hold too few intervals to
+            # build a trace; the activity's error is the one to report.
+            with contextlib.suppress(AcquisitionError):
+                session.stop()
+            raise
+        time.sleep(2 * self.sample_period)  # let the trace cover the activity's end
+        return session.stop(), result
 
     def capture_idle(self, duration: float) -> PowerTrace:
         # Two extra periods so midpoint trimming cannot shrink the span
@@ -393,41 +395,10 @@ class CounterMeter(Meter):
         )
 
 
-class _SyntheticSession(MeterSession):
-    needs_settle = False
-
-    def __init__(self, meter: "SyntheticMeter", seed: int):
-        self._meter = meter
-        self._seed = seed
-        self._t0: Optional[float] = None
-        self._window: Optional[tuple[float, float]] = None
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def mark_activity(self, t_start: float, t_end: float) -> None:
-        self._window = (t_start, t_end)
-
-    def stop(self) -> PowerTrace:
-        if self._t0 is None:
-            raise AcquisitionError("synthetic session stopped before start")
-        elapsed = time.perf_counter() - self._t0
-        window = self._window if self._window is not None else (0.0, elapsed)
-        margin = 2 * self._meter.sample_period
-        duration = max(elapsed, window[1]) + margin
-        recipe = replace(self._meter.recipe, duration=duration, seed=self._seed)
-        return generate_synthetic_trace(
-            recipe,
-            window,
-            sample_period=self._meter.sample_period,
-            source_label="synthetic-meter",
-        )
-
-
 class SyntheticMeter(Meter):
     """Meter test double generating traces from a recipe.
 
-    Each session and idle capture draws a fresh seed derived from the
+    Each recording and idle capture draws a fresh seed derived from the
     recipe seed so repeated measurements see independent noise; with
     ``noise_std=0`` traces are exactly reproducible.
     """
@@ -441,8 +412,16 @@ class SyntheticMeter(Meter):
         self._uses += 1
         return self.recipe.seed + self._uses
 
-    def session(self) -> MeterSession:
-        return _SyntheticSession(self, seed=self._next_seed())
+    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+        seed = self._next_seed()
+        t0 = time.perf_counter()
+        result = activity()
+        elapsed = time.perf_counter() - t0
+        recipe = replace(self.recipe, duration=elapsed + 2 * self.sample_period, seed=seed)
+        trace = generate_synthetic_trace(
+            recipe, (0.0, elapsed), sample_period=self.sample_period, source_label="synthetic-meter"
+        )
+        return trace, result
 
     def capture_idle(self, duration: float) -> PowerTrace:
         recipe = replace(
@@ -458,29 +437,15 @@ class SyntheticMeter(Meter):
         )
 
 
-class _ReplaySession(MeterSession):
-    needs_settle = False
-
-    def __init__(self, trace: PowerTrace):
-        self._trace = trace
-
-    def start(self) -> None:
-        pass
-
-    def stop(self) -> PowerTrace:
-        return self._trace
-
-
 class CsvReplayMeter(Meter):
     """Replays a fixed trace file; useful for dry runs and diagnostics."""
 
-    def __init__(self, path: str | Path, sample_period: float = DEFAULT_POLL_PERIOD):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.sample_period = sample_period
         self._trace = parse_trace_csv(self.path)
 
-    def session(self) -> MeterSession:
-        return _ReplaySession(self._trace)
+    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+        return self._trace, activity()
 
     def capture_idle(self, duration: float) -> PowerTrace:
         if self._trace.duration < duration:
@@ -534,7 +499,7 @@ def open_meter(spec: str, sample_period: float) -> Meter:
     if kind not in ("csv", "counter", "synth"):
         raise ValueError(f"unknown meter kind {kind!r}; expected csv, counter, or synth")
     if kind == "csv":
-        return CsvReplayMeter(target, sample_period=sample_period)
+        return CsvReplayMeter(target)
     if sample_period <= 0:
         raise ValueError(f"sample_period must be > 0, got {sample_period}")
     if kind == "counter":

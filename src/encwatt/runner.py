@@ -21,6 +21,7 @@ import logging
 import os
 import re
 import shlex
+import statistics
 import subprocess
 import tempfile
 import time
@@ -201,30 +202,27 @@ def run_measured_encode(
 ) -> tuple[MeasurementRecord, EncodeResult]:
     """Measure one job's net energy, repeating until confident.
 
-    Each repetition samples power while the encoder runs, then, unless a
+    Each repetition records power while the encoder runs, then, unless a
     shared ``idle_trace`` was supplied, captures a fresh idle baseline of
     the same duration immediately afterwards (the two consecutive
     measurements pattern).  Returns the stopping-rule record and the
-    encode result of the final repetition.
+    final repetition's encode result with ``wall_time`` set to the mean
+    over the repetitions, the same ones ``mean_energy`` averages.
     """
     results: list[EncodeResult] = []
 
     def one_rep() -> float:
-        session = meter.session()
-        session_start = time.perf_counter()
-        session.start()
-        spawn_rel = time.perf_counter() - session_start
-        result = run_encode(job, encoder_cmd, qp_patterns=qp_patterns)
-        session.mark_activity(spawn_rel, spawn_rel + result.wall_time)
-        if session.needs_settle:
-            time.sleep(2 * meter.sample_period)
-        total = session.stop()
+        total, result = meter.record(
+            lambda: run_encode(job, encoder_cmd, qp_patterns=qp_patterns)
+        )
         idle = idle_trace if idle_trace is not None else meter.capture_idle(result.wall_time)
         results.append(result)
         return net_energy(total, idle, result.wall_time)
 
     record = measure_until_confident(one_rep, policy, job_id=job.label())
-    return record, results[-1]
+    # statistics.mean is exact, so equal wall times average to themselves
+    mean_wall = statistics.mean(r.wall_time for r in results)
+    return record, replace(results[-1], wall_time=mean_wall)
 
 
 def ensure_ultrafast_closure(jobs: Sequence[EncodeJob]) -> list[EncodeJob]:
@@ -246,6 +244,22 @@ def _campaign_order(jobs: Sequence[EncodeJob]) -> list[EncodeJob]:
     return sorted(jobs, key=lambda j: (j.sequence_id, j.crf, _PRESET_RANK[j.preset]))
 
 
+def _drop_torn_last_line(path: Path) -> None:
+    """Truncate an unterminated last line, as a campaign killed mid-write leaves.
+
+    Every row the writer completes ends in a newline, so only the last
+    line can be torn; appending after it would glue the next row onto it.
+    """
+    with path.open("rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n") or not data:
+            return
+        keep = data.rfind(b"\n") + 1
+        torn = data[keep:].decode(errors="replace")
+        logger.warning("%s: dropping unterminated last line %r", path, torn)
+        fh.truncate(keep)
+
+
 def run_campaign(
     jobs: Sequence[EncodeJob],
     encoder_cmd: str,
@@ -261,8 +275,8 @@ def run_campaign(
     Jobs run one at a time.  Rows are appended to ``out_csv`` as soon as
     they complete, so an interrupted campaign can be resumed: with
     ``resume=True`` previously completed rows are loaded and their jobs
-    skipped.  Per-job failures are recorded on the returned dataset;
-    only meter failures abort the campaign.
+    skipped; a torn last line is dropped.  Per-job failures are recorded
+    on the returned dataset; only meter failures abort the campaign.
     """
     if not jobs:
         raise ValueError("job list is empty")
@@ -278,6 +292,7 @@ def run_campaign(
     completed: set[tuple[str, str, float]] = set()
     uf_times: dict[tuple[str, float], float] = {}
     if resume and out_csv is not None and Path(out_csv).exists():
+        _drop_torn_last_line(Path(out_csv))
         previous = load_dataset_csv(out_csv, require_closure=False)
         rows.extend(previous.rows)
         for row in previous.rows:

@@ -1,10 +1,12 @@
 """Trace CSV parsing, counter-file sampling, and synthetic generation."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from encwatt import meter as meter_module
 from encwatt.energy import integrate_energy, net_energy
 from encwatt.errors import (
     AcquisitionError,
@@ -257,14 +259,38 @@ def test_counter_meter_live_session(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("123456")  # static counter: zero power
     meter = CounterMeter(f, sample_period=0.05)
-    session = meter.session()
-    session.start()
-    time.sleep(0.3)
-    trace = session.stop()
+    trace, result = meter.record(lambda: time.sleep(0.3) or "done")
+    assert result == "done"
     assert len(trace) >= 2
     assert np.all(trace.powers() == 0.0)
     times = trace.times()
     assert np.all(np.diff(times) > 0)
+
+
+def test_counter_meter_reports_sampler_not_ready(tmp_path, monkeypatch):
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    meter = CounterMeter(f, sample_period=0.05)
+    release = threading.Event()
+
+    def blocked_read(path):
+        release.wait(10.0)
+        return 0
+
+    monkeypatch.setattr(meter_module, "read_counter_uj", blocked_read)
+    monkeypatch.setattr(meter_module, "_READY_TIMEOUT_S", 0.2)
+    ran = []
+    try:
+        with pytest.raises(AcquisitionError) as excinfo:
+            meter.record(lambda: ran.append(True))
+    finally:
+        release.set()
+    assert str(f) in str(excinfo.value) and "0.2 s" in str(excinfo.value)
+    assert ran == []  # the activity never started
+    for thread in threading.enumerate():
+        if thread.name == "encwatt-sampler":
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
 
 
 def test_counter_meter_capture_idle_spans_duration(tmp_path):
@@ -390,23 +416,27 @@ def test_csv_replay_meter(tmp_path):
     f = tmp_path / "trace.csv"
     f.write_text("t_s,p_w\n0.0,20.0\n5.0,20.0\n10.0,20.0\n")
     meter = CsvReplayMeter(f)
-    session = meter.session()
-    session.start()
-    trace = session.stop()
+    trace, result = meter.record(lambda: "done")
+    assert result == "done"
     assert trace.duration == 10.0
     assert meter.capture_idle(8.0).duration == 10.0
     with pytest.raises(TraceWindowError):
         meter.capture_idle(30.0)
 
 
-def test_synthetic_meter_sessions_cover_marked_activity():
+def test_synthetic_meter_record_covers_activity():
     meter = SyntheticMeter(SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0),
                            sample_period=0.05)
-    session = meter.session()
-    session.start()
-    session.mark_activity(0.0, 0.4)
-    trace = session.stop()
-    assert trace.duration >= 0.4
-    idle = meter.capture_idle(0.4)
-    e = net_energy(trace, idle, 0.4)
-    assert e == pytest.approx(30.0 * 0.4, abs=30.0 * 0.05)
+
+    def activity():
+        t0 = time.perf_counter()
+        time.sleep(0.4)
+        return time.perf_counter() - t0
+
+    trace, wall = meter.record(activity)
+    assert trace.duration >= wall >= 0.4
+    idle = meter.capture_idle(wall)
+    e = net_energy(trace, idle, wall)
+    # The active step starts at the trace's first sample and ends after the
+    # activity's own wall time: at most half a period's ramp is lost.
+    assert 30.0 * wall - 30.0 * 0.05 / 2 - 1e-9 <= e <= 30.0 * wall + 1e-9

@@ -7,13 +7,15 @@ import pytest
 from encwatt.dataset import load_dataset_csv
 from encwatt.energy import ConfidencePolicy
 from encwatt.errors import (
+    DatasetError,
     EncodeFailedError,
     ManifestError,
     MeasurementRunError,
 )
-from encwatt.meter import SyntheticMeter, SyntheticRecipe
+from encwatt.meter import CsvReplayMeter, SyntheticMeter, SyntheticRecipe
 from encwatt.runner import (
     EncodeJob,
+    EncodeResult,
     ensure_ultrafast_closure,
     load_manifest,
     parse_avg_qp,
@@ -241,26 +243,13 @@ class SessionCountingMeter(SyntheticMeter):
         self.active = 0
         self.max_active = 0
 
-    def session(self):
-        outer = self
-        inner = super().session()
-
-        class Wrapped:
-            needs_settle = inner.needs_settle
-
-            def start(self):
-                outer.active += 1
-                outer.max_active = max(outer.max_active, outer.active)
-                inner.start()
-
-            def mark_activity(self, a, b):
-                inner.mark_activity(a, b)
-
-            def stop(self):
-                outer.active -= 1
-                return inner.stop()
-
-        return Wrapped()
+    def record(self, activity):
+        self.active += 1
+        self.max_active = max(self.max_active, self.active)
+        try:
+            return super().record(activity)
+        finally:
+            self.active -= 1
 
 
 def quick_policy():
@@ -413,3 +402,92 @@ def test_campaign_records_negative_energy_job_as_failure(input_file, encoder_cmd
                            out_csv=tmp_path / "neg.csv", idle_trace=hot_idle)
     assert len(dataset.rows) == 0
     assert len(dataset.failures) == 1
+
+
+def test_failed_encodes_leave_no_sampler_running(input_file, stub_encoder, tmp_path):
+    # The encoder fails within milliseconds, before the sampler has two
+    # intervals: each job must be recorded as an encoder failure, not a
+    # meter abort, and its sampler thread must be stopped.
+    import threading
+
+    from encwatt.meter import CounterMeter
+
+    counter = tmp_path / "energy_uj"
+    counter.write_text("0")
+    cmd = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --fail"
+    )
+    jobs = [make_job(input_file, sequence_id=seq) for seq in ("s1", "s2")]
+    meter = CounterMeter(counter, sample_period=0.5)
+    dataset = run_campaign(jobs, cmd, meter, quick_policy())
+    labels = [label for label, _ in dataset.failures]
+    assert labels == ["s1:ultrafast:crf23", "s2:ultrafast:crf23"]
+    assert all("exited with status 3" in message for _, message in dataset.failures)
+    samplers = [t for t in threading.enumerate() if t.name == "encwatt-sampler"]
+    assert not any(t.is_alive() for t in samplers)
+
+
+def _replay(tmp_path):
+    """A replay meter at 50 W and a 20 W idle trace, both 10 s long."""
+    from encwatt.meter import generate_synthetic_trace
+
+    trace = tmp_path / "replay.csv"
+    trace.write_text("t_s,p_w\n0.0,50.0\n10.0,50.0\n")
+    idle = generate_synthetic_trace(
+        SyntheticRecipe(base_power=20.0, active_power=0.0, duration=10.0), (0.0, 0.0)
+    )
+    return CsvReplayMeter(trace), idle
+
+
+def _fake_encodes(monkeypatch, wall_times):
+    """Replace the encoder with results of the given wall times, in turn."""
+    walls = iter(wall_times)
+
+    def run_encode(job, encoder_cmd, output_path=None, qp_patterns=()):
+        return EncodeResult(job=job, wall_time=next(walls), avg_qp=25.0,
+                            bitstream_bytes=100, encoder_log="")
+
+    monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
+
+
+def test_campaign_rows_use_mean_wall_time_of_repetitions(input_file, tmp_path, monkeypatch):
+    _fake_encodes(monkeypatch, [1.0, 3.0])
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    dataset = run_campaign([make_job(input_file)], "unused", meter, policy, idle_trace=idle)
+    (row,) = dataset.rows
+    assert row.reps == 2
+    assert row.t_enc == 2.0 and row.t_enc_uf == 2.0
+
+
+def test_campaign_resume_drops_torn_last_row(input_file, tmp_path, monkeypatch):
+    _fake_encodes(monkeypatch, [1.0] * 6)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    out = tmp_path / "campaign.csv"
+    uf = make_job(input_file, preset="ultrafast")
+    fast = make_job(input_file, preset="fast")
+    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    complete = out.read_text()
+    # a campaign killed while appending the fast row
+    out.write_text(complete + "seqA,B,fast,23.0,100,25.0,1.0")
+    resumed = run_campaign([uf, fast], "unused", meter, policy,
+                           out_csv=out, idle_trace=idle, resume=True)
+    assert len(resumed.rows) == 2 and not resumed.failures
+    loaded = load_dataset_csv(out)
+    assert [row.preset for row in loaded.rows] == ["ultrafast", "fast"]
+    assert out.read_text().startswith(complete)
+
+
+def test_campaign_resume_rejects_corrupt_row_before_the_last(input_file, tmp_path, monkeypatch):
+    _fake_encodes(monkeypatch, [1.0] * 4)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    out = tmp_path / "campaign.csv"
+    uf = make_job(input_file, preset="ultrafast")
+    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    header, row = out.read_text().splitlines()
+    out.write_text(f"{header}\n{row[:20]}\n{row}\n")
+    with pytest.raises(DatasetError, match="row 2"):
+        run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle, resume=True)
