@@ -8,6 +8,7 @@ preset so the ultrafast-probe covariate is defined for all rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Optional
@@ -49,12 +50,14 @@ class DatasetRow:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise DatasetError(f"unknown preset {self.preset!r}")
-        if self.energy <= 0:
-            raise DatasetError(f"energy must be > 0, got {self.energy}")
-        if self.t_enc <= 0:
-            raise DatasetError(f"t_enc must be > 0, got {self.t_enc}")
-        if self.t_enc_uf <= 0:
-            raise DatasetError(f"t_enc_uf must be > 0, got {self.t_enc_uf}")
+        if not 0 < self.energy < math.inf:
+            raise DatasetError(f"energy must be finite and > 0, got {self.energy}")
+        if not 0 < self.t_enc < math.inf:
+            raise DatasetError(f"t_enc must be finite and > 0, got {self.t_enc}")
+        if not 0 < self.t_enc_uf < math.inf:
+            raise DatasetError(f"t_enc_uf must be finite and > 0, got {self.t_enc_uf}")
+        if self.avg_qp is not None and not 0.0 <= self.avg_qp <= 51.0:
+            raise DatasetError(f"avg_qp must be empty or in [0, 51], got {self.avg_qp}")
         if self.frames < 1:
             raise DatasetError(f"frames must be >= 1, got {self.frames}")
 
@@ -104,9 +107,6 @@ class Dataset:
     def presets(self) -> tuple[str, ...]:
         present = {row.preset for row in self.rows}
         return tuple(p for p in PRESETS if p in present)
-
-    def class_labels(self) -> tuple[str, ...]:
-        return tuple(sorted({row.class_label for row in self.rows}))
 
     def rows_for_preset(self, preset: str) -> tuple[DatasetRow, ...]:
         return tuple(row for row in self.rows if row.preset == preset)

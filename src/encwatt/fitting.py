@@ -38,8 +38,7 @@ __all__ = [
     "MODEL_KINDS",
     "relative_error",
     "mean_abs_relative_error",
-    "LinearFitResult",
-    "QpFitResult",
+    "FitResult",
     "fit_linear_model",
     "fit_qp_model",
     "kfold_split",
@@ -100,31 +99,38 @@ def _solve_relative_ls(design: np.ndarray, energies: np.ndarray, objective: str)
     return coef
 
 
-@dataclass(frozen=True)
-class LinearFitResult:
-    """Fitted affine parameters plus the training-residual summary."""
-
-    preset: str
-    params: LinearParams
-    rel_errors: tuple[float, ...]
-    mean_abs_rel_error: float
-    n_rows: int
+def _covariate(row: DatasetRow, covariate_kind: str) -> float:
+    return row.t_enc if covariate_kind == "own_time" else row.t_enc_uf
 
 
 @dataclass(frozen=True)
-class QpFitResult:
-    """Fitted QP-model parameters plus the training-residual summary."""
+class FitResult:
+    """One cell's fitted parameters plus the training-residual summary.
+
+    A cell is the rows one model fits: one (preset, class) for the QP
+    model, one preset under class ``""`` for the linear models.
+    """
 
     preset: str
     class_label: str
-    params: QpModelParams
+    params: LinearParams | QpModelParams
     rel_errors: tuple[float, ...]
     mean_abs_rel_error: float
     n_rows: int
 
+    def predict(self, row: DatasetRow) -> float:
+        """Energy the fitted model predicts for ``row``, in joules."""
+        if isinstance(self.params, QpModelParams):
+            return predict_energy_qp(self.params, row.avg_qp)
+        return predict_energy_linear(self.params, _covariate(row, self.params.covariate_kind))
 
-def _covariate(row: DatasetRow, covariate_kind: str) -> float:
-    return row.t_enc if covariate_kind == "own_time" else row.t_enc_uf
+
+def _fit_result(
+    preset: str, class_label: str, params, preds: np.ndarray, energy: np.ndarray
+) -> FitResult:
+    errors = tuple(float(e) for e in (preds - energy) / energy)
+    mean = mean_abs_relative_error(errors)
+    return FitResult(preset, class_label, params, errors, mean, len(errors))
 
 
 def _fit_linear_rows(
@@ -132,13 +138,11 @@ def _fit_linear_rows(
     preset: str,
     covariate_kind: str,
     objective: str,
-) -> LinearFitResult:
+) -> FitResult:
     t = np.array([_covariate(r, covariate_kind) for r in rows])
     energy = np.array([r.energy for r in rows])
     if len(rows) > 0 and np.all(t == t[0]):
-        raise SingularFitError(
-            f"preset {preset!r}: all {covariate_kind} values equal ({t[0] if len(t) else 'none'})"
-        )
+        raise SingularFitError(f"preset {preset!r}: all {covariate_kind} values equal ({t[0]})")
     if len(rows) < 3:
         raise UnderdeterminedFitError(
             f"preset {preset!r}: {len(rows)} rows; need at least 3 to fit the affine model"
@@ -148,15 +152,7 @@ def _fit_linear_rows(
     if slope <= 0:
         raise FitRejectedError(f"preset {preset!r}: fitted slope {slope:.6g} W is not positive")
     params = LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
-    preds = design @ np.array([slope, offset])
-    errors = tuple(float(e) for e in (preds - energy) / energy)
-    return LinearFitResult(
-        preset=preset,
-        params=params,
-        rel_errors=errors,
-        mean_abs_rel_error=mean_abs_relative_error(errors),
-        n_rows=len(rows),
-    )
+    return _fit_result(preset, "", params, design @ np.array([slope, offset]), energy)
 
 
 def fit_linear_model(
@@ -164,7 +160,7 @@ def fit_linear_model(
     preset: str,
     covariate_kind: str = "ultrafast_time",
     objective: str = "squared_rel",
-) -> LinearFitResult:
+) -> FitResult:
     """Fit the affine energy model for one preset.
 
     Minimizes the summed squared relative residuals (least squares with
@@ -179,17 +175,21 @@ def _qp_design(qp: np.ndarray) -> np.ndarray:
     return np.column_stack([qp**3, -(qp**2), -qp, np.ones_like(qp)])
 
 
+def _require_avg_qp(rows: Sequence[DatasetRow], cell: str) -> None:
+    missing = [r.sequence_id for r in rows if r.avg_qp is None]
+    if missing:
+        raise DatasetError(f"{cell}: rows missing avg_qp: {missing}")
+
+
 def _fit_qp_rows(
     rows: Sequence[DatasetRow],
     preset: str,
     class_label: str,
     objective: str,
     p_avg: Optional[float] = None,
-) -> QpFitResult:
+) -> FitResult:
     cell = f"preset {preset!r}, class {class_label!r}"
-    missing = [r.sequence_id for r in rows if r.avg_qp is None]
-    if missing:
-        raise DatasetError(f"{cell}: rows missing avg_qp: {missing}")
+    _require_avg_qp(rows, cell)
     if len(rows) < 5:
         raise UnderdeterminedFitError(f"{cell}: {len(rows)} rows; need at least 5")
     qp = np.array([r.avg_qp for r in rows], dtype=float)
@@ -218,16 +218,7 @@ def _fit_qp_rows(
         raise FitRejectedError(
             f"{cell}: fitted model predicts non-positive energy near qp {bad:.2f}"
         )
-    preds = design @ coef
-    errors = tuple(float(e) for e in (preds - energy) / energy)
-    return QpFitResult(
-        preset=preset,
-        class_label=class_label,
-        params=params,
-        rel_errors=errors,
-        mean_abs_rel_error=mean_abs_relative_error(errors),
-        n_rows=len(rows),
-    )
+    return _fit_result(preset, class_label, params, design @ coef, energy)
 
 
 def fit_qp_model(
@@ -236,7 +227,7 @@ def fit_qp_model(
     class_label: str,
     objective: str = "squared_rel",
     p_avg: Optional[float] = None,
-) -> QpFitResult:
+) -> FitResult:
     """Fit the cubic-in-QP model for one (preset, class) cell."""
     rows = [r for r in data.rows_for_preset(preset) if r.class_label == class_label]
     return _fit_qp_rows(rows, preset, class_label, objective, p_avg)
@@ -250,12 +241,6 @@ def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"cannot split {n} items into {k} folds")
     perm = np.random.default_rng(seed).permutation(n)
     return tuple(tuple(int(i) for i in fold) for fold in np.array_split(perm, k))
-
-
-def _canonical_order(rows: Sequence[DatasetRow]) -> list[DatasetRow]:
-    # Fold assignment happens on this sort order, making reports
-    # independent of the input row order.
-    return sorted(rows, key=lambda r: (r.sequence_id, r.preset, r.crf))
 
 
 @dataclass(frozen=True)
@@ -357,32 +342,80 @@ class FitReport:
         )
 
 
-def _validated_model_kind(model_kind: str) -> str:
+# The covariate of each linear model kind; the other kind is the QP law.
+_LINEAR_COVARIATE = {"time_linear": "own_time", "uf_linear": "ultrafast_time"}
+
+_Cells = dict[str, dict[str, list[DatasetRow]]]
+_Fits = dict[str, dict[str, FitResult]]
+
+
+def _cells(data: Dataset, model_kind: str) -> _Cells:
+    """The rows each model of ``model_kind`` fits, as ``{preset: {class: rows}}``.
+
+    A cell is the rows one model fits: for ``qp_cubic`` one cell per
+    (preset, class); for ``time_linear`` and ``uf_linear`` one cell per
+    preset, under class ``""``.  Presets follow :data:`PRESETS`, classes
+    sort, and rows keep the dataset's order.
+    """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
-    return model_kind
-
-
-def _evaluated_presets(data: Dataset, model_kind: str) -> tuple[str, ...]:
+    per_class = model_kind == "qp_cubic"
+    grouped: _Cells = {}
+    for row in data.rows:
+        label = row.class_label if per_class else ""
+        grouped.setdefault(row.preset, {}).setdefault(label, []).append(row)
     # The probe-covariate model has no ultrafast entry: estimating the
     # probe preset from its own probe time is the own-time model.
-    presets = data.presets()
     if model_kind == "uf_linear":
-        presets = tuple(p for p in presets if p != "ultrafast")
-    if not presets:
+        grouped.pop("ultrafast", None)
+    if not grouped:
         raise ValueError(f"no presets to evaluate for model {model_kind!r}")
-    return presets
+    cells = {preset: dict(sorted(grouped[preset].items())) for preset in PRESETS
+             if preset in grouped}
+    if per_class:
+        for preset, classes in cells.items():
+            for class_label, rows in classes.items():
+                _require_avg_qp(rows, f"preset {preset!r}, class {class_label!r}")
+    return cells
 
 
-def _linear_covariate_kind(model_kind: str) -> str:
-    return "own_time" if model_kind == "time_linear" else "ultrafast_time"
+def _fit_cell(
+    rows: Sequence[DatasetRow], model_kind: str, preset: str, class_label: str, objective: str
+) -> FitResult:
+    """Fit the model of ``model_kind`` to the rows of one cell."""
+    if model_kind in _LINEAR_COVARIATE:
+        return _fit_linear_rows(rows, preset, _LINEAR_COVARIATE[model_kind], objective)
+    return _fit_qp_rows(rows, preset, class_label, objective)
 
 
-def _qp_cells(data: Dataset, preset: str) -> dict[str, list[DatasetRow]]:
-    cells: dict[str, list[DatasetRow]] = {}
-    for row in data.rows_for_preset(preset):
-        cells.setdefault(row.class_label, []).append(row)
-    return dict(sorted(cells.items()))
+def _full_data_fits(cells: _Cells, model_kind: str, objective: str) -> _Fits:
+    """One fit per cell of the complete dataset."""
+    return {
+        preset: {cls: _fit_cell(rows, model_kind, preset, cls, objective)
+                 for cls, rows in classes.items()}
+        for preset, classes in cells.items()
+    }
+
+
+def _report(
+    model_kind: str, fits: _Fits, cell_errors: dict[str, dict[str, float]], **fields
+) -> FitReport:
+    """Assemble the report of either command from its fits and one error per cell.
+
+    A preset's error is the mean of its cells' errors.
+    """
+    per_preset_error = {
+        preset: float(np.mean(list(errors.values()))) for preset, errors in cell_errors.items()
+    }
+    params = {preset: {cls: fit.params for cls, fit in classes.items()}
+              for preset, classes in fits.items()}
+    if model_kind == "qp_cubic":
+        fields.update(qp_params=params, per_class_error=cell_errors)
+    else:
+        fields.update(linear_params={preset: classes[""] for preset, classes in params.items()})
+    overall_error = float(np.mean(list(per_preset_error.values())))
+    return FitReport(model_kind=model_kind, per_preset_error=per_preset_error,
+                     overall_error=overall_error, **fields)
 
 
 def _tag_fit_error(exc: FitError, context: str) -> FitError:
@@ -412,80 +445,54 @@ def cross_validate(
 ) -> FitReport:
     """K-fold cross-validation of one model family over a dataset.
 
-    Folds partition the bitstreams (sequence, CRF keys) of each preset,
-    for the QP model of each (preset, class) cell, so a model is never
-    validated on a bitstream it trained on.  With ``joint_folds`` the
-    partition is computed once over all bitstream keys and shared across
-    presets, so a bitstream is held out in the same fold everywhere.  A
-    degenerate training fold aborts the run rather than being skipped.
-    Reported per-preset errors average all held-out errors; for the QP
-    model they average the per-class means.
+    Folds partition the bitstreams (sequence, CRF keys) of each cell, so a
+    model is never validated on a bitstream it trained on.  With
+    ``joint_folds`` the partition is computed once over all bitstream keys
+    and shared across cells, so a bitstream is held out in the same fold
+    everywhere.  A degenerate training fold aborts the run rather than
+    being skipped.  A cell's error averages its held-out errors; a
+    preset's error averages its cells' errors.
     """
-    model_kind = _validated_model_kind(model_kind)
-    per_preset_error: dict[str, float] = {}
-    per_class_error: dict[str, dict[str, float]] = {}
+    cells = _cells(data, model_kind)
+    cell_errors: dict[str, dict[str, float]] = {}
     fold_errors: list[list[float]] = [[] for _ in range(k)]
     key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
 
-    def run_cell(rows: Sequence[DatasetRow], fit, context: str) -> list[float]:
-        ordered = _canonical_order(rows)
-        if key_fold is not None:
-            folds: Sequence[Sequence[int]] = [
-                [i for i, r in enumerate(ordered)
-                 if key_fold[(r.sequence_id, r.crf)] == fold_index]
-                for fold_index in range(k)
-            ]
-        else:
-            if len(ordered) < k:
-                raise ValueError(f"{context}: {len(ordered)} rows cannot fill {k} folds")
-            folds = kfold_split(len(ordered), k, seed)
-        held_out: list[float] = []
-        # Held-out QPs may lie outside the training fold's range by design.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QpRangeWarning)
-            for fold_index, fold in enumerate(folds):
-                if not fold:
-                    continue  # joint split: this preset has no bitstream in the fold
-                fold_set = set(fold)
-                train = [r for i, r in enumerate(ordered) if i not in fold_set]
-                try:
-                    fitted = fit(train)
-                except FitError as exc:
-                    raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-                for i in fold:
-                    row = ordered[i]
-                    err = relative_error(fitted(row), row.energy)
-                    held_out.append(err)
-                    fold_errors[fold_index].append(err)
-        return held_out
-
-    for preset in _evaluated_presets(data, model_kind):
-        if model_kind == "qp_cubic":
-            class_means: dict[str, float] = {}
-            for class_label, rows in _qp_cells(data, preset).items():
-                context = f"preset {preset!r}, class {class_label!r}"
-                missing = [r.sequence_id for r in rows if r.avg_qp is None]
-                if missing:
-                    raise DatasetError(f"{context}: rows missing avg_qp: {missing}")
-
-                def fit(train, _preset=preset, _cls=class_label):
-                    params = _fit_qp_rows(train, _preset, _cls, objective).params
-                    return lambda row: predict_energy_qp(params, row.avg_qp)
-
-                errors = run_cell(rows, fit, context)
-                class_means[class_label] = mean_abs_relative_error(errors)
-            per_class_error[preset] = class_means
-            per_preset_error[preset] = float(np.mean(list(class_means.values())))
-        else:
-            covariate = _linear_covariate_kind(model_kind)
-            context = f"preset {preset!r}"
-
-            def fit(train, _preset=preset, _cov=covariate):
-                params = _fit_linear_rows(train, _preset, _cov, objective).params
-                return lambda row: predict_energy_linear(params, _covariate(row, _cov))
-
-            errors = run_cell(data.rows_for_preset(preset), fit, context)
-            per_preset_error[preset] = mean_abs_relative_error(errors)
+    for preset, classes in cells.items():
+        for class_label, rows in classes.items():
+            context = f"preset {preset!r}" + (f", class {class_label!r}" if class_label else "")
+            # Fold assignment happens on this sort order, making reports
+            # independent of the input row order.
+            ordered = sorted(rows, key=lambda r: (r.sequence_id, r.preset, r.crf))
+            if key_fold is not None:
+                folds: Sequence[Sequence[int]] = [
+                    [i for i, r in enumerate(ordered)
+                     if key_fold[(r.sequence_id, r.crf)] == fold_index]
+                    for fold_index in range(k)
+                ]
+            else:
+                if len(ordered) < k:
+                    raise ValueError(f"{context}: {len(ordered)} rows cannot fill {k} folds")
+                folds = kfold_split(len(ordered), k, seed)
+            held_out: list[float] = []
+            # Held-out QPs may lie outside the training fold's range by design.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QpRangeWarning)
+                for fold_index, fold in enumerate(folds):
+                    if not fold:
+                        continue  # joint split: this cell has no bitstream in the fold
+                    fold_set = set(fold)
+                    train = [r for i, r in enumerate(ordered) if i not in fold_set]
+                    try:
+                        fitted = _fit_cell(train, model_kind, preset, class_label, objective)
+                    except FitError as exc:
+                        raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
+                    for i in fold:
+                        row = ordered[i]
+                        err = relative_error(fitted.predict(row), row.energy)
+                        held_out.append(err)
+                        fold_errors[fold_index].append(err)
+            cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(held_out)
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):
@@ -496,49 +503,9 @@ def cross_validate(
             )
         per_fold.append(mean_abs_relative_error(errs))
 
-    report_kwargs = _report_params(_full_data_fits(data, model_kind, objective), model_kind)
-    return FitReport(
-        model_kind=model_kind,
-        validation="kfold",
-        k=k,
-        seed=seed,
-        objective=objective,
-        per_preset_error=per_preset_error,
-        overall_error=float(np.mean(list(per_preset_error.values()))),
-        per_fold_errors=tuple(per_fold),
-        per_class_error=per_class_error if model_kind == "qp_cubic" else None,
-        tool_version=tool_version,
-        **report_kwargs,
-    )
-
-
-def _full_data_fits(data: Dataset, model_kind: str, objective: str) -> dict:
-    """One fit per cell of the complete dataset.
-
-    Maps each preset to its :class:`LinearFitResult`, or for the QP model
-    to ``{class: QpFitResult}``.
-    """
-    presets = _evaluated_presets(data, model_kind)
-    if model_kind == "qp_cubic":
-        return {
-            preset: {
-                cls: _fit_qp_rows(rows, preset, cls, objective)
-                for cls, rows in _qp_cells(data, preset).items()
-            }
-            for preset in presets
-        }
-    covariate = _linear_covariate_kind(model_kind)
-    return {preset: fit_linear_model(data, preset, covariate, objective) for preset in presets}
-
-
-def _report_params(fits: dict, model_kind: str) -> dict:
-    """The report's parameter tables from :func:`_full_data_fits`."""
-    if model_kind == "qp_cubic":
-        return {"qp_params": {
-            preset: {cls: fit.params for cls, fit in cells.items()}
-            for preset, cells in fits.items()
-        }}
-    return {"linear_params": {preset: fit.params for preset, fit in fits.items()}}
+    return _report(model_kind, _full_data_fits(cells, model_kind, objective), cell_errors,
+                   validation="kfold", k=k, seed=seed, objective=objective,
+                   per_fold_errors=tuple(per_fold), tool_version=tool_version)
 
 
 def fit_report(
@@ -549,29 +516,8 @@ def fit_report(
     tool_version: str = "",
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation)."""
-    model_kind = _validated_model_kind(model_kind)
-    fits = _full_data_fits(data, model_kind, objective)
-    per_class_error: Optional[dict[str, dict[str, float]]] = None
-    if model_kind == "qp_cubic":
-        per_class_error = {
-            preset: {cls: fit.mean_abs_rel_error for cls, fit in cells.items()}
-            for preset, cells in fits.items()
-        }
-        per_preset_error = {
-            preset: float(np.mean(list(means.values())))
-            for preset, means in per_class_error.items()
-        }
-    else:
-        per_preset_error = {preset: fit.mean_abs_rel_error for preset, fit in fits.items()}
-    return FitReport(
-        model_kind=model_kind,
-        validation="in_sample",
-        k=0,
-        seed=seed,
-        objective=objective,
-        per_preset_error=per_preset_error,
-        overall_error=float(np.mean(list(per_preset_error.values()))),
-        per_class_error=per_class_error,
-        tool_version=tool_version,
-        **_report_params(fits, model_kind),
-    )
+    fits = _full_data_fits(_cells(data, model_kind), model_kind, objective)
+    training_errors = {preset: {cls: fit.mean_abs_rel_error for cls, fit in classes.items()}
+                       for preset, classes in fits.items()}
+    return _report(model_kind, fits, training_errors, validation="in_sample", k=0, seed=seed,
+                   objective=objective, tool_version=tool_version)

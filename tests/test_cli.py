@@ -153,6 +153,19 @@ def test_fit_bad_dataset_value_exits_two(capsys, tmp_path):
     assert "row 2" in err
 
 
+def test_crossval_out_of_range_avg_qp_exits_two(capsys, tmp_path):
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    lines = data.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[5] = "60.0"  # avg_qp
+    lines[4] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "crossval", str(data), "--model", "qp_cubic")
+    assert code == 2
+    assert "row 5" in err and "avg_qp" in err
+
+
 def test_report_round_trip(capsys, tmp_path):
     data = tmp_path / "d.csv"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")

@@ -43,6 +43,37 @@ def test_row_validation():
         make_row(frames=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("avg_qp", 60.0), ("avg_qp", -0.5), ("avg_qp", float("nan")),
+    ("energy", float("nan")), ("energy", float("inf")),
+    ("t_enc", float("inf")), ("t_enc", float("nan")), ("t_enc_uf", float("inf")),
+])
+def test_row_rejects_values_no_encode_produces(field, value):
+    with pytest.raises(DatasetError, match=field):
+        make_row(**{field: value})
+
+
+def test_row_accepts_qp_range_ends_and_missing_qp():
+    for qp in (0.0, 51.0, None):
+        assert make_row(avg_qp=qp).avg_qp == qp
+
+
+@pytest.mark.parametrize("column, value", [
+    ("avg_qp", "60.0"), ("avg_qp", "nan"), ("energy_j", "nan"), ("t_enc_s", "inf"),
+    ("energy_j", "inf"),
+])
+def test_load_names_row_of_out_of_range_value(tmp_path, column, value):
+    path = tmp_path / "bad.csv"
+    Dataset(rows=(make_row(preset="ultrafast", t_enc=1.0), make_row())).write_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[DATASET_COLUMNS.index(column)] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match="row 3"):
+        load_dataset_csv(path)
+
+
 def test_dataset_rejects_duplicate_keys():
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset(rows=(make_row(), make_row()))

@@ -354,6 +354,17 @@ def test_qp_cross_validation_rejects_missing_avg_qp():
     )
     with pytest.raises(DatasetError, match="avg_qp"):
         cross_validate(Dataset(rows=tuple(rows)), "qp_cubic", k=4, seed=3)
+    with pytest.raises(DatasetError, match="avg_qp"):
+        fit_report(Dataset(rows=tuple(rows)), "qp_cubic")
+
+
+def test_probe_model_on_ultrafast_only_dataset_has_no_presets():
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=6, seed=1))
+    probe_only = Dataset(rows=tuple(r for r in ds.rows if r.preset == "ultrafast"))
+    with pytest.raises(ValueError, match="no presets to evaluate"):
+        cross_validate(probe_only, "uf_linear", k=4, seed=1)
+    with pytest.raises(ValueError, match="no presets to evaluate"):
+        fit_report(probe_only, "uf_linear")
 
 
 def test_joint_folds_share_bitstream_partition_across_presets():

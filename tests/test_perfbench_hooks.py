@@ -96,3 +96,35 @@ def test_tracer_spans_a_measured_encode_on_a_counter_meter(tmp_path):
     for name in ("meter.session.start", "meter.session.stop", "meter.capture_idle",
                  "energy.net_energy", "runner.run_encode"):
         assert name in spans, (name, spans)
+
+
+CROSSVAL_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    from tracer import Tracer, install
+
+    from encwatt import cli
+
+    tracer = Tracer()
+    install(tracer)
+    code = cli.main(["crossval", sys.argv[2], "--model", "time_linear", "--k", "3"])
+    assert code == 0, code
+    names = {span[2] for span in tracer.spans}
+    assert "fitting.cross_validate.time_linear.squared_rel" in names, names
+    assert tracer.counts["fitting.lstsq"] > 0, tracer.counts
+    """
+)
+
+
+def test_tracer_spans_crossval_and_counts_lstsq(tmp_path):
+    from encwatt.synth import SynthDatasetRecipe, generate_dataset
+
+    data = tmp_path / "d.csv"
+    generate_dataset(SynthDatasetRecipe(n_sequences=3, seed=0)).write_csv(data)
+    proc = subprocess.run(
+        [sys.executable, "-c", CROSSVAL_SCRIPT, str(ROOT / "perfbench"), str(data)],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
