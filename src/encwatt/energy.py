@@ -4,7 +4,8 @@ The energy of one encoding run is the integral of total system power over
 the encode duration minus the integral of idle power over a window of the
 same length.  Because single measurements are noisy, a run is repeated
 until a Student-t confidence test bounds the relative deviation of the
-sample mean, or a repetition budget is exhausted.
+sample mean, or a repetition budget is exhausted; the test reads a
+running mean and sum of squared deviations, so a repetition costs O(1).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import (
     InvalidMeasurementError,
@@ -118,16 +118,14 @@ class ConfidencePolicy:
     """Parameters of the repeat-measurement stopping rule.
 
     ``alpha`` is the probability with which the mean deviates from the
-    true energy by at most the relative bound ``beta``.  The critical
-    t-value is one-sided (quantile ``alpha``) by default; set
-    ``two_sided`` to use the ``(1 + alpha) / 2`` quantile instead.
+    true energy by at most the relative bound ``beta``; the critical
+    t-value is the one-sided ``alpha`` quantile.
     """
 
     alpha: float = 0.99
     beta: float = 0.02
     min_reps: int = 2
     max_reps: int = 50
-    two_sided: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -141,10 +139,6 @@ class ConfidencePolicy:
                 f"max_reps ({self.max_reps}) must be >= min_reps ({self.min_reps})"
             )
 
-    @property
-    def quantile(self) -> float:
-        return (1.0 + self.alpha) / 2.0 if self.two_sided else self.alpha
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -156,26 +150,6 @@ class MeasurementRecord:
     std_dev: float
     reps: int
     confident: bool
-    alpha: float = 0.99
-    beta: float = 0.02
-
-    @classmethod
-    def from_energies(
-        cls, job_id: str, energies: Sequence[float], policy: ConfidencePolicy
-    ) -> "MeasurementRecord":
-        energies = tuple(float(e) for e in energies)
-        mean = statistics.fmean(energies)
-        std = statistics.stdev(energies) if len(energies) >= 2 else float("nan")
-        return cls(
-            job_id=job_id,
-            energies=energies,
-            mean_energy=mean,
-            std_dev=std,
-            reps=len(energies),
-            confident=confidence_check(energies, policy),
-            alpha=policy.alpha,
-            beta=policy.beta,
-        )
 
 
 def integrate_energy(trace: PowerTrace, t_start: float, t_end: float) -> float:
@@ -245,9 +219,30 @@ def t_critical(alpha: float, dof: int) -> float:
         return 0.0
     if alpha < 0.5:
         return -t_critical(1.0 - alpha, dof)
+    from scipy.special import betaincinv  # here, as it is most of the CLI's import time
+
     # For t >= 0:  CDF(t) = 1 - I_x(dof/2, 1/2) / 2  with  x = dof / (dof + t^2)
     x = float(betaincinv(dof / 2.0, 0.5, 2.0 * (1.0 - alpha)))
     return math.sqrt(dof * (1.0 - x) / x)
+
+
+def _welford(n: int, mean: float, m2: float, x: float) -> tuple[float, float]:
+    """Add ``x``, the ``n``-th value, to a running mean and sum of squared deviations."""
+    delta = x - mean
+    mean += delta / n
+    return mean, m2 + delta * (x - mean)
+
+
+def _passes(n: int, mean: float, m2: float, policy: ConfidencePolicy) -> bool:
+    """The stopping test on a running count, mean and ``m2``; see :func:`confidence_check`."""
+    if n < 2:
+        return False
+    if mean <= 0:
+        raise InvalidMeasurementError(
+            f"mean energy must be positive to apply the relative bound, got {mean:.6g} J"
+        )
+    std = math.sqrt(m2 / (n - 1))
+    return 2.0 * std / math.sqrt(n) * t_critical(policy.alpha, n - 1) < policy.beta * mean
 
 
 def confidence_check(energies: Sequence[float], policy: ConfidencePolicy) -> bool:
@@ -255,20 +250,14 @@ def confidence_check(energies: Sequence[float], policy: ConfidencePolicy) -> boo
 
     The test is ``2 * s / sqrt(m) * t(m - 1) < beta * mean`` with ``s``
     the sample standard deviation and the current sample mean standing
-    in for the unknown true energy on the right-hand side.  Fewer than
-    two repetitions can never be confident.
+    in for the unknown true energy on the right-hand side, both folded
+    from the energies by Welford's update.  Fewer than two repetitions
+    can never be confident.
     """
-    m = len(energies)
-    if m < 2:
-        return False
-    mean = statistics.fmean(energies)
-    if mean <= 0:
-        raise InvalidMeasurementError(
-            f"mean energy must be positive to apply the relative bound, got {mean:.6g} J"
-        )
-    std = statistics.stdev(energies)
-    lhs = 2.0 * std / math.sqrt(m) * t_critical(policy.quantile, m - 1)
-    return lhs < policy.beta * mean
+    mean = m2 = 0.0
+    for n, x in enumerate(energies, 1):
+        mean, m2 = _welford(n, mean, m2, x)
+    return _passes(len(energies), mean, m2, policy)
 
 
 def measure_until_confident(
@@ -279,19 +268,31 @@ def measure_until_confident(
     """Repeat a measurement callback until the stopping rule is satisfied.
 
     Invokes ``run_once`` at least ``min_reps`` and at most ``max_reps``
-    times, stopping at the first count where :func:`confidence_check`
-    passes.  Exhausting the budget yields a record with
-    ``confident=False``; a failing callback raises
+    times.  Each energy updates a running mean and sum of squared
+    deviations (Welford 1962), from which every repetition from
+    ``min_reps`` on applies the test of :func:`confidence_check`; the
+    first pass stops, and exhausting the budget yields a record with
+    ``confident=False``.  A failing callback raises
     :class:`MeasurementRunError` carrying the repetition index and the
     energies collected so far.
     """
     energies: list[float] = []
+    mean = m2 = 0.0
     for rep in range(1, policy.max_reps + 1):
         try:
             value = float(run_once())
         except Exception as exc:
             raise MeasurementRunError(rep, tuple(energies), str(exc)) from exc
         energies.append(value)
-        if rep >= policy.min_reps and confidence_check(energies, policy):
+        mean, m2 = _welford(rep, mean, m2, value)
+        confident = rep >= policy.min_reps and _passes(rep, mean, m2, policy)
+        if confident:
             break
-    return MeasurementRecord.from_energies(job_id, energies, policy)
+    return MeasurementRecord(
+        job_id=job_id,
+        energies=tuple(energies),
+        mean_energy=statistics.fmean(energies),
+        std_dev=math.sqrt(m2 / (rep - 1)),
+        reps=rep,
+        confident=confident,
+    )

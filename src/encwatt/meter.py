@@ -56,6 +56,7 @@ TRACE_HEADER = "t_s,p_w"
 
 # How long a counter recording waits for its sampler's first reading.
 _READY_TIMEOUT_S = 10.0
+_WRAP_FRACTION = 0.5  # a drop implying this share of the modulus or more is no wrap
 
 T = TypeVar("T")
 
@@ -168,21 +169,21 @@ def read_counter_uj(path: str | Path) -> int:
     return value
 
 
-def counter_delta_uj(prev: int, current: int, modulus: int, wrap_fraction: float = 0.5) -> int:
+def counter_delta_uj(prev: int, current: int, modulus: int) -> int:
     """Microjoules consumed between two counter readings, handling wrap-around.
 
     A decrease is interpreted as one wrap of the counter.  If the implied
     interval energy is negative (the drop exceeds the modulus) or reaches
-    ``wrap_fraction`` of the modulus, the decrease cannot be a plausible
-    wrap and the counter is reported corrupt.
+    half the modulus, the decrease cannot be a plausible wrap and the
+    counter is reported corrupt.
     """
     delta = current - prev
     if delta < 0:
         delta += modulus
-        if not 0 <= delta < wrap_fraction * modulus:
+        if not 0 <= delta < _WRAP_FRACTION * modulus:
             raise CorruptCounterError(
                 f"counter fell from {prev} to {current}; implied wrap energy {delta} uJ "
-                f"is outside [0, {wrap_fraction:.0%} of modulus {modulus})"
+                f"is outside [0, {_WRAP_FRACTION:.0%} of modulus {modulus})"
             )
     return delta
 

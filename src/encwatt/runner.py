@@ -53,7 +53,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "EncodeJob",
     "EncodeResult",
-    "DEFAULT_QP_PATTERNS",
     "parse_avg_qp",
     "run_encode",
     "run_measured_encode",
@@ -62,10 +61,10 @@ __all__ = [
     "ensure_ultrafast_closure",
 ]
 
-# Default matches the encoder's end-of-run summary lines, e.g.
+# Matches the encoder's end-of-run summary lines, e.g.
 # "x265 [info]: frame P:   62, Avg QP:27.43  kb/s: 189.21".  The last
 # match in the log wins, which is the final cumulative average.
-DEFAULT_QP_PATTERNS: tuple[str, ...] = (r"Avg QP:\s*([0-9]+(?:\.[0-9]+)?)",)
+_AVG_QP = re.compile(r"Avg QP:\s*([0-9]+(?:\.[0-9]+)?)")
 
 _PRESET_RANK = {name: i for i, name in enumerate(PRESETS)}
 
@@ -111,14 +110,13 @@ class EncodeResult:
     encoder_log: str
 
 
-def parse_avg_qp(log: str, patterns: Sequence[str] = DEFAULT_QP_PATTERNS) -> Optional[float]:
+def parse_avg_qp(log: str) -> Optional[float]:
     """Extract the final average QP from an encoder log, or None."""
-    value: Optional[float] = None
-    for pattern in patterns:
-        matches = re.findall(pattern, log)
-        if matches:
-            value = float(matches[-1])
-    if value is not None and not 0.0 <= value <= 51.0:
+    matches = _AVG_QP.findall(log)
+    if not matches:
+        return None
+    value = float(matches[-1])
+    if not 0.0 <= value <= 51.0:
         logger.warning("parsed avg QP %.3f outside [0, 51]; marking absent", value)
         return None
     return value
@@ -138,7 +136,6 @@ def run_encode(
     job: EncodeJob,
     encoder_cmd: str,
     output_path: Optional[str | Path] = None,
-    qp_patterns: Sequence[str] = DEFAULT_QP_PATTERNS,
 ) -> EncodeResult:
     """Run one encode and capture wall time, average QP, and bitstream size.
 
@@ -176,7 +173,7 @@ def run_encode(
             raise EncodeFailedError(
                 f"{job.label()}: encoder exited with status {proc.returncode}", log_tail=tail
             )
-        avg_qp = parse_avg_qp(log, qp_patterns)
+        avg_qp = parse_avg_qp(log)
         if avg_qp is None:
             logger.warning("%s: no average QP found in encoder log", job.label())
         size = Path(out_name).stat().st_size if Path(out_name).exists() else 0
@@ -198,7 +195,6 @@ def run_measured_encode(
     meter: Meter,
     policy: ConfidencePolicy,
     idle_trace: Optional[PowerTrace] = None,
-    qp_patterns: Sequence[str] = DEFAULT_QP_PATTERNS,
 ) -> tuple[MeasurementRecord, EncodeResult]:
     """Measure one job's net energy, repeating until confident.
 
@@ -212,9 +208,7 @@ def run_measured_encode(
     results: list[EncodeResult] = []
 
     def one_rep() -> float:
-        total, result = meter.record(
-            lambda: run_encode(job, encoder_cmd, qp_patterns=qp_patterns)
-        )
+        total, result = meter.record(lambda: run_encode(job, encoder_cmd))
         idle = idle_trace if idle_trace is not None else meter.capture_idle(result.wall_time)
         results.append(result)
         return net_energy(total, idle, result.wall_time)
@@ -268,7 +262,6 @@ def run_campaign(
     out_csv: Optional[str | Path] = None,
     idle_trace: Optional[PowerTrace] = None,
     resume: bool = False,
-    qp_patterns: Sequence[str] = DEFAULT_QP_PATTERNS,
 ) -> Dataset:
     """Measure a whole campaign grid sequentially and build a dataset.
 
@@ -308,8 +301,7 @@ def run_campaign(
                 continue
             try:
                 record, result = run_measured_encode(
-                    job, encoder_cmd, meter, policy,
-                    idle_trace=idle_trace, qp_patterns=qp_patterns,
+                    job, encoder_cmd, meter, policy, idle_trace=idle_trace
                 )
             except AcquisitionError:
                 raise

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import encwatt
 from encwatt.cli import main
 from encwatt.dataset import load_dataset_csv
 from encwatt.models import read_params_file
@@ -15,6 +18,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ── import ────────────────────────────────────────────────────────────────
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.special is most of the CLI's import time; only t_critical needs it
+    src = str(Path(encwatt.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import encwatt.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ── estimate ──────────────────────────────────────────────────────────────

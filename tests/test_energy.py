@@ -1,5 +1,6 @@
 """Integration, t-critical, and stopping-rule behavior of the energy core."""
 
+import math
 import statistics
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from encwatt.energy import (
     ConfidencePolicy,
-    MeasurementRecord,
     PowerTrace,
     confidence_check,
     integrate_energy,
@@ -251,13 +251,6 @@ def test_confidence_nonpositive_mean_rejected():
         confidence_check([-5.0, 5.0], ConfidencePolicy())
 
 
-def test_confidence_two_sided_is_stricter():
-    # passes at the one-sided quantile but not at (1+alpha)/2
-    energies = [1000.0, 1000.0, 1000.0, 1008.0]
-    assert confidence_check(energies, ConfidencePolicy()) is True
-    assert confidence_check(energies, ConfidencePolicy(two_sided=True)) is False
-
-
 @settings(max_examples=100)
 @given(
     energies=st.lists(st.floats(10.0, 1e6), min_size=2, max_size=8),
@@ -294,12 +287,15 @@ def test_policy_validation():
 
 
 def test_record_from_energies():
-    policy = ConfidencePolicy()
-    record = MeasurementRecord.from_energies("job", [100.0, 102.0, 98.0], policy)
+    policy = ConfidencePolicy(min_reps=3, max_reps=3)
+    values = iter([100.0, 102.0, 98.0])
+    record = measure_until_confident(lambda: next(values), policy, job_id="job")
+    assert record.job_id == "job"
+    assert record.energies == (100.0, 102.0, 98.0)
     assert record.reps == 3
     assert record.mean_energy == pytest.approx(100.0)
     assert record.std_dev == pytest.approx(statistics.stdev([100.0, 102.0, 98.0]))
-    assert record.alpha == policy.alpha and record.beta == policy.beta
+    assert record.confident is confidence_check(record.energies, policy)
 
 
 # ── measure until confident ──────────────────────────────────────────────
@@ -355,3 +351,41 @@ def test_measure_gaussian_terminates_within_bound():
         record = measure_until_confident(lambda: next(draws), policy)
         assert record.confident
         assert abs(record.mean_energy - 1000.0) <= 0.02 * 1000.0
+
+
+def test_measure_applies_rule_only_from_min_reps():
+    # the first two energies average to <= 0, which the rule would reject
+    policy = ConfidencePolicy(min_reps=4, max_reps=10)
+    values = iter([-10.0, 5.0] + [1000.0] * 8)
+    record = measure_until_confident(lambda: next(values), policy)
+    assert record.reps >= 4
+    assert record.energies[:4] == (-10.0, 5.0, 1000.0, 1000.0)
+
+    values = iter([-10.0, 5.0, -10.0, 5.0, 1000.0])
+    with pytest.raises(InvalidMeasurementError):
+        measure_until_confident(lambda: next(values), policy)
+    assert next(values) == 1000.0  # it raised at repetition 4, not later
+
+
+def _exact_rule(draws, policy):
+    """The stopping rule recomputed from scratch at every repetition, in exact arithmetic."""
+    for m in range(policy.min_reps, policy.max_reps + 1):
+        energies = draws[:m]
+        mean = statistics.fmean(energies)
+        lhs = 2.0 * statistics.stdev(energies) / math.sqrt(m) * t_critical(policy.alpha, m - 1)
+        if lhs < policy.beta * mean:
+            return m, True, mean
+    return policy.max_reps, False, mean
+
+
+def test_running_rule_matches_exact_rule_on_seeded_campaigns():
+    rng = np.random.default_rng(20260809)
+    mu = 1000.0
+    policy = ConfidencePolicy(alpha=0.99, beta=0.02, min_reps=2, max_reps=60)
+    for rel_sigma in (0.005, 0.01, 0.02):
+        for _ in range(1_000):
+            draws = rng.normal(mu, rel_sigma * mu, policy.max_reps).tolist()
+            record = measure_until_confident(iter(draws).__next__, policy)
+            assert (record.reps, record.confident, record.mean_energy) == _exact_rule(
+                draws, policy
+            ), (rel_sigma, draws)

@@ -444,7 +444,7 @@ def _fake_encodes(monkeypatch, wall_times):
     """Replace the encoder with results of the given wall times, in turn."""
     walls = iter(wall_times)
 
-    def run_encode(job, encoder_cmd, output_path=None, qp_patterns=()):
+    def run_encode(job, encoder_cmd, output_path=None):
         return EncodeResult(job=job, wall_time=next(walls), avg_qp=25.0,
                             bitstream_bytes=100, encoder_log="")
 
