@@ -186,7 +186,6 @@ def _fit_qp_rows(
     preset: str,
     class_label: str,
     objective: str,
-    p_avg: Optional[float] = None,
 ) -> FitResult:
     cell = f"preset {preset!r}, class {class_label!r}"
     _require_avg_qp(rows, cell)
@@ -200,17 +199,9 @@ def _fit_qp_rows(
     except SingularFitError as exc:
         raise UnderdeterminedFitError(f"{cell}: {exc}") from exc
     qp_range = (float(qp.min()), float(qp.max()))
-    # The fit lives in the energy domain unless a measured mean power is
-    # supplied to split time from power.
-    scale = p_avg if p_avg is not None else 1.0
-    params = QpModelParams(
-        kappa=float(coef[0] / scale),
-        lam=float(coef[1] / scale),
-        mu=float(coef[2] / scale),
-        t0=float(coef[3] / scale),
-        p_avg=float(scale),
-        valid_qp_range=qp_range,
-    )
+    # fitted in the energy domain: p_avg keeps its default of 1
+    kappa, lam, mu, t0 = coef.tolist()
+    params = QpModelParams(kappa=kappa, lam=lam, mu=mu, t0=t0, valid_qp_range=qp_range)
     grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
     grid_pred = _qp_design(grid) @ coef
     if np.any(grid_pred <= 0):
@@ -226,11 +217,10 @@ def fit_qp_model(
     preset: str,
     class_label: str,
     objective: str = "squared_rel",
-    p_avg: Optional[float] = None,
 ) -> FitResult:
     """Fit the cubic-in-QP model for one (preset, class) cell."""
     rows = [r for r in data.rows_for_preset(preset) if r.class_label == class_label]
-    return _fit_qp_rows(rows, preset, class_label, objective, p_avg)
+    return _fit_qp_rows(rows, preset, class_label, objective)
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:

@@ -4,10 +4,14 @@ Trace CSV format: header line ``t_s,p_w`` followed by ``<float>,<float>``
 rows, UTF-8, ``.`` decimal separator, LF line endings.
 
 Counter files follow the RAPL convention: a text file holding one
-non-negative integer, a cumulative energy counter in microjoules, re-read
-on every poll.  The wrap-around modulus is read from a sibling
-``max_energy_range_uj`` file when there is one (as in a powercap zone),
-else from the ``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
+non-negative integer, a cumulative energy counter in microjoules.  The
+counter is its own integrator: a recording's energy is the unwrapped
+difference between a reading taken just before the activity and one
+taken just after it, with polls in between only to catch wraps, and is
+returned as a flat two-sample trace.  The wrap-around modulus is read
+once, when the meter is built, from a sibling ``max_energy_range_uj``
+file when there is one (as in a powercap zone), else from the
+``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
 """
 
 from __future__ import annotations
@@ -158,6 +162,12 @@ def read_counter_uj(path: str | Path) -> int:
     """Read a cumulative microjoule counter from a text file."""
     try:
         raw = Path(path).read_text().strip()
+    except PermissionError as exc:
+        raise AcquisitionError(
+            f"cannot read counter file {path}: {exc}; RAPL energy counters are readable "
+            f"only by root since CVE-2020-8694: run as root, or grant read access "
+            f"with a udev rule or chmod"
+        ) from exc
     except OSError as exc:
         raise AcquisitionError(f"cannot read counter file {path}: {exc}") from exc
     try:
@@ -191,73 +201,46 @@ def counter_delta_uj(prev: int, current: int, modulus: int) -> int:
 def sample_counter_file(
     path: str | Path,
     period: float,
-    stop_signal: Optional[threading.Event] = None,
+    stop_signal: threading.Event,
     *,
-    max_duration: Optional[float] = None,
     wrap_modulus: Optional[int] = None,
     clock: Callable[[], float] = time.monotonic,
     wait: Optional[Callable[[float], None]] = None,
-    source_label: Optional[str] = None,
     ready: Optional[threading.Event] = None,
 ) -> PowerTrace:
-    """Poll a cumulative energy counter and return interval-average powers.
+    """The energy a cumulative counter counts from now until ``stop_signal``.
 
-    Each poll interval becomes one sample at the interval midpoint with
-    power ``delta_uJ / dt / 1e6``.  Polling runs until ``stop_signal`` is
-    set or ``max_duration`` elapses (at least one must be given).  When
-    stopped by signal a final partial interval is captured so the trace
-    reaches the stop moment.  ``ready`` is set right after the initial
-    counter reading, letting a supervisor delay the measured activity
-    until sampling has actually begun.
+    The first reading is taken before ``ready`` is set, so an activity
+    started after ``ready`` lies inside the span; the last is taken once
+    ``stop_signal`` is set.  In between, the counter is polled every
+    ``period`` seconds only so that no two readings are a whole wrap apart.
+    The unwrapped energy E over the time T between the first and last
+    readings is returned as the flat trace ``[(0, E/T), (T, E/T)]``.
 
     The ``clock`` and ``wait`` hooks exist for deterministic testing;
     production use keeps the defaults.
     """
     if period <= 0:
         raise ValueError(f"period must be > 0, got {period}")
-    if stop_signal is None and max_duration is None:
-        raise ValueError("need a stop_signal or a max_duration; refusing to poll forever")
     modulus = wrap_modulus if wrap_modulus is not None else _wrap_modulus(path)
     if wait is None:
-        wait = stop_signal.wait if stop_signal is not None else time.sleep
+        wait = stop_signal.wait
 
-    label = source_label if source_label is not None else f"counter:{path}"
     t0 = clock()
-    prev_t = t0
-    prev_c = read_counter_uj(path)
+    prev = read_counter_uj(path)
     if ready is not None:
         ready.set()
-    samples: list[tuple[float, float]] = []
-
-    def take_reading() -> None:
-        nonlocal prev_t, prev_c
-        now = clock()
-        current = read_counter_uj(path)
-        dt = now - prev_t
-        if dt <= 0:
-            return
-        delta = counter_delta_uj(prev_c, current, modulus)
-        midpoint = (prev_t + now) / 2.0 - t0
-        samples.append((midpoint, delta / dt / 1e6))
-        prev_t, prev_c = now, current
-
-    while True:
-        if stop_signal is not None and stop_signal.is_set():
-            break
-        if max_duration is not None and clock() - t0 >= max_duration:
-            break
+    energy_uj = 0
+    stopped = False
+    while not stopped:
         wait(period)
-        take_reading()
-
-    if stop_signal is not None and stop_signal.is_set() and clock() - prev_t > period * 0.05:
-        take_reading()  # final partial interval up to the stop moment
-
-    if len(samples) < 2:
-        raise AcquisitionError(
-            f"counter sampling of {path} yielded {len(samples)} interval(s); "
-            f"need at least 2 (sampled for {clock() - t0:.3f} s at period {period} s)"
-        )
-    return PowerTrace(samples, source_label=label)
+        stopped = stop_signal.is_set()  # checked first: the last reading follows the stop
+        current = read_counter_uj(path)
+        energy_uj += counter_delta_uj(prev, current, modulus)
+        prev = current
+    span = clock() - t0
+    power = energy_uj / span / 1e6
+    return PowerTrace([(0.0, power), (span, power)], source_label=f"counter:{path}")
 
 
 def generate_synthetic_trace(
@@ -303,8 +286,11 @@ class Meter(abc.ABC):
 
         The trace starts before the activity and covers all of it, so the
         activity's energy is the trace's integral over a window of the
-        activity's duration anchored at the trace's first sample.  An
-        exception from ``activity`` propagates unchanged.
+        activity's duration anchored at the trace's first sample.  A
+        counter meter's trace is the counter's own difference between
+        readings taken just before and just after the activity, spread
+        evenly over the time between them.  An exception from ``activity``
+        propagates unchanged.
         """
 
     @abc.abstractmethod
@@ -329,12 +315,12 @@ class _CounterSession:
                     self._meter.path,
                     self._meter.sample_period,
                     self._stop,
-                    wrap_modulus=self._meter.wrap_modulus,
+                    wrap_modulus=self._meter._modulus,
                     ready=self._ready,
                 )
-            except BaseException as exc:  # surfaced on stop()
-                self._ready.set()
+            except BaseException as exc:  # surfaced by start() or stop()
                 self._error = exc
+                self._ready.set()
 
         self._thread = threading.Thread(target=run, name="encwatt-sampler", daemon=True)
         self._thread.start()
@@ -345,6 +331,9 @@ class _CounterSession:
                 f"sampler of counter file {self._meter.path} not ready "
                 f"after {_READY_TIMEOUT_S} s"
             )
+        if self._error is not None:  # failed already: the activity would go unmeasured
+            self._thread.join()
+            raise self._error
 
     def stop(self) -> PowerTrace:
         assert self._thread is not None, "stop() before start()"
@@ -357,18 +346,14 @@ class _CounterSession:
 
 
 class CounterMeter(Meter):
-    """Live meter polling a cumulative microjoule counter file."""
+    """Live meter reading a cumulative microjoule counter file."""
 
-    def __init__(
-        self,
-        path: str | Path,
-        sample_period: float = DEFAULT_POLL_PERIOD,
-        wrap_modulus: Optional[int] = None,
-    ):
+    def __init__(self, path: str | Path, sample_period: float = DEFAULT_POLL_PERIOD):
         self.path = Path(path)
         self.sample_period = sample_period
-        self.wrap_modulus = wrap_modulus
-        read_counter_uj(self.path)  # an unreachable counter fails here, not mid-campaign
+        # an unreadable counter or range file fails here, not mid-campaign
+        read_counter_uj(self.path)
+        self._modulus = _wrap_modulus(self.path)
 
     def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
         session = _CounterSession(self)
@@ -376,24 +361,16 @@ class CounterMeter(Meter):
         try:
             result = activity()
         except BaseException:
-            # A sampler stopped this early may hold too few intervals to
-            # build a trace; the activity's error is the one to report.
+            # Stop the sampler either way; a counter fault met while the
+            # activity failed is not the error to report.
             with contextlib.suppress(AcquisitionError):
                 session.stop()
             raise
-        time.sleep(2 * self.sample_period)  # let the trace cover the activity's end
         return session.stop(), result
 
     def capture_idle(self, duration: float) -> PowerTrace:
-        # Two extra periods so midpoint trimming cannot shrink the span
-        # below the requested duration.
-        return sample_counter_file(
-            self.path,
-            self.sample_period,
-            max_duration=duration + 2 * self.sample_period,
-            wrap_modulus=self.wrap_modulus,
-            source_label=f"idle:{self.path}",
-        )
+        """The counter's difference across a sleep of ``duration`` seconds."""
+        return self.record(lambda: time.sleep(duration))[0]
 
 
 class SyntheticMeter(Meter):

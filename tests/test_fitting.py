@@ -183,15 +183,6 @@ def test_qp_fit_exact_on_noiseless_cubic():
     assert result.params.valid_qp_range == (18.0, 38.0)
 
 
-def test_qp_fit_with_measured_mean_power():
-    qps = np.linspace(18.0, 38.0, 20)
-    energies = qp_energy(qps, 0.02, 0.1, 0.5, 500.0)
-    ds = dataset_from_arrays(np.linspace(1, 5, 20), energies, qps=list(qps))
-    result = fit_qp_model(ds, "medium", "B", p_avg=100.0)
-    assert result.params.p_avg == 100.0
-    assert result.params.t0 == pytest.approx(5.0, rel=1e-6)  # 500 J / 100 W
-
-
 def test_qp_fit_underdetermined_on_constant_qp():
     ds = dataset_from_arrays(np.linspace(1, 5, 8), np.linspace(100, 500, 8),
                              qps=[25.0] * 8)

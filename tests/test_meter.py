@@ -1,5 +1,6 @@
 """Trace CSV parsing, counter-file sampling, and synthetic generation."""
 
+import os
 import threading
 import time
 
@@ -15,6 +16,7 @@ from encwatt.errors import (
     TraceWindowError,
 )
 from encwatt.meter import (
+    DEFAULT_POLL_PERIOD,
     DEFAULT_WRAP_UJ,
     CounterMeter,
     CsvReplayMeter,
@@ -125,25 +127,53 @@ def test_counter_delta_drop_beyond_modulus_is_corrupt():
         counter_delta_uj(262143328850 - 1000, 500, 2**32)
 
 
+class ScriptedCounter:
+    """Deterministic clock and wait: each wait advances the clock and writes
+    the next scripted counter value; the last one sets the stop signal."""
+
+    def __init__(self, path, first, values):
+        self.path = path
+        self.values = list(values)
+        self.now = 0.0
+        self.stop = threading.Event()
+        path.write_text(str(first))
+
+    def clock(self):
+        return self.now
+
+    def wait(self, seconds):
+        self.now += seconds
+        self.path.write_text(str(self.values.pop(0)))
+        if not self.values:
+            self.stop.set()
+
+    def sample(self, period=1.0, **kwargs):
+        return sample_counter_file(
+            self.path, period, self.stop, clock=self.clock, wait=self.wait, **kwargs
+        )
+
+
+def trace_energy(trace):
+    return integrate_energy(trace, trace.start, trace.end)
+
+
+def stopped():
+    event = threading.Event()
+    event.set()
+    return event
+
+
 def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path, monkeypatch):
     monkeypatch.delenv("ENCWATT_WRAP_UJ", raising=False)
     zone = tmp_path / "intel-rapl:0"
     zone.mkdir()
     rapl_max = 262143328850
     (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
-    f = zone / "energy_uj"
-    values = iter([500, 1500, 2500])  # wraps on the first interval: 1500 uJ, then 1000 each
-    state = {"now": 0.0}
-
-    def wait(seconds):
-        state["now"] += seconds
-        f.write_text(str(next(values)))
-
-    f.write_text(str(rapl_max - 1000))
-    trace = sample_counter_file(
-        f, 1.0, max_duration=3.0, clock=lambda: state["now"], wait=wait
-    )
-    assert np.allclose(trace.powers(), [1500 / 1e6, 1000 / 1e6, 1000 / 1e6])
+    # wraps on the first interval: 1500 uJ, then 1000 each
+    counter = ScriptedCounter(zone / "energy_uj", rapl_max - 1000, [500, 1500, 2500])
+    trace = counter.sample()
+    assert trace.duration == 3.0
+    assert trace_energy(trace) == pytest.approx(3500 / 1e6, rel=1e-12)
 
 
 def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
@@ -151,108 +181,71 @@ def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("0")
     with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
-        sample_counter_file(f, 0.01, max_duration=0.05)
-
-
-class FakeCounterEnv:
-    """Deterministic clock/wait pair driving a counter file."""
-
-    def __init__(self, path, rate_w):
-        self.path = path
-        self.rate_w = rate_w
-        self.now = 0.0
-        self._write()
-
-    def _write(self):
-        self.path.write_text(str(int(round(self.rate_w * self.now * 1e6))))
-
-    def clock(self):
-        return self.now
-
-    def wait(self, seconds):
-        self.now += seconds
-        self._write()
+        sample_counter_file(f, 0.01, stopped())
 
 
 def test_sampling_constant_rate_counter_gives_constant_power(tmp_path):
     f = tmp_path / "energy_uj"
-    env = FakeCounterEnv(f, rate_w=1.0)
-    trace = sample_counter_file(
-        f, 0.1, max_duration=1.0, clock=env.clock, wait=env.wait
-    )
-    assert 10 <= len(trace) <= 11  # fake-clock float accumulation may add one
-    powers = trace.powers()
-    assert np.all(np.abs(powers - 1.0) < 1e-6)
-    # samples sit at interval midpoints
-    assert trace.times()[0] == pytest.approx(0.05)
-    assert trace.times()[1] == pytest.approx(0.15)
+    # 1 W: the counter gains 100000 uJ per 0.1 s poll, for 10 polls
+    counter = ScriptedCounter(f, 0, [100_000 * i for i in range(1, 11)])
+    trace = counter.sample(period=0.1)
+    assert trace.duration == pytest.approx(1.0)
+    assert np.all(np.abs(trace.powers() - 1.0) < 1e-6)
+    assert trace_energy(trace) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_sampling_handles_wrap_midrun(tmp_path):
     modulus = 1_000_000
-    f = tmp_path / "energy_uj"
-    values = iter([400, 900, 1400])  # initial read sees the pre-written value
-    state = {"now": 0.0}
-
-    def wait(seconds):
-        state["now"] += seconds
-        f.write_text(str(next(values)))
-
-    f.write_text(str(modulus - 100))
-
-    trace = sample_counter_file(
-        f, 1.0, max_duration=3.0, wrap_modulus=modulus,
-        clock=lambda: state["now"], wait=wait,
-    )
+    # the first reading sees the pre-written value; the first poll wraps
+    counter = ScriptedCounter(tmp_path / "energy_uj", modulus - 100, [400, 900, 1400])
+    trace = counter.sample(wrap_modulus=modulus)
     # every interval consumed 500 uJ over 1 s
+    assert trace_energy(trace) == pytest.approx(1500 / 1e6, rel=1e-12)
     assert np.allclose(trace.powers(), 500 / 1e6)
 
 
 def test_sampling_corrupt_counter_raises(tmp_path):
     modulus = 1_000_000
-    f = tmp_path / "energy_uj"
-    values = iter([500_000 + modulus // 2, 500_000, 500_100])
-    state = {"now": 0.0}
-
-    def wait(seconds):
-        state["now"] += seconds
-        f.write_text(str(next(values)))
-
-    f.write_text(str(modulus - 1))
+    counter = ScriptedCounter(
+        tmp_path / "energy_uj", modulus - 1, [500_000 + modulus // 2, 500_000, 500_100]
+    )
     with pytest.raises(CorruptCounterError):
-        sample_counter_file(
-            f, 1.0, max_duration=3.0, wrap_modulus=modulus,
-            clock=lambda: state["now"], wait=wait,
-        )
+        counter.sample(wrap_modulus=modulus)
 
 
 def test_sampling_unreadable_file_raises(tmp_path):
     with pytest.raises(AcquisitionError):
-        sample_counter_file(tmp_path / "missing", 0.1, max_duration=0.5)
+        sample_counter_file(tmp_path / "missing", 0.1, stopped())
 
 
 def test_sampling_non_integer_counter_raises(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("not-a-number")
     with pytest.raises(AcquisitionError):
-        sample_counter_file(f, 0.1, max_duration=0.5)
+        sample_counter_file(f, 0.1, stopped())
 
 
 def test_wrap_modulus_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ENCWATT_WRAP_UJ", "1000")
+    # starts at 900, wraps at 1000: deltas 200, 200
+    counter = ScriptedCounter(tmp_path / "energy_uj", 900, [100, 300])
+    trace = counter.sample()
+    assert trace_energy(trace) == pytest.approx(400 / 1e6, rel=1e-12)
+
+
+def test_counter_read_permission_denied_names_the_cause(tmp_path, monkeypatch):
     f = tmp_path / "energy_uj"
-    values = iter([100, 300])  # starts at 900, wraps at 1000: deltas 200, 200
-    state = {"now": 0.0}
+    f.write_text("0")
 
-    def wait(seconds):
-        state["now"] += seconds
-        f.write_text(str(next(values)))
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
 
-    f.write_text("900")
-    trace = sample_counter_file(
-        f, 1.0, max_duration=2.0, clock=lambda: state["now"], wait=wait
-    )
-    assert np.allclose(trace.powers(), 200 / 1e6)
+    # monkeypatched rather than chmod 000, which denies nothing to root
+    monkeypatch.setattr(meter_module.Path, "read_text", denied)
+    with pytest.raises(AcquisitionError, match="CVE-2020-8694") as excinfo:
+        meter_module.read_counter_uj(f)
+    message = str(excinfo.value)
+    assert str(f) in message and "root" in message and "udev" in message
 
 
 def test_counter_meter_live_session(tmp_path):
@@ -299,6 +292,105 @@ def test_counter_meter_capture_idle_spans_duration(tmp_path):
     meter = CounterMeter(f, sample_period=0.02)
     trace = meter.capture_idle(0.1)
     assert trace.duration >= 0.1
+
+
+def test_counter_meter_rejects_malformed_range_file_when_built(tmp_path):
+    (tmp_path / "max_energy_range_uj").write_text("lots")
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
+        CounterMeter(f)
+
+
+def test_counter_meter_sampler_failure_stops_record_before_activity(tmp_path, monkeypatch):
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    meter = CounterMeter(f, sample_period=0.05)
+
+    def vanished(path):
+        raise AcquisitionError(f"cannot read counter file {path}: gone")
+
+    monkeypatch.setattr(meter_module, "read_counter_uj", vanished)
+    ran = []
+    with pytest.raises(AcquisitionError, match="gone"):
+        meter.record(lambda: ran.append(True))
+    assert ran == []
+
+
+class StepFeeder:
+    """Ticks a counter file every 2-5 ms at ``base_w``, plus ``step_w``
+    while the step is on, and keeps the step's true joules."""
+
+    def __init__(self, path, base_w, step_w, seed=0):
+        self.path = path
+        self.base_w = base_w
+        self.step_w = step_w
+        self.active = threading.Event()
+        self.truth_j = 0.0
+        self.ticks = 0  # published ticks
+        self._energy_uj = 0.0
+        self._rng = np.random.default_rng(seed)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._publish()
+
+    def _publish(self):
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(str(int(self._energy_uj)))
+        os.replace(tmp, self.path)  # a reader never sees a half-written number
+
+    def _run(self):
+        last = time.monotonic()
+        while not self._stop.wait(self._rng.uniform(0.002, 0.005)):
+            now = time.monotonic()
+            active = self.active.is_set()
+            power = self.base_w + (self.step_w if active else 0.0)
+            self._energy_uj += power * (now - last) * 1e6
+            if active:
+                self.truth_j += self.step_w * (now - last)
+            last = now
+            self._publish()
+            self.ticks += 1
+
+    def end_step(self):
+        """Turn the step off and wait until every tick that saw it is published."""
+        self.active.clear()
+        seen = self.ticks  # a tick in flight may still have seen the step
+        deadline = time.monotonic() + 5.0
+        while self.ticks == seen and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize("lead_in", [0.02, 0.04])
+def test_counter_meter_energy_matches_counter_across_encode(tmp_path, lead_in):
+    # An encoder-like activity: a start-up lead-in at base power, then a
+    # known step.  At the default poll period the net energy must be the
+    # step's true joules within 2 %.
+    f = tmp_path / "energy_uj"
+    with StepFeeder(f, base_w=10.0, step_w=40.0) as feeder:
+        meter = CounterMeter(f)
+        assert meter.sample_period == DEFAULT_POLL_PERIOD
+
+        def encode():
+            t0 = time.perf_counter()
+            time.sleep(lead_in)
+            feeder.active.set()
+            time.sleep(0.6)
+            feeder.end_step()
+            return time.perf_counter() - t0
+
+        trace, wall = meter.record(encode)
+        idle = meter.capture_idle(wall)
+    assert feeder.truth_j > 0
+    assert net_energy(trace, idle, wall) == pytest.approx(feeder.truth_j, rel=0.02)
 
 
 # ── synthetic traces ──────────────────────────────────────────────────────

@@ -134,11 +134,16 @@ def test_measured_encode_energy_tracks_wall_time(input_file, encoder_cmd):
         assert energy == pytest.approx(expected, abs=30.0 * 0.02 + 1.0)
 
 
-def test_measured_encode_confident_with_low_noise(input_file, encoder_cmd):
-    job = make_job(input_file, extra_args=("--base-sleep", "0.25"))
+def test_measured_encode_confident_with_low_noise(input_file, tmp_path, monkeypatch):
+    # Fixed wall times with a 4 % spread stand in for the encoder's jitter:
+    # the rule must reach its verdict within the 8-repetition budget.
+    _fake_encodes(monkeypatch, [0.25, 0.27, 0.24, 0.26, 0.25, 0.26, 0.24, 0.25])
     policy = ConfidencePolicy(alpha=0.99, beta=0.15, min_reps=2, max_reps=8)
-    record, _ = run_measured_encode(job, encoder_cmd, fast_meter(noise=0.2, seed=5), policy)
+    meter, idle = _replay(tmp_path)
+    record, _ = run_measured_encode(make_job(input_file), "unused", meter, policy,
+                                    idle_trace=idle)
     assert record.confident
+    assert 2 < record.reps <= 8
 
 
 def test_measured_encode_failure_names_repetition(input_file, stub_encoder, tmp_path):
@@ -235,7 +240,7 @@ def test_load_manifest_errors(tmp_path):
 
 # ── campaigns ─────────────────────────────────────────────────────────────
 
-class SessionCountingMeter(SyntheticMeter):
+class SessionCountingMeter(CsvReplayMeter):
     """Fails the test if two measurement sessions ever overlap."""
 
     def __init__(self, *args, **kwargs):
@@ -256,18 +261,19 @@ def quick_policy():
     return ConfidencePolicy(alpha=0.99, beta=0.3, min_reps=2, max_reps=3)
 
 
-def test_campaign_grid_with_explicit_ultrafast(input_file, encoder_cmd, tmp_path):
+def test_campaign_grid_with_explicit_ultrafast(input_file, tmp_path, monkeypatch):
     jobs = []
     for seq in ("s1", "s2"):
         for preset in ("ultrafast", "medium"):
-            jobs.append(make_job(input_file, preset=preset, sequence_id=seq,
-                                 extra_args=("--base-sleep", "0.06")))
-    meter = SessionCountingMeter(
-        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0),
-        sample_period=0.02,
-    )
+            jobs.append(make_job(input_file, preset=preset, sequence_id=seq))
+    # fixed wall times, in campaign order: each job is confident after 2
+    # identical repetitions, and medium takes 2.5x its probe's time
+    _fake_encodes(monkeypatch, [0.06, 0.06, 0.15, 0.15] * 2)
+    meter, idle = _replay(tmp_path)
+    meter = SessionCountingMeter(meter.path)
     out = tmp_path / "campaign.csv"
-    dataset = run_campaign(jobs, encoder_cmd, meter, quick_policy(), out_csv=out)
+    dataset = run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out,
+                           idle_trace=idle)
     assert len(dataset.rows) == 4
     assert not dataset.failures
     assert meter.max_active == 1
@@ -347,7 +353,7 @@ def test_campaign_empty_job_list_rejected(encoder_cmd):
 def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_path):
     # Counter file fed at a constant 5 W by a background thread, with a
     # shared 2 W idle baseline: net energy must be 3 W x wall time.  This
-    # drives the threaded sampler, readiness handshake, and settle wait.
+    # drives the threaded sampler, its readiness handshake and edge readings.
     import os
     import threading
     import time as time_mod
