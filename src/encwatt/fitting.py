@@ -2,9 +2,9 @@
 
 Both model families are linear in their parameters, so least squares on
 relative residuals ``(prediction - E) / E`` is ordinary least squares on
-rows scaled by ``1/E`` and is solved in closed form.  An optional
-iteratively-reweighted variant minimizes the mean absolute relative
-error instead, for sensitivity checks.
+rows scaled by ``1/E`` and is solved in closed form.  An optional L1
+variant minimizes the mean absolute relative error instead, solved
+exactly by vertex exchange, for sensitivity checks.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ __all__ = [
 OBJECTIVES = ("squared_rel", "abs_rel")
 MODEL_KINDS = ("qp_cubic", "time_linear", "uf_linear")
 
-_IRLS_MAX_ITER = 200
-_IRLS_EPS = 1e-8
+_PIVOTS_PER_ROW = 10  # vertex-exchange cap of an abs_rel fit, per row; reaching it raises
+_ZERO_RESIDUAL = 1e-12  # a residual or rate within this share of its terms' size counts as 0
+_DUAL_SLACK = 1e-9  # rounding allowance on the optimality certificate max|u| <= 1
 
 
 def relative_error(estimated: float, measured: float) -> float:
@@ -72,31 +73,84 @@ def _solve_relative_ls(design: np.ndarray, energies: np.ndarray, objective: str)
     """Minimize the relative-residual objective for a parameter-linear model.
 
     ``design @ c`` predicts energy.  For ``squared_rel`` this is one
-    closed-form weighted least-squares solve; ``abs_rel`` refines it by
-    iteratively reweighted least squares.
+    closed-form weighted least-squares solve; ``abs_rel`` starts from it
+    and solves the L1 problem exactly by vertex exchange.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     n, k = design.shape
     scaled = design / energies[:, None]
-    target = np.ones(n)
-    coef, _, rank, _ = np.linalg.lstsq(scaled, target, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(scaled, np.ones(n), rcond=None)
     if rank < k:
         raise SingularFitError(f"design matrix has rank {rank} < {k}")
     if objective == "abs_rel":
-        for _ in range(_IRLS_MAX_ITER):
-            residuals = scaled @ coef - target
-            weights = 1.0 / np.sqrt(np.maximum(np.abs(residuals), _IRLS_EPS))
-            new_coef, _, rank, _ = np.linalg.lstsq(
-                scaled * weights[:, None], target * weights, rcond=None
-            )
-            if rank < k:
-                raise SingularFitError(f"reweighted design lost rank ({rank} < {k})")
-            if np.allclose(new_coef, coef, rtol=1e-12, atol=1e-14):
-                coef = new_coef
-                break
-            coef = new_coef
+        coef = _solve_l1(scaled, coef)
     return coef
+
+
+def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Minimize ``sum(|scaled @ c - 1|)`` exactly by vertex exchange.
+
+    An L1 optimum interpolates ``k`` linearly independent rows (Barrodale
+    & Roberts, SIAM J. Numer. Anal. 10(5), 1973).  The first vertex goes
+    through the ``k`` rows of smallest ``|residual|`` under ``start`` that
+    have full rank.  Every row outside the basis ``B`` has a side
+    ``s_i``: the sign of its residual, or for a row resting at zero
+    residual the side it was last moved to (0 if none).  The dual
+    ``u = -B^-T sum_{i not in B} s_i a_i`` certifies the vertex optimal
+    when ``max|u| <= 1``.  Otherwise the basis row ``j`` of largest
+    ``|u_j|`` is released along ``d = B^-1 sign(u_j) e_j``, on which the
+    objective falls, up to the breakpoint where its slope turns
+    non-negative (a weighted median of ``-r_i / (a_i . d)``); the rows
+    passed change sides and the row breaking there enters the basis.  A
+    fit still uncertified after ``_PIVOTS_PER_ROW`` pivots per row raises
+    :class:`FitError`.
+    """
+    n, k = scaled.shape
+    residuals = scaled @ start - 1.0
+    basis: list[int] = []
+    for i in np.argsort(np.abs(residuals), kind="stable").tolist():
+        if np.linalg.matrix_rank(scaled[basis + [i]]) > len(basis):
+            basis.append(i)
+            if len(basis) == k:
+                break
+    sides = np.zeros(n)
+    cap = _PIVOTS_PER_ROW * n
+    for pivot in range(cap + 1):
+        rows = scaled[basis]
+        coef = np.linalg.solve(rows, np.ones(k))
+        residuals = scaled @ coef - 1.0
+        # a residual within rounding of its terms' scale rests at zero
+        off_zero = np.abs(residuals) > _ZERO_RESIDUAL * (np.abs(scaled) @ np.abs(coef) + 1.0)
+        off_zero[basis] = False
+        residuals[~off_zero] = 0.0
+        sides = np.where(off_zero, np.sign(residuals), sides)
+        sides[basis] = 0.0
+        dual = -np.linalg.solve(rows.T, sides @ scaled)
+        j = int(np.argmax(np.abs(dual)))
+        if abs(dual[j]) <= 1.0 + _DUAL_SLACK:
+            return coef
+        if pivot == cap:
+            break
+        sign = np.sign(dual[j])
+        step = np.linalg.solve(rows, sign * np.eye(k)[j])
+        rates = scaled @ step  # each residual's change per unit step
+        moving = np.abs(rates) > _ZERO_RESIDUAL * (np.abs(scaled) @ np.abs(step))
+        moving[basis] = False
+        # A row moving against its side (or off zero with no side yet)
+        # breaks at ratio -r/rate >= 0, where its slope contribution turns
+        # from side*rate to |rate|; the released row adds 1 to the slope.
+        breaks = np.flatnonzero(moving & (sides * rates <= 0.0))
+        order = breaks[np.argsort(-residuals[breaks] / rates[breaks], kind="stable")]
+        jumps = np.abs(rates[order]) - sides[order] * rates[order]
+        slopes = np.cumsum(jumps) + 1.0 - abs(dual[j])
+        at = int(np.searchsorted(slopes, 0.0))  # first breakpoint where the slope is >= 0
+        if at == len(order):
+            raise FitError("abs_rel vertex exchange found no breakpoint along a descent step")
+        sides[order[:at]] = np.sign(rates[order[:at]])
+        sides[basis[j]] = sign
+        basis[j] = int(order[at])
+    raise FitError(f"abs_rel vertex exchange not certified optimal after {cap} pivots")
 
 
 def _covariate(row: DatasetRow, covariate_kind: str) -> float:
@@ -148,7 +202,10 @@ def _fit_linear_rows(
             f"preset {preset!r}: {len(rows)} rows; need at least 3 to fit the affine model"
         )
     design = np.column_stack([t, np.ones_like(t)])
-    slope, offset = _solve_relative_ls(design, energy, objective)
+    try:
+        slope, offset = _solve_relative_ls(design, energy, objective)
+    except FitError as exc:
+        raise _tag_fit_error(exc, f"preset {preset!r}") from exc
     if slope <= 0:
         raise FitRejectedError(f"preset {preset!r}: fitted slope {slope:.6g} W is not positive")
     params = LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
@@ -198,6 +255,8 @@ def _fit_qp_rows(
         coef = _solve_relative_ls(design, energy, objective)
     except SingularFitError as exc:
         raise UnderdeterminedFitError(f"{cell}: {exc}") from exc
+    except FitError as exc:
+        raise _tag_fit_error(exc, cell) from exc
     qp_range = (float(qp.min()), float(qp.max()))
     # fitted in the energy domain: p_avg keeps its default of 1
     kappa, lam, mu, t0 = coef.tolist()

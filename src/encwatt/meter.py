@@ -6,9 +6,10 @@ rows, UTF-8, ``.`` decimal separator, LF line endings.
 Counter files follow the RAPL convention: a text file holding one
 non-negative integer, a cumulative energy counter in microjoules.  The
 counter is its own integrator: a recording's energy is the unwrapped
-difference between a reading taken just before the activity and one
-taken just after it, with polls in between only to catch wraps, and is
-returned as a flat two-sample trace.  The wrap-around modulus is read
+difference between a reading the recording thread takes just before the
+activity and one it takes just after, with a sampler thread polling in
+between only to catch wraps, and is returned as a flat two-sample trace
+over the time between the two readings.  The wrap-around modulus is read
 once, when the meter is built, from a sibling ``max_energy_range_uj``
 file when there is one (as in a powercap zone), else from the
 ``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
@@ -24,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -198,49 +199,52 @@ def counter_delta_uj(prev: int, current: int, modulus: int) -> int:
     return delta
 
 
+def counter_energy_uj(readings: Sequence[int], modulus: int) -> int:
+    """Microjoules counted from the first of ``readings`` to the last.
+
+    Each step between consecutive readings is unwrapped by
+    :func:`counter_delta_uj`, so no two of them may be a whole wrap apart.
+    """
+    return sum(counter_delta_uj(prev, current, modulus)
+               for prev, current in zip(readings, readings[1:]))
+
+
 def sample_counter_file(
     path: str | Path,
     period: float,
     stop_signal: threading.Event,
     *,
-    wrap_modulus: Optional[int] = None,
-    clock: Callable[[], float] = time.monotonic,
     wait: Optional[Callable[[float], None]] = None,
     ready: Optional[threading.Event] = None,
-) -> PowerTrace:
-    """The energy a cumulative counter counts from now until ``stop_signal``.
+) -> list[int]:
+    """Readings of a cumulative counter polled from now until ``stop_signal``.
 
-    The first reading is taken before ``ready`` is set, so an activity
-    started after ``ready`` lies inside the span; the last is taken once
-    ``stop_signal`` is set.  In between, the counter is polled every
-    ``period`` seconds only so that no two readings are a whole wrap apart.
-    The unwrapped energy E over the time T between the first and last
-    readings is returned as the flat trace ``[(0, E/T), (T, E/T)]``.
+    The first reading is taken before ``ready`` is set; the counter is
+    then read every ``period`` seconds, only so that no two readings are a
+    whole wrap apart.  A reading is kept only if ``stop_signal`` was still
+    clear once it had been taken, so every reading returned precedes any
+    reading the caller takes after setting ``stop_signal``.
 
-    The ``clock`` and ``wait`` hooks exist for deterministic testing;
-    production use keeps the defaults.
+    ``wait(period)`` sleeps between polls.  By default it waits on
+    ``stop_signal``, so that setting it ends the sampling at once; a caller
+    that must not wake the sampler when it sets ``stop_signal`` passes a
+    wait on another event, and tests pass a deterministic one.
     """
     if period <= 0:
         raise ValueError(f"period must be > 0, got {period}")
-    modulus = wrap_modulus if wrap_modulus is not None else _wrap_modulus(path)
     if wait is None:
         wait = stop_signal.wait
-
-    t0 = clock()
-    prev = read_counter_uj(path)
+    readings = [read_counter_uj(path)]
     if ready is not None:
         ready.set()
-    energy_uj = 0
-    stopped = False
-    while not stopped:
+    while True:
         wait(period)
-        stopped = stop_signal.is_set()  # checked first: the last reading follows the stop
+        if stop_signal.is_set():
+            return readings
         current = read_counter_uj(path)
-        energy_uj += counter_delta_uj(prev, current, modulus)
-        prev = current
-    span = clock() - t0
-    power = energy_uj / span / 1e6
-    return PowerTrace([(0.0, power), (span, power)], source_label=f"counter:{path}")
+        if stop_signal.is_set():  # this reading may follow the caller's last one
+            return readings
+        readings.append(current)
 
 
 def generate_synthetic_trace(
@@ -298,25 +302,26 @@ class Meter(abc.ABC):
 
 
 class _CounterSession:
-    """The sampler thread of one counter recording."""
+    """One counter recording: edge readings on the recording thread, with
+    a sampler thread polling between them to catch wraps."""
 
     def __init__(self, meter: "CounterMeter"):
         self._meter = meter
         self._stop = threading.Event()
+        self._wake = threading.Event()  # ends the sampler's sleep; set after the last edge
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._trace: Optional[PowerTrace] = None
+        self._readings: Optional[list[int]] = None
         self._error: Optional[BaseException] = None
+        self._first = (0.0, 0)  # (time just after, value) of the first edge reading
 
     def start(self) -> None:
+        """Start the sampler, then take the first edge reading: the activity follows it."""
         def run() -> None:
             try:
-                self._trace = sample_counter_file(
-                    self._meter.path,
-                    self._meter.sample_period,
-                    self._stop,
-                    wrap_modulus=self._meter._modulus,
-                    ready=self._ready,
+                self._readings = sample_counter_file(
+                    self._meter.path, self._meter.sample_period, self._stop,
+                    wait=self._wake.wait, ready=self._ready,
                 )
             except BaseException as exc:  # surfaced by start() or stop()
                 self._error = exc
@@ -324,25 +329,50 @@ class _CounterSession:
 
         self._thread = threading.Thread(target=run, name="encwatt-sampler", daemon=True)
         self._thread.start()
-        # the measured activity must not begin before sampling has
-        if not self._ready.wait(timeout=_READY_TIMEOUT_S):
+        try:
+            # the measured activity must not begin before sampling has
+            if not self._ready.wait(timeout=_READY_TIMEOUT_S):
+                raise AcquisitionError(
+                    f"sampler of counter file {self._meter.path} not ready "
+                    f"after {_READY_TIMEOUT_S} s"
+                )
+            if self._error is not None:  # failed already: the activity would go unmeasured
+                raise self._error
+            first = read_counter_uj(self._meter.path)
+        except BaseException:
             self._stop.set()
-            raise AcquisitionError(
-                f"sampler of counter file {self._meter.path} not ready "
-                f"after {_READY_TIMEOUT_S} s"
-            )
-        if self._error is not None:  # failed already: the activity would go unmeasured
-            self._thread.join()
-            raise self._error
+            self._wake.set()
+            raise
+        self._first = (time.perf_counter(), first)
 
     def stop(self) -> PowerTrace:
+        """Take the last edge reading, stop the sampler, and spread the
+        energy counted between the edges evenly over the time between them."""
         assert self._thread is not None, "stop() before start()"
+        end = time.perf_counter()
+        # The sampler keeps no reading from here on; it is woken only after
+        # the last edge, so that it does not compete for the interpreter then.
         self._stop.set()
-        self._thread.join()
+        try:
+            last = read_counter_uj(self._meter.path)
+        finally:
+            self._wake.set()
+            self._thread.join()
         if self._error is not None:
             raise self._error
-        assert self._trace is not None
-        return self._trace
+        assert self._readings is not None
+        start, first = self._first
+        modulus = self._meter._modulus
+        # Each sampler reading precedes the last edge; the first sampler
+        # reading precedes the first edge, whose lead is taken off.
+        energy_uj = (counter_energy_uj([*self._readings, last], modulus)
+                     - counter_delta_uj(self._readings[0], first, modulus))
+        # The span runs from just after the first reading to just before the
+        # last: it holds the activity with almost no slack, and the small
+        # counted time outside it recurs in an idle capture, which cancels it.
+        span = end - start
+        power = energy_uj / span / 1e6
+        return PowerTrace([(0.0, power), (span, power)], source_label=f"counter:{self._meter.path}")
 
 
 class CounterMeter(Meter):

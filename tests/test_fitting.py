@@ -1,5 +1,7 @@
 """Least-squares fitting, error metrics, and cross-validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 from encwatt.dataset import Dataset, DatasetRow
 from encwatt.errors import (
     DatasetError,
+    FitError,
     FitRejectedError,
     SingularFitError,
     UnderdeterminedFitError,
@@ -159,6 +162,139 @@ def test_abs_rel_objective_improves_l1_error():
     l2 = fit_linear_model(ds, "medium", "own_time", objective="squared_rel")
     l1 = fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
     assert l1.mean_abs_rel_error <= l2.mean_abs_rel_error + 1e-12
+    qp_ds = noisy_qp_dataset(np.random.default_rng(21), 40)
+    qp_l2 = fit_qp_model(qp_ds, "medium", "B", objective="squared_rel")
+    qp_l1 = fit_qp_model(qp_ds, "medium", "B", objective="abs_rel")
+    assert qp_l1.mean_abs_rel_error <= qp_l2.mean_abs_rel_error + 1e-12
+
+
+def noisy_qp_dataset(rng, n, ties=False):
+    """A (medium, B) QP cell: 5 % noise, every 5th row an outlier, and with
+    ``ties`` three rows repeating row 0 and QPs on a 0.5 grid."""
+    qps = rng.uniform(18.0, 38.0, n)
+    if ties:
+        qps = np.round(qps * 2.0) / 2.0
+    energies = qp_energy(qps, kappa=0.02, lam=0.1, mu=0.5, t0=500.0)
+    energies *= 1.0 + rng.normal(0.0, 0.05, n)
+    energies[::5] *= 1.6
+    if ties:
+        qps[1:4], energies[1:4] = qps[0], energies[0]
+    return dataset_from_arrays(rng.uniform(1, 5, n), energies, qps=list(qps))
+
+
+def noisy_linear_dataset(rng, n, ties=False):
+    ts = rng.uniform(0.5, 5.0, n)
+    energies = (150.0 * ts + 5.0) * (1.0 + rng.normal(0.0, 0.05, n))
+    energies[::5] *= 1.6
+    if ties:
+        ts[1:4], energies[1:4] = ts[0], energies[0]
+    return dataset_from_arrays(ts, energies)
+
+
+def l1_vertex_minimum(design, energies):
+    """Brute force: the smallest mean |relative residual| over every fit that
+    passes exactly through k linearly independent rows."""
+    k = design.shape[1]
+    best = np.inf
+    for rows in itertools.combinations(range(len(energies)), k):
+        sub = design[list(rows)] / energies[list(rows), None]
+        if np.linalg.matrix_rank(sub) < k:
+            continue
+        coef = np.linalg.solve(sub, np.ones(k))
+        best = min(best, float(np.mean(np.abs((design @ coef - energies) / energies))))
+    return best
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_abs_rel_fit_equals_brute_force_vertex_minimum(ties):
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        ds = noisy_linear_dataset(rng, 12, ties)
+        ts = np.array([r.t_enc for r in ds.rows])
+        energies = np.array([r.energy for r in ds.rows])
+        fit = fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
+        oracle = l1_vertex_minimum(np.column_stack([ts, np.ones_like(ts)]), energies)
+        assert fit.mean_abs_rel_error == pytest.approx(oracle, rel=1e-12)
+
+        ds = noisy_qp_dataset(rng, 12, ties)
+        qps = np.array([r.avg_qp for r in ds.rows])
+        energies = np.array([r.energy for r in ds.rows])
+        fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
+        design = np.column_stack([qps**3, -(qps**2), -qps, np.ones_like(qps)])
+        assert fit.mean_abs_rel_error == pytest.approx(
+            l1_vertex_minimum(design, energies), rel=1e-12)
+
+
+def test_abs_rel_fit_of_noiseless_cell_needs_no_pivot(monkeypatch):
+    import encwatt.fitting as fitting
+
+    monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", 0)  # any pivot would raise
+    qps = np.linspace(18.0, 38.0, 20)
+    energies = qp_energy(qps, kappa=0.02, lam=0.1, mu=0.5, t0=500.0)
+    ds = dataset_from_arrays(np.linspace(1, 5, 20), energies, qps=list(qps))
+    fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
+    assert fit.mean_abs_rel_error == pytest.approx(0.0, abs=1e-12)
+    ts = np.linspace(0.5, 5.0, 20)
+    fit = fit_linear_model(dataset_from_arrays(ts, 150.0 * ts + 5.0), "medium", "own_time",
+                           objective="abs_rel")
+    assert fit.mean_abs_rel_error == pytest.approx(0.0, abs=1e-12)
+
+
+def test_abs_rel_pivots_never_raise_the_objective(monkeypatch):
+    ds = noisy_qp_dataset(np.random.default_rng(5), 60)
+    qps = np.array([r.avg_qp for r in ds.rows])
+    energies = np.array([r.energy for r in ds.rows])
+    design = np.column_stack([qps**3, -(qps**2), -qps, np.ones_like(qps)])
+    vertices = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        x = solve(a, b)
+        if np.array_equal(b, np.ones(4)):  # a vertex: the fit through the basis rows
+            vertices.append(float(np.mean(np.abs((design @ x - energies) / energies))))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
+    assert len(vertices) >= 3
+    for before, after in zip(vertices, vertices[1:]):
+        assert after <= before * (1.0 + 1e-12)
+    assert fit.mean_abs_rel_error == pytest.approx(vertices[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("model_kind", ["qp_cubic", "time_linear"])
+def test_abs_rel_fit_makes_one_lstsq_call(monkeypatch, model_kind):
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
+    rows = [r for r in ds.rows if r.preset == "medium" and r.class_label == "A"]
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    if model_kind == "qp_cubic":
+        fit_qp_model(Dataset(rows=tuple(rows)), "medium", "A", objective="abs_rel")
+    else:
+        fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
+    assert len(calls) == 1
+
+
+def test_abs_rel_fit_at_pivot_cap_raises_naming_the_cell(monkeypatch, tmp_path, capsys):
+    import encwatt.fitting as fitting
+    from encwatt import cli
+
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
+    monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", 0)
+    with pytest.raises(FitError, match=r"preset 'ultrafast', class 'A'.*not certified"):
+        fit_report(ds, "qp_cubic", objective="abs_rel")
+    with pytest.raises(FitError, match=r"preset 'ultrafast', fold \d+: .*not certified"):
+        cross_validate(ds, "time_linear", objective="abs_rel")
+    data = tmp_path / "d.csv"
+    ds.write_csv(data)
+    assert cli.main(["crossval", str(data), "--model", "qp_cubic", "--objective", "abs_rel"]) == 2
+    assert "not certified" in capsys.readouterr().err
 
 
 # ── QP fit ────────────────────────────────────────────────────────────────

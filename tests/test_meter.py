@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from encwatt import meter as meter_module
-from encwatt.energy import integrate_energy, net_energy
+from encwatt.energy import PowerTrace, integrate_energy, net_energy
 from encwatt.errors import (
     AcquisitionError,
     CorruptCounterError,
@@ -23,6 +23,7 @@ from encwatt.meter import (
     SyntheticMeter,
     SyntheticRecipe,
     counter_delta_uj,
+    counter_energy_uj,
     generate_synthetic_trace,
     open_meter,
     parse_trace_csv,
@@ -128,33 +129,24 @@ def test_counter_delta_drop_beyond_modulus_is_corrupt():
 
 
 class ScriptedCounter:
-    """Deterministic clock and wait: each wait advances the clock and writes
-    the next scripted counter value; the last one sets the stop signal."""
+    """Deterministic wait: each wait writes the next scripted counter value;
+    the last one sets the stop signal."""
 
     def __init__(self, path, first, values):
         self.path = path
         self.values = list(values)
-        self.now = 0.0
         self.stop = threading.Event()
         path.write_text(str(first))
 
-    def clock(self):
-        return self.now
-
     def wait(self, seconds):
-        self.now += seconds
         self.path.write_text(str(self.values.pop(0)))
         if not self.values:
             self.stop.set()
 
-    def sample(self, period=1.0, **kwargs):
-        return sample_counter_file(
-            self.path, period, self.stop, clock=self.clock, wait=self.wait, **kwargs
-        )
-
-
-def trace_energy(trace):
-    return integrate_energy(trace, trace.start, trace.end)
+    def sample(self, period=1.0):
+        """The sampler's readings, then the last one a recording takes after the stop."""
+        readings = sample_counter_file(self.path, period, self.stop, wait=self.wait)
+        return readings + [meter_module.read_counter_uj(self.path)]
 
 
 def stopped():
@@ -171,37 +163,40 @@ def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path, monkeypa
     (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
     # wraps on the first interval: 1500 uJ, then 1000 each
     counter = ScriptedCounter(zone / "energy_uj", rapl_max - 1000, [500, 1500, 2500])
-    trace = counter.sample()
-    assert trace.duration == 3.0
-    assert trace_energy(trace) == pytest.approx(3500 / 1e6, rel=1e-12)
+    readings = counter.sample()
+    assert readings == [rapl_max - 1000, 500, 1500, 2500]
+    modulus = CounterMeter(zone / "energy_uj")._modulus
+    assert modulus == rapl_max
+    assert counter_energy_uj(readings, modulus) == 3500
 
 
 def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
-    (tmp_path / "max_energy_range_uj").write_text("lots")
     f = tmp_path / "energy_uj"
     f.write_text("0")
-    with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
-        sample_counter_file(f, 0.01, stopped())
+    for raw in ("lots", "0", "-5"):
+        (tmp_path / "max_energy_range_uj").write_text(raw)
+        with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
+            CounterMeter(f)
 
 
 def test_sampling_constant_rate_counter_gives_constant_power(tmp_path):
     f = tmp_path / "energy_uj"
     # 1 W: the counter gains 100000 uJ per 0.1 s poll, for 10 polls
     counter = ScriptedCounter(f, 0, [100_000 * i for i in range(1, 11)])
-    trace = counter.sample(period=0.1)
-    assert trace.duration == pytest.approx(1.0)
-    assert np.all(np.abs(trace.powers() - 1.0) < 1e-6)
-    assert trace_energy(trace) == pytest.approx(1.0, rel=1e-9)
+    readings = counter.sample(period=0.1)
+    assert len(readings) == 11
+    assert np.all(np.diff(readings) == 100_000)
+    assert counter_energy_uj(readings, DEFAULT_WRAP_UJ) == 1_000_000
 
 
 def test_sampling_handles_wrap_midrun(tmp_path):
     modulus = 1_000_000
     # the first reading sees the pre-written value; the first poll wraps
     counter = ScriptedCounter(tmp_path / "energy_uj", modulus - 100, [400, 900, 1400])
-    trace = counter.sample(wrap_modulus=modulus)
-    # every interval consumed 500 uJ over 1 s
-    assert trace_energy(trace) == pytest.approx(1500 / 1e6, rel=1e-12)
-    assert np.allclose(trace.powers(), 500 / 1e6)
+    readings = counter.sample()
+    # every interval consumed 500 uJ
+    assert [counter_energy_uj(pair, modulus) for pair in zip(readings, readings[1:])] == [500] * 3
+    assert counter_energy_uj(readings, modulus) == 1500
 
 
 def test_sampling_corrupt_counter_raises(tmp_path):
@@ -209,8 +204,9 @@ def test_sampling_corrupt_counter_raises(tmp_path):
     counter = ScriptedCounter(
         tmp_path / "energy_uj", modulus - 1, [500_000 + modulus // 2, 500_000, 500_100]
     )
+    readings = counter.sample()
     with pytest.raises(CorruptCounterError):
-        counter.sample(wrap_modulus=modulus)
+        counter_energy_uj(readings, modulus)
 
 
 def test_sampling_unreadable_file_raises(tmp_path):
@@ -229,8 +225,29 @@ def test_wrap_modulus_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ENCWATT_WRAP_UJ", "1000")
     # starts at 900, wraps at 1000: deltas 200, 200
     counter = ScriptedCounter(tmp_path / "energy_uj", 900, [100, 300])
-    trace = counter.sample()
-    assert trace_energy(trace) == pytest.approx(400 / 1e6, rel=1e-12)
+    modulus = CounterMeter(counter.path)._modulus
+    assert modulus == 1000
+    assert counter_energy_uj(counter.sample(), modulus) == 400
+
+
+def test_sampling_drops_a_reading_taken_after_the_stop(tmp_path, monkeypatch):
+    # a poll in flight when the stop is set may read the counter after the
+    # caller's last reading, so it must not join the chain
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    stop = threading.Event()
+    read = meter_module.read_counter_uj
+    polls = []
+
+    def read_then_stop(path):
+        polls.append(1)
+        if len(polls) == 3:
+            stop.set()
+        return read(path)
+
+    monkeypatch.setattr(meter_module, "read_counter_uj", read_then_stop)
+    assert sample_counter_file(f, 1.0, stop, wait=lambda _: None) == [0, 0]
+    assert len(polls) == 3
 
 
 def test_counter_read_permission_denied_names_the_cause(tmp_path, monkeypatch):
@@ -391,6 +408,31 @@ def test_counter_meter_energy_matches_counter_across_encode(tmp_path, lead_in):
         idle = meter.capture_idle(wall)
     assert feeder.truth_j > 0
     assert net_energy(trace, idle, wall) == pytest.approx(feeder.truth_j, rel=0.02)
+
+
+def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
+    # Only the activity advances the counter, by 1 J, and it times itself
+    # as run_encode does.  The edge readings bracket the activity so
+    # closely that the counted joules spread over the span between them
+    # integrate over the activity's own wall time to within 1 %.
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    meter = CounterMeter(f)
+    idle = PowerTrace([(0.0, 0.0), (1.0, 0.0)])
+    errors = []
+    for i in range(1, 21):
+        def activity():
+            t0 = time.perf_counter()
+            time.sleep(0.01)
+            tmp = f.with_name("energy_uj.tmp")
+            tmp.write_text(str(i * 1_000_000))
+            os.replace(tmp, f)
+            time.sleep(0.01)
+            return time.perf_counter() - t0
+
+        trace, wall = meter.record(activity)
+        errors.append(net_energy(trace, idle, wall) - 1.0)
+    assert float(np.median(np.abs(errors))) < 0.01, errors
 
 
 # ── synthetic traces ──────────────────────────────────────────────────────
