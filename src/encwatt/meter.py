@@ -1,7 +1,8 @@
 """Power-trace acquisition: CSV files, live counter files, synthetic generators.
 
 Trace CSV format: header line ``t_s,p_w`` followed by ``<float>,<float>``
-rows, UTF-8, ``.`` decimal separator, LF line endings.
+rows, UTF-8, ``.`` decimal separator, LF or CRLF line endings.  Spaces
+and tabs around a field are allowed; a blank line is an error.
 
 Counter files follow the RAPL convention: a text file holding one
 non-negative integer, a cumulative energy counter in microjoules.  The
@@ -86,12 +87,49 @@ class SyntheticRecipe:
 
 
 def parse_trace_csv(path: str | Path) -> PowerTrace:
-    """Read a trace CSV, validating header, monotonicity, and power sign."""
+    """Read a trace CSV, validating header, monotonicity, and power sign.
+
+    A file that ``np.loadtxt`` reads to exactly one ``(t, p)`` row per
+    data line is read by it; any other file goes through the strict line
+    loop, :func:`_parse_trace_lines`, which alone words the errors.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise AcquisitionError(f"cannot read trace file {path}: {exc}") from exc
+    samples = _loadtxt_rows(path, data)
+    if samples is None:
+        return _parse_trace_lines(path, data)
+    return _trace_from_rows(path, samples)
+
+
+def _loadtxt_rows(path: Path, data: bytes) -> Optional[np.ndarray]:
+    """The data rows of ``data``, the bytes of ``path``, read by ``np.loadtxt``.
+
+    None unless the file has LF line endings only, the header, a data
+    line, and one row of two columns per data line: blank lines, which
+    ``loadtxt`` skips, and ``float`` spellings it rejects (``1_0``,
+    non-ASCII digits) are left to the line loop.
+    """
+    header = data.partition(b"\n")[0]
+    n_rows = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
+    if b"\r" in data or header.strip() != TRACE_HEADER.encode() or n_rows < 1:
+        return None  # loadtxt warns of a file with no data rows
+    try:
+        samples = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1,
+                             encoding="utf-8")
+    except (OSError, ValueError):  # ValueError covers UnicodeDecodeError
+        return None
+    return samples if samples.shape == (n_rows, 2) else None
+
+
+def _parse_trace_lines(path: Path, data: bytes) -> PowerTrace:
+    """Parse ``data``, the bytes of trace CSV ``path``, line by line.
+
+    Lines end in LF, CRLF or CR, as in a file read in text mode.
+    """
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
@@ -112,7 +150,11 @@ def parse_trace_csv(path: str | Path) -> PowerTrace:
         except ValueError as exc:
             unparsed = f"line {lineno}: {exc}"
             break
-    samples = np.array(values, dtype=np.float64).reshape(-1, 2)
+    return _trace_from_rows(path, np.array(values, dtype=np.float64).reshape(-1, 2), unparsed)
+
+
+def _trace_from_rows(path: Path, samples: np.ndarray, unparsed: Optional[str] = None) -> PowerTrace:
+    """The trace of the rows parsed from ``path``, which stopped at ``unparsed`` if set."""
     i = _first_invalid_row(samples)  # reported first: it precedes any unparseable line
     if i >= 0:
         t, p = samples[i].tolist()

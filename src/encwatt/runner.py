@@ -203,17 +203,25 @@ def run_measured_encode(
     the same duration immediately afterwards (the two consecutive
     measurements pattern).  Returns the stopping-rule record and the
     final repetition's encode result with ``wall_time`` set to the mean
-    over the repetitions, the same ones ``mean_energy`` averages.
+    over the repetitions, the same ones ``mean_energy`` averages.  The
+    repetitions share one temporary bitstream file, made before the
+    first and removed after the last, so that no recording holds its
+    creation or removal.
     """
     results: list[EncodeResult] = []
+    fd, out_name = tempfile.mkstemp(prefix="encwatt_", suffix=".bin")
+    os.close(fd)
 
     def one_rep() -> float:
-        total, result = meter.record(lambda: run_encode(job, encoder_cmd))
+        total, result = meter.record(lambda: run_encode(job, encoder_cmd, output_path=out_name))
         idle = idle_trace if idle_trace is not None else meter.capture_idle(result.wall_time)
         results.append(result)
         return net_energy(total, idle, result.wall_time)
 
-    record = measure_until_confident(one_rep, policy, job_id=job.label())
+    try:
+        record = measure_until_confident(one_rep, policy, job_id=job.label())
+    finally:
+        Path(out_name).unlink(missing_ok=True)
     # statistics.mean is exact, so equal wall times average to themselves
     mean_wall = statistics.mean(r.wall_time for r in results)
     return record, replace(results[-1], wall_time=mean_wall)

@@ -149,6 +149,55 @@ def test_piecewise_linear_exactness():
     assert integrate_energy(trace, 2.5, 7.5) == pytest.approx(375.0, rel=1e-9)
 
 
+def _integrate_by_mask(trace, t_start, t_end):
+    """The integral as a mask over the whole trace and np.interp on all of it."""
+    ts, ps = trace.times(), trace.powers()
+    p_start = float(np.interp(t_start, ts, ps))
+    p_end = float(np.interp(t_end, ts, ps))
+    inside = (ts > t_start) & (ts < t_end)
+    xs = np.concatenate(([t_start], ts[inside], [t_end]))
+    ys = np.concatenate(([p_start], ps[inside], [p_end]))
+    return float(np.trapezoid(ys, xs))
+
+
+@st.composite
+def trace_and_window(draw):
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=30))
+    times = np.concatenate(([draw(st.floats(0.0, 100.0))], steps)).cumsum()
+    assume(np.all(np.diff(times) > 0))
+    powers = draw(st.lists(st.floats(0.0, 1e4), min_size=len(times), max_size=len(times)))
+    trace = PowerTrace.from_arrays(times, powers)
+    # an edge is a sample (the endpoints included) or any time inside the span
+    edge = st.one_of(st.sampled_from(times.tolist()), st.floats(times[0], times[-1]))
+    t_start, t_end = sorted((draw(edge), draw(edge)))
+    assume(t_start < t_end)
+    return trace, t_start, t_end
+
+
+@settings(max_examples=300)
+@given(case=trace_and_window())
+def test_integration_equals_the_whole_trace_formula(case):
+    trace, t_start, t_end = case
+    assert integrate_energy(trace, t_start, t_end) == _integrate_by_mask(trace, t_start, t_end)
+
+
+def test_net_energy_interpolates_between_two_samples_only(monkeypatch):
+    times = np.arange(10_000) / 1000.0
+    total = PowerTrace.from_arrays(times, 50.0 + np.sin(times))
+    idle = PowerTrace.from_arrays(times, 20.0 + np.cos(times))
+    interp = np.interp
+    lengths = []
+
+    def spy(x, xp, fp, *args, **kwargs):
+        lengths.append(len(xp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    for duration in (0.0005, 1.0, 3.1415, 9.999):
+        net_energy(total, idle, duration)
+    assert lengths and max(lengths) <= 2
+
+
 # ── net energy ────────────────────────────────────────────────────────────
 
 def test_net_energy_constant_powers():

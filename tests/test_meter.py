@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from encwatt import meter as meter_module
 from encwatt.energy import PowerTrace, integrate_energy, net_energy
@@ -102,6 +104,98 @@ def test_canonical_round_trip_is_byte_identical(tmp_path):
     write_trace_csv(trace, src)
     write_trace_csv(parse_trace_csv(src), dst)
     assert src.read_bytes() == dst.read_bytes()
+
+
+# Each case must parse as the strict line loop alone parses it: to a
+# bit-identical array, or to the same exception type and message.
+_HEADER = b"t_s,p_w\n"
+PARSER_CORPUS = {
+    "minimal": _HEADER + b"0.0,20.0\n1.0,20.0\n",
+    "no_final_newline": _HEADER + b"0.0,20.0\n1.0,20.0",
+    "empty_file": b"",
+    "empty_data_section": _HEADER,
+    "header_without_newline": b"t_s,p_w",
+    "one_row": _HEADER + b"0.0,20.0\n",
+    "monotonicity": _HEADER + b"0.0,20.0\n0.0,21.0\n",
+    "negative_power": _HEADER + b"0.0,20.0\n1.0,-3.0\n",
+    "nan_power": _HEADER + b"0.0,20.0\n1.0,nan\n2.0,20.0\n",
+    "inf_power": _HEADER + b"0.0,20.0\n1.0,inf\n2.0,20.0\n",
+    "nan_time": _HEADER + b"0.0,20.0\nnan,20.0\n2.0,20.0\n",
+    "inf_time": _HEADER + b"0.0,20.0\ninf,20.0\n2.0,20.0\n",
+    "overflow_1e400": _HEADER + b"0.0,20.0\n1.0,1e400\n2.0,20.0\n",
+    "first_bad_line": _HEADER + b"0.0,20.0\n1.0,-3.0\n2.0\n",
+    "missing_column": _HEADER + b"0.0\n",
+    "bad_header": b"time,power\n0.0,1.0\n1.0,1.0\n",
+    "blank_line_mid_file": _HEADER + b"0.0,1.0\n\n1.0,1.0\n2.0,1.0\n",
+    "doubled_trailing_newline": _HEADER + b"0.0,1.0\n1.0,1.0\n\n",
+    "whitespace_only_line": _HEADER + b"0.0,1.0\n \t \n1.0,1.0\n",
+    "single_row_of_3_columns": _HEADER + b"0.0,1.0,2.0\n",
+    "all_rows_3_columns": _HEADER + b"0.0,1.0,2.0\n1.0,1.0,2.0\n2.0,1.0,2.0\n",
+    "one_column": _HEADER + b"0.0\n1.0\n2.0\n",
+    "underscore_digits": _HEADER + b"0.0,1_0\n1.0,1.0\n",
+    "arabic_indic_digits": _HEADER + "0.0,\u0661\u0662\n1.0,\u0661.\u0665\n".encode(),
+    "crlf": b"t_s,p_w\r\n0.0,1.0\r\n1.0,2.0\r\n",
+    "crlf_negative_power": b"t_s,p_w\r\n0.0,1.0\r\n0.5,-2.0\r\n",
+    "lone_cr": _HEADER + b"0.0,1.0\n1.0,2.0\r2.0,3.0\n",
+    "lone_cr_then_blank_line": _HEADER + b"0.0,1.0\r1.0,2.0\n\n",
+    "utf8_bom": b"\xef\xbb\xbf" + _HEADER + b"0.0,1.0\n1.0,2.0\n",
+    "invalid_utf8": _HEADER + b"0.0,1.0\n1.0,\xff\n",
+    "spaces_around_fields": _HEADER + b" 0.0 , 1.0 \n 1.0 ,2.0\n",
+    "tabs_around_fields": _HEADER + b"\t0.0\t,\t1.0\t\n1.0\t,2.0\n",
+    "empty_field": _HEADER + b"0.0,\n1.0,2.0\n",
+    "negative_zero": _HEADER + b"-0.0,1.0\n1.0,-0.0\n",
+}
+
+
+def _parse_outcome(parse, path):
+    try:
+        samples = parse(path).samples
+    except Exception as exc:
+        return type(exc), str(exc)
+    return samples.shape, samples.tobytes()
+
+
+def _line_loop(path):
+    return meter_module._parse_trace_lines(path, path.read_bytes())
+
+
+@pytest.mark.parametrize("data", PARSER_CORPUS.values(), ids=PARSER_CORPUS.keys())
+def test_parse_matches_the_line_loop(tmp_path, data):
+    f = tmp_path / "trace.csv"
+    f.write_bytes(data)
+    assert _parse_outcome(parse_trace_csv, f) == _parse_outcome(_line_loop, f)
+
+
+_valid_rows = st.lists(
+    st.tuples(st.integers(1, 10**6), st.floats(0.0, 1e6, allow_subnormal=True)),
+    min_size=2, max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_valid_rows)
+def test_parse_round_trips_valid_traces(tmp_path_factory, rows):
+    # canonical files through write_trace_csv, and the benchmark's %.3f,%.4f
+    f = tmp_path_factory.mktemp("round_trip") / "trace.csv"
+    times = np.cumsum([step for step, _ in rows]) / 1000.0
+    trace = PowerTrace.from_arrays(times, [p for _, p in rows])
+    write_trace_csv(trace, f)
+    assert parse_trace_csv(f).samples.tobytes() == trace.samples.tobytes()
+    f.write_text("t_s,p_w\n" + "".join(f"{t:.3f},{p:.4f}\n" for t, p in zip(times, trace.powers())))
+    assert _parse_outcome(parse_trace_csv, f) == _parse_outcome(_line_loop, f)
+
+
+def test_parse_of_a_valid_file_does_not_need_the_line_loop(tmp_path, monkeypatch):
+    def fail(path, data):
+        raise AssertionError("the line loop ran")
+
+    f = tmp_path / "trace.csv"
+    n = 10_000
+    f.write_text("t_s,p_w\n" + "".join(f"{i / 1000:.3f},{20 + i % 7:.4f}\n" for i in range(n)))
+    monkeypatch.setattr(meter_module, "_parse_trace_lines", fail)
+    trace = parse_trace_csv(f)
+    assert len(trace) == n
+    assert trace.end == 9.999 and trace.powers()[6] == 26.0
 
 
 # ── counter sampling ──────────────────────────────────────────────────────

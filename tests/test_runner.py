@@ -1,18 +1,23 @@
 """Encoder orchestration: single encodes, measured encodes, campaigns."""
 
+import os
+import subprocess
 import sys
+import tempfile
+import time
 
+import numpy as np
 import pytest
 
 from encwatt.dataset import load_dataset_csv
-from encwatt.energy import ConfidencePolicy
+from encwatt.energy import ConfidencePolicy, PowerTrace
 from encwatt.errors import (
     DatasetError,
     EncodeFailedError,
     ManifestError,
     MeasurementRunError,
 )
-from encwatt.meter import CsvReplayMeter, SyntheticMeter, SyntheticRecipe
+from encwatt.meter import CounterMeter, CsvReplayMeter, SyntheticMeter, SyntheticRecipe
 from encwatt.runner import (
     EncodeJob,
     EncodeResult,
@@ -176,6 +181,39 @@ def test_measured_encode_shared_idle_trace(input_file, encoder_cmd):
         job, encoder_cmd, fast_meter(), policy, idle_trace=idle
     )
     assert record.mean_energy == pytest.approx(30.0 * result.wall_time, abs=30.0 * 0.02 + 1.0)
+
+
+def test_measured_encode_counts_only_the_encode(input_file, tmp_path, monkeypatch):
+    # The encoder advances a live counter by exactly 1 J within its own wall
+    # time, and making a temporary file takes 10 ms.  A repetition that
+    # recorded the bitstream file's creation would spread the joule over
+    # that longer span and read about a third low.
+    counter = tmp_path / "energy_uj"
+    counter.write_text("0")
+    joule_uj = 1_000_000
+
+    def encoder(argv, **kwargs):
+        time.sleep(0.01)
+        scratch = tmp_path / "energy_uj.tmp"
+        scratch.write_text(str(int(counter.read_text()) + joule_uj))
+        os.replace(scratch, counter)
+        time.sleep(0.01)
+        return subprocess.CompletedProcess(argv, 0, stdout="Avg QP:25.00", stderr="")
+
+    mkstemp = tempfile.mkstemp
+
+    def slow_mkstemp(*args, **kwargs):
+        time.sleep(0.01)
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", encoder)
+    monkeypatch.setattr(tempfile, "mkstemp", slow_mkstemp)
+    idle = PowerTrace([(0.0, 0.0), (1.0, 0.0)])
+    policy = ConfidencePolicy(beta=0.5, min_reps=5, max_reps=5)
+    record, _ = run_measured_encode(make_job(input_file), "enc {output}", CounterMeter(counter),
+                                    policy, idle_trace=idle)
+    assert record.reps == 5
+    assert float(np.median(record.energies)) == pytest.approx(1.0, rel=0.02), record.energies
 
 
 # ── closure and manifests ─────────────────────────────────────────────────
