@@ -54,6 +54,9 @@ def _policy_from_args(args: argparse.Namespace) -> ConfidencePolicy:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    if args.meter.startswith("csv:") and not args.idle_trace:
+        raise ValueError("--meter csv: needs --idle-trace: the replayed trace would be its "
+                         "own idle baseline, and every net energy 0 J")
     jobs = load_manifest(args.manifest)
     policy = _policy_from_args(args)
     meter = open_meter(args.meter, args.sample_period)

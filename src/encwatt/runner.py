@@ -276,7 +276,10 @@ def run_campaign(
     Jobs run one at a time.  Rows are appended to ``out_csv`` as soon as
     they complete, so an interrupted campaign can be resumed: with
     ``resume=True`` previously completed rows are loaded and their jobs
-    skipped; a torn last line is dropped.  Per-job failures are recorded
+    skipped; a torn last line is dropped.  Without it, an ``out_csv``
+    that already holds a row below its header raises
+    :class:`DatasetError` before any encode, as appending would repeat
+    the rows' keys.  Per-job failures are recorded
     on the returned dataset; only meter failures abort the campaign.
     """
     if not jobs:
@@ -301,6 +304,13 @@ def run_campaign(
             if row.preset == "ultrafast":
                 uf_times[(row.sequence_id, row.crf)] = row.t_enc
         logger.info("resuming campaign: %d rows already present", len(rows))
+    elif out_csv is not None and Path(out_csv).is_file() and (
+        Path(out_csv).read_bytes().partition(b"\n")[2].strip()
+    ):
+        raise DatasetError(
+            f"{out_csv} already holds measured rows; pass --resume to continue "
+            f"that campaign, or write to a new file"
+        )
 
     failures: list[tuple[str, str]] = []
     with DatasetWriter(out_csv) if out_csv is not None else contextlib.nullcontext() as writer:

@@ -22,17 +22,59 @@ def run_cli(capsys, *argv):
 
 # ── import ────────────────────────────────────────────────────────────────
 
-def test_cli_import_does_not_load_scipy():
-    # scipy.special is most of the CLI's import time; only t_critical needs it
-    src = str(Path(encwatt.__file__).parents[1])
-    script = (
-        f"import sys; sys.path.insert(0, {src!r}); import encwatt.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# Blocks every scipy import, then runs each subcommand in one process.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+sys.path.insert(0, sys.argv[1])
+from encwatt.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with redirect_stdout(StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_import_does_not_load_scipy(tmp_path, input_file, stub_encoder):
+    # numpy is the only runtime dependency: no subcommand may import scipy,
+    # including measure once its stopping rule reaches a verdict
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}}"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
+    data, report = str(tmp_path / "d.csv"), str(tmp_path / "r.json")
+    commands = [
+        ["measure", str(manifest), "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+         "--encoder-cmd", encoder, "--out", str(tmp_path / "m.csv"),
+         "--min-reps", "2", "--max-reps", "3", "--beta", "0.3"],
+        ["synth", "--out", data, "--seed", "1"],
+        ["crossval", data, "--model", "uf_linear", "--out", report],
+        ["fit", data, "--model", "qp_cubic"],
+        ["estimate", "--defaults", "--t-uf", "2.0"],
+        ["report", report],
+    ]
+    src = str(Path(encwatt.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, src, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), proc.stderr
+    assert scipy_modules == []
+    assert len(load_dataset_csv(tmp_path / "m.csv")) == 1
 
 
 # ── estimate ──────────────────────────────────────────────────────────────
@@ -329,3 +371,52 @@ def test_measure_encoder_failures_exit_four(capsys, tmp_path, input_file, stub_e
     )
     assert code == 4
     assert "failed" in err
+
+
+def test_measure_existing_out_without_resume_exits_two(capsys, tmp_path, input_file,
+                                                        stub_encoder):
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    out = tmp_path / "dataset.csv"
+    run_cli(capsys, "synth", "--out", str(out), "--seed", "1")
+    before = out.read_bytes()
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+        "--encoder-cmd", encoder,
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "--resume" in err
+    assert not calls.exists()
+    assert out.read_bytes() == before
+
+
+def test_measure_csv_meter_without_idle_trace_exits_two(capsys, tmp_path, input_file,
+                                                        stub_encoder):
+    # the replayed trace would also be the idle baseline: every net energy 0 J
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,p_w\n0.0,50.0\n10.0,50.0\n")
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    out = tmp_path / "dataset.csv"
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", f"csv:{trace}",
+        "--encoder-cmd", encoder,
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "--idle-trace" in err
+    assert not calls.exists()
+    assert not out.exists()

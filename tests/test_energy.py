@@ -266,6 +266,40 @@ def test_t_critical_domain_errors():
         t_critical(1.0, 3)
 
 
+ALPHAS = [k / 1000 for k in range(1, 1000)]
+
+
+def test_t_critical_one_and_two_dof_closed_forms():
+    for alpha in ALPHAS:
+        assert t_critical(alpha, 1) == pytest.approx(math.tan(math.pi * (alpha - 0.5)), rel=1e-13)
+        assert t_critical(alpha, 2) == pytest.approx(
+            (2 * alpha - 1) / math.sqrt(2 * alpha * (1 - alpha)), rel=1e-13
+        )
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 10, 49, 200])
+def test_t_critical_strictly_increasing_in_alpha(dof):
+    values = [t_critical(alpha, dof) for alpha in sorted([*ALPHAS, 0.5 - 1e-9, 0.5 + 1e-9])]
+    assert all(lo < hi for lo, hi in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 1000, 10_000])
+def test_t_critical_next_to_one_stays_finite_and_in_the_tail(dof):
+    # the series cannot resolve these tails; the climb must still end in it
+    alpha = 1.0
+    for _ in range(8):
+        alpha = math.nextafter(alpha, 0.0)
+        value = t_critical(alpha, dof)
+        assert math.isfinite(value) and value > t_critical(1 - 1e-6, dof)
+
+
+def test_t_critical_large_dof_approaches_normal_quantile():
+    for alpha in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        assert t_critical(alpha, 10_000) == pytest.approx(
+            statistics.NormalDist().inv_cdf(alpha), abs=1e-3
+        )
+
+
 def test_t_critical_against_scipy_reference():
     for alpha in (0.9, 0.95, 0.99):
         for dof in (1, 2, 5, 17, 60, 200):

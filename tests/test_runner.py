@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from encwatt.dataset import load_dataset_csv
+from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.energy import ConfidencePolicy, PowerTrace
 from encwatt.errors import (
     DatasetError,
@@ -535,3 +535,27 @@ def test_campaign_resume_rejects_corrupt_row_before_the_last(input_file, tmp_pat
     out.write_text(f"{header}\n{row[:20]}\n{row}\n")
     with pytest.raises(DatasetError, match="row 2"):
         run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle, resume=True)
+
+
+def test_campaign_without_resume_refuses_a_csv_that_holds_rows(input_file, tmp_path, monkeypatch):
+    calls = []
+
+    def run_encode(job, encoder_cmd, output_path=None):
+        calls.append(job.label())
+        return EncodeResult(job=job, wall_time=1.0, avg_qp=25.0, bitstream_bytes=100,
+                            encoder_log="")
+
+    monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    out = tmp_path / "campaign.csv"
+    uf = make_job(input_file, preset="ultrafast")
+    out.write_text(",".join(DATASET_COLUMNS) + "\n")  # a header alone is appended to
+    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    assert len(calls) == 2
+    before = out.read_bytes()
+    with pytest.raises(DatasetError, match="--resume"):
+        run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    assert len(calls) == 2
+    assert out.read_bytes() == before
+    assert len(load_dataset_csv(out)) == 1
