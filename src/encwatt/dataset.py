@@ -8,8 +8,10 @@ preset so the ultrafast-probe covariate is defined for all rows.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterator, Optional
 
@@ -18,19 +20,52 @@ from .models import PRESETS
 
 __all__ = ["DATASET_COLUMNS", "DatasetRow", "Dataset", "DatasetWriter", "load_dataset_csv"]
 
-DATASET_COLUMNS = (
-    "sequence_id",
-    "class",
-    "preset",
-    "crf",
-    "frames",
-    "avg_qp",
-    "t_enc_s",
-    "t_enc_uf_s",
-    "energy_j",
-    "reps",
-    "confident",
+logger = logging.getLogger(__name__)
+
+# A text field holding one of these would split its row: the file could
+# not be read back.
+FORBIDDEN_TEXT_CHARS = ",\r\n"
+_FORBIDDEN_TEXT = frozenset(FORBIDDEN_TEXT_CHARS)
+
+
+def check_text_field(name: str, value: str) -> None:
+    """Refuse a text value that a dataset CSV cannot hold."""
+    if not _FORBIDDEN_TEXT.isdisjoint(str(value)):
+        raise DatasetError(
+            f"{name} must not hold any of {', '.join(map(repr, FORBIDDEN_TEXT_CHARS))}, "
+            f"got {value!r}"
+        )
+
+
+def _read_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return raw == "true"
+
+
+def _write_float(value: float) -> str:
+    return repr(float(value))
+
+
+# (column, read rule, write rule) per CSV column, in column order, which
+# is also DatasetRow's field order.  A read rule raises ValueError on a
+# field it cannot read.
+_COLUMNS = (
+    ("sequence_id", str, str),
+    ("class", str, str),
+    ("preset", str, str),
+    ("crf", float, _write_float),
+    ("frames", int, str),
+    ("avg_qp", lambda raw: None if raw == "" else float(raw),
+     lambda value: "" if value is None else _write_float(value)),
+    ("t_enc_s", float, _write_float),
+    ("t_enc_uf_s", float, _write_float),
+    ("energy_j", float, _write_float),
+    ("reps", int, str),
+    ("confident", _read_bool, lambda value: "true" if value else "false"),
 )
+DATASET_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
+_HEADER = ",".join(DATASET_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -48,6 +83,8 @@ class DatasetRow:
     confident: bool = True
 
     def __post_init__(self) -> None:
+        check_text_field("sequence_id", self.sequence_id)
+        check_text_field("class_label", self.class_label)
         if self.preset not in PRESETS:
             raise DatasetError(f"unknown preset {self.preset!r}")
         if not 0 < self.energy < math.inf:
@@ -65,19 +102,10 @@ class DatasetRow:
         return (self.sequence_id, self.preset, self.crf)
 
     def to_csv_fields(self) -> tuple[str, ...]:
-        return (
-            self.sequence_id,
-            self.class_label,
-            self.preset,
-            repr(float(self.crf)),
-            str(self.frames),
-            "" if self.avg_qp is None else repr(float(self.avg_qp)),
-            repr(float(self.t_enc)),
-            repr(float(self.t_enc_uf)),
-            repr(float(self.energy)),
-            str(self.reps),
-            "true" if self.confident else "false",
-        )
+        return tuple([write(value) for (_, _, write), value in zip(_COLUMNS, _row_values(self))])
+
+
+_row_values = operator.attrgetter(*(field.name for field in fields(DatasetRow)))
 
 
 @dataclass(frozen=True)
@@ -125,35 +153,65 @@ class Dataset:
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(DATASET_COLUMNS) + "\n")
+            fh.write(_HEADER + "\n")
             for row in self.rows:
                 fh.write(",".join(row.to_csv_fields()) + "\n")
 
 
 class DatasetWriter:
-    """Incremental CSV writer so partially completed campaigns persist.
+    """Appends a campaign's rows to its dataset CSV, flushing each one.
 
-    Appends to an existing file (validating its header) or starts a new
-    one; every row is flushed as soon as it is written.
+    A missing or empty file is started with the header.  An existing file
+    must begin with the header line and its line end, and, unless
+    ``resume``, hold nothing below it; otherwise :class:`DatasetError` is
+    raised and the file is left as it was.  With ``resume``, a torn last
+    line is dropped and the rows already written are loaded into ``rows``.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, resume: bool = False):
         self.path = Path(path)
+        self.resume = resume
+        self.rows: tuple[DatasetRow, ...] = ()
         self._fh: Optional[IO[str]] = None
 
     def __enter__(self) -> "DatasetWriter":
-        header_needed = True
-        if self.path.exists() and self.path.stat().st_size > 0:
-            with self.path.open("r", encoding="utf-8") as fh:
-                first = fh.readline().rstrip("\n")
-            if first != ",".join(DATASET_COLUMNS):
-                raise DatasetError(f"{self.path}: existing file has unexpected header {first!r}")
-            header_needed = False
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError as exc:
+            raise DatasetError(f"cannot read dataset {self.path}: {exc}") from exc
+        if data:
+            self._take_over(data)
         self._fh = self.path.open("a", encoding="utf-8", newline="\n")
-        if header_needed:
-            self._fh.write(",".join(DATASET_COLUMNS) + "\n")
+        if not data:
+            self._fh.write(_HEADER + "\n")
             self._fh.flush()
         return self
+
+    def _take_over(self, data: bytes) -> None:
+        header = _HEADER.encode()
+        line_end = next((end for end in (b"\r\n", b"\n", b"\r")
+                         if data.startswith(header + end)), None)
+        if line_end is None:
+            raise DatasetError(f"{self.path}: existing file does not begin with the "
+                               f"dataset header line and its line end")
+        if not self.resume:
+            if len(data) > len(header) + len(line_end):
+                raise DatasetError(
+                    f"{self.path} already holds measured rows; pass --resume to continue "
+                    f"that campaign, or write to a new file"
+                )
+            return
+        if not data.endswith((b"\n", b"\r")):
+            # Every row the writer completes ends in a line end, so only the
+            # last line can be torn; appending would glue a row onto it.
+            keep = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            logger.warning("%s: dropping unterminated last line %r",
+                           self.path, data[keep:].decode(errors="replace"))
+            with self.path.open("rb+") as fh:
+                fh.truncate(keep)
+        self.rows = load_dataset_csv(self.path, require_closure=False).rows
 
     def append(self, row: DatasetRow) -> None:
         assert self._fh is not None, "writer used outside its context"
@@ -164,23 +222,6 @@ class DatasetWriter:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def _parse_field(raw: str, column: str, lineno: int, origin: str):
-    try:
-        if column in ("crf", "t_enc_s", "t_enc_uf_s", "energy_j"):
-            return float(raw)
-        if column in ("frames", "reps"):
-            return int(raw)
-        if column == "avg_qp":
-            return None if raw == "" else float(raw)
-        if column == "confident":
-            if raw not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {raw!r}")
-            return raw == "true"
-        return raw
-    except ValueError as exc:
-        raise DatasetError(f"{origin}, row {lineno}, column {column!r}: {exc}") from exc
 
 
 def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
@@ -208,31 +249,19 @@ def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
         )
     rows: list[DatasetRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != len(DATASET_COLUMNS):
+        raw_fields = line.split(",")
+        if len(raw_fields) != len(_COLUMNS):
             raise DatasetError(
-                f"{path}, row {lineno}: expected {len(DATASET_COLUMNS)} columns, got {len(fields)}"
+                f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
             )
-        values = {
-            col: _parse_field(raw, col, lineno, str(path))
-            for col, raw in zip(DATASET_COLUMNS, fields)
-        }
+        values = []
+        for (column, read, _), raw in zip(_COLUMNS, raw_fields):
+            try:
+                values.append(read(raw))
+            except ValueError as exc:
+                raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
         try:
-            rows.append(
-                DatasetRow(
-                    sequence_id=values["sequence_id"],
-                    class_label=values["class"],
-                    preset=values["preset"],
-                    crf=values["crf"],
-                    frames=values["frames"],
-                    avg_qp=values["avg_qp"],
-                    t_enc=values["t_enc_s"],
-                    t_enc_uf=values["t_enc_uf_s"],
-                    energy=values["energy_j"],
-                    reps=values["reps"],
-                    confident=values["confident"],
-                )
-            )
+            rows.append(DatasetRow(*values))
         except DatasetError as exc:
             raise DatasetError(f"{path}, row {lineno}: {exc}") from exc
     dataset = Dataset(rows=tuple(rows), provenance=str(path))

@@ -506,36 +506,44 @@ class CsvReplayMeter(Meter):
         return self._trace
 
 
-def _parse_inline_recipe(text: str) -> tuple[SyntheticRecipe, Optional[float]]:
-    """Parse ``key=value,key=value`` synthetic recipe shorthand."""
-    kwargs: dict[str, float] = {}
-    period: Optional[float] = None
-    aliases = {"base": "base_power", "active": "active_power", "noise": "noise_std"}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"bad recipe item {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        key = aliases.get(key.strip(), key.strip())
-        if key == "period":
-            period = float(value)
-            continue
-        if key not in ("base_power", "active_power", "noise_std", "duration", "seed"):
-            raise ValueError(f"unknown recipe key {key!r}")
-        kwargs[key] = int(value) if key == "seed" else float(value)
-    return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
+_RECIPE_ALIASES = {"base": "base_power", "active": "active_power", "noise": "noise_std"}
+_RECIPE_KEYS = ("base_power", "active_power", "noise_std", "duration", "seed", "period")
 
 
 def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, Optional[float]]:
-    """Load a synthetic recipe from a JSON file or inline shorthand."""
+    """Load a synthetic recipe and its ``period`` from a JSON file or inline shorthand.
+
+    Both forms take the keys of :class:`SyntheticRecipe`, ``period``, and
+    the aliases ``base``, ``active`` and ``noise``.  The shorthand is
+    ``key=value,key=value``.
+    """
     candidate = Path(path_or_inline)
     if candidate.suffix == ".json" or candidate.is_file():
-        data = json.loads(candidate.read_text(encoding="utf-8"))
-        period = data.pop("period", None)
-        return SyntheticRecipe(**data), period
-    return _parse_inline_recipe(path_or_inline)
+        try:
+            data = json.loads(candidate.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read recipe {candidate}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"recipe {candidate} must hold a JSON object")
+        items = list(data.items())
+    else:
+        items = []
+        for item in filter(None, (part.strip() for part in path_or_inline.split(","))):
+            if "=" not in item:
+                raise ValueError(f"bad recipe item {item!r}; expected key=value")
+            key, value = item.split("=", 1)
+            items.append((key.strip(), value))
+    kwargs: dict[str, float] = {}
+    for key, value in items:
+        key = _RECIPE_ALIASES.get(key, key)
+        if key not in _RECIPE_KEYS:
+            raise ValueError(f"unknown recipe key {key!r}")
+        try:
+            kwargs[key] = int(value) if key == "seed" else float(value)
+        except TypeError as exc:
+            raise ValueError(f"recipe key {key!r} needs a number, got {value!r}") from exc
+    period = kwargs.pop("period", None)
+    return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
 
 
 def open_meter(spec: str, sample_period: float) -> Meter:
@@ -550,9 +558,10 @@ def open_meter(spec: str, sample_period: float) -> Meter:
         raise ValueError(f"unknown meter kind {kind!r}; expected csv, counter, or synth")
     if kind == "csv":
         return CsvReplayMeter(target)
-    if sample_period <= 0:
-        raise ValueError(f"sample_period must be > 0, got {sample_period}")
+    recipe, period = load_recipe(target) if kind == "synth" else (None, None)
+    for value in (sample_period, period):
+        if value is not None and value <= 0:
+            raise ValueError(f"sample_period must be > 0, got {value}")
     if kind == "counter":
         return CounterMeter(target, sample_period=sample_period)
-    recipe, period = load_recipe(target)
     return SyntheticMeter(recipe, sample_period=period if period is not None else sample_period)

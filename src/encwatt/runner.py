@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataset import Dataset, DatasetRow, DatasetWriter, load_dataset_csv
+from .dataset import Dataset, DatasetRow, DatasetWriter, check_text_field
 from .energy import (
     ConfidencePolicy,
     MeasurementRecord,
@@ -84,6 +84,8 @@ class EncodeJob:
     def __post_init__(self) -> None:
         if not self.sequence_id:
             raise ValueError("sequence_id must be non-empty")
+        check_text_field("sequence_id", self.sequence_id)
+        check_text_field("class_label", self.class_label)
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.preset not in PRESETS:
@@ -246,22 +248,6 @@ def _campaign_order(jobs: Sequence[EncodeJob]) -> list[EncodeJob]:
     return sorted(jobs, key=lambda j: (j.sequence_id, j.crf, _PRESET_RANK[j.preset]))
 
 
-def _drop_torn_last_line(path: Path) -> None:
-    """Truncate an unterminated last line, as a campaign killed mid-write leaves.
-
-    Every row the writer completes ends in a newline, so only the last
-    line can be torn; appending after it would glue the next row onto it.
-    """
-    with path.open("rb+") as fh:
-        data = fh.read()
-        if data.endswith(b"\n") or not data:
-            return
-        keep = data.rfind(b"\n") + 1
-        torn = data[keep:].decode(errors="replace")
-        logger.warning("%s: dropping unterminated last line %r", path, torn)
-        fh.truncate(keep)
-
-
 def run_campaign(
     jobs: Sequence[EncodeJob],
     encoder_cmd: str,
@@ -275,12 +261,10 @@ def run_campaign(
 
     Jobs run one at a time.  Rows are appended to ``out_csv`` as soon as
     they complete, so an interrupted campaign can be resumed: with
-    ``resume=True`` previously completed rows are loaded and their jobs
-    skipped; a torn last line is dropped.  Without it, an ``out_csv``
-    that already holds a row below its header raises
-    :class:`DatasetError` before any encode, as appending would repeat
-    the rows' keys.  Per-job failures are recorded
-    on the returned dataset; only meter failures abort the campaign.
+    ``resume=True`` the jobs of the rows already there are skipped.
+    :class:`DatasetWriter` decides what an existing file may hold, and
+    refuses it before any encode.  Per-job failures are recorded on the
+    returned dataset; only meter failures abort the campaign.
     """
     if not jobs:
         raise ValueError("job list is empty")
@@ -292,28 +276,15 @@ def run_campaign(
         seen.add(job.key())
     ordered = _campaign_order(expanded)
 
-    rows: list[DatasetRow] = []
-    completed: set[tuple[str, str, float]] = set()
-    uf_times: dict[tuple[str, float], float] = {}
-    if resume and out_csv is not None and Path(out_csv).exists():
-        _drop_torn_last_line(Path(out_csv))
-        previous = load_dataset_csv(out_csv, require_closure=False)
-        rows.extend(previous.rows)
-        for row in previous.rows:
-            completed.add(row.key())
-            if row.preset == "ultrafast":
-                uf_times[(row.sequence_id, row.crf)] = row.t_enc
-        logger.info("resuming campaign: %d rows already present", len(rows))
-    elif out_csv is not None and Path(out_csv).is_file() and (
-        Path(out_csv).read_bytes().partition(b"\n")[2].strip()
-    ):
-        raise DatasetError(
-            f"{out_csv} already holds measured rows; pass --resume to continue "
-            f"that campaign, or write to a new file"
-        )
-
     failures: list[tuple[str, str]] = []
-    with DatasetWriter(out_csv) if out_csv is not None else contextlib.nullcontext() as writer:
+    writer = DatasetWriter(out_csv, resume=resume) if out_csv is not None else None
+    with writer or contextlib.nullcontext():
+        rows = list(writer.rows) if writer is not None else []
+        if rows:
+            logger.info("resuming campaign: %d rows already present", len(rows))
+        completed = {row.key() for row in rows}
+        uf_times = {(row.sequence_id, row.crf): row.t_enc
+                    for row in rows if row.preset == "ultrafast"}
         for job in ordered:
             if job.key() in completed:
                 continue
@@ -321,15 +292,9 @@ def run_campaign(
                 record, result = run_measured_encode(
                     job, encoder_cmd, meter, policy, idle_trace=idle_trace
                 )
-            except AcquisitionError:
-                raise
-            except MeasurementRunError as exc:
+            except (MeasurementRunError, InvalidMeasurementError) as exc:
                 if isinstance(exc.__cause__, AcquisitionError):
                     raise exc.__cause__
-                failures.append((job.label(), str(exc)))
-                logger.error("%s failed: %s", job.label(), exc)
-                continue
-            except (EncodeFailedError, InvalidMeasurementError) as exc:
                 failures.append((job.label(), str(exc)))
                 logger.error("%s failed: %s", job.label(), exc)
                 continue
@@ -394,6 +359,11 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
             raise ManifestError(f"{path}, line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(entry, dict):
             raise ManifestError(f"{path}, line {lineno}: expected an object")
+        extra_args = entry.get("extra_args", [])
+        if not (isinstance(extra_args, list) and all(isinstance(a, str) for a in extra_args)):
+            raise ManifestError(
+                f"{path}, line {lineno}: extra_args must be a list of strings, got {extra_args!r}"
+            )
         try:
             presets = _as_list(entry.get("presets", entry.get("preset", [])))
             crfs = _as_list(entry.get("crfs", entry.get("crf", [])))
@@ -411,12 +381,12 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
                             frames=int(entry["frames"]),
                             preset=preset,
                             crf=float(crf),
-                            extra_args=tuple(entry.get("extra_args", [])),
+                            extra_args=tuple(extra_args),
                         )
                     )
         except KeyError as exc:
             raise ManifestError(f"{path}, line {lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DatasetError) as exc:
             raise ManifestError(f"{path}, line {lineno}: {exc}") from exc
     if not jobs:
         raise ManifestError(f"{path}: manifest defines no jobs")

@@ -128,7 +128,12 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
 
 def load_dataset_recipe(path: str | Path) -> SynthDatasetRecipe:
     """Read a dataset recipe from JSON; unknown keys are rejected."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read recipe {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"recipe {path} must hold a JSON object")
     known = {f.name for f in fields(SynthDatasetRecipe)}
     unknown = set(data) - known
     if unknown:

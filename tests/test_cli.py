@@ -9,7 +9,7 @@ import pytest
 
 import encwatt
 from encwatt.cli import main
-from encwatt.dataset import load_dataset_csv
+from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.models import read_params_file
 from encwatt.synth import GROUND_TRUTH
 
@@ -259,6 +259,14 @@ def test_synth_bad_recipe_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_synth_missing_recipe_file_exits_two(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "synth", "--out", str(tmp_path / "x.csv"),
+                           "--recipe", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "missing.json" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ── measure ───────────────────────────────────────────────────────────────
 
 def write_manifest(path, input_file, presets=("ultrafast", "fast"), crfs=(23,), n_seqs=2):
@@ -420,3 +428,65 @@ def test_measure_csv_meter_without_idle_trace_exits_two(capsys, tmp_path, input_
     assert "--idle-trace" in err
     assert not calls.exists()
     assert not out.exists()
+
+
+def _measure_logging_calls(capsys, tmp_path, input_file, stub_encoder, *args, entry=None):
+    """Run ``measure`` with a stub that logs its calls; return (code, err, call log)."""
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    if entry is not None:
+        manifest.write_text(json.dumps(entry) + "\n")
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    code, _, err = run_cli(capsys, "measure", str(manifest), "--encoder-cmd", encoder, *args)
+    return code, err, calls
+
+
+@pytest.mark.parametrize("resume", [[], ["--resume"]])
+def test_measure_out_with_a_header_but_no_line_end_exits_two(capsys, tmp_path, input_file,
+                                                             stub_encoder, resume):
+    out = tmp_path / "dataset.csv"
+    out.write_text(",".join(DATASET_COLUMNS))
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02", "--out", str(out), *resume,
+    )
+    assert code == 2
+    assert "header" in err
+    assert not calls.exists()
+    assert out.read_text() == ",".join(DATASET_COLUMNS)
+
+
+def test_measure_sequence_id_holding_a_comma_exits_two(capsys, tmp_path, input_file,
+                                                       stub_encoder):
+    entry = {"sequence_id": "a,b", "class": "B", "input": str(input_file), "frames": 100,
+             "preset": "ultrafast", "crf": 23}
+    out = tmp_path / "dataset.csv"
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02", "--out", str(out),
+        entry=entry,
+    )
+    assert code == 2
+    assert "sequence_id" in err
+    assert not calls.exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("meter", ["synth:{missing}", "synth:base=20,period=0",
+                                   "synth:{zero_period}", "synth:{unknown_key}"])
+def test_measure_bad_synthetic_recipe_exits_two_before_any_encode(capsys, tmp_path, input_file,
+                                                                  stub_encoder, meter):
+    recipes = {"missing": tmp_path / "missing.json", "zero_period": tmp_path / "zero.json",
+               "unknown_key": tmp_path / "unknown.json"}
+    recipes["zero_period"].write_text('{"base": 20, "period": 0}')
+    recipes["unknown_key"].write_text('{"base": 20, "bogus": 1}')
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", meter.format(**recipes), "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2, err
+    assert not calls.exists()

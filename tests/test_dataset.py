@@ -1,15 +1,24 @@
 """Dataset schema, CSV round trips, and incremental writing."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from encwatt.dataset import (
     DATASET_COLUMNS,
+    FORBIDDEN_TEXT_CHARS,
     Dataset,
     DatasetRow,
     DatasetWriter,
     load_dataset_csv,
 )
 from encwatt.errors import DatasetError
+from encwatt.models import PRESETS
+
+HEADER = ",".join(DATASET_COLUMNS)
 
 
 def make_row(sequence_id="seq00", preset="medium", crf=23.0, **overrides):
@@ -137,7 +146,7 @@ def test_writer_appends_and_resumes(tmp_path):
     path = tmp_path / "incremental.csv"
     with DatasetWriter(path) as writer:
         writer.append(make_row(preset="ultrafast", t_enc=1.0))
-    with DatasetWriter(path) as writer:
+    with DatasetWriter(path, resume=True) as writer:
         writer.append(make_row())
     loaded = load_dataset_csv(path)
     assert len(loaded) == 2
@@ -148,3 +157,93 @@ def test_writer_rejects_foreign_file(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DatasetError, match="header"):
         DatasetWriter(path).__enter__()
+
+
+@pytest.mark.parametrize("field", ["sequence_id", "class_label"])
+@pytest.mark.parametrize("char", list(FORBIDDEN_TEXT_CHARS))
+def test_row_rejects_text_that_would_split_it(field, char):
+    with pytest.raises(DatasetError, match=field):
+        make_row(**{field: f"a{char}b"})
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_ROW_FIELDS = st.fixed_dictionaries({
+    "sequence_id": _TEXT,
+    "class_label": _TEXT,
+    "preset": st.sampled_from(PRESETS),
+    "crf": st.floats(0.0, 51.0),
+    "frames": st.integers(1, 10**9),
+    "avg_qp": st.none() | st.floats(0.0, 51.0),
+    "t_enc": _POSITIVE,
+    "t_enc_uf": _POSITIVE,
+    "energy": _POSITIVE,
+    "reps": st.integers(1, 1000),
+    "confident": st.booleans(),
+})
+_COMMA_ROW = dict(sequence_id="a,b", class_label="B", preset="medium", crf=23.0, frames=100,
+                  avg_qp=None, t_enc=3.0, t_enc_uf=1.0, energy=350.0, reps=3, confident=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROW_FIELDS, min_size=1, max_size=3,
+                unique_by=lambda f: (f["sequence_id"], f["preset"], f["crf"])))
+@example([_COMMA_ROW])
+def test_every_valid_row_written_reads_back_equal(row_fields):
+    try:
+        rows = tuple(DatasetRow(**f) for f in row_fields)
+    except DatasetError:
+        return  # not a valid row
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with DatasetWriter(path) as writer:
+            for row in rows:
+                writer.append(row)
+        assert load_dataset_csv(path, require_closure=False).rows == rows
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_writer_refuses_a_header_without_its_line_end(tmp_path, resume):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER)
+    with pytest.raises(DatasetError, match="header"):
+        DatasetWriter(path, resume=resume).__enter__()
+    assert path.read_text() == HEADER
+
+
+@pytest.mark.parametrize("below", ["\n", " \n", "seqA,B,fast"])
+def test_writer_without_resume_refuses_anything_below_the_header(tmp_path, below):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + "\n" + below)
+    with pytest.raises(DatasetError, match="--resume"):
+        DatasetWriter(path).__enter__()
+    assert path.read_text() == HEADER + "\n" + below
+
+
+def test_writer_resumes_a_crlf_file(tmp_path):
+    path = tmp_path / "d.csv"
+    first = make_row(preset="ultrafast", t_enc=1.0)
+    path.write_bytes(f"{HEADER}\r\n{','.join(first.to_csv_fields())}\r\n".encode())
+    with DatasetWriter(path, resume=True) as writer:
+        assert writer.rows == (first,)
+        writer.append(make_row())
+    assert load_dataset_csv(path).rows == (first, make_row())
+
+
+def test_writer_resume_drops_a_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "d.csv"
+    complete = f"{HEADER}\n{','.join(make_row(preset='ultrafast', t_enc=1.0).to_csv_fields())}\n"
+    path.write_text(complete + "seq00,B,med")
+    with caplog.at_level("WARNING", logger="encwatt.dataset"):
+        with DatasetWriter(path, resume=True) as writer:
+            assert len(writer.rows) == 1
+    assert path.read_text() == complete
+    assert any("unterminated last line 'seq00,B,med'" in r.message for r in caplog.records)
+
+
+def test_writer_starts_a_missing_or_empty_file_with_the_header(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    for path in (tmp_path / "missing.csv", tmp_path / "empty.csv"):
+        with DatasetWriter(path, resume=True) as writer:
+            assert writer.rows == ()
+        assert path.read_text() == HEADER + "\n"

@@ -640,6 +640,34 @@ def test_open_meter_synthetic_inline_and_json(tmp_path):
     assert meter.recipe.active_power == 5.0
 
 
+def test_json_recipe_takes_the_inline_aliases_and_keys(tmp_path):
+    recipe_file = tmp_path / "recipe.json"
+    recipe_file.write_text('{"base": 20, "active": 5, "noise": 0.5, "seed": 3, "period": 0.05}')
+    json_meter = open_meter(f"synth:{recipe_file}", 0.1)
+    inline_meter = open_meter("synth:base=20,active=5,noise=0.5,seed=3,period=0.05", 0.1)
+    assert json_meter.recipe == inline_meter.recipe
+    assert json_meter.sample_period == inline_meter.sample_period == 0.05
+    recipe_file.write_text('{"base": 20, "bogus": 1}')
+    with pytest.raises(ValueError, match="unknown recipe key 'bogus'"):
+        open_meter(f"synth:{recipe_file}", 0.1)
+
+
+def test_recipe_file_that_cannot_be_read_is_named(tmp_path):
+    for text in (None, "{not json", "[1, 2]"):
+        recipe_file = tmp_path / "recipe.json"
+        recipe_file.unlink(missing_ok=True)
+        if text is not None:
+            recipe_file.write_text(text)
+        with pytest.raises(ValueError, match="recipe.json"):
+            open_meter(f"synth:{recipe_file}", 0.1)
+
+
+@pytest.mark.parametrize("spec", ["synth:base=20,period=0", "synth:period=-0.1"])
+def test_recipe_period_gets_the_sample_period_check(spec):
+    with pytest.raises(ValueError, match="sample_period must be > 0"):
+        open_meter(spec, 0.1)
+
+
 def test_csv_replay_meter(tmp_path):
     f = tmp_path / "trace.csv"
     f.write_text("t_s,p_w\n0.0,20.0\n5.0,20.0\n10.0,20.0\n")

@@ -1,5 +1,6 @@
 """Encoder orchestration: single encodes, measured encodes, campaigns."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.energy import ConfidencePolicy, PowerTrace
 from encwatt.errors import (
+    AcquisitionError,
     DatasetError,
     EncodeFailedError,
     ManifestError,
@@ -274,6 +276,31 @@ def test_load_manifest_errors(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ManifestError, match="no jobs"):
         load_manifest(empty)
+
+
+@pytest.mark.parametrize("extra_args", ['"--foo"', '["--foo", 1]', '{"a": "b"}', "null"])
+def test_load_manifest_takes_extra_args_only_as_a_list_of_strings(tmp_path, extra_args):
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(
+        '{"sequence_id": "s1", "input": "a.yuv", "frames": 10, "preset": "fast", "crf": 23}\n'
+        '{"sequence_id": "s2", "input": "a.yuv", "frames": 10, "preset": "fast", "crf": 23, '
+        f'"extra_args": {extra_args}}}\n'
+    )
+    with pytest.raises(ManifestError, match="line 2.*extra_args"):
+        load_manifest(manifest)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sequence_id", "a,b"), ("sequence_id", "a\rb"), ("class", "B\n"),
+])
+def test_load_manifest_refuses_text_a_dataset_row_cannot_hold(tmp_path, key, value):
+    entry = {"sequence_id": "s1", "class": "B", "input": "a.yuv", "frames": 10,
+             "preset": "fast", "crf": 23}
+    entry[key] = value
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n")
+    with pytest.raises(ManifestError, match="line 1"):
+        load_manifest(manifest)
 
 
 # ── campaigns ─────────────────────────────────────────────────────────────
@@ -559,3 +586,33 @@ def test_campaign_without_resume_refuses_a_csv_that_holds_rows(input_file, tmp_p
     assert len(calls) == 2
     assert out.read_bytes() == before
     assert len(load_dataset_csv(out)) == 1
+
+
+class FailingReplayMeter(CsvReplayMeter):
+    """Fails on its recording number ``fail_at``, as a meter lost mid-campaign."""
+
+    def __init__(self, path, fail_at):
+        super().__init__(path)
+        self.fail_at = fail_at
+        self.recordings = 0
+
+    def record(self, activity):
+        self.recordings += 1
+        if self.recordings == self.fail_at:
+            raise AcquisitionError("counter vanished")
+        return super().record(activity)
+
+
+def test_campaign_aborts_on_a_meter_failure_and_keeps_the_rows_before_it(
+        input_file, tmp_path, monkeypatch):
+    _fake_encodes(monkeypatch, [1.0] * 4)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    _, idle = _replay(tmp_path)
+    meter = FailingReplayMeter(tmp_path / "replay.csv", fail_at=3)
+    out = tmp_path / "campaign.csv"
+    jobs = [make_job(input_file, preset="ultrafast"), make_job(input_file, preset="fast")]
+    with pytest.raises(AcquisitionError, match="counter vanished"):
+        run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+    assert meter.recordings == 3
+    (row,) = load_dataset_csv(out).rows
+    assert row.preset == "ultrafast" and row.reps == 2
