@@ -87,6 +87,8 @@ class DatasetRow:
         check_text_field("class_label", self.class_label)
         if self.preset not in PRESETS:
             raise DatasetError(f"unknown preset {self.preset!r}")
+        if not 0.0 <= self.crf <= 51.0:
+            raise DatasetError(f"crf must be in [0, 51], got {self.crf}")
         if not 0 < self.energy < math.inf:
             raise DatasetError(f"energy must be finite and > 0, got {self.energy}")
         if not 0 < self.t_enc < math.inf:

@@ -10,7 +10,6 @@ exactly by vertex exchange, for sensitivity checks.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,9 +27,8 @@ from .models import (
     PRESETS,
     LinearParams,
     QpModelParams,
-    QpRangeWarning,
-    predict_energy_linear,
-    predict_energy_qp,
+    affine_energy_law,
+    qp_time_law,
 )
 
 __all__ = [
@@ -153,10 +151,6 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     raise FitError(f"abs_rel vertex exchange not certified optimal after {cap} pivots")
 
 
-def _covariate(row: DatasetRow, covariate_kind: str) -> float:
-    return row.t_enc if covariate_kind == "own_time" else row.t_enc_uf
-
-
 @dataclass(frozen=True)
 class FitResult:
     """One cell's fitted parameters plus the training-residual summary.
@@ -172,34 +166,23 @@ class FitResult:
     mean_abs_rel_error: float
     n_rows: int
 
-    def predict(self, row: DatasetRow) -> float:
-        """Energy the fitted model predicts for ``row``, in joules."""
-        if isinstance(self.params, QpModelParams):
-            return predict_energy_qp(self.params, row.avg_qp)
-        return predict_energy_linear(self.params, _covariate(row, self.params.covariate_kind))
-
 
 def _fit_result(
     preset: str, class_label: str, params, preds: np.ndarray, energy: np.ndarray
 ) -> FitResult:
-    errors = tuple(float(e) for e in (preds - energy) / energy)
+    errors = (preds - energy) / energy
     mean = mean_abs_relative_error(errors)
-    return FitResult(preset, class_label, params, errors, mean, len(errors))
+    return FitResult(preset, class_label, params, tuple(errors.tolist()), mean, len(errors))
 
 
-def _fit_linear_rows(
-    rows: Sequence[DatasetRow],
-    preset: str,
-    covariate_kind: str,
-    objective: str,
+def _fit_linear(
+    t: np.ndarray, energy: np.ndarray, preset: str, covariate_kind: str, objective: str
 ) -> FitResult:
-    t = np.array([_covariate(r, covariate_kind) for r in rows])
-    energy = np.array([r.energy for r in rows])
-    if len(rows) > 0 and np.all(t == t[0]):
+    if len(t) > 0 and np.all(t == t[0]):
         raise SingularFitError(f"preset {preset!r}: all {covariate_kind} values equal ({t[0]})")
-    if len(rows) < 3:
+    if len(t) < 3:
         raise UnderdeterminedFitError(
-            f"preset {preset!r}: {len(rows)} rows; need at least 3 to fit the affine model"
+            f"preset {preset!r}: {len(t)} rows; need at least 3 to fit the affine model"
         )
     design = np.column_stack([t, np.ones_like(t)])
     try:
@@ -224,7 +207,9 @@ def fit_linear_model(
     ``1/E`` row weights), or the mean absolute relative error when
     ``objective="abs_rel"``.
     """
-    return _fit_linear_rows(data.rows_for_preset(preset), preset, covariate_kind, objective)
+    model_kind = "time_linear" if covariate_kind == "own_time" else "uf_linear"
+    t, energy = _columns(data.rows_for_preset(preset), model_kind)
+    return _fit_linear(t, energy, preset, covariate_kind, objective)
 
 
 def _qp_design(qp: np.ndarray) -> np.ndarray:
@@ -238,18 +223,12 @@ def _require_avg_qp(rows: Sequence[DatasetRow], cell: str) -> None:
         raise DatasetError(f"{cell}: rows missing avg_qp: {missing}")
 
 
-def _fit_qp_rows(
-    rows: Sequence[DatasetRow],
-    preset: str,
-    class_label: str,
-    objective: str,
+def _fit_qp(
+    qp: np.ndarray, energy: np.ndarray, preset: str, class_label: str, objective: str
 ) -> FitResult:
     cell = f"preset {preset!r}, class {class_label!r}"
-    _require_avg_qp(rows, cell)
-    if len(rows) < 5:
-        raise UnderdeterminedFitError(f"{cell}: {len(rows)} rows; need at least 5")
-    qp = np.array([r.avg_qp for r in rows], dtype=float)
-    energy = np.array([r.energy for r in rows])
+    if len(qp) < 5:
+        raise UnderdeterminedFitError(f"{cell}: {len(qp)} rows; need at least 5")
     design = _qp_design(qp)
     try:
         coef = _solve_relative_ls(design, energy, objective)
@@ -279,7 +258,8 @@ def fit_qp_model(
 ) -> FitResult:
     """Fit the cubic-in-QP model for one (preset, class) cell."""
     rows = [r for r in data.rows_for_preset(preset) if r.class_label == class_label]
-    return _fit_qp_rows(rows, preset, class_label, objective)
+    _require_avg_qp(rows, f"preset {preset!r}, class {class_label!r}")
+    return _fit_qp(*_columns(rows, "qp_cubic"), preset, class_label, objective)
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
@@ -391,11 +371,18 @@ class FitReport:
         )
 
 
-# The covariate of each linear model kind; the other kind is the QP law.
-_LINEAR_COVARIATE = {"time_linear": "own_time", "uf_linear": "ultrafast_time"}
+# The row field each model kind reads as its covariate.
+_COVARIATE = {"qp_cubic": "avg_qp", "time_linear": "t_enc", "uf_linear": "t_enc_uf"}
 
 _Cells = dict[str, dict[str, list[DatasetRow]]]
 _Fits = dict[str, dict[str, FitResult]]
+
+
+def _columns(rows: Sequence[DatasetRow], model_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The covariate and energy arrays of ``rows`` for ``model_kind``, in row order."""
+    field = _COVARIATE[model_kind]
+    return (np.array([getattr(r, field) for r in rows], dtype=float),
+            np.array([r.energy for r in rows], dtype=float))
 
 
 def _cells(data: Dataset, model_kind: str) -> _Cells:
@@ -429,21 +416,14 @@ def _cells(data: Dataset, model_kind: str) -> _Cells:
 
 
 def _fit_cell(
-    rows: Sequence[DatasetRow], model_kind: str, preset: str, class_label: str, objective: str
+    x: np.ndarray, energy: np.ndarray, model_kind: str, preset: str, class_label: str,
+    objective: str,
 ) -> FitResult:
-    """Fit the model of ``model_kind`` to the rows of one cell."""
-    if model_kind in _LINEAR_COVARIATE:
-        return _fit_linear_rows(rows, preset, _LINEAR_COVARIATE[model_kind], objective)
-    return _fit_qp_rows(rows, preset, class_label, objective)
-
-
-def _full_data_fits(cells: _Cells, model_kind: str, objective: str) -> _Fits:
-    """One fit per cell of the complete dataset."""
-    return {
-        preset: {cls: _fit_cell(rows, model_kind, preset, cls, objective)
-                 for cls, rows in classes.items()}
-        for preset, classes in cells.items()
-    }
+    """Fit the model of ``model_kind`` to one cell's covariate and energy arrays."""
+    if model_kind == "qp_cubic":
+        return _fit_qp(x, energy, preset, class_label, objective)
+    covariate_kind = "own_time" if model_kind == "time_linear" else "ultrafast_time"
+    return _fit_linear(x, energy, preset, covariate_kind, objective)
 
 
 def _report(
@@ -503,45 +483,44 @@ def cross_validate(
     preset's error averages its cells' errors.
     """
     cells = _cells(data, model_kind)
+    fits: _Fits = {}
     cell_errors: dict[str, dict[str, float]] = {}
-    fold_errors: list[list[float]] = [[] for _ in range(k)]
+    fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
     key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
+    # QP fits are in the energy domain (p_avg 1), so their time law is the energy law.
+    law = qp_time_law if model_kind == "qp_cubic" else affine_energy_law
 
     for preset, classes in cells.items():
         for class_label, rows in classes.items():
             context = f"preset {preset!r}" + (f", class {class_label!r}" if class_label else "")
-            # Fold assignment happens on this sort order, making reports
-            # independent of the input row order.
-            ordered = sorted(rows, key=lambda r: (r.sequence_id, r.preset, r.crf))
+            x, energy = _columns(rows, model_kind)
+            # Folds are drawn on the rows sorted by key, making reports
+            # independent of the input row order; a fold holds positions in it.
+            order = np.array(sorted(range(len(rows)), key=lambda i: rows[i].key()))
             if key_fold is not None:
-                folds: Sequence[Sequence[int]] = [
-                    [i for i, r in enumerate(ordered)
-                     if key_fold[(r.sequence_id, r.crf)] == fold_index]
-                    for fold_index in range(k)
-                ]
+                row_fold = np.array([key_fold[(r.sequence_id, r.crf)] for r in rows])[order]
+                folds = [np.flatnonzero(row_fold == fold_index) for fold_index in range(k)]
             else:
-                if len(ordered) < k:
-                    raise ValueError(f"{context}: {len(ordered)} rows cannot fill {k} folds")
-                folds = kfold_split(len(ordered), k, seed)
-            held_out: list[float] = []
-            # Held-out QPs may lie outside the training fold's range by design.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", QpRangeWarning)
-                for fold_index, fold in enumerate(folds):
-                    if not fold:
-                        continue  # joint split: this cell has no bitstream in the fold
-                    fold_set = set(fold)
-                    train = [r for i, r in enumerate(ordered) if i not in fold_set]
-                    try:
-                        fitted = _fit_cell(train, model_kind, preset, class_label, objective)
-                    except FitError as exc:
-                        raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-                    for i in fold:
-                        row = ordered[i]
-                        err = relative_error(fitted.predict(row), row.energy)
-                        held_out.append(err)
-                        fold_errors[fold_index].append(err)
-            cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(held_out)
+                if len(rows) < k:
+                    raise ValueError(f"{context}: {len(rows)} rows cannot fill {k} folds")
+                folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
+            held_out: list[np.ndarray] = []
+            for fold_index, fold in enumerate(folds):
+                if len(fold) == 0:
+                    continue  # joint split: this cell has no bitstream in the fold
+                train, test = np.delete(order, fold), order[fold]
+                try:
+                    fitted = _fit_cell(x[train], energy[train], model_kind, preset, class_label,
+                                       objective)
+                except FitError as exc:
+                    raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
+                errors = (law(fitted.params, x[test]) - energy[test]) / energy[test]
+                held_out.append(errors)
+                fold_errors[fold_index].append(errors)
+            cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
+                np.concatenate(held_out))
+            fits.setdefault(preset, {})[class_label] = _fit_cell(
+                x, energy, model_kind, preset, class_label, objective)
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):
@@ -550,9 +529,9 @@ def cross_validate(
                 f"fold {fold_index} validated no rows; the dataset is too sparse "
                 f"for a {k}-fold joint split"
             )
-        per_fold.append(mean_abs_relative_error(errs))
+        per_fold.append(mean_abs_relative_error(np.concatenate(errs)))
 
-    return _report(model_kind, _full_data_fits(cells, model_kind, objective), cell_errors,
+    return _report(model_kind, fits, cell_errors,
                    validation="kfold", k=k, seed=seed, objective=objective,
                    per_fold_errors=tuple(per_fold), tool_version=tool_version)
 
@@ -565,7 +544,11 @@ def fit_report(
     tool_version: str = "",
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation)."""
-    fits = _full_data_fits(_cells(data, model_kind), model_kind, objective)
+    fits = {
+        preset: {cls: _fit_cell(*_columns(rows, model_kind), model_kind, preset, cls, objective)
+                 for cls, rows in classes.items()}
+        for preset, classes in _cells(data, model_kind).items()
+    }
     training_errors = {preset: {cls: fit.mean_abs_rel_error for cls, fit in classes.items()}
                        for preset, classes in fits.items()}
     return _report(model_kind, fits, training_errors, validation="in_sample", k=0, seed=seed,

@@ -12,8 +12,7 @@ activity and one it takes just after, with a sampler thread polling in
 between only to catch wraps, and is returned as a flat two-sample trace
 over the time between the two readings.  The wrap-around modulus is read
 once, when the meter is built, from a sibling ``max_energy_range_uj``
-file when there is one (as in a powercap zone), else from the
-``ENCWATT_WRAP_UJ`` environment variable, else 2**32.
+file when there is one (as in a powercap zone), else it is 2**32.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import abc
 import contextlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -56,7 +54,6 @@ __all__ = [
 
 DEFAULT_POLL_PERIOD = 0.1  # seconds; configuration default, not a measured value
 DEFAULT_WRAP_UJ = 2**32
-WRAP_ENV_VAR = "ENCWATT_WRAP_UJ"
 
 TRACE_HEADER = "t_s,p_w"
 
@@ -181,23 +178,20 @@ def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
 
 
 def _wrap_modulus(counter_path: str | Path) -> int:
-    """The counter's wrap modulus: sibling range file, else environment, else 2**32."""
+    """The counter's wrap modulus: its sibling range file, else 2**32."""
     range_file = Path(counter_path).with_name("max_energy_range_uj")
-    source, raw = WRAP_ENV_VAR, os.environ.get(WRAP_ENV_VAR)
-    if range_file.is_file():
-        source = str(range_file)
-        try:
-            raw = range_file.read_text().strip()
-        except OSError as exc:
-            raise AcquisitionError(f"cannot read {source}: {exc}") from exc
-    if raw is None:
+    if not range_file.is_file():
         return DEFAULT_WRAP_UJ
+    try:
+        raw = range_file.read_text().strip()
+    except OSError as exc:
+        raise AcquisitionError(f"cannot read {range_file}: {exc}") from exc
     try:
         value = int(raw)
     except ValueError as exc:
-        raise AcquisitionError(f"{source} must be an integer, got {raw!r}") from exc
+        raise AcquisitionError(f"{range_file} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise AcquisitionError(f"{source} must be positive, got {value}")
+        raise AcquisitionError(f"{range_file} must be positive, got {value}")
     return value
 
 

@@ -26,6 +26,8 @@ __all__ = [
     "QpModelParams",
     "LinearParams",
     "QpRangeWarning",
+    "qp_time_law",
+    "affine_energy_law",
     "predict_time_qp",
     "predict_energy_qp",
     "predict_energy_linear",
@@ -98,6 +100,16 @@ class LinearParams:
             )
 
 
+def qp_time_law(params: QpModelParams, qp):
+    """``kappa*qp^3 - lam*qp^2 - mu*qp + t0`` for a QP or an array of QPs, unchecked."""
+    return params.kappa * qp**3 - params.lam * qp**2 - params.mu * qp + params.t0
+
+
+def affine_energy_law(params: LinearParams, t):
+    """``e0 + p * t`` joules for a time or an array of times, unchecked."""
+    return params.e0 + params.p * t
+
+
 def predict_time_qp(params: QpModelParams, qp: float) -> float:
     """Encoding time predicted by the cubic QP model, in seconds."""
     if not 0.0 <= qp <= 51.0:
@@ -110,7 +122,7 @@ def predict_time_qp(params: QpModelParams, qp: float) -> float:
                 QpRangeWarning,
                 stacklevel=2,
             )
-    return params.kappa * qp**3 - params.lam * qp**2 - params.mu * qp + params.t0
+    return qp_time_law(params, qp)
 
 
 def predict_energy_qp(params: QpModelParams, qp: float) -> float:
@@ -122,7 +134,7 @@ def predict_energy_linear(params: LinearParams, t: float) -> float:
     """Energy predicted by an affine model: ``e0 + p * t`` joules."""
     if t <= 0:
         raise ValueError(f"encoding time must be > 0, got {t}")
-    return params.e0 + params.p * t
+    return affine_energy_law(params, t)
 
 
 def write_params_file(

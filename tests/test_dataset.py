@@ -62,6 +62,22 @@ def test_row_rejects_values_no_encode_produces(field, value):
         make_row(**{field: value})
 
 
+@pytest.mark.parametrize("crf", [float("nan"), 60.0, -1.0, float("inf"), -float("inf")])
+def test_row_holds_crf_to_the_encoder_range(crf):
+    # a NaN CRF used to write, then fail the ultrafast closure on load
+    with pytest.raises(DatasetError, match="crf"):
+        make_row(crf=crf, avg_qp=None)
+
+
+def test_load_names_row_of_a_crf_outside_the_encoder_range(tmp_path):
+    path = tmp_path / "bad.csv"
+    Dataset(rows=(make_row(preset="ultrafast", t_enc=1.0), make_row())).write_csv(path)
+    text = path.read_text().replace(",23.0,", ",nan,")
+    path.write_text(text)
+    with pytest.raises(DatasetError, match="row 2.*crf"):
+        load_dataset_csv(path)
+
+
 def test_row_accepts_qp_range_ends_and_missing_qp():
     for qp in (0.0, 51.0, None):
         assert make_row(avg_qp=qp).avg_qp == qp

@@ -1,6 +1,7 @@
 """Least-squares fitting, error metrics, and cross-validation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from encwatt.errors import (
     UnderdeterminedFitError,
 )
 from encwatt.fitting import (
+    MODEL_KINDS,
     FitReport,
     cross_validate,
     fit_linear_model,
@@ -24,6 +26,7 @@ from encwatt.fitting import (
     mean_abs_relative_error,
     relative_error,
 )
+from encwatt.models import QpRangeWarning, predict_energy_linear, predict_energy_qp
 from encwatt.synth import SynthDatasetRecipe, generate_dataset
 
 
@@ -402,6 +405,69 @@ def test_cross_validation_equals_leave_one_out():
         pred = fit.params.e0 + fit.params.p * rows[i].t_enc
         errors.append(abs(relative_error(pred, rows[i].energy)))
     assert report.per_preset_error["medium"] == pytest.approx(float(np.mean(errors)), rel=1e-12)
+
+
+COVARIATE_KIND = {"time_linear": "own_time", "uf_linear": "ultrafast_time"}
+
+
+def per_row_crossval(ds, model_kind, k, seed, joint_folds):
+    """Cell and fold errors of a k-fold crossval, one row at a time through the public API."""
+    keys = sorted({(r.sequence_id, r.crf) for r in ds.rows})
+    key_fold = {keys[i]: f for f, fold in enumerate(kfold_split(len(keys), k, seed)) for i in fold}
+    cell_errors, fold_errors = {}, [[] for _ in range(k)]
+    for preset in ds.presets():
+        if model_kind == "uf_linear" and preset == "ultrafast":
+            continue
+        in_preset = ds.rows_for_preset(preset)
+        labels = sorted({r.class_label for r in in_preset}) if model_kind == "qp_cubic" else [""]
+        for label in labels:
+            rows = sorted((r for r in in_preset if label in ("", r.class_label)),
+                          key=lambda r: r.key())
+            if joint_folds:
+                folds = [[i for i, r in enumerate(rows) if key_fold[(r.sequence_id, r.crf)] == f]
+                         for f in range(k)]
+            else:
+                folds = kfold_split(len(rows), k, seed)
+            held_out = []
+            for f, fold in enumerate(folds):
+                if not fold:
+                    continue
+                train = Dataset(rows=tuple(r for i, r in enumerate(rows) if i not in fold))
+                if model_kind == "qp_cubic":
+                    params = fit_qp_model(train, preset, label).params
+                else:
+                    params = fit_linear_model(train, preset, COVARIATE_KIND[model_kind]).params
+                for i in fold:
+                    row = rows[i]
+                    if model_kind == "qp_cubic":
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", QpRangeWarning)
+                            pred = predict_energy_qp(params, row.avg_qp)
+                    else:
+                        t = row.t_enc if model_kind == "time_linear" else row.t_enc_uf
+                        pred = predict_energy_linear(params, t)
+                    held_out.append(relative_error(pred, row.energy))
+                    fold_errors[f].append(held_out[-1])
+            cell_errors[(preset, label)] = mean_abs_relative_error(held_out)
+    return cell_errors, [mean_abs_relative_error(errs) for errs in fold_errors]
+
+
+@pytest.mark.parametrize("joint_folds", [False, True])
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_cross_validation_equals_a_per_row_reference(model_kind, joint_folds):
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=15, seed=4))
+    shuffled = Dataset(rows=tuple(reversed(ds.rows)))  # folds must not follow the input order
+    report = cross_validate(shuffled, model_kind, k=5, seed=3, joint_folds=joint_folds)
+    cell_errors, fold_errors = per_row_crossval(ds, model_kind, 5, 3, joint_folds)
+    if model_kind == "qp_cubic":
+        got = {(p, c): e for p, classes in report.per_class_error.items()
+               for c, e in classes.items()}
+    else:
+        got = {(p, ""): e for p, e in report.per_preset_error.items()}
+    assert got.keys() == cell_errors.keys()
+    for cell, expected in cell_errors.items():
+        assert got[cell] == pytest.approx(expected, rel=1e-12), cell
+    assert report.per_fold_errors == pytest.approx(fold_errors, rel=1e-12)
 
 
 def test_cross_validation_invariant_to_row_order():

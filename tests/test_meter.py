@@ -249,8 +249,7 @@ def stopped():
     return event
 
 
-def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("ENCWATT_WRAP_UJ", raising=False)
+def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path):
     zone = tmp_path / "intel-rapl:0"
     zone.mkdir()
     rapl_max = 262143328850
@@ -315,8 +314,8 @@ def test_sampling_non_integer_counter_raises(tmp_path):
         sample_counter_file(f, 0.1, stopped())
 
 
-def test_wrap_modulus_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ENCWATT_WRAP_UJ", "1000")
+def test_wrap_modulus_env_override(tmp_path):
+    (tmp_path / "max_energy_range_uj").write_text("1000\n")
     # starts at 900, wraps at 1000: deltas 200, 200
     counter = ScriptedCounter(tmp_path / "energy_uj", 900, [100, 300])
     modulus = CounterMeter(counter.path)._modulus

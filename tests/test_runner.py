@@ -189,27 +189,30 @@ def test_measured_encode_counts_only_the_encode(input_file, tmp_path, monkeypatc
     # The encoder advances a live counter by exactly 1 J within its own wall
     # time, and making a temporary file takes 10 ms.  A repetition that
     # recorded the bitstream file's creation would spread the joule over
-    # that longer span and read about a third low.
+    # that longer span and read about a third low.  Only the fake encoder
+    # and the fake mkstemp advance the clock, so the spans are exact.
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
     joule_uj = 1_000_000
+    now = [0.0]
 
     def encoder(argv, **kwargs):
-        time.sleep(0.01)
+        now[0] += 0.01
         scratch = tmp_path / "energy_uj.tmp"
         scratch.write_text(str(int(counter.read_text()) + joule_uj))
         os.replace(scratch, counter)
-        time.sleep(0.01)
+        now[0] += 0.01
         return subprocess.CompletedProcess(argv, 0, stdout="Avg QP:25.00", stderr="")
 
     mkstemp = tempfile.mkstemp
 
     def slow_mkstemp(*args, **kwargs):
-        time.sleep(0.01)
+        now[0] += 0.01
         return mkstemp(*args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", encoder)
     monkeypatch.setattr(tempfile, "mkstemp", slow_mkstemp)
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
     idle = PowerTrace([(0.0, 0.0), (1.0, 0.0)])
     policy = ConfidencePolicy(beta=0.5, min_reps=5, max_reps=5)
     record, _ = run_measured_encode(make_job(input_file), "enc {output}", CounterMeter(counter),
