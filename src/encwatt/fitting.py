@@ -9,9 +9,8 @@ exactly by vertex exchange, for sensitivity checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,10 @@ from .errors import (
     UnderdeterminedFitError,
 )
 from .models import (
+    MODEL_KINDS,
+    OBJECTIVES,
     PRESETS,
+    FitReport,
     LinearParams,
     QpModelParams,
     affine_energy_law,
@@ -44,9 +46,6 @@ __all__ = [
     "fit_report",
     "FitReport",
 ]
-
-OBJECTIVES = ("squared_rel", "abs_rel")
-MODEL_KINDS = ("qp_cubic", "time_linear", "uf_linear")
 
 _PIVOTS_PER_ROW = 10  # vertex-exchange cap of an abs_rel fit, per row; reaching it raises
 _ZERO_RESIDUAL = 1e-12  # a residual or rate within this share of its terms' size counts as 0
@@ -167,32 +166,46 @@ class FitResult:
     n_rows: int
 
 
+def _training_errors(
+    params: LinearParams | QpModelParams, x: np.ndarray, energy: np.ndarray
+) -> np.ndarray:
+    """Relative errors of ``params`` on the covariates ``x`` and energies it was fitted to."""
+    if isinstance(params, QpModelParams):
+        preds = _qp_design(x) @ np.array([params.kappa, params.lam, params.mu, params.t0])
+    else:
+        preds = _linear_design(x) @ np.array([params.p, params.e0])
+    return (preds - energy) / energy
+
+
 def _fit_result(
-    preset: str, class_label: str, params, preds: np.ndarray, energy: np.ndarray
+    preset: str, class_label: str, params: LinearParams | QpModelParams, x: np.ndarray,
+    energy: np.ndarray,
 ) -> FitResult:
-    errors = (preds - energy) / energy
+    errors = _training_errors(params, x, energy)
     mean = mean_abs_relative_error(errors)
     return FitResult(preset, class_label, params, tuple(errors.tolist()), mean, len(errors))
 
 
+def _linear_design(t: np.ndarray) -> np.ndarray:
+    return np.column_stack([t, np.ones_like(t)])
+
+
 def _fit_linear(
     t: np.ndarray, energy: np.ndarray, preset: str, covariate_kind: str, objective: str
-) -> FitResult:
+) -> LinearParams:
     if len(t) > 0 and np.all(t == t[0]):
         raise SingularFitError(f"preset {preset!r}: all {covariate_kind} values equal ({t[0]})")
     if len(t) < 3:
         raise UnderdeterminedFitError(
             f"preset {preset!r}: {len(t)} rows; need at least 3 to fit the affine model"
         )
-    design = np.column_stack([t, np.ones_like(t)])
     try:
-        slope, offset = _solve_relative_ls(design, energy, objective)
+        slope, offset = _solve_relative_ls(_linear_design(t), energy, objective)
     except FitError as exc:
         raise _tag_fit_error(exc, f"preset {preset!r}") from exc
     if slope <= 0:
         raise FitRejectedError(f"preset {preset!r}: fitted slope {slope:.6g} W is not positive")
-    params = LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
-    return _fit_result(preset, "", params, design @ np.array([slope, offset]), energy)
+    return LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
 
 
 def fit_linear_model(
@@ -209,7 +222,8 @@ def fit_linear_model(
     """
     model_kind = "time_linear" if covariate_kind == "own_time" else "uf_linear"
     t, energy = _columns(data.rows_for_preset(preset), model_kind)
-    return _fit_linear(t, energy, preset, covariate_kind, objective)
+    return _fit_result(preset, "", _fit_linear(t, energy, preset, covariate_kind, objective),
+                       t, energy)
 
 
 def _qp_design(qp: np.ndarray) -> np.ndarray:
@@ -225,7 +239,7 @@ def _require_avg_qp(rows: Sequence[DatasetRow], cell: str) -> None:
 
 def _fit_qp(
     qp: np.ndarray, energy: np.ndarray, preset: str, class_label: str, objective: str
-) -> FitResult:
+) -> QpModelParams:
     cell = f"preset {preset!r}, class {class_label!r}"
     if len(qp) < 5:
         raise UnderdeterminedFitError(f"{cell}: {len(qp)} rows; need at least 5")
@@ -247,7 +261,7 @@ def _fit_qp(
         raise FitRejectedError(
             f"{cell}: fitted model predicts non-positive energy near qp {bad:.2f}"
         )
-    return _fit_result(preset, class_label, params, design @ coef, energy)
+    return params
 
 
 def fit_qp_model(
@@ -259,7 +273,9 @@ def fit_qp_model(
     """Fit the cubic-in-QP model for one (preset, class) cell."""
     rows = [r for r in data.rows_for_preset(preset) if r.class_label == class_label]
     _require_avg_qp(rows, f"preset {preset!r}, class {class_label!r}")
-    return _fit_qp(*_columns(rows, "qp_cubic"), preset, class_label, objective)
+    qp, energy = _columns(rows, "qp_cubic")
+    return _fit_result(preset, class_label, _fit_qp(qp, energy, preset, class_label, objective),
+                       qp, energy)
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
@@ -272,110 +288,11 @@ def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i) for i in fold) for fold in np.array_split(perm, k))
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Per-preset parameters and error table for one model evaluation."""
-
-    model_kind: str
-    validation: str  # "kfold" | "in_sample"
-    k: int
-    seed: int
-    objective: str
-    per_preset_error: dict[str, float]
-    overall_error: float
-    per_fold_errors: tuple[float, ...] = ()
-    linear_params: Optional[dict[str, LinearParams]] = None
-    qp_params: Optional[dict[str, dict[str, QpModelParams]]] = None
-    per_class_error: Optional[dict[str, dict[str, float]]] = None
-    tool_version: str = ""
-
-    def presets(self) -> tuple[str, ...]:
-        return tuple(p for p in PRESETS if p in self.per_preset_error)
-
-    def to_json(self) -> str:
-        payload: dict = {
-            "tool_version": self.tool_version,
-            "model_kind": self.model_kind,
-            "validation": self.validation,
-            "k": self.k,
-            "seed": self.seed,
-            "objective": self.objective,
-            "per_preset_error": self.per_preset_error,
-            "overall_error": self.overall_error,
-            "per_fold_errors": list(self.per_fold_errors),
-        }
-        if self.linear_params is not None:
-            payload["linear_params"] = {
-                preset: {"p_w": lp.p, "e0_j": lp.e0, "covariate_kind": lp.covariate_kind}
-                for preset, lp in self.linear_params.items()
-            }
-        if self.qp_params is not None:
-            payload["qp_params"] = {
-                preset: {
-                    cls: {
-                        "kappa": qp.kappa,
-                        "lam": qp.lam,
-                        "mu": qp.mu,
-                        "t0": qp.t0,
-                        "p_avg": qp.p_avg,
-                        "valid_qp_range": list(qp.valid_qp_range or ()),
-                    }
-                    for cls, qp in classes.items()
-                }
-                for preset, classes in self.qp_params.items()
-            }
-        if self.per_class_error is not None:
-            payload["per_class_error"] = self.per_class_error
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitReport":
-        data = json.loads(text)
-        linear = None
-        if "linear_params" in data:
-            linear = {
-                preset: LinearParams(
-                    p=entry["p_w"], e0=entry["e0_j"], covariate_kind=entry["covariate_kind"]
-                )
-                for preset, entry in data["linear_params"].items()
-            }
-        qp = None
-        if "qp_params" in data:
-            qp = {
-                preset: {
-                    cls: QpModelParams(
-                        kappa=entry["kappa"],
-                        lam=entry["lam"],
-                        mu=entry["mu"],
-                        t0=entry["t0"],
-                        p_avg=entry["p_avg"],
-                        valid_qp_range=tuple(entry["valid_qp_range"]) or None,
-                    )
-                    for cls, entry in classes.items()
-                }
-                for preset, classes in data["qp_params"].items()
-            }
-        return cls(
-            model_kind=data["model_kind"],
-            validation=data["validation"],
-            k=data["k"],
-            seed=data["seed"],
-            objective=data["objective"],
-            per_preset_error=data["per_preset_error"],
-            overall_error=data["overall_error"],
-            per_fold_errors=tuple(data["per_fold_errors"]),
-            linear_params=linear,
-            qp_params=qp,
-            per_class_error=data.get("per_class_error"),
-            tool_version=data.get("tool_version", ""),
-        )
-
-
 # The row field each model kind reads as its covariate.
 _COVARIATE = {"qp_cubic": "avg_qp", "time_linear": "t_enc", "uf_linear": "t_enc_uf"}
 
 _Cells = dict[str, dict[str, list[DatasetRow]]]
-_Fits = dict[str, dict[str, FitResult]]
+_Params = dict[str, dict[str, LinearParams | QpModelParams]]
 
 
 def _columns(rows: Sequence[DatasetRow], model_kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +335,7 @@ def _cells(data: Dataset, model_kind: str) -> _Cells:
 def _fit_cell(
     x: np.ndarray, energy: np.ndarray, model_kind: str, preset: str, class_label: str,
     objective: str,
-) -> FitResult:
+) -> LinearParams | QpModelParams:
     """Fit the model of ``model_kind`` to one cell's covariate and energy arrays."""
     if model_kind == "qp_cubic":
         return _fit_qp(x, energy, preset, class_label, objective)
@@ -427,17 +344,15 @@ def _fit_cell(
 
 
 def _report(
-    model_kind: str, fits: _Fits, cell_errors: dict[str, dict[str, float]], **fields
+    model_kind: str, params: _Params, cell_errors: dict[str, dict[str, float]], **fields
 ) -> FitReport:
-    """Assemble the report of either command from its fits and one error per cell.
+    """Assemble the report of either command from its fitted parameters and one error per cell.
 
     A preset's error is the mean of its cells' errors.
     """
     per_preset_error = {
         preset: float(np.mean(list(errors.values()))) for preset, errors in cell_errors.items()
     }
-    params = {preset: {cls: fit.params for cls, fit in classes.items()}
-              for preset, classes in fits.items()}
     if model_kind == "qp_cubic":
         fields.update(qp_params=params, per_class_error=cell_errors)
     else:
@@ -483,7 +398,7 @@ def cross_validate(
     preset's error averages its cells' errors.
     """
     cells = _cells(data, model_kind)
-    fits: _Fits = {}
+    params: _Params = {}
     cell_errors: dict[str, dict[str, float]] = {}
     fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
     key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
@@ -514,12 +429,12 @@ def cross_validate(
                                        objective)
                 except FitError as exc:
                     raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-                errors = (law(fitted.params, x[test]) - energy[test]) / energy[test]
+                errors = (law(fitted, x[test]) - energy[test]) / energy[test]
                 held_out.append(errors)
                 fold_errors[fold_index].append(errors)
             cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
                 np.concatenate(held_out))
-            fits.setdefault(preset, {})[class_label] = _fit_cell(
+            params.setdefault(preset, {})[class_label] = _fit_cell(
                 x, energy, model_kind, preset, class_label, objective)
 
     per_fold: list[float] = []
@@ -531,7 +446,7 @@ def cross_validate(
             )
         per_fold.append(mean_abs_relative_error(np.concatenate(errs)))
 
-    return _report(model_kind, fits, cell_errors,
+    return _report(model_kind, params, cell_errors,
                    validation="kfold", k=k, seed=seed, objective=objective,
                    per_fold_errors=tuple(per_fold), tool_version=tool_version)
 
@@ -544,12 +459,14 @@ def fit_report(
     tool_version: str = "",
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation)."""
-    fits = {
-        preset: {cls: _fit_cell(*_columns(rows, model_kind), model_kind, preset, cls, objective)
-                 for cls, rows in classes.items()}
-        for preset, classes in _cells(data, model_kind).items()
-    }
-    training_errors = {preset: {cls: fit.mean_abs_rel_error for cls, fit in classes.items()}
-                       for preset, classes in fits.items()}
-    return _report(model_kind, fits, training_errors, validation="in_sample", k=0, seed=seed,
+    params: _Params = {}
+    training_errors: dict[str, dict[str, float]] = {}
+    for preset, classes in _cells(data, model_kind).items():
+        for cls, rows in classes.items():
+            x, energy = _columns(rows, model_kind)
+            fitted = _fit_cell(x, energy, model_kind, preset, cls, objective)
+            params.setdefault(preset, {})[cls] = fitted
+            training_errors.setdefault(preset, {})[cls] = mean_abs_relative_error(
+                _training_errors(fitted, x, energy))
+    return _report(model_kind, params, training_errors, validation="in_sample", k=0, seed=seed,
                    objective=objective, tool_version=tool_version)

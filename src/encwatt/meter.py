@@ -35,6 +35,7 @@ from .errors import (
     MalformedTraceError,
     TraceWindowError,
 )
+from .models import DEFAULT_POLL_PERIOD
 
 __all__ = [
     "SyntheticRecipe",
@@ -52,7 +53,6 @@ __all__ = [
     "DEFAULT_WRAP_UJ",
 ]
 
-DEFAULT_POLL_PERIOD = 0.1  # seconds; configuration default, not a measured value
 DEFAULT_WRAP_UJ = 2**32
 
 TRACE_HEADER = "t_s,p_w"

@@ -9,11 +9,14 @@ Three model families are supported:
 
 A table of published slope/offset parameters for the ultrafast-time model
 ships with the package (all presets except ultrafast itself, in watts and
-joules).
+joules).  A :class:`FitReport` carries one fit or cross-validation's
+parameters and error table, and reads and writes its JSON form.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import warnings
 from dataclasses import dataclass
 from importlib.resources import files
@@ -23,6 +26,9 @@ from typing import Mapping, Optional
 __all__ = [
     "PRESETS",
     "COVARIATE_KINDS",
+    "MODEL_KINDS",
+    "OBJECTIVES",
+    "DEFAULT_POLL_PERIOD",
     "QpModelParams",
     "LinearParams",
     "QpRangeWarning",
@@ -35,6 +41,7 @@ __all__ = [
     "read_params_file",
     "write_params_file",
     "DEFAULT_PARAMS_RESOURCE",
+    "FitReport",
 ]
 
 # x265 speed presets, fastest first.
@@ -51,6 +58,13 @@ PRESETS: tuple[str, ...] = (
 )
 
 COVARIATE_KINDS: tuple[str, ...] = ("own_time", "ultrafast_time")
+
+# The model families a fit or cross-validation evaluates, its objectives,
+# and the meters' default poll period.  They live here, with no numpy
+# import, so that the command-line parser can be built without numpy.
+MODEL_KINDS: tuple[str, ...] = ("qp_cubic", "time_linear", "uf_linear")
+OBJECTIVES: tuple[str, ...] = ("squared_rel", "abs_rel")
+DEFAULT_POLL_PERIOD = 0.1  # seconds; configuration default, not a measured value
 
 DEFAULT_PARAMS_RESOURCE = "data/default_uf_params.csv"
 
@@ -132,8 +146,8 @@ def predict_energy_qp(params: QpModelParams, qp: float) -> float:
 
 def predict_energy_linear(params: LinearParams, t: float) -> float:
     """Energy predicted by an affine model: ``e0 + p * t`` joules."""
-    if t <= 0:
-        raise ValueError(f"encoding time must be > 0, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"encoding time must be finite and > 0, got {t}")
     return affine_energy_law(params, t)
 
 
@@ -192,3 +206,102 @@ def load_default_params() -> dict[str, LinearParams]:
             f"bundled parameter table must cover exactly {sorted(expected)}, got {sorted(table)}"
         )
     return table
+
+
+@dataclass(frozen=True)
+class FitReport:
+    """Per-preset parameters and error table for one model evaluation."""
+
+    model_kind: str
+    validation: str  # "kfold" | "in_sample"
+    k: int
+    seed: int
+    objective: str
+    per_preset_error: dict[str, float]
+    overall_error: float
+    per_fold_errors: tuple[float, ...] = ()
+    linear_params: Optional[dict[str, LinearParams]] = None
+    qp_params: Optional[dict[str, dict[str, QpModelParams]]] = None
+    per_class_error: Optional[dict[str, dict[str, float]]] = None
+    tool_version: str = ""
+
+    def presets(self) -> tuple[str, ...]:
+        return tuple(p for p in PRESETS if p in self.per_preset_error)
+
+    def to_json(self) -> str:
+        payload: dict = {
+            "tool_version": self.tool_version,
+            "model_kind": self.model_kind,
+            "validation": self.validation,
+            "k": self.k,
+            "seed": self.seed,
+            "objective": self.objective,
+            "per_preset_error": self.per_preset_error,
+            "overall_error": self.overall_error,
+            "per_fold_errors": list(self.per_fold_errors),
+        }
+        if self.linear_params is not None:
+            payload["linear_params"] = {
+                preset: {"p_w": lp.p, "e0_j": lp.e0, "covariate_kind": lp.covariate_kind}
+                for preset, lp in self.linear_params.items()
+            }
+        if self.qp_params is not None:
+            payload["qp_params"] = {
+                preset: {
+                    cls: {
+                        "kappa": qp.kappa,
+                        "lam": qp.lam,
+                        "mu": qp.mu,
+                        "t0": qp.t0,
+                        "p_avg": qp.p_avg,
+                        "valid_qp_range": list(qp.valid_qp_range or ()),
+                    }
+                    for cls, qp in classes.items()
+                }
+                for preset, classes in self.qp_params.items()
+            }
+        if self.per_class_error is not None:
+            payload["per_class_error"] = self.per_class_error
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> "FitReport":
+        data = json.loads(text)
+        linear = None
+        if "linear_params" in data:
+            linear = {
+                preset: LinearParams(
+                    p=entry["p_w"], e0=entry["e0_j"], covariate_kind=entry["covariate_kind"]
+                )
+                for preset, entry in data["linear_params"].items()
+            }
+        qp = None
+        if "qp_params" in data:
+            qp = {
+                preset: {
+                    cls: QpModelParams(
+                        kappa=entry["kappa"],
+                        lam=entry["lam"],
+                        mu=entry["mu"],
+                        t0=entry["t0"],
+                        p_avg=entry["p_avg"],
+                        valid_qp_range=tuple(entry["valid_qp_range"]) or None,
+                    )
+                    for cls, entry in classes.items()
+                }
+                for preset, classes in data["qp_params"].items()
+            }
+        return cls(
+            model_kind=data["model_kind"],
+            validation=data["validation"],
+            k=data["k"],
+            seed=data["seed"],
+            objective=data["objective"],
+            per_preset_error=data["per_preset_error"],
+            overall_error=data["overall_error"],
+            per_fold_errors=tuple(data["per_fold_errors"]),
+            linear_params=linear,
+            qp_params=qp,
+            per_class_error=data.get("per_class_error"),
+            tool_version=data.get("tool_version", ""),
+        )

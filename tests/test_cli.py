@@ -22,27 +22,45 @@ def run_cli(capsys, *argv):
 
 # ── import ────────────────────────────────────────────────────────────────
 
-# Blocks every scipy import, then runs each subcommand in one process.
-_NO_SCIPY_SCRIPT = """
+# Blocks every import of one package, then runs each command in one
+# process and prints the exit codes and the package's loaded modules.
+_BLOCKED_IMPORT_SCRIPT = """
 import json, sys
 from contextlib import redirect_stdout
 from io import StringIO
 
-class BlockScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
+blocked = sys.argv[1]
 
-sys.meta_path.insert(0, BlockScipy())
-sys.path.insert(0, sys.argv[1])
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == blocked:
+            raise ImportError(f"{blocked} is blocked: {name}")
+
+sys.meta_path.insert(0, Block())
+sys.path.insert(0, sys.argv[2])
 from encwatt.cli import main
 
 codes = []
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[3]):
     with redirect_stdout(StringIO()):
-        codes.append(main(argv))
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:  # argparse exits after --version and --help
+            codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == blocked)]))
 """
+
+
+def run_with_import_blocked(package, commands):
+    """Exit codes of ``commands``, the modules of ``package`` left loaded, and stderr."""
+    src = str(Path(encwatt.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_IMPORT_SCRIPT, package, src, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    return codes, modules, proc.stderr
 
 
 def test_cli_import_does_not_load_scipy(tmp_path, input_file, stub_encoder):
@@ -65,16 +83,35 @@ def test_cli_import_does_not_load_scipy(tmp_path, input_file, stub_encoder):
         ["estimate", "--defaults", "--t-uf", "2.0"],
         ["report", report],
     ]
-    src = str(Path(encwatt.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, src, json.dumps(commands)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(commands), proc.stderr
+    codes, scipy_modules, stderr = run_with_import_blocked("scipy", commands)
+    assert codes == [0] * len(commands), stderr
     assert scipy_modules == []
     assert len(load_dataset_csv(tmp_path / "m.csv")) == 1
+
+
+def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
+    # the probe-time estimate is the paper's product: it must not wait for numpy
+    data, params = str(tmp_path / "d.csv"), str(tmp_path / "p.csv")
+    run_cli(capsys, "synth", "--out", data, "--seed", "1")
+    reports = []
+    for model in ("uf_linear", "qp_cubic"):
+        reports.append(str(tmp_path / f"{model}.json"))
+        code, _, err = run_cli(capsys, "fit", data, "--model", model, "--out", reports[-1],
+                               "--params-out", params)
+        assert code == 0, err
+    commands = [
+        ["--version"],
+        ["--help"],
+        *([name, "--help"] for name in ("measure", "estimate", "fit", "crossval", "report",
+                                        "synth")),
+        ["estimate", "--defaults", "--t-uf", "2.0"],
+        ["estimate", "--defaults", "--t-uf", "2.0", "--preset", "medium"],
+        ["estimate", "--params", params, "--t-uf", "2.0"],
+        *(["report", report] for report in reports),
+    ]
+    codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
+    assert codes == [0] * len(commands), stderr
+    assert numpy_modules == []
 
 
 # ── estimate ──────────────────────────────────────────────────────────────
@@ -119,6 +156,15 @@ def test_estimate_requires_exactly_one_source(capsys, tmp_path):
 def test_estimate_rejects_nonpositive_probe_time(capsys):
     code, _, err = run_cli(capsys, "estimate", "--defaults", "--t-uf", "0.0")
     assert code == 2
+
+
+@pytest.mark.parametrize("t_uf", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("preset", [(), ("--preset", "fast")])
+def test_estimate_rejects_non_finite_probe_time_before_any_output(capsys, t_uf, preset):
+    code, out, err = run_cli(capsys, "estimate", "--defaults", *preset, f"--t-uf={t_uf}")
+    assert code == 2
+    assert out == ""
+    assert "--t-uf" in err
 
 
 def test_estimate_own_time_params_warn(capsys, tmp_path):

@@ -87,6 +87,12 @@ def test_linear_rejects_nonpositive_time():
         predict_energy_linear(params, -2.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_linear_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        predict_energy_linear(LinearParams(p=100.0, e0=1.0), t)
+
+
 def test_linear_rejects_nonpositive_slope():
     with pytest.raises(ValueError):
         LinearParams(p=0.0, e0=1.0)
