@@ -20,11 +20,9 @@ from .dataset import load_dataset_csv
 from .errors import (
     AcquisitionError,
     DatasetError,
-    EncodeFailedError,
     FitError,
     MalformedTraceError,
     ManifestError,
-    MeasurementRunError,
     TraceWindowError,
 )
 from .models import (
@@ -110,23 +108,16 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.defaults == (args.params is not None):
-        print("error: give exactly one of --defaults or --params", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("give exactly one of --defaults or --params")
     table = load_default_params() if args.defaults else read_params_file(args.params)
     if not (math.isfinite(args.t_uf) and args.t_uf > 0):
-        print(f"error: --t-uf must be finite and > 0, got {args.t_uf}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"--t-uf must be finite and > 0, got {args.t_uf}")
     if args.preset is not None:
         if args.preset == "ultrafast" and args.defaults:
-            print(
-                "error: the bundled table has no ultrafast entry; the ultrafast "
-                "encode is the probe whose time you pass as --t-uf",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
+            raise ValueError("the bundled table has no ultrafast entry; the ultrafast "
+                             "encode is the probe whose time you pass as --t-uf")
         if args.preset not in table:
-            print(f"error: no parameters for preset {args.preset!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError(f"no parameters for preset {args.preset!r}")
         _warn_if_not_probe_params(table, [args.preset])
         energy = predict_energy_linear(table[args.preset], args.t_uf)
         print(f"{args.preset} {energy!r} J ({energy / 1000.0:.6g} kJ)")
@@ -174,11 +165,12 @@ def _print_report(report: FitReport) -> None:
     print(f"average {report.overall_error * 100.0:.2f}")
 
 
-def _run_fit(args: argparse.Namespace, validate: bool) -> int:
+def cmd_fit(args: argparse.Namespace) -> int:
+    """``fit`` and ``crossval``: evaluate one model, write its report and parameters."""
     from .fitting import fit_report
 
     dataset = load_dataset_csv(args.dataset)
-    if validate:
+    if args.subcommand == "crossval":
         report = cross_validate(
             dataset, args.model, k=args.k, seed=args.seed,
             objective=args.objective, joint_folds=args.joint_folds,
@@ -201,20 +193,11 @@ def _run_fit(args: argparse.Namespace, validate: bool) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    return _run_fit(args, validate=False)
-
-
-def cmd_crossval(args: argparse.Namespace) -> int:
-    return _run_fit(args, validate=True)
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         report = FitReport.from_json(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read report {args.report}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"cannot read report {args.report}: {exc}") from exc
     _print_report(report)
     return EXIT_OK
 
@@ -222,16 +205,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthDatasetRecipe, load_dataset_recipe
 
-    if args.recipe:
-        recipe = load_dataset_recipe(args.recipe)
-        if args.seed is not None:
-            recipe = dataclasses.replace(recipe, seed=args.seed)
-    else:
-        recipe = SynthDatasetRecipe(
-            noise=args.noise,
-            time_jitter=args.time_jitter,
-            seed=args.seed if args.seed is not None else 0,
-        )
+    recipe = load_dataset_recipe(args.recipe) if args.recipe else SynthDatasetRecipe()
+    given = {name: getattr(args, name) for name in ("seed", "noise", "time_jitter")
+             if getattr(args, name) is not None}
+    recipe = dataclasses.replace(recipe, **given)
     dataset = generate_dataset(recipe)
     dataset.write_csv(args.out)
     print(f"wrote {len(dataset.rows)} rows to {args.out} (seed {recipe.seed})")
@@ -272,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ultrafast probe encoding time in seconds")
     p.set_defaults(func=cmd_estimate)
 
-    for name, func, with_k in (("fit", cmd_fit, False), ("crossval", cmd_crossval, True)):
+    for name in ("fit", "crossval"):
         p = sub.add_parser(name, help=f"{name} a model on a dataset CSV")
         p.add_argument("dataset", help="dataset CSV")
         p.add_argument("--model", required=True, choices=MODEL_KINDS)
@@ -281,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report as JSON")
         p.add_argument("--params-out", default=None,
                        help="write fitted per-preset parameters (linear models)")
-        if with_k:
+        if name == "crossval":
             p.add_argument("--k", type=int, default=10, help="number of folds")
             p.add_argument("--joint-folds", action="store_true",
                            help="share one bitstream partition across all presets")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("report", help="pretty-print a saved fit report")
     p.add_argument("report", help="report JSON written by fit/crossval")
@@ -294,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic measurement dataset")
     p.add_argument("--out", required=True, help="dataset CSV to write")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--time-jitter", type=float, default=0.08)
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--time-jitter", type=float, default=None)
     p.add_argument("--recipe", default=None, help="JSON recipe file")
     p.set_defaults(func=cmd_synth)
 
@@ -306,15 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, DatasetError, FitError, ValueError) as exc:
+    except (ManifestError, DatasetError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AcquisitionError, MalformedTraceError, TraceWindowError) as exc:
         print(f"meter error: {exc}", file=sys.stderr)
         return EXIT_METER
-    except (EncodeFailedError, MeasurementRunError) as exc:
-        print(f"encoder error: {exc}", file=sys.stderr)
-        return EXIT_ENCODER
 
 
 if __name__ == "__main__":

@@ -115,7 +115,6 @@ class Dataset:
     """Rows plus a record of jobs that failed to produce one."""
 
     rows: tuple[DatasetRow, ...]
-    provenance: str = ""
     failures: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -266,7 +265,7 @@ def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
             rows.append(DatasetRow(*values))
         except DatasetError as exc:
             raise DatasetError(f"{path}, row {lineno}: {exc}") from exc
-    dataset = Dataset(rows=tuple(rows), provenance=str(path))
+    dataset = Dataset(rows=tuple(rows))
     if require_closure:
         dataset.check_ultrafast_closure()
     return dataset

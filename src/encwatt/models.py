@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from importlib.resources import files
 from pathlib import Path
 from typing import Mapping, Optional
@@ -93,8 +94,11 @@ class QpModelParams:
     valid_qp_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.p_avg <= 0:
-            raise ValueError(f"p_avg must be > 0, got {self.p_avg}")
+        for name in ("kappa", "lam", "mu", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.p_avg < math.inf:
+            raise ValueError(f"p_avg must be finite and > 0, got {self.p_avg}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ class LinearParams:
     covariate_kind: str = "ultrafast_time"
 
     def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError(f"slope p must be > 0, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"slope p must be finite and > 0, got {self.p}")
+        if not math.isfinite(self.e0):
+            raise ValueError(f"offset e0 must be finite, got {self.e0}")
         if self.covariate_kind not in COVARIATE_KINDS:
             raise ValueError(
                 f"covariate_kind must be one of {COVARIATE_KINDS}, got {self.covariate_kind!r}"
@@ -156,14 +162,15 @@ def write_params_file(
     path: str | Path,
     metadata: Optional[Mapping[str, object]] = None,
 ) -> None:
-    """Write per-preset affine parameters as CSV with ``#`` metadata lines."""
-    path = Path(path)
-    order = [p for p in PRESETS if p in params] + sorted(set(params) - set(PRESETS))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    """Write per-preset affine parameters as CSV with ``#`` metadata lines, in preset order."""
+    unknown = sorted(set(params) - set(PRESETS))
+    if unknown:
+        raise ValueError(f"cannot write parameters for unknown presets {unknown}")
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}: {value}\n")
         fh.write(PARAMS_HEADER + "\n")
-        for preset in order:
+        for preset in (p for p in PRESETS if p in params):
             lp = params[preset]
             fh.write(f"{preset},{lp.covariate_kind},{lp.p!r},{lp.e0!r}\n")
 
@@ -182,7 +189,10 @@ def _parse_params_text(text: str, origin: str) -> dict[str, LinearParams]:
             raise ValueError(f"{origin}: unknown preset {preset!r}")
         if preset in table:
             raise ValueError(f"{origin}: duplicate preset {preset!r}")
-        table[preset] = LinearParams(p=float(p_w), e0=float(e0_j), covariate_kind=kind)
+        try:
+            table[preset] = LinearParams(p=float(p_w), e0=float(e0_j), covariate_kind=kind)
+        except ValueError as exc:
+            raise ValueError(f"{origin}: preset {preset!r}: {exc}") from exc
     return table
 
 
@@ -208,9 +218,45 @@ def load_default_params() -> dict[str, LinearParams]:
     return table
 
 
+# The JSON key of each parameter field in a report, per parameter type.
+_PARAM_KEYS = {
+    LinearParams: {"p": "p_w", "e0": "e0_j", "covariate_kind": "covariate_kind"},
+    QpModelParams: {name: name for name in ("kappa", "lam", "mu", "t0", "p_avg",
+                                            "valid_qp_range")},
+}
+# The parameter type of each FitReport parameter field, and how many
+# levels of dicts (preset, then class) hold it.
+_REPORT_PARAMS = {"linear_params": (LinearParams, 1), "qp_params": (QpModelParams, 2)}
+
+
+def _params_to_json(params: LinearParams | QpModelParams) -> dict:
+    entry = {key: getattr(params, name) for name, key in _PARAM_KEYS[type(params)].items()}
+    if "valid_qp_range" in entry:  # an unknown range is written as []
+        entry["valid_qp_range"] = list(entry["valid_qp_range"] or ())
+    return entry
+
+
+def _params_from_json(kind: type, entry: dict) -> LinearParams | QpModelParams:
+    values = {name: entry[key] for name, key in _PARAM_KEYS[kind].items()}
+    if "valid_qp_range" in values:
+        values["valid_qp_range"] = tuple(values["valid_qp_range"]) or None
+    return kind(**values)
+
+
+def _map_leaves(value, depth: int, convert):
+    """``convert`` applied to the values ``depth`` dict levels down in ``value``."""
+    if depth == 0:
+        return convert(value)
+    return {key: _map_leaves(inner, depth - 1, convert) for key, inner in value.items()}
+
+
 @dataclass(frozen=True)
 class FitReport:
-    """Per-preset parameters and error table for one model evaluation."""
+    """Per-preset parameters and error table for one model evaluation.
+
+    Its JSON form holds one key per field.  A field whose value is None is
+    left out, and a key whose field has a default may be absent.
+    """
 
     model_kind: str
     validation: str  # "kfold" | "in_sample"
@@ -229,79 +275,26 @@ class FitReport:
         return tuple(p for p in PRESETS if p in self.per_preset_error)
 
     def to_json(self) -> str:
-        payload: dict = {
-            "tool_version": self.tool_version,
-            "model_kind": self.model_kind,
-            "validation": self.validation,
-            "k": self.k,
-            "seed": self.seed,
-            "objective": self.objective,
-            "per_preset_error": self.per_preset_error,
-            "overall_error": self.overall_error,
-            "per_fold_errors": list(self.per_fold_errors),
-        }
-        if self.linear_params is not None:
-            payload["linear_params"] = {
-                preset: {"p_w": lp.p, "e0_j": lp.e0, "covariate_kind": lp.covariate_kind}
-                for preset, lp in self.linear_params.items()
-            }
-        if self.qp_params is not None:
-            payload["qp_params"] = {
-                preset: {
-                    cls: {
-                        "kappa": qp.kappa,
-                        "lam": qp.lam,
-                        "mu": qp.mu,
-                        "t0": qp.t0,
-                        "p_avg": qp.p_avg,
-                        "valid_qp_range": list(qp.valid_qp_range or ()),
-                    }
-                    for cls, qp in classes.items()
-                }
-                for preset, classes in self.qp_params.items()
-            }
-        if self.per_class_error is not None:
-            payload["per_class_error"] = self.per_class_error
+        payload = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None:
+                continue
+            if field.name in _REPORT_PARAMS:
+                value = _map_leaves(value, _REPORT_PARAMS[field.name][1], _params_to_json)
+            payload[field.name] = value
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
         data = json.loads(text)
-        linear = None
-        if "linear_params" in data:
-            linear = {
-                preset: LinearParams(
-                    p=entry["p_w"], e0=entry["e0_j"], covariate_kind=entry["covariate_kind"]
-                )
-                for preset, entry in data["linear_params"].items()
-            }
-        qp = None
-        if "qp_params" in data:
-            qp = {
-                preset: {
-                    cls: QpModelParams(
-                        kappa=entry["kappa"],
-                        lam=entry["lam"],
-                        mu=entry["mu"],
-                        t0=entry["t0"],
-                        p_avg=entry["p_avg"],
-                        valid_qp_range=tuple(entry["valid_qp_range"]) or None,
-                    )
-                    for cls, entry in classes.items()
-                }
-                for preset, classes in data["qp_params"].items()
-            }
-        return cls(
-            model_kind=data["model_kind"],
-            validation=data["validation"],
-            k=data["k"],
-            seed=data["seed"],
-            objective=data["objective"],
-            per_preset_error=data["per_preset_error"],
-            overall_error=data["overall_error"],
-            per_fold_errors=tuple(data["per_fold_errors"]),
-            linear_params=linear,
-            qp_params=qp,
-            per_class_error=data.get("per_class_error"),
-            tool_version=data.get("tool_version", ""),
-        )
+        values = {}
+        for field in fields(cls):
+            if field.name not in data and field.default is not MISSING:
+                continue
+            value = data[field.name]
+            if field.name in _REPORT_PARAMS:
+                kind, depth = _REPORT_PARAMS[field.name]
+                value = _map_leaves(value, depth, partial(_params_from_json, kind))
+            values[field.name] = tuple(value) if field.name == "per_fold_errors" else value
+        return cls(**values)

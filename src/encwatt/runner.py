@@ -15,7 +15,6 @@ to each job.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
@@ -134,61 +133,45 @@ def _substitute(template: str, mapping: dict[str, str]) -> list[str]:
     return out
 
 
-def run_encode(
-    job: EncodeJob,
-    encoder_cmd: str,
-    output_path: Optional[str | Path] = None,
-) -> EncodeResult:
-    """Run one encode and capture wall time, average QP, and bitstream size.
+def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> EncodeResult:
+    """Run one encode into ``output_path``; capture wall time, average QP and bitstream size.
 
-    The bitstream goes to ``output_path`` or to a temporary file that is
-    removed after its size is recorded.  A nonzero encoder exit raises
-    :class:`EncodeFailedError` carrying the log tail; an unparseable log
-    only leaves ``avg_qp`` absent.
+    A nonzero encoder exit raises :class:`EncodeFailedError` carrying the
+    log tail; an unparseable log only leaves ``avg_qp`` absent.
     """
     if not Path(job.input_path).is_file():
         raise EncodeFailedError(f"{job.label()}: input file {job.input_path!r} does not exist")
-    temp_output = output_path is None
-    if temp_output:
-        fd, out_name = tempfile.mkstemp(prefix="encwatt_", suffix=".bin")
-        os.close(fd)
-    else:
-        out_name = str(output_path)
     mapping = {
         "input": job.input_path,
-        "output": out_name,
+        "output": str(output_path),
         "preset": job.preset,
         "crf": f"{job.crf:g}",
         "frames": str(job.frames),
     }
     argv = _substitute(encoder_cmd, mapping) + list(job.extra_args)
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
-        except OSError as exc:
-            raise EncodeFailedError(f"{job.label()}: cannot execute {argv[0]!r}: {exc}") from exc
-        wall_time = time.perf_counter() - start
-        log = proc.stdout + proc.stderr
-        if proc.returncode != 0:
-            tail = "\n".join(log.splitlines()[-20:])
-            raise EncodeFailedError(
-                f"{job.label()}: encoder exited with status {proc.returncode}", log_tail=tail
-            )
-        avg_qp = parse_avg_qp(log)
-        if avg_qp is None:
-            logger.warning("%s: no average QP found in encoder log", job.label())
-        size = Path(out_name).stat().st_size if Path(out_name).exists() else 0
-        return EncodeResult(
-            job=job,
-            wall_time=wall_time,
-            avg_qp=avg_qp,
-            bitstream_bytes=size,
-            encoder_log=log,
+        proc = subprocess.run(argv, capture_output=True, text=True)
+    except OSError as exc:
+        raise EncodeFailedError(f"{job.label()}: cannot execute {argv[0]!r}: {exc}") from exc
+    wall_time = time.perf_counter() - start
+    log = proc.stdout + proc.stderr
+    if proc.returncode != 0:
+        tail = "\n".join(log.splitlines()[-20:])
+        raise EncodeFailedError(
+            f"{job.label()}: encoder exited with status {proc.returncode}", log_tail=tail
         )
-    finally:
-        if temp_output:
-            Path(out_name).unlink(missing_ok=True)
+    avg_qp = parse_avg_qp(log)
+    if avg_qp is None:
+        logger.warning("%s: no average QP found in encoder log", job.label())
+    size = Path(output_path).stat().st_size if Path(output_path).exists() else 0
+    return EncodeResult(
+        job=job,
+        wall_time=wall_time,
+        avg_qp=avg_qp,
+        bitstream_bytes=size,
+        encoder_log=log,
+    )
 
 
 def run_measured_encode(
@@ -253,7 +236,7 @@ def run_campaign(
     encoder_cmd: str,
     meter: Meter,
     policy: ConfidencePolicy,
-    out_csv: Optional[str | Path] = None,
+    out_csv: str | Path,
     idle_trace: Optional[PowerTrace] = None,
     resume: bool = False,
 ) -> Dataset:
@@ -268,18 +251,11 @@ def run_campaign(
     """
     if not jobs:
         raise ValueError("job list is empty")
-    expanded = ensure_ultrafast_closure(jobs)
-    seen: set[tuple[str, str, float]] = set()
-    for job in expanded:
-        if job.key() in seen:
-            raise ManifestError(f"duplicate job {job.label()}")
-        seen.add(job.key())
-    ordered = _campaign_order(expanded)
+    ordered = _campaign_order(ensure_ultrafast_closure(jobs))
 
     failures: list[tuple[str, str]] = []
-    writer = DatasetWriter(out_csv, resume=resume) if out_csv is not None else None
-    with writer or contextlib.nullcontext():
-        rows = list(writer.rows) if writer is not None else []
+    with DatasetWriter(out_csv, resume=resume) as writer:
+        rows = list(writer.rows)
         if rows:
             logger.info("resuming campaign: %d rows already present", len(rows))
         completed = {row.key() for row in rows}
@@ -325,17 +301,12 @@ def run_campaign(
                 continue
             rows.append(row)
             completed.add(job.key())
-            if writer is not None:
-                writer.append(row)
+            writer.append(row)
             logger.info(
                 "%s: %.2f J over %d rep(s), confident=%s",
                 job.label(), record.mean_energy, record.reps, record.confident,
             )
-    return Dataset(
-        rows=tuple(rows),
-        provenance=str(out_csv) if out_csv else "in-memory campaign",
-        failures=tuple(failures),
-    )
+    return Dataset(rows=tuple(rows), failures=tuple(failures))
 
 
 def _as_list(value) -> list:

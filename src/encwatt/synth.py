@@ -123,7 +123,7 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
                         confident=True,
                     )
                 )
-    return Dataset(rows=tuple(rows), provenance=f"synthetic seed={recipe.seed}")
+    return Dataset(rows=tuple(rows))
 
 
 def load_dataset_recipe(path: str | Path) -> SynthDatasetRecipe:

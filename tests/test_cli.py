@@ -179,6 +179,36 @@ def test_estimate_own_time_params_warn(capsys, tmp_path):
     assert "own_time" in err
 
 
+@pytest.mark.parametrize("preset", [(), ("--preset", "medium")])
+def test_estimate_rejects_non_finite_params_before_any_output(capsys, tmp_path, preset):
+    path = tmp_path / "p.csv"
+    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,nan,inf\n")
+    code, out, err = run_cli(capsys, "estimate", "--params", str(path), *preset,
+                             "--t-uf", "2")
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "finite" in err
+
+
+# ── files that cannot be read or written ──────────────────────────────────
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--params", "{missing}/p.csv", "--t-uf", "2"],
+    ["fit", "{data}", "--model", "uf_linear", "--out", "{missing}/r.json"],
+    ["crossval", "{data}", "--model", "uf_linear", "--out", "{missing}/r.json"],
+    ["fit", "{data}", "--model", "uf_linear", "--params-out", "{missing}/p.csv"],
+    ["synth", "--out", "{missing}/d.csv"],
+], ids=["estimate-params", "fit-out", "crossval-out", "fit-params-out", "synth-out"])
+def test_file_that_cannot_be_read_or_written_exits_two(capsys, tmp_path, argv):
+    data, missing = tmp_path / "d.csv", tmp_path / "no_such_dir"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    argv = [arg.format(data=data, missing=missing) for arg in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and str(missing) in line
+
+
 # ── synth + fit + crossval + report ───────────────────────────────────────
 
 def test_synth_writes_expected_grid(capsys, tmp_path):
@@ -272,11 +302,13 @@ def test_crossval_out_of_range_avg_qp_exits_two(capsys, tmp_path):
     assert "row 5" in err and "avg_qp" in err
 
 
-def test_report_round_trip(capsys, tmp_path):
+@pytest.mark.parametrize("model", ["qp_cubic", "time_linear", "uf_linear"])
+@pytest.mark.parametrize("command", ["fit", "crossval"])
+def test_report_round_trip(capsys, tmp_path, command, model):
     data = tmp_path / "d.csv"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
     report_path = tmp_path / "report.json"
-    _, fit_stdout, _ = run_cli(capsys, "crossval", str(data), "--model", "uf_linear",
+    _, fit_stdout, _ = run_cli(capsys, command, str(data), "--model", model,
                                "--out", str(report_path))
     code, report_stdout, _ = run_cli(capsys, "report", str(report_path))
     assert code == 0
@@ -286,6 +318,23 @@ def test_report_round_trip(capsys, tmp_path):
 def test_report_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(("model", "section", "key"), [("uf_linear", "linear_params", "p_w"),
+                                                       ("qp_cubic", "qp_params", "kappa")])
+def test_report_holding_nan_exits_two(capsys, tmp_path, model, section, key):
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", model, "--out", str(report))
+    payload = json.loads(report.read_text())
+    entry = payload[section]["medium"]
+    entry = entry if model == "uf_linear" else next(iter(entry.values()))
+    entry[key] = float("nan")
+    report.write_text(json.dumps(payload))  # json writes the bare token NaN
+    code, out, err = run_cli(capsys, "report", str(report))
+    assert code == 2
+    assert out == ""
+    assert "cannot read report" in err and "finite" in err
 
 
 def test_synth_recipe_file(capsys, tmp_path):
@@ -303,6 +352,19 @@ def test_synth_bad_recipe_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "synth", "--out", str(tmp_path / "x.csv"),
                            "--recipe", str(recipe))
     assert code == 2
+
+
+def test_synth_flags_override_recipe_values(capsys, tmp_path):
+    noisy, clean = tmp_path / "noisy.json", tmp_path / "clean.json"
+    noisy.write_text('{"n_sequences": 3, "noise": 0.2, "time_jitter": 0.3, "seed": 4}')
+    clean.write_text('{"n_sequences": 3, "noise": 0.0, "time_jitter": 0.0, "seed": 4}')
+    overridden, expected = tmp_path / "overridden.csv", tmp_path / "expected.csv"
+    code, _, err = run_cli(capsys, "synth", "--out", str(overridden), "--recipe", str(noisy),
+                           "--noise", "0", "--time-jitter", "0")
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "synth", "--out", str(expected), "--recipe", str(clean))
+    assert code == 0, err
+    assert overridden.read_bytes() == expected.read_bytes()
 
 
 def test_synth_missing_recipe_file_exits_two(capsys, tmp_path):
@@ -520,6 +582,19 @@ def test_measure_sequence_id_holding_a_comma_exits_two(capsys, tmp_path, input_f
     assert "sequence_id" in err
     assert not calls.exists()
     assert not out.exists()
+
+
+def test_measure_out_in_missing_directory_exits_two_before_any_encode(capsys, tmp_path,
+                                                                      input_file, stub_encoder):
+    out = tmp_path / "no_such_dir" / "d.csv"
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02", "--out", str(out),
+    )
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert not calls.exists()
 
 
 @pytest.mark.parametrize("meter", ["synth:{missing}", "synth:base=20,period=0",

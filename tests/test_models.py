@@ -1,9 +1,13 @@
 """Prediction models and the bundled parameter table."""
 
+import json
+import re
+
 import pytest
 
 from encwatt.models import (
     PRESETS,
+    FitReport,
     LinearParams,
     QpModelParams,
     QpRangeWarning,
@@ -59,6 +63,14 @@ def test_qp_nonpositive_power_rejected_at_construction():
         QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0, p_avg=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["kappa", "lam", "mu", "t0", "p_avg"])
+def test_qp_non_finite_value_rejected_at_construction(name, value):
+    values = {"kappa": 1e-4, "lam": 1e-3, "mu": 0.01, "t0": 10.0, "p_avg": 100.0}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        QpModelParams(**{**values, name: value})
+
+
 def test_qp_out_of_domain_rejected():
     params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0)
     with pytest.raises(ValueError):
@@ -98,6 +110,13 @@ def test_linear_rejects_nonpositive_slope():
         LinearParams(p=0.0, e0=1.0)
     # negative offsets are fine (the bundled table has them)
     LinearParams(p=10.0, e0=-50.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["p", "e0"])
+def test_linear_non_finite_value_rejected_at_construction(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        LinearParams(**{"p": 100.0, "e0": 1.0, name: value})
 
 
 def test_linear_affine_increment_property():
@@ -179,3 +198,61 @@ def test_params_file_rejects_duplicate_preset(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate"):
         read_params_file(path)
+
+
+def test_params_file_rejects_non_finite_values_naming_the_file(tmp_path):
+    path = tmp_path / "params.csv"
+    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,nan,inf\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_params_file(path)
+
+
+def test_params_file_writer_refuses_what_the_reader_would(tmp_path):
+    path = tmp_path / "params.csv"
+    params = {"medium": LinearParams(p=358.21, e0=-25.51), "warp9": LinearParams(p=1.0, e0=0.0)}
+    with pytest.raises(ValueError, match="warp9"):
+        write_params_file(params, path)
+    assert not path.exists()
+
+
+# ── fit reports ───────────────────────────────────────────────────────────
+
+_QP = {"kappa": 1e-4, "lam": 1e-3, "mu": 0.01, "t0": 10.0}
+_REPORTS = [
+    FitReport(model_kind="qp_cubic", validation="kfold", k=5, seed=1, objective="abs_rel",
+              per_preset_error={"fast": 0.1}, overall_error=0.1, per_fold_errors=(0.1, 0.2),
+              qp_params={"fast": {"A": QpModelParams(**_QP, p_avg=2.0,
+                                                     valid_qp_range=(18.0, 38.0)),
+                                  "B": QpModelParams(**_QP)}},
+              per_class_error={"fast": {"A": 0.05, "B": 0.15}}, tool_version="encwatt 0"),
+    FitReport(model_kind="uf_linear", validation="in_sample", k=0, seed=0,
+              objective="squared_rel", per_preset_error={"medium": 0.05}, overall_error=0.05,
+              linear_params={"medium": LinearParams(p=358.21, e0=-25.51)}),
+]
+
+
+@pytest.mark.parametrize("report", _REPORTS, ids=["qp_cubic", "uf_linear"])
+def test_fit_report_json_round_trip_is_identity(report):
+    text = report.to_json()
+    assert FitReport.from_json(text) == report
+    assert FitReport.from_json(text).to_json() == text
+
+
+def test_fit_report_json_keys():
+    qp, linear = (json.loads(report.to_json()) for report in _REPORTS)
+    assert qp["qp_params"]["fast"]["A"] == {**_QP, "p_avg": 2.0, "valid_qp_range": [18.0, 38.0]}
+    assert qp["qp_params"]["fast"]["B"]["valid_qp_range"] == []
+    assert linear["linear_params"] == {
+        "medium": {"p_w": 358.21, "e0_j": -25.51, "covariate_kind": "ultrafast_time"}}
+    assert "qp_params" not in linear and "per_class_error" not in linear
+
+
+@pytest.mark.parametrize("path", [("validation",), ("linear_params", "medium", "e0_j")])
+def test_fit_report_missing_required_key_raises_key_error(path):
+    payload = json.loads(_REPORTS[1].to_json())
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(KeyError):
+        FitReport.from_json(json.dumps(payload))

@@ -84,9 +84,9 @@ def test_parse_avg_qp_absent_or_out_of_range():
 
 # ── run_encode ────────────────────────────────────────────────────────────
 
-def test_run_encode_records_wall_time_and_qp(input_file, encoder_cmd):
+def test_run_encode_records_wall_time_and_qp(input_file, encoder_cmd, tmp_path):
     job = make_job(input_file, preset="ultrafast", crf=23.0, extra_args=("--base-sleep", "0.3"))
-    result = run_encode(job, encoder_cmd)
+    result = run_encode(job, encoder_cmd, tmp_path / "out.bin")
     assert 0.3 <= result.wall_time <= 0.9
     assert result.avg_qp == pytest.approx(23.0 + 2.13, abs=1e-6)
     assert result.bitstream_bytes > 0
@@ -96,25 +96,25 @@ def test_run_encode_records_wall_time_and_qp(input_file, encoder_cmd):
 def test_run_encode_missing_input_fails_before_spawn(encoder_cmd, tmp_path):
     job = make_job(tmp_path / "nope.yuv")
     with pytest.raises(EncodeFailedError, match="does not exist"):
-        run_encode(job, encoder_cmd)
+        run_encode(job, encoder_cmd, tmp_path / "out.bin")
 
 
-def test_run_encode_nonzero_exit_carries_log_tail(input_file, encoder_cmd):
+def test_run_encode_nonzero_exit_carries_log_tail(input_file, encoder_cmd, tmp_path):
     job = make_job(input_file, extra_args=("--fail",))
     with pytest.raises(EncodeFailedError) as excinfo:
-        run_encode(job, encoder_cmd)
+        run_encode(job, encoder_cmd, tmp_path / "out.bin")
     assert "simulated encoder crash" in excinfo.value.log_tail
 
 
-def test_run_encode_unknown_binary(input_file):
+def test_run_encode_unknown_binary(input_file, tmp_path):
     job = make_job(input_file)
     with pytest.raises(EncodeFailedError, match="cannot execute"):
-        run_encode(job, "/definitely/not/a/binary {input} {output}")
+        run_encode(job, "/definitely/not/a/binary {input} {output}", tmp_path / "out.bin")
 
 
-def test_run_encode_unparseable_log_keeps_result(input_file, encoder_cmd):
+def test_run_encode_unparseable_log_keeps_result(input_file, encoder_cmd, tmp_path):
     job = make_job(input_file, extra_args=("--no-qp", "--base-sleep", "0.05"))
-    result = run_encode(job, encoder_cmd)
+    result = run_encode(job, encoder_cmd, tmp_path / "out.bin")
     assert result.avg_qp is None
     assert result.wall_time > 0
 
@@ -413,9 +413,9 @@ def test_campaign_resume_skips_completed_jobs(input_file, stub_encoder, tmp_path
     assert len(loaded) == 3
 
 
-def test_campaign_empty_job_list_rejected(encoder_cmd):
+def test_campaign_empty_job_list_rejected(encoder_cmd, tmp_path):
     with pytest.raises(ValueError):
-        run_campaign([], encoder_cmd, fast_meter(), quick_policy())
+        run_campaign([], encoder_cmd, fast_meter(), quick_policy(), out_csv=tmp_path / "d.csv")
 
 
 def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_path):
@@ -494,7 +494,7 @@ def test_failed_encodes_leave_no_sampler_running(input_file, stub_encoder, tmp_p
     )
     jobs = [make_job(input_file, sequence_id=seq) for seq in ("s1", "s2")]
     meter = CounterMeter(counter, sample_period=0.5)
-    dataset = run_campaign(jobs, cmd, meter, quick_policy())
+    dataset = run_campaign(jobs, cmd, meter, quick_policy(), out_csv=tmp_path / "d.csv")
     labels = [label for label, _ in dataset.failures]
     assert labels == ["s1:ultrafast:crf23", "s2:ultrafast:crf23"]
     assert all("exited with status 3" in message for _, message in dataset.failures)
@@ -529,7 +529,8 @@ def test_campaign_rows_use_mean_wall_time_of_repetitions(input_file, tmp_path, m
     _fake_encodes(monkeypatch, [1.0, 3.0])
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
     meter, idle = _replay(tmp_path)
-    dataset = run_campaign([make_job(input_file)], "unused", meter, policy, idle_trace=idle)
+    dataset = run_campaign([make_job(input_file)], "unused", meter, policy,
+                           out_csv=tmp_path / "d.csv", idle_trace=idle)
     (row,) = dataset.rows
     assert row.reps == 2
     assert row.t_enc == 2.0 and row.t_enc_uf == 2.0
