@@ -9,7 +9,11 @@ running mean and sum of squared deviations, so a repetition costs O(1).
 The test's t quantile needs only ``math``: for an integer number of
 degrees of freedom the t CDF is a finite series in ``cos(theta)``,
 ``theta = atan(t / sqrt(dof))`` (Abramowitz & Stegun 26.7.3-4), which
-Newton's method inverts in ``theta``.
+Newton's method inverts in ``theta``.  The stopping rule reads its
+quantiles from one row per ``alpha``, indexed by degrees of freedom and
+cached for the life of the process; a row grows one entry at a time,
+only as far as the repetitions some campaign has reached, never to
+``max_reps`` in advance.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from __future__ import annotations
 import logging
 import math
 import statistics
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +55,10 @@ def _first_invalid_row(samples: np.ndarray) -> int:
     A row is invalid if a value is non-finite or negative, or if its
     timestamp is not greater than the previous row's.
     """
-    bad = ~np.isfinite(samples).all(axis=1) | (samples < 0).any(axis=1)
-    t = samples[:, 0]
+    # Column views rather than reductions over the row axis, which are
+    # slow on the C-order array the trace parser builds.
+    t, p = samples[:, 0], samples[:, 1]
+    bad = ~(np.isfinite(t) & np.isfinite(p)) | (t < 0) | (p < 0)
     bad[1:] |= t[1:] <= t[:-1]
     return int(np.argmax(bad)) if bad.any() else -1
 
@@ -144,8 +151,7 @@ class ConfidencePolicy:
             )
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """Repeated net-energy observations for one job plus the stopping verdict."""
 
     job_id: str
@@ -234,7 +240,6 @@ def _t_central_mass(theta: float, dof: int) -> tuple[float, float]:
     return sin * total, dof * term / cos
 
 
-@lru_cache(maxsize=4096)
 def t_critical(alpha: float, dof: int) -> float:
     """One-sided critical value of the Student t-distribution.
 
@@ -268,23 +273,27 @@ def t_critical(alpha: float, dof: int) -> float:
         theta = after
 
 
-def _welford(n: int, mean: float, m2: float, x: float) -> tuple[float, float]:
-    """Add ``x``, the ``n``-th value, to a running mean and sum of squared deviations."""
-    delta = x - mean
-    mean += delta / n
-    return mean, m2 + delta * (x - mean)
+@lru_cache(maxsize=16)
+def _t_row(alpha: float) -> list[float]:
+    """``t_critical(alpha, dof)`` at index ``dof``; index 0 holds no quantile.
+
+    The row only ever grows, through :func:`_grow_t_row`, so an entry once
+    read never changes.
+    """
+    return [math.nan]
 
 
-def _passes(n: int, mean: float, m2: float, policy: ConfidencePolicy) -> bool:
-    """The stopping test on a running count, mean and ``m2``; see :func:`confidence_check`."""
-    if n < 2:
-        return False
-    if mean <= 0:
-        raise InvalidMeasurementError(
-            f"mean energy must be positive to apply the relative bound, got {mean:.6g} J"
-        )
-    std = math.sqrt(m2 / (n - 1))
-    return 2.0 * std / math.sqrt(n) * t_critical(policy.alpha, n - 1) < policy.beta * mean
+_T_ROW_LOCK = threading.Lock()
+
+
+def _grow_t_row(row: list[float], alpha: float, dof: int) -> None:
+    """Append to ``row`` every quantile up to ``dof`` degrees of freedom."""
+    with _T_ROW_LOCK:  # two threads must not append the same entry
+        while len(row) <= dof:
+            row.append(t_critical(alpha, len(row)))
+
+
+_NONPOSITIVE_MEAN = "mean energy must be positive to apply the relative bound, got {:.6g} J"
 
 
 def confidence_check(energies: Sequence[float], policy: ConfidencePolicy) -> bool:
@@ -293,13 +302,22 @@ def confidence_check(energies: Sequence[float], policy: ConfidencePolicy) -> boo
     The test is ``2 * s / sqrt(m) * t(m - 1) < beta * mean`` with ``s``
     the sample standard deviation and the current sample mean standing
     in for the unknown true energy on the right-hand side, both folded
-    from the energies by Welford's update.  Fewer than two repetitions
-    can never be confident.
+    from the energies by Welford's update as in
+    :func:`measure_until_confident`.  Fewer than two repetitions can
+    never be confident.
     """
+    n = len(energies)
+    if n < 2:
+        return False
     mean = m2 = 0.0
-    for n, x in enumerate(energies, 1):
-        mean, m2 = _welford(n, mean, m2, x)
-    return _passes(len(energies), mean, m2, policy)
+    for k, x in enumerate(energies, 1):
+        delta = x - mean
+        mean += delta / k
+        m2 += delta * (x - mean)
+    if mean <= 0:
+        raise InvalidMeasurementError(_NONPOSITIVE_MEAN.format(mean))
+    t = t_critical(policy.alpha, n - 1)
+    return 2.0 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) * t < policy.beta * mean
 
 
 def measure_until_confident(
@@ -312,29 +330,38 @@ def measure_until_confident(
     Invokes ``run_once`` at least ``min_reps`` and at most ``max_reps``
     times.  Each energy updates a running mean and sum of squared
     deviations (Welford 1962), from which every repetition from
-    ``min_reps`` on applies the test of :func:`confidence_check`; the
-    first pass stops, and exhausting the budget yields a record with
+    ``min_reps`` on applies the test of :func:`confidence_check`, with
+    its t quantile read from the row cached for ``alpha``; the first
+    pass stops, and exhausting the budget yields a record with
     ``confident=False``.  A failing callback raises
     :class:`MeasurementRunError` carrying the repetition index and the
     energies collected so far.
     """
+    alpha, beta, min_reps = policy.alpha, policy.beta, policy.min_reps
+    t = _t_row(alpha)
     energies: list[float] = []
     mean = m2 = 0.0
-    for rep in range(1, policy.max_reps + 1):
+    confident = False
+    for n in range(1, policy.max_reps + 1):
         try:
-            value = float(run_once())
+            x = float(run_once())
         except Exception as exc:
-            raise MeasurementRunError(rep, tuple(energies), str(exc)) from exc
-        energies.append(value)
-        mean, m2 = _welford(rep, mean, m2, value)
-        confident = rep >= policy.min_reps and _passes(rep, mean, m2, policy)
-        if confident:
+            raise MeasurementRunError(n, tuple(energies), str(exc)) from exc
+        energies.append(x)
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+        if n < min_reps:
+            continue
+        if mean <= 0:
+            raise InvalidMeasurementError(_NONPOSITIVE_MEAN.format(mean))
+        if len(t) < n:
+            _grow_t_row(t, alpha, n - 1)
+        # This operation order is the one confidence_check uses; folding
+        # 2 / sqrt(n) * t into one factor would round differently.
+        if 2.0 * math.sqrt(m2 / (n - 1)) / math.sqrt(n) * t[n - 1] < beta * mean:
+            confident = True
             break
     return MeasurementRecord(
-        job_id=job_id,
-        energies=tuple(energies),
-        mean_energy=statistics.fmean(energies),
-        std_dev=math.sqrt(m2 / (rep - 1)),
-        reps=rep,
-        confident=confident,
+        job_id, tuple(energies), statistics.fmean(energies), math.sqrt(m2 / (n - 1)), n, confident
     )

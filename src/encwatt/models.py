@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from importlib.resources import files
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "PRESETS",
@@ -239,8 +239,40 @@ def _params_to_json(params: LinearParams | QpModelParams) -> dict:
 def _params_from_json(kind: type, entry: dict) -> LinearParams | QpModelParams:
     values = {name: entry[key] for name, key in _PARAM_KEYS[kind].items()}
     if "valid_qp_range" in values:
-        values["valid_qp_range"] = tuple(values["valid_qp_range"]) or None
+        values["valid_qp_range"] = tuple(values["valid_qp_range"] or ()) or None
     return kind(**values)
+
+
+# The JSON type of each annotated Python type, and its name in messages.
+_JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+               dict: (dict, "an object"), tuple: (list, "a list")}
+
+
+def _check_json(value, hint, key: str) -> None:
+    """Raise ValueError, naming ``key``, unless ``value`` is the JSON of a ``hint`` value.
+
+    Numbers are JSON numbers (an integer where ``hint`` is ``int``), never
+    ``true`` or ``false``; a parameter set is an object holding its keys.
+    """
+    origin = get_origin(hint)
+    if origin is Union:  # Optional: null stands for None
+        if value is not None:
+            _check_json(value, get_args(hint)[0], key)
+        return
+    json_type, name = _JSON_TYPES[dict if hint in _PARAM_KEYS else origin or hint]
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"report key {key!r} must be {name}, got {value!r}")
+    if hint in _PARAM_KEYS:
+        hints = get_type_hints(hint)
+        for field_name, entry_key in _PARAM_KEYS[hint].items():
+            if entry_key in value:  # a missing key is left to raise KeyError
+                _check_json(value[entry_key], hints[field_name], f"{key}.{entry_key}")
+    elif origin is dict:
+        for inner_key, inner in value.items():
+            _check_json(inner, get_args(hint)[1], f"{key}.{inner_key}")
+    elif origin is tuple:
+        for i, inner in enumerate(value):
+            _check_json(inner, get_args(hint)[0], f"{key}[{i}]")
 
 
 def _map_leaves(value, depth: int, convert):
@@ -288,12 +320,16 @@ class FitReport:
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
+        hints = get_type_hints(cls)
         values = {}
         for field in fields(cls):
             if field.name not in data and field.default is not MISSING:
                 continue
             value = data[field.name]
-            if field.name in _REPORT_PARAMS:
+            _check_json(value, hints[field.name], field.name)
+            if field.name in _REPORT_PARAMS and value is not None:
                 kind, depth = _REPORT_PARAMS[field.name]
                 value = _map_leaves(value, depth, partial(_params_from_json, kind))
             values[field.name] = tuple(value) if field.name == "per_fold_errors" else value

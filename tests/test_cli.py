@@ -337,6 +337,29 @@ def test_report_holding_nan_exits_two(capsys, tmp_path, model, section, key):
     assert "cannot read report" in err and "finite" in err
 
 
+@pytest.mark.parametrize(("path", "value", "key"), [
+    (("linear_params", "medium", "p_w"), "x", "linear_params.medium.p_w"),
+    (("per_preset_error",), [1], "per_preset_error"),
+    (("linear_params", "medium"), [1.0, 2.0], "linear_params.medium"),
+    (("k",), True, "k"),
+])
+def test_report_with_a_wrongly_typed_value_exits_two(capsys, tmp_path, path, value, key):
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", "uf_linear", "--out", str(report))
+    payload = json.loads(report.read_text())
+    *parents, last = path
+    entry = payload
+    for name in parents:
+        entry = entry[name]
+    entry[last] = value
+    report.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "report", str(report))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and f"report key {key!r}" in err
+
+
 def test_synth_recipe_file(capsys, tmp_path):
     recipe = tmp_path / "recipe.json"
     recipe.write_text('{"n_sequences": 3, "noise": 0.0, "time_jitter": 0.0}')

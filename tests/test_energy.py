@@ -1,5 +1,6 @@
 """Integration, t-critical, and stopping-rule behavior of the energy core."""
 
+import functools
 import math
 import statistics
 
@@ -9,6 +10,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from encwatt import energy
 from encwatt.energy import (
     ConfidencePolicy,
     PowerTrace,
@@ -61,6 +63,44 @@ def test_trace_rejects_non_finite_values(bad):
         PowerTrace.from_arrays([0.0, bad], [1.0, 1.0])
     with pytest.raises(MalformedTraceError, match="sample 1"):
         PowerTrace.from_arrays([0.0, 1.0], [1.0, bad])
+
+
+def _first_invalid_row_by_loop(samples):
+    for i, (t, p) in enumerate(samples.tolist()):
+        if not (math.isfinite(t) and math.isfinite(p)) or t < 0 or p < 0:
+            return i
+        if i and not t > samples[i - 1, 0]:
+            return i
+    return -1
+
+
+def _break_row(samples, at, fault):
+    t_prev = samples[at - 1, 0]
+    column, value = {
+        "nan_t": (0, math.nan), "nan_p": (1, math.nan), "inf_t": (0, math.inf),
+        "inf_p": (1, -math.inf), "negative_p": (1, -1e-9),
+        "repeated_t": (0, t_prev), "backward_t": (0, t_prev - 0.25),
+    }[fault]
+    samples[at, column] = value
+
+
+@pytest.mark.parametrize(("fault", "at"), [
+    (fault, at)
+    for fault in ("nan_t", "nan_p", "inf_t", "inf_p", "negative_p", "repeated_t", "backward_t")
+    for at in (0, 1, 57, 998)
+    if at or fault not in ("repeated_t", "backward_t")  # row 0 has no predecessor
+])
+def test_first_invalid_row_is_the_same_on_both_layouts(fault, at):
+    # np.loadtxt hands the parser a C-order array, PowerTrace an F-order one
+    rng = np.random.default_rng(at)
+    samples = np.column_stack((np.cumsum(rng.uniform(0.5, 1.5, 1000)), rng.uniform(0, 50, 1000)))
+    for layout in ("C", "F"):
+        assert energy._first_invalid_row(np.array(samples, order=layout)) == -1
+    _break_row(samples, at, fault)
+    _break_row(samples, 999, "negative_p")  # a later fault is not the one reported
+    assert _first_invalid_row_by_loop(samples) == at
+    for layout in ("C", "F"):
+        assert energy._first_invalid_row(np.array(samples, order=layout)) == at
 
 
 def test_trace_is_read_only_and_does_not_alias_its_input():
@@ -450,25 +490,52 @@ def test_measure_applies_rule_only_from_min_reps():
     assert next(values) == 1000.0  # it raised at repetition 4, not later
 
 
+_t_reference = functools.cache(t_critical)
+
+
 def _exact_rule(draws, policy):
     """The stopping rule recomputed from scratch at every repetition, in exact arithmetic."""
     for m in range(policy.min_reps, policy.max_reps + 1):
         energies = draws[:m]
         mean = statistics.fmean(energies)
-        lhs = 2.0 * statistics.stdev(energies) / math.sqrt(m) * t_critical(policy.alpha, m - 1)
+        lhs = 2.0 * statistics.stdev(energies) / math.sqrt(m) * _t_reference(policy.alpha, m - 1)
         if lhs < policy.beta * mean:
             return m, True, mean
     return policy.max_reps, False, mean
 
 
 def test_running_rule_matches_exact_rule_on_seeded_campaigns():
+    # The policies take turns on each draw, three to an alpha's cached
+    # t-row, starting from empty rows with min_reps 5, so a row must be
+    # filled contiguously whichever repetition first reaches it.
+    energy._t_row.cache_clear()
+    policies = [ConfidencePolicy(alpha=alpha, beta=0.02, min_reps=m, max_reps=60)
+                for alpha in (0.9, 0.99) for m in (5, 2, 3)]
     rng = np.random.default_rng(20260809)
     mu = 1000.0
-    policy = ConfidencePolicy(alpha=0.99, beta=0.02, min_reps=2, max_reps=60)
     for rel_sigma in (0.005, 0.01, 0.02):
-        for _ in range(1_000):
-            draws = rng.normal(mu, rel_sigma * mu, policy.max_reps).tolist()
-            record = measure_until_confident(iter(draws).__next__, policy)
-            assert (record.reps, record.confident, record.mean_energy) == _exact_rule(
-                draws, policy
-            ), (rel_sigma, draws)
+        for _ in range(400):
+            draws = rng.normal(mu, rel_sigma * mu, 60).tolist()
+            for policy in policies:
+                record = measure_until_confident(iter(draws).__next__, policy)
+                assert (record.reps, record.confident, record.mean_energy) == _exact_rule(
+                    draws, policy
+                ), (policy, rel_sigma, draws)
+
+
+def test_huge_budget_evaluates_only_the_quantiles_reached(monkeypatch):
+    # A t-table filled to max_reps up front would need some 10^7 quantiles;
+    # the row must grow only to the repetitions a campaign reaches.
+    policy = ConfidencePolicy(alpha=0.987654321, min_reps=4, max_reps=10**7)
+    evaluated = []
+
+    def counted(alpha, dof):
+        evaluated.append(dof)
+        if len(evaluated) > policy.min_reps - 1:
+            raise AssertionError(f"quantile {len(evaluated)} evaluated, for dof {dof}")
+        return t_critical(alpha, dof)
+
+    monkeypatch.setattr(energy, "t_critical", counted)
+    record = measure_until_confident(lambda: 500.0, policy)
+    assert (record.reps, record.confident) == (policy.min_reps, True)
+    assert evaluated == [1, 2, 3]

@@ -129,16 +129,24 @@ def test_run_encode_writes_requested_output(input_file, encoder_cmd, tmp_path):
 
 # ── run_measured_encode ───────────────────────────────────────────────────
 
-def test_measured_encode_energy_tracks_wall_time(input_file, encoder_cmd):
+def test_measured_encode_energy_tracks_wall_time(input_file, encoder_cmd, monkeypatch):
+    walls = []
+
+    def timed_encode(*args, **kwargs):
+        result = run_encode(*args, **kwargs)
+        walls.append(result.wall_time)
+        return result
+
+    monkeypatch.setattr("encwatt.runner.run_encode", timed_encode)
     job = make_job(input_file, extra_args=("--base-sleep", "0.3"))
     policy = ConfidencePolicy(alpha=0.99, beta=0.2, min_reps=2, max_reps=4)
-    record, result = run_measured_encode(job, encoder_cmd, fast_meter(), policy)
-    assert record.reps >= 2
-    # net energy per rep should be active_power * wall_time up to one
-    # sampling interval of energy
-    expected = 30.0 * result.wall_time
-    for energy in record.energies:
-        assert energy == pytest.approx(expected, abs=30.0 * 0.02 + 1.0)
+    record, _ = run_measured_encode(job, encoder_cmd, fast_meter(), policy)
+    assert record.reps >= 2 and len(walls) == record.reps
+    # each rep's net energy should be active_power * its own wall time up
+    # to one sampling interval of energy; encodes under load differ in
+    # wall time, so the mean over reps is no reference
+    for energy, wall in zip(record.energies, walls):
+        assert energy == pytest.approx(30.0 * wall, abs=30.0 * 0.02 + 1.0)
 
 
 def test_measured_encode_confident_with_low_noise(input_file, tmp_path, monkeypatch):
