@@ -26,7 +26,6 @@ from .errors import (
     TraceWindowError,
 )
 from .models import (
-    DEFAULT_POLL_PERIOD,
     MODEL_KINDS,
     OBJECTIVES,
     PRESETS,
@@ -83,7 +82,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         min_reps=args.min_reps,
         max_reps=args.max_reps,
     )
-    meter = open_meter(args.meter, args.sample_period)
+    meter = open_meter(args.meter)
     idle_trace = parse_trace_csv(args.idle_trace) if args.idle_trace else None
     dataset = run_campaign(
         jobs,
@@ -169,6 +168,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     """``fit`` and ``crossval``: evaluate one model, write its report and parameters."""
     from .fitting import fit_report
 
+    if args.params_out and args.model == "qp_cubic":
+        raise ValueError("--params-out writes the per-preset parameters of a linear model; "
+                         "qp_cubic has none")
     dataset = load_dataset_csv(args.dataset)
     if args.subcommand == "crossval":
         report = cross_validate(
@@ -177,13 +179,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             tool_version=_TOOL,
         )
     else:
-        report = fit_report(
-            dataset, args.model, seed=args.seed,
-            objective=args.objective, tool_version=_TOOL,
-        )
+        report = fit_report(dataset, args.model, objective=args.objective, tool_version=_TOOL)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
-    if args.params_out and report.linear_params is not None:
+    if args.params_out:
         write_params_file(
             report.linear_params,
             args.params_out,
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.02)
     p.add_argument("--min-reps", type=int, default=2)
     p.add_argument("--max-reps", type=int, default=50)
-    p.add_argument("--sample-period", type=float, default=DEFAULT_POLL_PERIOD)
     p.add_argument("--idle-trace", default=None,
                    help="shared idle baseline CSV (default: capture idle per repetition)")
     p.add_argument("--resume", action="store_true",
@@ -253,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a model on a dataset CSV")
         p.add_argument("dataset", help="dataset CSV")
         p.add_argument("--model", required=True, choices=MODEL_KINDS)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--objective", choices=OBJECTIVES, default="squared_rel")
         p.add_argument("--out", default=None, help="write the report as JSON")
         p.add_argument("--params-out", default=None,
                        help="write fitted per-preset parameters (linear models)")
         if name == "crossval":
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--k", type=int, default=10, help="number of folds")
             p.add_argument("--joint-folds", action="store_true",
                            help="share one bitstream partition across all presets")

@@ -99,6 +99,8 @@ class DatasetRow:
             raise DatasetError(f"avg_qp must be empty or in [0, 51], got {self.avg_qp}")
         if self.frames < 1:
             raise DatasetError(f"frames must be >= 1, got {self.frames}")
+        if self.reps < 1:
+            raise DatasetError(f"reps must be >= 1, got {self.reps}")
 
     def key(self) -> tuple[str, str, float]:
         return (self.sequence_id, self.preset, self.crf)
@@ -234,7 +236,7 @@ def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":

@@ -454,11 +454,10 @@ def cross_validate(
 def fit_report(
     data: Dataset,
     model_kind: str,
-    seed: int = 0,
     objective: str = "squared_rel",
     tool_version: str = "",
 ) -> FitReport:
-    """Fit on the full dataset and report in-sample errors (no validation)."""
+    """Fit on the full dataset and report in-sample errors (no validation, no draws: seed 0)."""
     params: _Params = {}
     training_errors: dict[str, dict[str, float]] = {}
     for preset, classes in _cells(data, model_kind).items():
@@ -468,5 +467,5 @@ def fit_report(
             params.setdefault(preset, {})[cls] = fitted
             training_errors.setdefault(preset, {})[cls] = mean_abs_relative_error(
                 _training_errors(fitted, x, energy))
-    return _report(model_kind, params, training_errors, validation="in_sample", k=0, seed=seed,
+    return _report(model_kind, params, training_errors, validation="in_sample", k=0, seed=0,
                    objective=objective, tool_version=tool_version)

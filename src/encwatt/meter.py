@@ -35,7 +35,6 @@ from .errors import (
     MalformedTraceError,
     TraceWindowError,
 )
-from .models import DEFAULT_POLL_PERIOD
 
 __all__ = [
     "SyntheticRecipe",
@@ -54,6 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_WRAP_UJ = 2**32
+# Seconds between counter polls, which only catch wraps: half a 2**32 uJ
+# wrap takes over 10 s even at 200 W.  Also a synthetic meter's default grid.
+DEFAULT_POLL_PERIOD = 0.1
 
 TRACE_HEADER = "t_s,p_w"
 
@@ -126,7 +128,10 @@ def _parse_trace_lines(path: Path, data: bytes) -> PowerTrace:
 
     Lines end in LF, CRLF or CR, as in a file read in text mode.
     """
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedTraceError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
@@ -184,7 +189,7 @@ def _wrap_modulus(counter_path: str | Path) -> int:
         return DEFAULT_WRAP_UJ
     try:
         raw = range_file.read_text().strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AcquisitionError(f"cannot read {range_file}: {exc}") from exc
     try:
         value = int(raw)
@@ -205,7 +210,7 @@ def read_counter_uj(path: str | Path) -> int:
             f"only by root since CVE-2020-8694: run as root, or grant read access "
             f"with a udev rule or chmod"
         ) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AcquisitionError(f"cannot read counter file {path}: {exc}") from exc
     try:
         value = int(raw)
@@ -416,6 +421,8 @@ class CounterMeter(Meter):
 
     def __init__(self, path: str | Path, sample_period: float = DEFAULT_POLL_PERIOD):
         self.path = Path(path)
+        if not sample_period > 0:
+            raise ValueError(f"sample_period must be > 0, got {sample_period}")
         self.sample_period = sample_period
         # an unreadable counter or range file fails here, not mid-campaign
         read_counter_uj(self.path)
@@ -449,6 +456,8 @@ class SyntheticMeter(Meter):
 
     def __init__(self, recipe: SyntheticRecipe, sample_period: float = DEFAULT_POLL_PERIOD):
         self.recipe = recipe
+        if not sample_period > 0:
+            raise ValueError(f"sample_period must be > 0, got {sample_period}")
         self.sample_period = sample_period
         self._uses = 0
 
@@ -501,15 +510,15 @@ class CsvReplayMeter(Meter):
 
 
 _RECIPE_ALIASES = {"base": "base_power", "active": "active_power", "noise": "noise_std"}
-_RECIPE_KEYS = ("base_power", "active_power", "noise_std", "duration", "seed", "period")
+_RECIPE_KEYS = ("base_power", "active_power", "noise_std", "seed", "period")
 
 
-def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, Optional[float]]:
+def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
     """Load a synthetic recipe and its ``period`` from a JSON file or inline shorthand.
 
-    Both forms take the keys of :class:`SyntheticRecipe`, ``period``, and
-    the aliases ``base``, ``active`` and ``noise``.  The shorthand is
-    ``key=value,key=value``.
+    Both forms take the keys of :class:`SyntheticRecipe` but ``duration``
+    (each recording sets it), ``period``, and the aliases ``base``,
+    ``active`` and ``noise``.  The shorthand is ``key=value,key=value``.
     """
     candidate = Path(path_or_inline)
     if candidate.suffix == ".json" or candidate.is_file():
@@ -536,14 +545,15 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, Optional[float]]:
             kwargs[key] = int(value) if key == "seed" else float(value)
         except TypeError as exc:
             raise ValueError(f"recipe key {key!r} needs a number, got {value!r}") from exc
-    period = kwargs.pop("period", None)
+    period = kwargs.pop("period", DEFAULT_POLL_PERIOD)
     return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
 
 
-def open_meter(spec: str, sample_period: float) -> Meter:
+def open_meter(spec: str) -> Meter:
     """Open the meter a CLI spec names: ``csv:<path> | counter:<path> | synth:<recipe>``.
 
-    A synthetic recipe's own ``period`` overrides ``sample_period``.
+    A counter is polled every ``DEFAULT_POLL_PERIOD``; a synthetic meter's
+    grid is its recipe's ``period``.
     """
     kind, colon, target = spec.partition(":")
     if not colon:
@@ -552,10 +562,6 @@ def open_meter(spec: str, sample_period: float) -> Meter:
         raise ValueError(f"unknown meter kind {kind!r}; expected csv, counter, or synth")
     if kind == "csv":
         return CsvReplayMeter(target)
-    recipe, period = load_recipe(target) if kind == "synth" else (None, None)
-    for value in (sample_period, period):
-        if value is not None and value <= 0:
-            raise ValueError(f"sample_period must be > 0, got {value}")
     if kind == "counter":
-        return CounterMeter(target, sample_period=sample_period)
-    return SyntheticMeter(recipe, sample_period=period if period is not None else sample_period)
+        return CounterMeter(target)
+    return SyntheticMeter(*load_recipe(target))

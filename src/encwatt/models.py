@@ -29,7 +29,6 @@ __all__ = [
     "COVARIATE_KINDS",
     "MODEL_KINDS",
     "OBJECTIVES",
-    "DEFAULT_POLL_PERIOD",
     "QpModelParams",
     "LinearParams",
     "QpRangeWarning",
@@ -60,12 +59,11 @@ PRESETS: tuple[str, ...] = (
 
 COVARIATE_KINDS: tuple[str, ...] = ("own_time", "ultrafast_time")
 
-# The model families a fit or cross-validation evaluates, its objectives,
-# and the meters' default poll period.  They live here, with no numpy
-# import, so that the command-line parser can be built without numpy.
+# The model families a fit or cross-validation evaluates, and its
+# objectives.  They live here, with no numpy import, so that the
+# command-line parser can be built without numpy.
 MODEL_KINDS: tuple[str, ...] = ("qp_cubic", "time_linear", "uf_linear")
 OBJECTIVES: tuple[str, ...] = ("squared_rel", "abs_rel")
-DEFAULT_POLL_PERIOD = 0.1  # seconds; configuration default, not a measured value
 
 DEFAULT_PARAMS_RESOURCE = "data/default_uf_params.csv"
 
@@ -199,7 +197,11 @@ def _parse_params_text(text: str, origin: str) -> dict[str, LinearParams]:
 def read_params_file(path: str | Path) -> dict[str, LinearParams]:
     """Read a per-preset affine parameter file written by :func:`write_params_file`."""
     path = Path(path)
-    return _parse_params_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read params file {path}: {exc}") from exc
+    return _parse_params_text(text, str(path))
 
 
 def load_default_params() -> dict[str, LinearParams]:

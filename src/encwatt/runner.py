@@ -7,9 +7,9 @@ run strictly one at a time; only the meter's sampler runs concurrently
 with the encoder process.
 
 Campaign manifests are JSON Lines: one object per line with keys
-``sequence_id``, ``class`` (optional), ``input``, ``frames``, and either
-scalar or list-valued ``preset``/``presets`` and ``crf``/``crfs``, which
-are expanded as a grid.  ``extra_args`` (list of strings) is passed on
+``sequence_id``, ``class`` (optional), ``input``, ``frames``, and one of
+scalar ``preset`` or list ``presets`` and one of ``crf`` or ``crfs``,
+which are expanded as a grid.  ``extra_args`` (list of strings) is passed on
 to each job.
 """
 
@@ -137,7 +137,8 @@ def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> Enc
     """Run one encode into ``output_path``; capture wall time, average QP and bitstream size.
 
     A nonzero encoder exit raises :class:`EncodeFailedError` carrying the
-    log tail; an unparseable log only leaves ``avg_qp`` absent.
+    log tail, whose last three lines end its message; an unparseable log
+    only leaves ``avg_qp`` absent.
     """
     if not Path(job.input_path).is_file():
         raise EncodeFailedError(f"{job.label()}: input file {job.input_path!r} does not exist")
@@ -157,9 +158,12 @@ def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> Enc
     wall_time = time.perf_counter() - start
     log = proc.stdout + proc.stderr
     if proc.returncode != 0:
-        tail = "\n".join(log.splitlines()[-20:])
+        lines = log.splitlines()
+        last = " | ".join([line.strip() for line in lines if line.strip()][-3:])
         raise EncodeFailedError(
-            f"{job.label()}: encoder exited with status {proc.returncode}", log_tail=tail
+            f"{job.label()}: encoder exited with status {proc.returncode}"
+            + (f"; log ends: {last}" if last else ""),
+            log_tail="\n".join(lines[-20:]),
         )
     avg_qp = parse_avg_qp(log)
     if avg_qp is None:
@@ -318,7 +322,7 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     jobs: list[EncodeJob] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -335,6 +339,10 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
             raise ManifestError(
                 f"{path}, line {lineno}: extra_args must be a list of strings, got {extra_args!r}"
             )
+        for scalar, plural in (("preset", "presets"), ("crf", "crfs")):
+            if scalar in entry and plural in entry:
+                raise ManifestError(
+                    f"{path}, line {lineno}: give {scalar!r} or {plural!r}, not both")
         try:
             presets = _as_list(entry.get("presets", entry.get("preset", [])))
             crfs = _as_list(entry.get("crfs", entry.get("crf", [])))

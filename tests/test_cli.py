@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import encwatt
-from encwatt.cli import main
+from encwatt.cli import build_parser, main
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.models import read_params_file
 from encwatt.synth import GROUND_TRUTH
@@ -18,6 +19,61 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ── settings ──────────────────────────────────────────────────────────────
+
+# The options of the tool ("") and of each command, --help aside.  A new
+# option, or a removed one, is a deliberate edit of this table.
+CLI_OPTIONS = {
+    "": ["--version"],
+    "measure": ["--alpha", "--beta", "--encoder-cmd", "--idle-trace", "--max-reps", "--meter",
+                "--min-reps", "--out", "--resume"],
+    "estimate": ["--defaults", "--params", "--preset", "--t-uf"],
+    "fit": ["--model", "--objective", "--out", "--params-out"],
+    "crossval": ["--joint-folds", "--k", "--model", "--objective", "--out", "--params-out",
+                 "--seed"],
+    "report": [],
+    "synth": ["--noise", "--out", "--recipe", "--seed", "--time-jitter"],
+}
+
+
+def _options(parser):
+    return sorted(option for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  for option in action.option_strings)
+
+
+def test_cli_option_inventory():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {"": _options(parser)}
+    found.update((name, _options(command)) for name, command in commands.choices.items())
+    assert found == CLI_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "jobs.jsonl", "--meter", "synth:base=20", "--encoder-cmd", "true",
+     "--out", "d.csv", "--sample-period", "0.1"],
+    ["fit", "d.csv", "--model", "uf_linear", "--seed", "1"],
+])
+def test_removed_settings_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "crossval"])
+def test_params_out_with_qp_cubic_exits_two_before_loading_the_dataset(capsys, tmp_path,
+                                                                      command):
+    # qp_cubic has no per-preset linear parameters to write
+    params = tmp_path / "p.csv"
+    code, _, err = run_cli(capsys, command, str(tmp_path / "missing.csv"),
+                           "--model", "qp_cubic", "--params-out", str(params))
+    assert code == 2
+    assert "--params-out" in err and "missing.csv" not in err
+    assert not params.exists()
 
 
 # ── import ────────────────────────────────────────────────────────────────
@@ -94,10 +150,10 @@ def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
     data, params = str(tmp_path / "d.csv"), str(tmp_path / "p.csv")
     run_cli(capsys, "synth", "--out", data, "--seed", "1")
     reports = []
-    for model in ("uf_linear", "qp_cubic"):
+    for model, params_out in (("uf_linear", ["--params-out", params]), ("qp_cubic", [])):
         reports.append(str(tmp_path / f"{model}.json"))
         code, _, err = run_cli(capsys, "fit", data, "--model", model, "--out", reports[-1],
-                               "--params-out", params)
+                               *params_out)
         assert code == 0, err
     commands = [
         ["--version"],
@@ -618,6 +674,69 @@ def test_measure_out_in_missing_directory_exits_two_before_any_encode(capsys, tm
     (line,) = err.splitlines()
     assert line.startswith("error: ") and str(out) in line
     assert not calls.exists()
+
+
+def test_measure_recipe_with_duration_exits_two_naming_the_key(capsys, tmp_path, input_file,
+                                                               stub_encoder):
+    # each recording sets its own duration: the key would have no effect
+    out = tmp_path / "d.csv"
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20,duration=4", "--out", str(out),
+    )
+    assert code == 2
+    assert "unknown recipe key 'duration'" in err
+    assert not calls.exists()
+    assert not out.exists()
+
+
+def test_measure_failure_line_ends_with_the_encoder_log(capsys, tmp_path, input_file):
+    encoder = tmp_path / "failing_encoder.py"
+    encoder.write_text("import sys\n"
+                       "print('x265 [info]: HEVC encoder version (stub)')\n"
+                       "print('x265 [error]: unable to open input file', file=sys.stderr)\n"
+                       "sys.exit(3)\n")
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    out = tmp_path / "d.csv"
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+        "--encoder-cmd", f"{sys.executable} {encoder}", "--out", str(out),
+    )
+    assert code == 4
+    (line,) = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert line.endswith("encoder exited with status 3; log ends: "
+                         "x265 [info]: HEVC encoder version (stub) | "
+                         "x265 [error]: unable to open input file")
+    assert out.read_text() == ",".join(DATASET_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(("reader", "code"), [
+    ("trace", 3), ("manifest", 2), ("dataset", 2), ("params", 2),
+])
+def test_input_that_is_not_utf8_is_named(capsys, tmp_path, input_file, reader, code):
+    manifest, trace = tmp_path / "jobs.jsonl", tmp_path / "trace.csv"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    trace.write_text("t_s,p_w\n0.0,20.0\n10.0,20.0\n")
+    data, params = tmp_path / "d.csv", tmp_path / "p.csv"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", "uf_linear", "--params-out", str(params))
+    good = {"trace": trace, "manifest": manifest, "dataset": data, "params": params}[reader]
+    bad = tmp_path / f"bad-{reader}"
+    bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff", 1))
+    measure = ["--encoder-cmd", "true", "--out", str(tmp_path / "out.csv")]
+    argv = {
+        "trace": ["measure", str(manifest), "--meter", f"csv:{bad}", "--idle-trace", str(trace),
+                  *measure],
+        "manifest": ["measure", str(bad), "--meter", "synth:base=20", *measure],
+        "dataset": ["fit", str(bad), "--model", "uf_linear"],
+        "params": ["estimate", "--params", str(bad), "--t-uf", "2"],
+    }[reader]
+    exit_code, _, err = run_cli(capsys, *argv)
+    assert exit_code == code
+    (line,) = err.splitlines()
+    assert str(bad) in line and "utf-8" in line
 
 
 @pytest.mark.parametrize("meter", ["synth:{missing}", "synth:base=20,period=0",

@@ -139,6 +139,19 @@ def test_load_rejects_missing_column(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_load_names_row_of_fewer_than_one_repetition(tmp_path, reps):
+    path = tmp_path / "bad.csv"
+    Dataset(rows=(make_row(preset="ultrafast", t_enc=1.0), make_row())).write_csv(path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[DATASET_COLUMNS.index("reps")] = reps
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=f"row 3: reps must be >= 1, got {reps}"):
+        load_dataset_csv(path)
+
+
 def test_load_reports_row_and_column_of_bad_value(tmp_path):
     path = tmp_path / "bad.csv"
     good = Dataset(rows=(make_row(preset="ultrafast", t_enc=1.0),))

@@ -314,6 +314,17 @@ def test_sampling_non_integer_counter_raises(tmp_path):
         sample_counter_file(f, 0.1, stopped())
 
 
+def test_counter_or_range_file_that_is_not_text_is_named(tmp_path):
+    f = tmp_path / "energy_uj"
+    f.write_bytes(b"\xff12")
+    with pytest.raises(AcquisitionError, match="cannot read counter file .*energy_uj"):
+        CounterMeter(f)
+    f.write_text("0")
+    (tmp_path / "max_energy_range_uj").write_bytes(b"\xff12")
+    with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
+        CounterMeter(f)
+
+
 def test_wrap_modulus_env_override(tmp_path):
     (tmp_path / "max_energy_range_uj").write_text("1000\n")
     # starts at 900, wraps at 1000: deltas 200, 200
@@ -598,57 +609,70 @@ def test_open_meter_kinds(tmp_path):
     trace.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
-    assert isinstance(open_meter(f"csv:{trace}", 0.1), CsvReplayMeter)
-    assert isinstance(open_meter(f"counter:{counter}", 0.1), CounterMeter)
-    meter = open_meter("synth:base=20,active=30,noise=0,seed=1", 0.1)
+    assert isinstance(open_meter(f"csv:{trace}"), CsvReplayMeter)
+    meter = open_meter(f"counter:{counter}")
+    assert isinstance(meter, CounterMeter)
+    assert meter.sample_period == DEFAULT_POLL_PERIOD
+    meter = open_meter("synth:base=20,active=30,noise=0,seed=1")
     assert isinstance(meter, SyntheticMeter)
-    assert meter.sample_period == 0.1
+    assert meter.sample_period == DEFAULT_POLL_PERIOD
     with pytest.raises(ValueError):
-        open_meter("bogus:/x", 0.1)
+        open_meter("bogus:/x")
     with pytest.raises(ValueError):
-        open_meter("no-colon", 0.1)
+        open_meter("no-colon")
 
 
 def test_open_meter_validation(tmp_path):
+    # The meters themselves refuse a period, however they are built.
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
-    with pytest.raises(ValueError):
-        open_meter("synth:base=20", 0.0)
-    with pytest.raises(ValueError):
-        open_meter(f"counter:{counter}", 0.0)
+    for period in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="sample_period must be > 0"):
+            CounterMeter(counter, sample_period=period)
+        with pytest.raises(ValueError, match="sample_period must be > 0"):
+            SyntheticMeter(SyntheticRecipe(), sample_period=period)
 
 
 def test_open_meter_counter_must_be_readable(tmp_path):
     with pytest.raises(AcquisitionError, match="cannot read counter file"):
-        open_meter(f"counter:{tmp_path / 'missing'}", 0.1)
+        open_meter(f"counter:{tmp_path / 'missing'}")
     with pytest.raises(AcquisitionError):
         CounterMeter(tmp_path / "missing")
 
 
 def test_open_meter_synthetic_inline_and_json(tmp_path):
-    meter = open_meter("synth:base=20,active=30,noise=0,duration=4,period=0.05", 0.1)
+    meter = open_meter("synth:base=20,active=30,noise=0,period=0.05")
     assert isinstance(meter, SyntheticMeter)
     assert meter.sample_period == 0.05
     assert meter.recipe.base_power == 20.0
 
     recipe_file = tmp_path / "recipe.json"
     recipe_file.write_text(
-        '{"base_power": 10.0, "active_power": 5.0, "noise_std": 0.0, "duration": 2.0, "seed": 4}'
+        '{"base_power": 10.0, "active_power": 5.0, "noise_std": 0.0, "seed": 4}'
     )
-    meter = open_meter(f"synth:{recipe_file}", 0.1)
+    meter = open_meter(f"synth:{recipe_file}")
     assert meter.recipe.active_power == 5.0
 
 
 def test_json_recipe_takes_the_inline_aliases_and_keys(tmp_path):
     recipe_file = tmp_path / "recipe.json"
     recipe_file.write_text('{"base": 20, "active": 5, "noise": 0.5, "seed": 3, "period": 0.05}')
-    json_meter = open_meter(f"synth:{recipe_file}", 0.1)
-    inline_meter = open_meter("synth:base=20,active=5,noise=0.5,seed=3,period=0.05", 0.1)
+    json_meter = open_meter(f"synth:{recipe_file}")
+    inline_meter = open_meter("synth:base=20,active=5,noise=0.5,seed=3,period=0.05")
     assert json_meter.recipe == inline_meter.recipe
     assert json_meter.sample_period == inline_meter.sample_period == 0.05
     recipe_file.write_text('{"base": 20, "bogus": 1}')
     with pytest.raises(ValueError, match="unknown recipe key 'bogus'"):
-        open_meter(f"synth:{recipe_file}", 0.1)
+        open_meter(f"synth:{recipe_file}")
+
+
+def test_recipe_refuses_duration(tmp_path):
+    # Each recording and idle capture sets the duration itself.
+    recipe_file = tmp_path / "recipe.json"
+    recipe_file.write_text('{"base": 20, "duration": 4}')
+    for spec in ("synth:base=20,duration=4", f"synth:{recipe_file}"):
+        with pytest.raises(ValueError, match="unknown recipe key 'duration'"):
+            open_meter(spec)
 
 
 def test_recipe_file_that_cannot_be_read_is_named(tmp_path):
@@ -658,13 +682,13 @@ def test_recipe_file_that_cannot_be_read_is_named(tmp_path):
         if text is not None:
             recipe_file.write_text(text)
         with pytest.raises(ValueError, match="recipe.json"):
-            open_meter(f"synth:{recipe_file}", 0.1)
+            open_meter(f"synth:{recipe_file}")
 
 
 @pytest.mark.parametrize("spec", ["synth:base=20,period=0", "synth:period=-0.1"])
 def test_recipe_period_gets_the_sample_period_check(spec):
     with pytest.raises(ValueError, match="sample_period must be > 0"):
-        open_meter(spec, 0.1)
+        open_meter(spec)
 
 
 def test_csv_replay_meter(tmp_path):

@@ -289,6 +289,19 @@ def test_load_manifest_errors(tmp_path):
         load_manifest(empty)
 
 
+@pytest.mark.parametrize("scalar, plural", [("preset", "presets"), ("crf", "crfs")])
+def test_load_manifest_refuses_a_scalar_and_its_list_together(tmp_path, scalar, plural):
+    # one of the two forms would have to be dropped without a word
+    entry = {"sequence_id": "s1", "input": "a.yuv", "frames": 10, "preset": "ultrafast",
+             "crf": 23}
+    both = {**entry, "sequence_id": "s2", plural: ["medium"] if scalar == "preset" else [28]}
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n" + json.dumps(both) + "\n")
+    with pytest.raises(ManifestError,
+                       match=f"jobs.jsonl, line 2: give '{scalar}' or '{plural}', not both"):
+        load_manifest(manifest)
+
+
 @pytest.mark.parametrize("extra_args", ['"--foo"', '["--foo", 1]', '{"a": "b"}', "null"])
 def test_load_manifest_takes_extra_args_only_as_a_list_of_strings(tmp_path, extra_args):
     manifest = tmp_path / "jobs.jsonl"
