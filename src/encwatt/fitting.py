@@ -66,23 +66,26 @@ def mean_abs_relative_error(errors: Sequence[float]) -> float:
     return float(np.mean(np.abs(np.asarray(errors, dtype=float))))
 
 
-def _solve_relative_ls(design: np.ndarray, energies: np.ndarray, objective: str) -> np.ndarray:
+def _solve_relative_ls(
+    design: np.ndarray, energies: np.ndarray, objective: str, start: np.ndarray | None = None
+) -> np.ndarray:
     """Minimize the relative-residual objective for a parameter-linear model.
 
     ``design @ c`` predicts energy.  For ``squared_rel`` this is one
-    closed-form weighted least-squares solve; ``abs_rel`` starts from it
-    and solves the L1 problem exactly by vertex exchange.
+    closed-form weighted least-squares solve; ``abs_rel`` solves the L1
+    problem exactly by vertex exchange, from ``start`` if given (a fold
+    gets its cell's full-data optimum), else from the least-squares fit.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     n, k = design.shape
     scaled = design / energies[:, None]
+    if objective == "abs_rel" and start is not None:
+        return _solve_l1(scaled, start)
     coef, _, rank, _ = np.linalg.lstsq(scaled, np.ones(n), rcond=None)
     if rank < k:
         raise SingularFitError(f"design matrix has rank {rank} < {k}")
-    if objective == "abs_rel":
-        coef = _solve_l1(scaled, coef)
-    return coef
+    return _solve_l1(scaled, coef) if objective == "abs_rel" else coef
 
 
 def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -91,9 +94,10 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     An L1 optimum interpolates ``k`` linearly independent rows (Barrodale
     & Roberts, SIAM J. Numer. Anal. 10(5), 1973).  The first vertex goes
     through the ``k`` rows of smallest ``|residual|`` under ``start`` that
-    have full rank.  Every row outside the basis ``B`` has a side
-    ``s_i``: the sign of its residual, or for a row resting at zero
-    residual the side it was last moved to (0 if none).  The dual
+    have full rank (fewer raise :class:`SingularFitError`), so a ``start``
+    near the optimum needs few pivots.  Every row outside the basis ``B``
+    has a side ``s_i``: the sign of its residual, or for a row resting at
+    zero residual the side it was last moved to (0 if none).  The dual
     ``u = -B^-T sum_{i not in B} s_i a_i`` certifies the vertex optimal
     when ``max|u| <= 1``.  Otherwise the basis row ``j`` of largest
     ``|u_j|`` is released along ``d = B^-1 sign(u_j) e_j``, on which the
@@ -111,6 +115,9 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
             basis.append(i)
             if len(basis) == k:
                 break
+    if len(basis) < k:
+        raise SingularFitError(f"design matrix has rank {len(basis)} < {k}")
+    abs_scaled = np.abs(scaled)
     sides = np.zeros(n)
     cap = _PIVOTS_PER_ROW * n
     for pivot in range(cap + 1):
@@ -118,7 +125,7 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
         coef = np.linalg.solve(rows, np.ones(k))
         residuals = scaled @ coef - 1.0
         # a residual within rounding of its terms' scale rests at zero
-        off_zero = np.abs(residuals) > _ZERO_RESIDUAL * (np.abs(scaled) @ np.abs(coef) + 1.0)
+        off_zero = np.abs(residuals) > _ZERO_RESIDUAL * (abs_scaled @ np.abs(coef) + 1.0)
         off_zero[basis] = False
         residuals[~off_zero] = 0.0
         sides = np.where(off_zero, np.sign(residuals), sides)
@@ -132,7 +139,7 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
         sign = np.sign(dual[j])
         step = np.linalg.solve(rows, sign * np.eye(k)[j])
         rates = scaled @ step  # each residual's change per unit step
-        moving = np.abs(rates) > _ZERO_RESIDUAL * (np.abs(scaled) @ np.abs(step))
+        moving = np.abs(rates) > _ZERO_RESIDUAL * (abs_scaled @ np.abs(step))
         moving[basis] = False
         # A row moving against its side (or off zero with no side yet)
         # breaks at ratio -r/rate >= 0, where its slope contribution turns
@@ -166,15 +173,19 @@ class FitResult:
     n_rows: int
 
 
+def _coef(params: LinearParams | QpModelParams) -> np.ndarray:
+    """The coefficients of ``params``, in its model's design-column order."""
+    if isinstance(params, QpModelParams):
+        return np.array([params.kappa, params.lam, params.mu, params.t0])
+    return np.array([params.p, params.e0])
+
+
 def _training_errors(
     params: LinearParams | QpModelParams, x: np.ndarray, energy: np.ndarray
 ) -> np.ndarray:
     """Relative errors of ``params`` on the covariates ``x`` and energies it was fitted to."""
-    if isinstance(params, QpModelParams):
-        preds = _qp_design(x) @ np.array([params.kappa, params.lam, params.mu, params.t0])
-    else:
-        preds = _linear_design(x) @ np.array([params.p, params.e0])
-    return (preds - energy) / energy
+    design = _qp_design if isinstance(params, QpModelParams) else _linear_design
+    return (design(x) @ _coef(params) - energy) / energy
 
 
 def _fit_result(
@@ -191,7 +202,8 @@ def _linear_design(t: np.ndarray) -> np.ndarray:
 
 
 def _fit_linear(
-    t: np.ndarray, energy: np.ndarray, preset: str, covariate_kind: str, objective: str
+    t: np.ndarray, energy: np.ndarray, preset: str, covariate_kind: str, objective: str,
+    start: np.ndarray | None = None,
 ) -> LinearParams:
     if len(t) > 0 and np.all(t == t[0]):
         raise SingularFitError(f"preset {preset!r}: all {covariate_kind} values equal ({t[0]})")
@@ -200,7 +212,7 @@ def _fit_linear(
             f"preset {preset!r}: {len(t)} rows; need at least 3 to fit the affine model"
         )
     try:
-        slope, offset = _solve_relative_ls(_linear_design(t), energy, objective)
+        slope, offset = _solve_relative_ls(_linear_design(t), energy, objective, start)
     except FitError as exc:
         raise _tag_fit_error(exc, f"preset {preset!r}") from exc
     if slope <= 0:
@@ -238,14 +250,15 @@ def _require_avg_qp(rows: Sequence[DatasetRow], cell: str) -> None:
 
 
 def _fit_qp(
-    qp: np.ndarray, energy: np.ndarray, preset: str, class_label: str, objective: str
+    qp: np.ndarray, energy: np.ndarray, preset: str, class_label: str, objective: str,
+    start: np.ndarray | None = None,
 ) -> QpModelParams:
     cell = f"preset {preset!r}, class {class_label!r}"
     if len(qp) < 5:
         raise UnderdeterminedFitError(f"{cell}: {len(qp)} rows; need at least 5")
     design = _qp_design(qp)
     try:
-        coef = _solve_relative_ls(design, energy, objective)
+        coef = _solve_relative_ls(design, energy, objective, start)
     except SingularFitError as exc:
         raise UnderdeterminedFitError(f"{cell}: {exc}") from exc
     except FitError as exc:
@@ -334,13 +347,13 @@ def _cells(data: Dataset, model_kind: str) -> _Cells:
 
 def _fit_cell(
     x: np.ndarray, energy: np.ndarray, model_kind: str, preset: str, class_label: str,
-    objective: str,
+    objective: str, start: np.ndarray | None = None,
 ) -> LinearParams | QpModelParams:
     """Fit the model of ``model_kind`` to one cell's covariate and energy arrays."""
     if model_kind == "qp_cubic":
-        return _fit_qp(x, energy, preset, class_label, objective)
+        return _fit_qp(x, energy, preset, class_label, objective, start)
     covariate_kind = "own_time" if model_kind == "time_linear" else "ultrafast_time"
-    return _fit_linear(x, energy, preset, covariate_kind, objective)
+    return _fit_linear(x, energy, preset, covariate_kind, objective, start)
 
 
 def _report(
@@ -395,7 +408,9 @@ def cross_validate(
     and shared across cells, so a bitstream is held out in the same fold
     everywhere.  A degenerate training fold aborts the run rather than
     being skipped.  A cell's error averages its held-out errors; a
-    preset's error averages its cells' errors.
+    preset's error averages its cells' errors.  Each cell is fitted on all
+    its rows first, and that fit is each fold's ``start``; should it fail,
+    the folds start from least squares and its error follows theirs.
     """
     cells = _cells(data, model_kind)
     params: _Params = {}
@@ -419,23 +434,29 @@ def cross_validate(
                 if len(rows) < k:
                     raise ValueError(f"{context}: {len(rows)} rows cannot fill {k} folds")
                 folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
+            try:
+                fitted = _fit_cell(x, energy, model_kind, preset, class_label, objective)
+                start, failure = _coef(fitted), None
+            except FitError as exc:  # raised after the folds, whose errors come first
+                start, failure = None, exc
             held_out: list[np.ndarray] = []
             for fold_index, fold in enumerate(folds):
                 if len(fold) == 0:
                     continue  # joint split: this cell has no bitstream in the fold
                 train, test = np.delete(order, fold), order[fold]
                 try:
-                    fitted = _fit_cell(x[train], energy[train], model_kind, preset, class_label,
-                                       objective)
+                    trained = _fit_cell(x[train], energy[train], model_kind, preset, class_label,
+                                        objective, start=start)
                 except FitError as exc:
                     raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-                errors = (law(fitted, x[test]) - energy[test]) / energy[test]
+                errors = (law(trained, x[test]) - energy[test]) / energy[test]
                 held_out.append(errors)
                 fold_errors[fold_index].append(errors)
+            if failure is not None:
+                raise failure
             cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
                 np.concatenate(held_out))
-            params.setdefault(preset, {})[class_label] = _fit_cell(
-                x, energy, model_kind, preset, class_label, objective)
+            params.setdefault(preset, {})[class_label] = fitted
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):

@@ -250,31 +250,32 @@ _JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, f
                dict: (dict, "an object"), tuple: (list, "a list")}
 
 
-def _check_json(value, hint, key: str) -> None:
+def check_json(value, hint, key: str, what: str = "report") -> None:
     """Raise ValueError, naming ``key``, unless ``value`` is the JSON of a ``hint`` value.
 
-    Numbers are JSON numbers (an integer where ``hint`` is ``int``), never
-    ``true`` or ``false``; a parameter set is an object holding its keys.
+    The message begins ``<what> key``.  Numbers are JSON numbers (an
+    integer where ``hint`` is ``int``), never ``true`` or ``false``; a
+    parameter set is an object holding its keys.
     """
     origin = get_origin(hint)
     if origin is Union:  # Optional: null stands for None
         if value is not None:
-            _check_json(value, get_args(hint)[0], key)
+            check_json(value, get_args(hint)[0], key, what)
         return
     json_type, name = _JSON_TYPES[dict if hint in _PARAM_KEYS else origin or hint]
     if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValueError(f"report key {key!r} must be {name}, got {value!r}")
+        raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
     if hint in _PARAM_KEYS:
         hints = get_type_hints(hint)
         for field_name, entry_key in _PARAM_KEYS[hint].items():
             if entry_key in value:  # a missing key is left to raise KeyError
-                _check_json(value[entry_key], hints[field_name], f"{key}.{entry_key}")
+                check_json(value[entry_key], hints[field_name], f"{key}.{entry_key}", what)
     elif origin is dict:
         for inner_key, inner in value.items():
-            _check_json(inner, get_args(hint)[1], f"{key}.{inner_key}")
+            check_json(inner, get_args(hint)[1], f"{key}.{inner_key}", what)
     elif origin is tuple:
         for i, inner in enumerate(value):
-            _check_json(inner, get_args(hint)[0], f"{key}[{i}]")
+            check_json(inner, get_args(hint)[0], f"{key}[{i}]", what)
 
 
 def _map_leaves(value, depth: int, convert):
@@ -330,7 +331,7 @@ class FitReport:
             if field.name not in data and field.default is not MISSING:
                 continue
             value = data[field.name]
-            _check_json(value, hints[field.name], field.name)
+            check_json(value, hints[field.name], field.name)
             if field.name in _REPORT_PARAMS and value is not None:
                 kind, depth = _REPORT_PARAMS[field.name]
                 value = _map_leaves(value, depth, partial(_params_from_json, kind))

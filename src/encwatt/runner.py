@@ -138,10 +138,11 @@ def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> Enc
 
     A nonzero encoder exit raises :class:`EncodeFailedError` carrying the
     log tail, whose last three lines end its message; an unparseable log
-    only leaves ``avg_qp`` absent.
+    only leaves ``avg_qp`` absent.  Failure messages leave naming the job
+    to the caller.
     """
     if not Path(job.input_path).is_file():
-        raise EncodeFailedError(f"{job.label()}: input file {job.input_path!r} does not exist")
+        raise EncodeFailedError(f"input file {job.input_path!r} does not exist")
     mapping = {
         "input": job.input_path,
         "output": str(output_path),
@@ -154,14 +155,14 @@ def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> Enc
     try:
         proc = subprocess.run(argv, capture_output=True, text=True)
     except OSError as exc:
-        raise EncodeFailedError(f"{job.label()}: cannot execute {argv[0]!r}: {exc}") from exc
+        raise EncodeFailedError(f"cannot execute {argv[0]!r}: {exc}") from exc
     wall_time = time.perf_counter() - start
     log = proc.stdout + proc.stderr
     if proc.returncode != 0:
         lines = log.splitlines()
         last = " | ".join([line.strip() for line in lines if line.strip()][-3:])
         raise EncodeFailedError(
-            f"{job.label()}: encoder exited with status {proc.returncode}"
+            f"encoder exited with status {proc.returncode}"
             + (f"; log ends: {last}" if last else ""),
             log_tail="\n".join(lines[-20:]),
         )

@@ -12,13 +12,14 @@ exactly, which the fit tests rely on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .dataset import Dataset, DatasetRow
-from .models import PRESETS
+from .models import PRESETS, check_json
 
 __all__ = ["GROUND_TRUTH", "SynthDatasetRecipe", "generate_dataset", "load_dataset_recipe"]
 
@@ -81,9 +82,10 @@ def _crf_scale(crf: float) -> float:
     ]))
 
 
-def _truncated_normal(rng: np.random.Generator, scale: float) -> float:
-    # Clipped at 3 sigma so times and energies stay positive.
-    return float(np.clip(rng.normal(0.0, 1.0), -3.0, 3.0)) * scale
+def _truncated_normals(rng: np.random.Generator, n: int) -> list[float]:
+    # One block draw is the same stream as n scalar draws.  Clipped at 3
+    # sigma so times and energies stay positive.
+    return [min(max(z, -3.0), 3.0) for z in rng.normal(0.0, 1.0, n).tolist()]
 
 
 def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
@@ -96,6 +98,8 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
         class_label = classes[i % len(classes)]
         content_scale = rng.uniform(0.75, 1.35)   # within-class content complexity
         qp_offset = rng.uniform(-2.5, 2.5)        # sequence-dependent avg-QP shift
+        # per row: a time jitter (all but ultrafast), an energy noise, a QP shift
+        z = iter(_truncated_normals(rng, len(recipe.crfs) * (3 * len(PRESETS) - 1)))
         for crf in recipe.crfs:
             t_uf = _CLASS_BASE_TIME[class_label] * content_scale * _crf_scale(crf)
             for preset in PRESETS:
@@ -103,11 +107,9 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
                 if preset == "ultrafast":
                     t_enc = t_uf
                 else:
-                    t_enc = law.time_factor * t_uf * (1.0 + _truncated_normal(rng, recipe.time_jitter))
-                energy = (law.power_w * t_enc + law.offset_j) * (
-                    1.0 + _truncated_normal(rng, recipe.noise)
-                )
-                avg_qp = float(np.clip(crf + qp_offset + _truncated_normal(rng, 0.4), 0.0, 51.0))
+                    t_enc = law.time_factor * t_uf * (1.0 + next(z) * recipe.time_jitter)
+                energy = (law.power_w * t_enc + law.offset_j) * (1.0 + next(z) * recipe.noise)
+                avg_qp = min(max(crf + qp_offset + next(z) * 0.4, 0.0), 51.0)
                 rows.append(
                     DatasetRow(
                         sequence_id=sequence_id,
@@ -127,17 +129,17 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
 
 
 def load_dataset_recipe(path: str | Path) -> SynthDatasetRecipe:
-    """Read a dataset recipe from JSON; unknown keys are rejected."""
+    """Read a dataset recipe from JSON; unknown keys and wrongly typed values are rejected."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read recipe {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"recipe {path} must hold a JSON object")
-    known = {f.name for f in fields(SynthDatasetRecipe)}
-    unknown = set(data) - known
+    hints = get_type_hints(SynthDatasetRecipe)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ValueError(f"unknown recipe keys: {sorted(unknown)}")
-    if "crfs" in data:
-        data["crfs"] = tuple(data["crfs"])
+    for key, value in data.items():
+        check_json(value, hints[key], key, "recipe")
     return SynthDatasetRecipe(**data)

@@ -712,6 +712,30 @@ def test_measure_failure_line_ends_with_the_encoder_log(capsys, tmp_path, input_
     assert out.read_text() == ",".join(DATASET_COLUMNS) + "\n"
 
 
+@pytest.mark.parametrize(("failure", "reason"), [
+    ("missing_input", "input file"),
+    ("cannot_execute", "cannot execute"),
+    ("exit_status", "encoder exited with status 3"),
+])
+def test_measure_failure_line_names_the_job_once(capsys, tmp_path, input_file, failure, reason):
+    encoder = tmp_path / "failing_encoder.py"
+    encoder.write_text("import sys\nsys.exit(3)\n")
+    encoder_cmd = {"cannot_execute": str(tmp_path / "no_such_encoder")}.get(
+        failure, f"{sys.executable} {encoder}")
+    manifest = tmp_path / "jobs.jsonl"
+    clip = tmp_path / "missing.yuv" if failure == "missing_input" else input_file
+    write_manifest(manifest, clip, presets=("ultrafast",), n_seqs=1)
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+        "--encoder-cmd", encoder_cmd, "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 4
+    (line,) = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert line.startswith("failed: s0:ultrafast:crf23: repetition 1: " + reason)
+    assert line.count("s0:ultrafast:crf23") == 1
+
+
 @pytest.mark.parametrize(("reader", "code"), [
     ("trace", 3), ("manifest", 2), ("dataset", 2), ("params", 2),
 ])

@@ -493,6 +493,58 @@ def test_cross_validation_degenerate_fold_aborts():
         cross_validate(ds, "time_linear", k=10, seed=0)
 
 
+@pytest.mark.parametrize("objective", ["abs_rel", "squared_rel"])
+def test_rank_deficient_training_fold_of_a_full_rank_cell_is_named(objective):
+    # four QP values over the cell, so its own fit succeeds; the fold
+    # holding the one row at 35 out trains on three
+    qps = np.array([20.0] * 3 + [25.0] * 3 + [30.0] * 3 + [35.0])
+    energies = qp_energy(qps, kappa=0.02, lam=0.1, mu=0.5, t0=500.0) * np.linspace(0.98, 1.02, 10)
+    ds = dataset_from_arrays(np.linspace(1, 5, 10), energies, qps=list(qps))
+    fit_qp_model(ds, "medium", "B", objective=objective)
+    with pytest.raises(UnderdeterminedFitError) as info:
+        cross_validate(ds, "qp_cubic", k=10, seed=0, objective=objective)
+    assert str(info.value) == ("preset 'medium', class 'B', fold 6: preset 'medium', class 'B': "
+                               "design matrix has rank 3 < 4")
+
+
+@pytest.mark.parametrize("joint_folds", [False, True])
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_started_folds_report_what_cold_started_folds_do(monkeypatch, seed, model_kind,
+                                                              joint_folds):
+    import encwatt.fitting as fitting
+
+    ds = generate_dataset(SynthDatasetRecipe(seed=seed))
+    k = 5 if joint_folds else 10
+
+    def report():
+        return cross_validate(ds, model_kind, k=k, seed=seed, objective="abs_rel",
+                              joint_folds=joint_folds).to_json()
+
+    warm = report()
+    fit_cell = fitting._fit_cell
+    monkeypatch.setattr(fitting, "_fit_cell", lambda *args, start=None: fit_cell(*args))
+    assert warm == report()
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_abs_rel_crossval_solves_least_squares_once_per_cell(monkeypatch, model_kind):
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    report = cross_validate(ds, model_kind, k=5, seed=0, objective="abs_rel")
+    cells = (sum(len(errors) for errors in report.per_class_error.values())
+             if model_kind == "qp_cubic" else len(report.per_preset_error))
+    # only each cell's full-data fit starts from least squares
+    assert len(calls) == cells
+
+
 def test_cross_validation_requires_enough_rows_per_preset():
     ds = dataset_from_arrays(np.linspace(1, 5, 6), np.linspace(100, 500, 6))
     with pytest.raises(ValueError, match="folds"):

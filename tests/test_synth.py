@@ -1,5 +1,6 @@
 """Synthetic dataset generator: shape, determinism, ground-truth laws."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,10 +59,11 @@ def test_energies_positive_and_qp_midrange():
 
 def test_recipe_from_json(tmp_path):
     path = tmp_path / "recipe.json"
-    path.write_text(json.dumps({"n_sequences": 4, "noise": 0.0, "seed": 9}))
+    path.write_text(json.dumps({"n_sequences": 4, "noise": 0.0, "seed": 9, "crfs": [20, 30.5]}))
     recipe = load_dataset_recipe(path)
     assert recipe.n_sequences == 4
     assert recipe.noise == 0.0
+    assert recipe.crfs == (20.0, 30.5)
     assert generate_dataset(recipe).rows[0].sequence_id == "seq00"
 
 
@@ -79,3 +81,48 @@ def test_recipe_validation():
         SynthDatasetRecipe(noise=-0.1)
     with pytest.raises(ValueError):
         SynthDatasetRecipe(crfs=())
+
+
+# The sha256 of each recipe's CSV, as written by the scalar-draw generator.
+# A generator that draws or clips its noise differently changes them.
+@pytest.mark.parametrize(("recipe", "sha256"), [
+    (SynthDatasetRecipe(n_sequences=6, seed=0),
+     "be0efb87af433bd6b0b5086e812a23c0056e9a67aec3ccf1db8dd1029606225c"),
+    (SynthDatasetRecipe(n_sequences=6, seed=1),
+     "1af37502fcfdc0ca66946fe2d1ba60157f5e0c3e377ab470647b7619d2ced3d3"),
+    (SynthDatasetRecipe(n_sequences=6, crfs=(20.0, 30.0), noise=0.0, time_jitter=0.0, seed=3),
+     "352f5d2ed2c444840de6a1b9b94a156ced85e85fad72d3dd03f24546c1fa4055"),
+], ids=["seed0", "seed1", "zero_noise"])
+def test_generated_csv_is_pinned(tmp_path, recipe, sha256):
+    path = tmp_path / "d.csv"
+    generate_dataset(recipe).write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(("entry", "message"), [
+    ({"n_sequences": "250"}, "recipe key 'n_sequences' must be an integer, got '250'"),
+    ({"n_sequences": 2.0}, "recipe key 'n_sequences' must be an integer, got 2.0"),
+    ({"frames": 1.5}, "recipe key 'frames' must be an integer, got 1.5"),
+    ({"seed": 1.5}, "recipe key 'seed' must be an integer, got 1.5"),
+    ({"seed": True}, "recipe key 'seed' must be an integer, got True"),
+    ({"noise": "0.1"}, "recipe key 'noise' must be a number, got '0.1'"),
+    ({"time_jitter": False}, "recipe key 'time_jitter' must be a number, got False"),
+    ({"crfs": 23}, "recipe key 'crfs' must be a list, got 23"),
+    ({"crfs": [23, "28"]}, "recipe key 'crfs[1]' must be a number, got '28'"),
+])
+def test_recipe_refuses_a_wrongly_typed_value_naming_the_key(tmp_path, entry, message):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"n_sequences": 2, **entry}))
+    with pytest.raises(ValueError) as info:
+        load_dataset_recipe(path)
+    assert str(info.value) == message
+
+
+def test_synth_command_exits_two_on_a_wrongly_typed_recipe(tmp_path, capsys):
+    from encwatt.cli import main
+
+    recipe, out = tmp_path / "recipe.json", tmp_path / "d.csv"
+    recipe.write_text(json.dumps({"n_sequences": 2, "seed": True}))
+    assert main(["synth", "--recipe", str(recipe), "--out", str(out)]) == 2
+    assert "error: recipe key 'seed' must be an integer, got True" in capsys.readouterr().err
+    assert not out.exists()
