@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "PowerTrace",
+    "CounterSpan",
     "ConfidencePolicy",
     "MeasurementRecord",
     "integrate_energy",
@@ -124,6 +125,17 @@ class PowerTrace:
         return len(self.samples)
 
 
+class CounterSpan(NamedTuple):
+    """The joules a counter counted and the seconds between the readings they span."""
+
+    joules: float
+    seconds: float
+    source_label: str = ""
+
+
+Recording = PowerTrace | CounterSpan
+
+
 @dataclass(frozen=True)
 class ConfidencePolicy:
     """Parameters of the repeat-measurement stopping rule.
@@ -188,28 +200,30 @@ def integrate_energy(trace: PowerTrace, t_start: float, t_end: float) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def net_energy(total: PowerTrace, idle: PowerTrace, duration: float) -> float:
+def _energy_over(recording: Recording, seconds: float) -> tuple[float, float]:
+    """A recording's joules over ``seconds`` from its start (a counter's over its own span)."""
+    if isinstance(recording, CounterSpan):
+        return recording.joules, recording.seconds
+    return integrate_energy(recording, recording.start, recording.start + seconds), seconds
+
+
+def net_energy(total: Recording, idle: Recording, duration: float) -> float:
     """Energy attributable to the measured activity over ``duration`` seconds.
 
-    Integrates each trace over a window of length ``duration`` anchored at
-    that trace's own first sample and returns total minus idle.  A
-    negative result means the idle baseline exceeded the loaded trace; it
-    is logged as a warning and returned unclamped.
+    Each trace is integrated over a window anchored at its own first
+    sample; a counter span gives its own joules over its own seconds.  The
+    idle power over the total's seconds is subtracted.  A negative result
+    means the idle baseline exceeded the total; it is logged as a warning
+    and returned unclamped.
     """
     if duration <= 0:
         raise TraceWindowError(f"duration must be > 0, got {duration}")
-    for trace in (total, idle):
-        if trace.duration < duration:
-            raise TraceWindowError(
-                f"trace {trace.source_label!r} spans {trace.duration:.6g} s, "
-                f"shorter than the requested {duration:.6g} s window"
-            )
-    e_total = integrate_energy(total, total.start, total.start + duration)
-    e_idle = integrate_energy(idle, idle.start, idle.start + duration)
-    net = e_total - e_idle
+    e_total, seconds = _energy_over(total, duration)
+    e_idle, idle_seconds = _energy_over(idle, seconds)
+    net = float(e_total - e_idle * (seconds / idle_seconds))
     if net < 0:
         logger.warning(
-            "net energy is negative (%.6g J): idle baseline %r exceeds total trace %r",
+            "net energy is negative (%.6g J): idle baseline %r exceeds total %r",
             net,
             idle.source_label,
             total.source_label,

@@ -9,8 +9,8 @@ non-negative integer, a cumulative energy counter in microjoules.  The
 counter is its own integrator: a recording's energy is the unwrapped
 difference between a reading the recording thread takes just before the
 activity and one it takes just after, with a sampler thread polling in
-between only to catch wraps, and is returned as a flat two-sample trace
-over the time between the two readings.  The wrap-around modulus is read
+between only to catch wraps, and is returned with the seconds between
+the two readings as a :class:`CounterSpan`.  The wrap-around modulus is read
 once, when the meter is built, from a sibling ``max_energy_range_uj``
 file when there is one (as in a powercap zone), else it is 2**32.
 """
@@ -28,13 +28,14 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .energy import PowerTrace, _first_invalid_row
+from .energy import CounterSpan, PowerTrace, Recording, _first_invalid_row
 from .errors import (
     AcquisitionError,
     CorruptCounterError,
     MalformedTraceError,
     TraceWindowError,
 )
+from .models import check_json
 
 __all__ = [
     "SyntheticRecipe",
@@ -77,9 +78,9 @@ class SyntheticRecipe:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.base_power < 0 or self.active_power < 0:
+        if not (self.base_power >= 0 and self.active_power >= 0):
             raise ValueError("base_power and active_power must be >= 0")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be >= 0")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
@@ -323,23 +324,23 @@ def generate_synthetic_trace(
 
 
 class Meter(abc.ABC):
-    """A source of power traces for measured runs and idle baselines."""
+    """A source of energy recordings for measured runs and idle baselines."""
 
     @abc.abstractmethod
-    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
-        """Run ``activity`` while measuring; return the trace and its result.
+    def record(self, activity: Callable[[], T]) -> tuple[Recording, T]:
+        """Run ``activity`` while measuring; return the recording and its result.
 
-        The trace starts before the activity and covers all of it, so the
-        activity's energy is the trace's integral over a window of the
-        activity's duration anchored at the trace's first sample.  A
-        counter meter's trace is the counter's own difference between
-        readings taken just before and just after the activity, spread
-        evenly over the time between them.  An exception from ``activity``
+        A trace meter's recording is a trace that starts before the
+        activity and covers all of it, so the activity's energy is its
+        integral over a window of the activity's duration anchored at its
+        first sample.  A counter meter's is the counter's own difference
+        between readings taken just before and just after the activity,
+        with the seconds between them.  An exception from ``activity``
         propagates unchanged.
         """
 
     @abc.abstractmethod
-    def capture_idle(self, duration: float) -> PowerTrace: ...
+    def capture_idle(self, duration: float) -> Recording: ...
 
 
 class _CounterSession:
@@ -386,9 +387,9 @@ class _CounterSession:
             raise
         self._first = (time.perf_counter(), first)
 
-    def stop(self) -> PowerTrace:
-        """Take the last edge reading, stop the sampler, and spread the
-        energy counted between the edges evenly over the time between them."""
+    def stop(self) -> CounterSpan:
+        """Take the last edge reading, stop the sampler, and return the
+        energy counted between the edges with the time between them."""
         assert self._thread is not None, "stop() before start()"
         end = time.perf_counter()
         # The sampler keeps no reading from here on; it is woken only after
@@ -408,12 +409,7 @@ class _CounterSession:
         # reading precedes the first edge, whose lead is taken off.
         energy_uj = (counter_energy_uj([*self._readings, last], modulus)
                      - counter_delta_uj(self._readings[0], first, modulus))
-        # The span runs from just after the first reading to just before the
-        # last: it holds the activity with almost no slack, and the small
-        # counted time outside it recurs in an idle capture, which cancels it.
-        span = end - start
-        power = energy_uj / span / 1e6
-        return PowerTrace([(0.0, power), (span, power)], source_label=f"counter:{self._meter.path}")
+        return CounterSpan(energy_uj / 1e6, end - start, f"counter:{self._meter.path}")
 
 
 class CounterMeter(Meter):
@@ -428,7 +424,7 @@ class CounterMeter(Meter):
         read_counter_uj(self.path)
         self._modulus = _wrap_modulus(self.path)
 
-    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+    def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
         session = _CounterSession(self)
         session.start()
         try:
@@ -441,7 +437,7 @@ class CounterMeter(Meter):
             raise
         return session.stop(), result
 
-    def capture_idle(self, duration: float) -> PowerTrace:
+    def capture_idle(self, duration: float) -> CounterSpan:
         """The counter's difference across a sleep of ``duration`` seconds."""
         return self.record(lambda: time.sleep(duration))[0]
 
@@ -519,9 +515,12 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
     Both forms take the keys of :class:`SyntheticRecipe` but ``duration``
     (each recording sets it), ``period``, and the aliases ``base``,
     ``active`` and ``noise``.  The shorthand is ``key=value,key=value``.
+    A value of the wrong type (``true``, or a ``seed`` that is not an
+    integer) is refused with its key and the recipe named.
     """
     candidate = Path(path_or_inline)
-    if candidate.suffix == ".json" or candidate.is_file():
+    from_file = candidate.suffix == ".json" or candidate.is_file()
+    if from_file:
         try:
             data = json.loads(candidate.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
@@ -536,15 +535,20 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
                 raise ValueError(f"bad recipe item {item!r}; expected key=value")
             key, value = item.split("=", 1)
             items.append((key.strip(), value))
+    what = f"recipe {path_or_inline!r}"
     kwargs: dict[str, float] = {}
-    for key, value in items:
-        key = _RECIPE_ALIASES.get(key, key)
+    for name, value in items:
+        key = _RECIPE_ALIASES.get(name, name)
         if key not in _RECIPE_KEYS:
             raise ValueError(f"unknown recipe key {key!r}")
+        kind = int if key == "seed" else float
+        if from_file:
+            check_json(value, kind, name, what)
         try:
-            kwargs[key] = int(value) if key == "seed" else float(value)
-        except TypeError as exc:
-            raise ValueError(f"recipe key {key!r} needs a number, got {value!r}") from exc
+            kwargs[key] = kind(value)
+        except ValueError as exc:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{what} key {name!r} must be {noun}, got {value!r}") from exc
     period = kwargs.pop("period", DEFAULT_POLL_PERIOD)
     return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
 

@@ -777,3 +777,24 @@ def test_measure_bad_synthetic_recipe_exits_two_before_any_encode(capsys, tmp_pa
     )
     assert code == 2, err
     assert not calls.exists()
+
+
+@pytest.mark.parametrize(("recipe", "key", "noun"), [
+    ('{"base": true}', "base", "a number"),
+    ('{"seed": 1.7}', "seed", "an integer"),
+    ("seed=1.5", "seed", "an integer"),
+])
+def test_measure_recipe_value_of_the_wrong_type_exits_two_naming_key_and_recipe(
+        capsys, tmp_path, input_file, stub_encoder, recipe, key, noun):
+    if recipe.startswith("{"):
+        path = tmp_path / "recipe.json"
+        path.write_text(recipe)
+        recipe = str(path)
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", f"synth:{recipe}", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert f"recipe {recipe!r} key {key!r} must be {noun}" in line
+    assert not calls.exists()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from encwatt import energy
 from encwatt.energy import (
     ConfidencePolicy,
+    CounterSpan,
     PowerTrace,
     confidence_check,
     integrate_energy,
@@ -268,6 +269,37 @@ def test_net_energy_insufficient_span():
     idle = const_trace(20.0)
     with pytest.raises(TraceWindowError):
         net_energy(total, idle, 8.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_net_energy_of_two_traces_is_the_difference_of_their_integrals(seed):
+    rng = np.random.default_rng(seed)
+
+    def random_trace():
+        times = rng.uniform(0.0, 50.0) + np.cumsum(rng.uniform(0.001, 0.3, size=200))
+        return PowerTrace.from_arrays(times, rng.uniform(0.0, 90.0, size=200))
+
+    total, idle = random_trace(), random_trace()
+    duration = rng.uniform(0.01, 1.0) * min(total.duration, idle.duration)
+    expected = (integrate_energy(total, total.start, total.start + duration)
+                - integrate_energy(idle, idle.start, idle.start + duration))
+    assert net_energy(total, idle, duration) == expected
+
+
+def test_net_energy_takes_idle_over_a_counter_span():
+    # A counter's joules cover its own span, longer than the activity's
+    # wall time; idle power comes off over that span, from an idle trace
+    # as from an idle counter span of another length.
+    total = CounterSpan(joules=60.0, seconds=1.2)
+    idle_trace = const_trace(20.0, t0=3.0, t1=13.0)
+    assert net_energy(total, idle_trace, 1.0) == pytest.approx(60.0 - 20.0 * 1.2, rel=1e-12)
+    idle_span = CounterSpan(joules=22.0, seconds=1.1)
+    assert net_energy(total, idle_span, 1.0) == pytest.approx(60.0 - 24.0, rel=1e-12)
+
+
+def test_net_energy_idle_trace_must_cover_the_counter_span():
+    with pytest.raises(TraceWindowError, match="outside trace span"):
+        net_energy(CounterSpan(joules=60.0, seconds=1.2), const_trace(20.0, t1=1.1), 1.0)
 
 
 def test_net_energy_negative_is_flagged_not_clamped(caplog):

@@ -1,5 +1,6 @@
 """Trace CSV parsing, counter-file sampling, and synthetic generation."""
 
+import math
 import os
 import threading
 import time
@@ -373,12 +374,10 @@ def test_counter_meter_live_session(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("123456")  # static counter: zero power
     meter = CounterMeter(f, sample_period=0.05)
-    trace, result = meter.record(lambda: time.sleep(0.3) or "done")
+    span, result = meter.record(lambda: time.sleep(0.3) or "done")
     assert result == "done"
-    assert len(trace) >= 2
-    assert np.all(trace.powers() == 0.0)
-    times = trace.times()
-    assert np.all(np.diff(times) > 0)
+    assert span.joules == 0
+    assert span.seconds >= 0.3
 
 
 def test_counter_meter_reports_sampler_not_ready(tmp_path, monkeypatch):
@@ -411,8 +410,9 @@ def test_counter_meter_capture_idle_spans_duration(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("0")
     meter = CounterMeter(f, sample_period=0.02)
-    trace = meter.capture_idle(0.1)
-    assert trace.duration >= 0.1
+    span = meter.capture_idle(0.1)
+    assert span.joules == 0
+    assert span.seconds >= 0.1
 
 
 def test_counter_meter_rejects_malformed_range_file_when_built(tmp_path):
@@ -514,11 +514,43 @@ def test_counter_meter_energy_matches_counter_across_encode(tmp_path, lead_in):
     assert net_energy(trace, idle, wall) == pytest.approx(feeder.truth_j, rel=0.02)
 
 
+def test_counter_meter_row_ignores_a_pause_outside_the_activity_timer(monkeypatch, tmp_path):
+    # A clock-driven counter: 10 W base plus a 40 W step for 0.6 s.  The
+    # activity times itself as run_encode does and then pauses 0.2 s
+    # outside its own timer but inside the recording, as a stall or the
+    # runner's own work would.  The row is still the step's joules.
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    meter = CounterMeter(f)
+    origin = time.perf_counter()
+    step = [math.inf, math.inf]  # the step's start and end on perf_counter
+
+    def joules_at(now):
+        on = max(0.0, min(now, step[1]) - step[0])
+        return 10.0 * (now - origin) + 40.0 * on
+
+    monkeypatch.setattr(meter_module, "read_counter_uj",
+                        lambda path: int(joules_at(time.perf_counter()) * 1e6))
+
+    def encode():
+        t0 = time.perf_counter()
+        step[0] = time.perf_counter()
+        time.sleep(0.6)
+        step[1] = time.perf_counter()
+        wall = time.perf_counter() - t0
+        time.sleep(0.2)
+        return wall
+
+    total, wall = meter.record(encode)
+    idle = meter.capture_idle(wall)
+    truth = 40.0 * (step[1] - step[0])
+    assert net_energy(total, idle, wall) == pytest.approx(truth, rel=0.02)
+
+
 def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
     # Only the activity advances the counter, by 1 J, and it times itself
-    # as run_encode does.  The edge readings bracket the activity so
-    # closely that the counted joules spread over the span between them
-    # integrate over the activity's own wall time to within 1 %.
+    # as run_encode does.  The edge readings bracket the activity, so the
+    # counted joules are its 1 J to within 1 %.
     f = tmp_path / "energy_uj"
     f.write_text("0")
     meter = CounterMeter(f)
@@ -600,6 +632,9 @@ def test_recipe_validation():
         SyntheticRecipe(noise_std=-0.1)
     with pytest.raises(ValueError):
         SyntheticRecipe(duration=0.0)
+    for field in ("base_power", "active_power", "noise_std"):  # as `synth:noise=nan` gives
+        with pytest.raises(ValueError, match=">= 0"):
+            SyntheticRecipe(**{field: math.nan})
 
 
 # ── meter factory and specs ───────────────────────────────────────────────
