@@ -139,9 +139,6 @@ class Dataset:
         present = {row.preset for row in self.rows}
         return tuple(p for p in PRESETS if p in present)
 
-    def rows_for_preset(self, preset: str) -> tuple[DatasetRow, ...]:
-        return tuple(row for row in self.rows if row.preset == preset)
-
     def check_ultrafast_closure(self) -> None:
         """Every (sequence, CRF) must also have an ultrafast row."""
         have_uf = {

@@ -5,11 +5,15 @@ relative residuals ``(prediction - E) / E`` is ordinary least squares on
 rows scaled by ``1/E`` and is solved in closed form.  An optional L1
 variant minimizes the mean absolute relative error instead, solved
 exactly by vertex exchange, for sensitivity checks.
+
+The entry points are :func:`fit_report` (in-sample) and
+:func:`cross_validate` (k-fold).  Each fits every cell of one model kind
+and returns a :class:`FitReport`; a cell's parameters are read from it,
+as ``linear_params[preset]`` or ``qp_params[preset][class]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,9 +42,6 @@ __all__ = [
     "MODEL_KINDS",
     "relative_error",
     "mean_abs_relative_error",
-    "FitResult",
-    "fit_linear_model",
-    "fit_qp_model",
     "kfold_split",
     "cross_validate",
     "fit_report",
@@ -157,22 +158,6 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     raise FitError(f"abs_rel vertex exchange not certified optimal after {cap} pivots")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """One cell's fitted parameters plus the training-residual summary.
-
-    A cell is the rows one model fits: one (preset, class) for the QP
-    model, one preset under class ``""`` for the linear models.
-    """
-
-    preset: str
-    class_label: str
-    params: LinearParams | QpModelParams
-    rel_errors: tuple[float, ...]
-    mean_abs_rel_error: float
-    n_rows: int
-
-
 def _coef(params: LinearParams | QpModelParams) -> np.ndarray:
     """The coefficients of ``params``, in its model's design-column order."""
     if isinstance(params, QpModelParams):
@@ -186,15 +171,6 @@ def _training_errors(
     """Relative errors of ``params`` on the covariates ``x`` and energies it was fitted to."""
     design = _qp_design if isinstance(params, QpModelParams) else _linear_design
     return (design(x) @ _coef(params) - energy) / energy
-
-
-def _fit_result(
-    preset: str, class_label: str, params: LinearParams | QpModelParams, x: np.ndarray,
-    energy: np.ndarray,
-) -> FitResult:
-    errors = _training_errors(params, x, energy)
-    mean = mean_abs_relative_error(errors)
-    return FitResult(preset, class_label, params, tuple(errors.tolist()), mean, len(errors))
 
 
 def _linear_design(t: np.ndarray) -> np.ndarray:
@@ -220,33 +196,9 @@ def _fit_linear(
     return LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
 
 
-def fit_linear_model(
-    data: Dataset,
-    preset: str,
-    covariate_kind: str = "ultrafast_time",
-    objective: str = "squared_rel",
-) -> FitResult:
-    """Fit the affine energy model for one preset.
-
-    Minimizes the summed squared relative residuals (least squares with
-    ``1/E`` row weights), or the mean absolute relative error when
-    ``objective="abs_rel"``.
-    """
-    model_kind = "time_linear" if covariate_kind == "own_time" else "uf_linear"
-    t, energy = _columns(data.rows_for_preset(preset), model_kind)
-    return _fit_result(preset, "", _fit_linear(t, energy, preset, covariate_kind, objective),
-                       t, energy)
-
-
 def _qp_design(qp: np.ndarray) -> np.ndarray:
     # Column signs follow the model form  kappa*qp^3 - lam*qp^2 - mu*qp + t0.
     return np.column_stack([qp**3, -(qp**2), -qp, np.ones_like(qp)])
-
-
-def _require_avg_qp(rows: Sequence[DatasetRow], cell: str) -> None:
-    missing = [r.sequence_id for r in rows if r.avg_qp is None]
-    if missing:
-        raise DatasetError(f"{cell}: rows missing avg_qp: {missing}")
 
 
 def _fit_qp(
@@ -275,20 +227,6 @@ def _fit_qp(
             f"{cell}: fitted model predicts non-positive energy near qp {bad:.2f}"
         )
     return params
-
-
-def fit_qp_model(
-    data: Dataset,
-    preset: str,
-    class_label: str,
-    objective: str = "squared_rel",
-) -> FitResult:
-    """Fit the cubic-in-QP model for one (preset, class) cell."""
-    rows = [r for r in data.rows_for_preset(preset) if r.class_label == class_label]
-    _require_avg_qp(rows, f"preset {preset!r}, class {class_label!r}")
-    qp, energy = _columns(rows, "qp_cubic")
-    return _fit_result(preset, class_label, _fit_qp(qp, energy, preset, class_label, objective),
-                       qp, energy)
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
@@ -341,7 +279,10 @@ def _cells(data: Dataset, model_kind: str) -> _Cells:
     if per_class:
         for preset, classes in cells.items():
             for class_label, rows in classes.items():
-                _require_avg_qp(rows, f"preset {preset!r}, class {class_label!r}")
+                missing = [r.sequence_id for r in rows if r.avg_qp is None]
+                if missing:
+                    raise DatasetError(f"preset {preset!r}, class {class_label!r}: "
+                                       f"rows missing avg_qp: {missing}")
     return cells
 
 

@@ -60,8 +60,6 @@ DEFAULT_POLL_PERIOD = 0.1
 
 TRACE_HEADER = "t_s,p_w"
 
-# How long a counter recording waits for its sampler's first reading.
-_READY_TIMEOUT_S = 10.0
 _WRAP_FRACTION = 0.5  # a drop implying this share of the modulus or more is no wrap
 
 T = TypeVar("T")
@@ -257,12 +255,12 @@ def sample_counter_file(
     stop_signal: threading.Event,
     *,
     wait: Optional[Callable[[float], None]] = None,
-    ready: Optional[threading.Event] = None,
 ) -> list[int]:
     """Readings of a cumulative counter polled from now until ``stop_signal``.
 
-    The first reading is taken before ``ready`` is set; the counter is
-    then read every ``period`` seconds, only so that no two readings are a
+    The counter is read every ``period`` seconds, starting one ``period``
+    from now, only so that no two consecutive readings of the caller's
+    chain (its own first reading, these polls, its last reading) are a
     whole wrap apart.  A reading is kept only if ``stop_signal`` was still
     clear once it had been taken, so every reading returned precedes any
     reading the caller takes after setting ``stop_signal``.
@@ -276,9 +274,7 @@ def sample_counter_file(
         raise ValueError(f"period must be > 0, got {period}")
     if wait is None:
         wait = stop_signal.wait
-    readings = [read_counter_uj(path)]
-    if ready is not None:
-        ready.set()
+    readings: list[int] = []
     while True:
         wait(period)
         if stop_signal.is_set():
@@ -351,41 +347,27 @@ class _CounterSession:
         self._meter = meter
         self._stop = threading.Event()
         self._wake = threading.Event()  # ends the sampler's sleep; set after the last edge
-        self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._readings: Optional[list[int]] = None
+        self._polls: Optional[list[int]] = None
         self._error: Optional[BaseException] = None
         self._first = (0.0, 0)  # (time just after, value) of the first edge reading
 
     def start(self) -> None:
-        """Start the sampler, then take the first edge reading: the activity follows it."""
+        """Take the first edge reading, then start the sampler: the activity follows."""
+        first = read_counter_uj(self._meter.path)
+        self._first = (time.perf_counter(), first)
+
         def run() -> None:
             try:
-                self._readings = sample_counter_file(
+                self._polls = sample_counter_file(
                     self._meter.path, self._meter.sample_period, self._stop,
-                    wait=self._wake.wait, ready=self._ready,
+                    wait=self._wake.wait,
                 )
-            except BaseException as exc:  # surfaced by start() or stop()
+            except BaseException as exc:  # surfaced by stop()
                 self._error = exc
-                self._ready.set()
 
         self._thread = threading.Thread(target=run, name="encwatt-sampler", daemon=True)
         self._thread.start()
-        try:
-            # the measured activity must not begin before sampling has
-            if not self._ready.wait(timeout=_READY_TIMEOUT_S):
-                raise AcquisitionError(
-                    f"sampler of counter file {self._meter.path} not ready "
-                    f"after {_READY_TIMEOUT_S} s"
-                )
-            if self._error is not None:  # failed already: the activity would go unmeasured
-                raise self._error
-            first = read_counter_uj(self._meter.path)
-        except BaseException:
-            self._stop.set()
-            self._wake.set()
-            raise
-        self._first = (time.perf_counter(), first)
 
     def stop(self) -> CounterSpan:
         """Take the last edge reading, stop the sampler, and return the
@@ -402,13 +384,10 @@ class _CounterSession:
             self._thread.join()
         if self._error is not None:
             raise self._error
-        assert self._readings is not None
+        assert self._polls is not None
         start, first = self._first
-        modulus = self._meter._modulus
-        # Each sampler reading precedes the last edge; the first sampler
-        # reading precedes the first edge, whose lead is taken off.
-        energy_uj = (counter_energy_uj([*self._readings, last], modulus)
-                     - counter_delta_uj(self._readings[0], first, modulus))
+        # every poll follows the first edge and precedes the last
+        energy_uj = counter_energy_uj([first, *self._polls, last], self._meter._modulus)
         return CounterSpan(energy_uj / 1e6, end - start, f"counter:{self._meter.path}")
 
 

@@ -26,7 +26,7 @@ from encwatt.energy import (
 )
 from encwatt.fitting import (
     cross_validate,
-    fit_linear_model,
+    fit_report,
     kfold_split,
     relative_error,
 )
@@ -157,30 +157,41 @@ def test_criterion_4_t_critical_accuracy():
 
 # ── 5. fit recovery ───────────────────────────────────────────────────────
 
+def own_and_probe_fits(ds):
+    """Each preset's fit on its own time and on the ultrafast probe time.
+
+    ``uf_linear`` has no ultrafast cell; on ultrafast rows the probe time
+    is the own time (synth writes ``t_enc == t_enc_uf``), so there the
+    probe fit is the own-time fit.
+    """
+    own = fit_report(ds, "time_linear").linear_params
+    return own, {**own, **fit_report(ds, "uf_linear").linear_params}
+
+
 def test_criterion_5_fit_recovery_and_error_band():
     with criterion(5, "fit recovery and cross-validated error band"):
         # exact recovery on the zero-noise bundled dataset
         clean = generate_dataset(SynthDatasetRecipe(noise=0.0, time_jitter=0.0, seed=0))
+        own_fits, uf_fits = own_and_probe_fits(clean)
         for preset, law in GROUND_TRUTH.items():
-            own = fit_linear_model(clean, preset, "own_time")
-            assert own.params.p == pytest.approx(law.power_w, rel=1e-9)
-            assert own.params.e0 == pytest.approx(law.offset_j, rel=1e-9)
-            uf = fit_linear_model(clean, preset, "ultrafast_time")
-            assert uf.params.p == pytest.approx(law.power_w * law.time_factor, rel=1e-9)
+            own = own_fits[preset]
+            assert own.p == pytest.approx(law.power_w, rel=1e-9)
+            assert own.e0 == pytest.approx(law.offset_j, rel=1e-9)
+            uf = uf_fits[preset]
+            assert uf.p == pytest.approx(law.power_w * law.time_factor, rel=1e-9)
 
         # slope recovery within 3% at 5% multiplicative noise (900 rows)
         noisy = generate_dataset(SynthDatasetRecipe(noise=0.05, time_jitter=0.0, seed=0))
+        own_fits, uf_fits = own_and_probe_fits(noisy)
         for preset, law in GROUND_TRUTH.items():
-            own = fit_linear_model(noisy, preset, "own_time")
-            assert own.params.p == pytest.approx(law.power_w, rel=0.03), preset
-            uf = fit_linear_model(noisy, preset, "ultrafast_time")
-            assert uf.params.p == pytest.approx(
+            assert own_fits[preset].p == pytest.approx(law.power_w, rel=0.03), preset
+            assert uf_fits[preset].p == pytest.approx(
                 law.power_w * law.time_factor, rel=0.03
             ), preset
         bundled = generate_dataset(SynthDatasetRecipe(seed=0))
+        own_fits = fit_report(bundled, "time_linear").linear_params
         for preset, law in GROUND_TRUTH.items():
-            own = fit_linear_model(bundled, preset, "own_time")
-            assert own.params.p == pytest.approx(law.power_w, rel=0.03), preset
+            assert own_fits[preset].p == pytest.approx(law.power_w, rel=0.03), preset
 
         # cross-validated mean relative error stays in the frozen band
         # (band pre-computed by a 20-seed sweep of this generator)
@@ -239,8 +250,8 @@ def test_criterion_7_cross_validation_structure():
         ordered = sorted(rows, key=lambda r: (r.sequence_id, r.preset, r.crf))
         for i in range(12):
             train = Dataset(rows=tuple(r for j, r in enumerate(ordered) if j != i))
-            fit = fit_linear_model(train, "medium", "own_time")
-            pred = fit.params.e0 + fit.params.p * ordered[i].t_enc
+            fit = fit_report(train, "time_linear").linear_params["medium"]
+            pred = fit.e0 + fit.p * ordered[i].t_enc
             direct.append(abs(relative_error(pred, ordered[i].energy)))
         assert report.per_preset_error["medium"] == pytest.approx(
             float(np.mean(direct)), rel=1e-12

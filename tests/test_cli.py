@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import argparse
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +170,18 @@ def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
     codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
     assert codes == [0] * len(commands), stderr
     assert numpy_modules == []
+
+
+def test_every_exported_name_resolves():
+    # a name left in `__all__` after its definition is deleted breaks
+    # `from encwatt.<module> import *`
+    modules = [importlib.import_module(f"encwatt.{info.name}")
+               for info in pkgutil.iter_modules(encwatt.__path__)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert exporting
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 # ── estimate ──────────────────────────────────────────────────────────────

@@ -19,8 +19,6 @@ from encwatt.fitting import (
     MODEL_KINDS,
     FitReport,
     cross_validate,
-    fit_linear_model,
-    fit_qp_model,
     fit_report,
     kfold_split,
     mean_abs_relative_error,
@@ -83,29 +81,29 @@ def test_mean_abs_relative_error():
 def test_linear_fit_exact_on_noiseless_data():
     ts = np.linspace(1.0, 6.0, 8)
     energies = 300.0 * ts + 5.0
-    result = fit_linear_model(dataset_from_arrays(ts, energies), "medium", "own_time")
-    assert result.params.p == pytest.approx(300.0, rel=1e-9)
-    assert result.params.e0 == pytest.approx(5.0, rel=1e-9)
-    assert result.mean_abs_rel_error == pytest.approx(0.0, abs=1e-12)
+    report = fit_report(dataset_from_arrays(ts, energies), "time_linear")
+    assert report.linear_params["medium"].p == pytest.approx(300.0, rel=1e-9)
+    assert report.linear_params["medium"].e0 == pytest.approx(5.0, rel=1e-9)
+    assert report.per_preset_error["medium"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_fit_identical_covariates_is_singular():
     ds = dataset_from_arrays([2.0, 2.0], [100.0, 105.0])
     with pytest.raises(SingularFitError):
-        fit_linear_model(ds, "medium", "own_time")
+        fit_report(ds, "time_linear")
 
 
 def test_linear_fit_requires_three_rows():
     ds = dataset_from_arrays([1.0, 2.0], [100.0, 200.0])
     with pytest.raises(UnderdeterminedFitError):
-        fit_linear_model(ds, "medium", "own_time")
+        fit_report(ds, "time_linear")
 
 
 def test_linear_fit_rejects_nonpositive_slope():
     ts = np.linspace(1.0, 6.0, 8)
     energies = 1000.0 - 50.0 * ts
     with pytest.raises(FitRejectedError):
-        fit_linear_model(dataset_from_arrays(ts, energies), "medium", "own_time")
+        fit_report(dataset_from_arrays(ts, energies), "time_linear")
 
 
 def test_linear_fit_recovers_slope_under_multiplicative_noise():
@@ -113,8 +111,8 @@ def test_linear_fit_recovers_slope_under_multiplicative_noise():
     n = 100
     ts = rng.uniform(0.5, 5.0, n)
     energies = (160.36 * ts - 9.73) * (1.0 + rng.normal(0.0, 0.05, n))
-    result = fit_linear_model(dataset_from_arrays(ts, energies), "medium", "own_time")
-    assert result.params.p == pytest.approx(160.36, rel=0.03)
+    report = fit_report(dataset_from_arrays(ts, energies), "time_linear")
+    assert report.linear_params["medium"].p == pytest.approx(160.36, rel=0.03)
 
 
 def test_linear_fit_matches_direct_objective_minimizer():
@@ -128,12 +126,12 @@ def test_linear_fit_matches_direct_objective_minimizer():
         )
         energies = np.abs(energies) + 1.0
         ds = dataset_from_arrays(ts, energies)
-        fit = fit_linear_model(ds, "medium", "own_time")
+        params = fit_report(ds, "time_linear").linear_params["medium"]
 
         def objective(c):
             return float(np.sum(((c[0] * ts + c[1] - energies) / energies) ** 2))
 
-        wls_value = objective([fit.params.p, fit.params.e0])
+        wls_value = objective([params.p, params.e0])
         nm = minimize(
             objective, x0=[100.0, 0.0], method="Nelder-Mead",
             options=dict(xatol=1e-12, fatol=1e-14, maxiter=20000, maxfev=20000),
@@ -146,14 +144,15 @@ def test_linear_fit_scale_invariance():
     rng = np.random.default_rng(9)
     ts = rng.uniform(0.5, 5.0, 30)
     energies = (200.0 * ts + 10.0) * (1.0 + rng.normal(0.0, 0.05, 30))
-    base = fit_linear_model(dataset_from_arrays(ts, energies), "medium", "own_time")
+    base = fit_report(dataset_from_arrays(ts, energies), "time_linear")
     for k in (0.5, 3.0, 1000.0):
-        scaled = fit_linear_model(
-            dataset_from_arrays(k * ts, k * energies), "medium", "own_time"
-        )
-        assert scaled.params.p == pytest.approx(base.params.p, rel=1e-9)
-        assert scaled.params.e0 == pytest.approx(k * base.params.e0, rel=1e-9)
-        assert np.allclose(scaled.rel_errors, base.rel_errors, rtol=1e-9, atol=1e-12)
+        scaled = fit_report(dataset_from_arrays(k * ts, k * energies), "time_linear")
+        assert scaled.linear_params["medium"].p == pytest.approx(
+            base.linear_params["medium"].p, rel=1e-9)
+        assert scaled.linear_params["medium"].e0 == pytest.approx(
+            k * base.linear_params["medium"].e0, rel=1e-9)
+        assert scaled.per_preset_error["medium"] == pytest.approx(
+            base.per_preset_error["medium"], rel=1e-9)
 
 
 def test_abs_rel_objective_improves_l1_error():
@@ -162,13 +161,13 @@ def test_abs_rel_objective_improves_l1_error():
     energies = (150.0 * ts + 5.0) * (1.0 + rng.normal(0.0, 0.05, 40))
     energies[::7] *= 1.6  # outliers
     ds = dataset_from_arrays(ts, energies)
-    l2 = fit_linear_model(ds, "medium", "own_time", objective="squared_rel")
-    l1 = fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
-    assert l1.mean_abs_rel_error <= l2.mean_abs_rel_error + 1e-12
+    l2 = fit_report(ds, "time_linear", objective="squared_rel")
+    l1 = fit_report(ds, "time_linear", objective="abs_rel")
+    assert l1.per_preset_error["medium"] <= l2.per_preset_error["medium"] + 1e-12
     qp_ds = noisy_qp_dataset(np.random.default_rng(21), 40)
-    qp_l2 = fit_qp_model(qp_ds, "medium", "B", objective="squared_rel")
-    qp_l1 = fit_qp_model(qp_ds, "medium", "B", objective="abs_rel")
-    assert qp_l1.mean_abs_rel_error <= qp_l2.mean_abs_rel_error + 1e-12
+    qp_l2 = fit_report(qp_ds, "qp_cubic", objective="squared_rel")
+    qp_l1 = fit_report(qp_ds, "qp_cubic", objective="abs_rel")
+    assert qp_l1.per_class_error["medium"]["B"] <= qp_l2.per_class_error["medium"]["B"] + 1e-12
 
 
 def noisy_qp_dataset(rng, n, ties=False):
@@ -215,16 +214,16 @@ def test_abs_rel_fit_equals_brute_force_vertex_minimum(ties):
         ds = noisy_linear_dataset(rng, 12, ties)
         ts = np.array([r.t_enc for r in ds.rows])
         energies = np.array([r.energy for r in ds.rows])
-        fit = fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
+        fit = fit_report(ds, "time_linear", objective="abs_rel")
         oracle = l1_vertex_minimum(np.column_stack([ts, np.ones_like(ts)]), energies)
-        assert fit.mean_abs_rel_error == pytest.approx(oracle, rel=1e-12)
+        assert fit.per_preset_error["medium"] == pytest.approx(oracle, rel=1e-12)
 
         ds = noisy_qp_dataset(rng, 12, ties)
         qps = np.array([r.avg_qp for r in ds.rows])
         energies = np.array([r.energy for r in ds.rows])
-        fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
+        fit = fit_report(ds, "qp_cubic", objective="abs_rel")
         design = np.column_stack([qps**3, -(qps**2), -qps, np.ones_like(qps)])
-        assert fit.mean_abs_rel_error == pytest.approx(
+        assert fit.per_class_error["medium"]["B"] == pytest.approx(
             l1_vertex_minimum(design, energies), rel=1e-12)
 
 
@@ -235,12 +234,12 @@ def test_abs_rel_fit_of_noiseless_cell_needs_no_pivot(monkeypatch):
     qps = np.linspace(18.0, 38.0, 20)
     energies = qp_energy(qps, kappa=0.02, lam=0.1, mu=0.5, t0=500.0)
     ds = dataset_from_arrays(np.linspace(1, 5, 20), energies, qps=list(qps))
-    fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
-    assert fit.mean_abs_rel_error == pytest.approx(0.0, abs=1e-12)
+    fit = fit_report(ds, "qp_cubic", objective="abs_rel")
+    assert fit.per_class_error["medium"]["B"] == pytest.approx(0.0, abs=1e-12)
     ts = np.linspace(0.5, 5.0, 20)
-    fit = fit_linear_model(dataset_from_arrays(ts, 150.0 * ts + 5.0), "medium", "own_time",
-                           objective="abs_rel")
-    assert fit.mean_abs_rel_error == pytest.approx(0.0, abs=1e-12)
+    fit = fit_report(dataset_from_arrays(ts, 150.0 * ts + 5.0), "time_linear",
+                     objective="abs_rel")
+    assert fit.per_preset_error["medium"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_abs_rel_pivots_never_raise_the_objective(monkeypatch):
@@ -258,17 +257,18 @@ def test_abs_rel_pivots_never_raise_the_objective(monkeypatch):
         return x
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    fit = fit_qp_model(ds, "medium", "B", objective="abs_rel")
+    fit = fit_report(ds, "qp_cubic", objective="abs_rel")
     assert len(vertices) >= 3
     for before, after in zip(vertices, vertices[1:]):
         assert after <= before * (1.0 + 1e-12)
-    assert fit.mean_abs_rel_error == pytest.approx(vertices[-1], rel=1e-12)
+    assert fit.per_class_error["medium"]["B"] == pytest.approx(vertices[-1], rel=1e-12)
 
 
 @pytest.mark.parametrize("model_kind", ["qp_cubic", "time_linear"])
 def test_abs_rel_fit_makes_one_lstsq_call(monkeypatch, model_kind):
     ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
-    rows = [r for r in ds.rows if r.preset == "medium" and r.class_label == "A"]
+    # one cell of either model: medium's class A rows
+    cell = Dataset(rows=tuple(r for r in ds.rows if r.preset == "medium" and r.class_label == "A"))
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -277,10 +277,7 @@ def test_abs_rel_fit_makes_one_lstsq_call(monkeypatch, model_kind):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    if model_kind == "qp_cubic":
-        fit_qp_model(Dataset(rows=tuple(rows)), "medium", "A", objective="abs_rel")
-    else:
-        fit_linear_model(ds, "medium", "own_time", objective="abs_rel")
+    fit_report(cell, model_kind, objective="abs_rel")
     assert len(calls) == 1
 
 
@@ -313,34 +310,34 @@ def test_qp_fit_exact_on_noiseless_cubic():
     energies = qp_energy(qps, **truth)
     assert np.all(energies > 0)
     ds = dataset_from_arrays(rng.uniform(1, 5, 20), energies, qps=list(qps))
-    result = fit_qp_model(ds, "medium", "B")
-    assert result.params.kappa == pytest.approx(truth["kappa"], rel=1e-6)
-    assert result.params.lam == pytest.approx(truth["lam"], rel=1e-6)
-    assert result.params.mu == pytest.approx(truth["mu"], rel=1e-6)
-    assert result.params.t0 == pytest.approx(truth["t0"], rel=1e-6)
-    assert result.params.p_avg == 1.0
-    assert result.params.valid_qp_range == (18.0, 38.0)
+    params = fit_report(ds, "qp_cubic").qp_params["medium"]["B"]
+    assert params.kappa == pytest.approx(truth["kappa"], rel=1e-6)
+    assert params.lam == pytest.approx(truth["lam"], rel=1e-6)
+    assert params.mu == pytest.approx(truth["mu"], rel=1e-6)
+    assert params.t0 == pytest.approx(truth["t0"], rel=1e-6)
+    assert params.p_avg == 1.0
+    assert params.valid_qp_range == (18.0, 38.0)
 
 
 def test_qp_fit_underdetermined_on_constant_qp():
     ds = dataset_from_arrays(np.linspace(1, 5, 8), np.linspace(100, 500, 8),
                              qps=[25.0] * 8)
     with pytest.raises(UnderdeterminedFitError):
-        fit_qp_model(ds, "medium", "B")
+        fit_report(ds, "qp_cubic")
 
 
 def test_qp_fit_needs_five_rows():
     ds = dataset_from_arrays([1, 2, 3, 4], [100, 200, 300, 400],
                              qps=[20.0, 25.0, 30.0, 35.0])
     with pytest.raises(UnderdeterminedFitError):
-        fit_qp_model(ds, "medium", "B")
+        fit_report(ds, "qp_cubic")
 
 
 def test_qp_fit_requires_avg_qp_values():
     rows = rows_from_arrays(np.linspace(1, 5, 6), np.linspace(100, 500, 6),
                             qps=[20.0, 22.0, None, 26.0, 28.0, 30.0])
     with pytest.raises(DatasetError, match="avg_qp"):
-        fit_qp_model(Dataset(rows=tuple(rows)), "medium", "B")
+        fit_report(Dataset(rows=tuple(rows)), "qp_cubic")
 
 
 # ── k-fold machinery ──────────────────────────────────────────────────────
@@ -401,13 +398,10 @@ def test_cross_validation_equals_leave_one_out():
     for i in range(n):
         train = [r for j, r in enumerate(rows) if j != i]
         sub = Dataset(rows=tuple(train))
-        fit = fit_linear_model(sub, "medium", "own_time")
-        pred = fit.params.e0 + fit.params.p * rows[i].t_enc
+        params = fit_report(sub, "time_linear").linear_params["medium"]
+        pred = params.e0 + params.p * rows[i].t_enc
         errors.append(abs(relative_error(pred, rows[i].energy)))
     assert report.per_preset_error["medium"] == pytest.approx(float(np.mean(errors)), rel=1e-12)
-
-
-COVARIATE_KIND = {"time_linear": "own_time", "uf_linear": "ultrafast_time"}
 
 
 def per_row_crossval(ds, model_kind, k, seed, joint_folds):
@@ -418,7 +412,7 @@ def per_row_crossval(ds, model_kind, k, seed, joint_folds):
     for preset in ds.presets():
         if model_kind == "uf_linear" and preset == "ultrafast":
             continue
-        in_preset = ds.rows_for_preset(preset)
+        in_preset = [r for r in ds.rows if r.preset == preset]
         labels = sorted({r.class_label for r in in_preset}) if model_kind == "qp_cubic" else [""]
         for label in labels:
             rows = sorted((r for r in in_preset if label in ("", r.class_label)),
@@ -433,10 +427,11 @@ def per_row_crossval(ds, model_kind, k, seed, joint_folds):
                 if not fold:
                     continue
                 train = Dataset(rows=tuple(r for i, r in enumerate(rows) if i not in fold))
+                report = fit_report(train, model_kind)
                 if model_kind == "qp_cubic":
-                    params = fit_qp_model(train, preset, label).params
+                    params = report.qp_params[preset][label]
                 else:
-                    params = fit_linear_model(train, preset, COVARIATE_KIND[model_kind]).params
+                    params = report.linear_params[preset]
                 for i in fold:
                     row = rows[i]
                     if model_kind == "qp_cubic":
@@ -500,7 +495,7 @@ def test_rank_deficient_training_fold_of_a_full_rank_cell_is_named(objective):
     qps = np.array([20.0] * 3 + [25.0] * 3 + [30.0] * 3 + [35.0])
     energies = qp_energy(qps, kappa=0.02, lam=0.1, mu=0.5, t0=500.0) * np.linspace(0.98, 1.02, 10)
     ds = dataset_from_arrays(np.linspace(1, 5, 10), energies, qps=list(qps))
-    fit_qp_model(ds, "medium", "B", objective=objective)
+    fit_report(ds, "qp_cubic", objective=objective)
     with pytest.raises(UnderdeterminedFitError) as info:
         cross_validate(ds, "qp_cubic", k=10, seed=0, objective=objective)
     assert str(info.value) == ("preset 'medium', class 'B', fold 6: preset 'medium', class 'B': "
@@ -623,6 +618,21 @@ def test_joint_folds_share_bitstream_partition_across_presets():
 
 
 # ── reports ───────────────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("joint_folds", [False, True])
+@pytest.mark.parametrize("objective", ["squared_rel", "abs_rel"])
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_and_crossval_report_the_same_cell_fits(seed, model_kind, objective, joint_folds):
+    # `fit` and `crossval` fit the same cells: a crossval report's
+    # parameters are the in-sample fit of each cell on all its rows
+    ds = generate_dataset(SynthDatasetRecipe(seed=seed))
+    fitted = fit_report(ds, model_kind, objective=objective)
+    validated = cross_validate(ds, model_kind, k=5, seed=seed, objective=objective,
+                               joint_folds=joint_folds)
+    assert validated.linear_params == fitted.linear_params
+    assert validated.qp_params == fitted.qp_params
+
 
 def test_fit_report_in_sample_and_json_round_trip():
     ds = generate_dataset(SynthDatasetRecipe(n_sequences=6, seed=1))

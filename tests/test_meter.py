@@ -239,29 +239,42 @@ class ScriptedCounter:
             self.stop.set()
 
     def sample(self, period=1.0):
-        """The sampler's readings, then the last one a recording takes after the stop."""
-        readings = sample_counter_file(self.path, period, self.stop, wait=self.wait)
-        return readings + [meter_module.read_counter_uj(self.path)]
+        """A recording's chain of readings: its first edge reading, the
+        sampler's polls, then the last one it takes after the stop."""
+        first = meter_module.read_counter_uj(self.path)
+        polls = sample_counter_file(self.path, period, self.stop, wait=self.wait)
+        return [first, *polls, meter_module.read_counter_uj(self.path)]
 
 
-def stopped():
-    event = threading.Event()
-    event.set()
-    return event
+def poll_once(path):
+    """Run the sampler on ``path`` for exactly one poll: its second wait stops it."""
+    stop = threading.Event()
+    waits = []
+
+    def wait(seconds):
+        waits.append(seconds)
+        if len(waits) == 2:
+            stop.set()
+
+    return sample_counter_file(path, 0.1, stop, wait=wait)
 
 
 def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path):
-    zone = tmp_path / "intel-rapl:0"
-    zone.mkdir()
     rapl_max = 262143328850
-    (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
-    # wraps on the first interval: 1500 uJ, then 1000 each
-    counter = ScriptedCounter(zone / "energy_uj", rapl_max - 1000, [500, 1500, 2500])
-    readings = counter.sample()
-    assert readings == [rapl_max - 1000, 500, 1500, 2500]
-    modulus = CounterMeter(zone / "energy_uj")._modulus
-    assert modulus == rapl_max
-    assert counter_energy_uj(readings, modulus) == 3500
+    # (range file, first reading, polls, counted uJ); each wraps on its first interval
+    cases = [
+        (rapl_max, rapl_max - 1000, [500, 1500, 2500], 3500),  # 1500 uJ, then 1000 each
+        (1000, 900, [100, 300], 400),  # 200 uJ each
+    ]
+    for i, (modulus, first, polls, energy_uj) in enumerate(cases):
+        zone = tmp_path / f"intel-rapl:{i}"
+        zone.mkdir()
+        (zone / "max_energy_range_uj").write_text(f"{modulus}\n")
+        counter = ScriptedCounter(zone / "energy_uj", first, polls)
+        readings = counter.sample()
+        assert readings == [first, *polls]
+        assert CounterMeter(counter.path)._modulus == modulus
+        assert counter_energy_uj(readings, modulus) == energy_uj
 
 
 def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
@@ -305,14 +318,14 @@ def test_sampling_corrupt_counter_raises(tmp_path):
 
 def test_sampling_unreadable_file_raises(tmp_path):
     with pytest.raises(AcquisitionError):
-        sample_counter_file(tmp_path / "missing", 0.1, stopped())
+        poll_once(tmp_path / "missing")
 
 
 def test_sampling_non_integer_counter_raises(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("not-a-number")
     with pytest.raises(AcquisitionError):
-        sample_counter_file(f, 0.1, stopped())
+        poll_once(f)
 
 
 def test_counter_or_range_file_that_is_not_text_is_named(tmp_path):
@@ -324,15 +337,6 @@ def test_counter_or_range_file_that_is_not_text_is_named(tmp_path):
     (tmp_path / "max_energy_range_uj").write_bytes(b"\xff12")
     with pytest.raises(AcquisitionError, match="max_energy_range_uj"):
         CounterMeter(f)
-
-
-def test_wrap_modulus_env_override(tmp_path):
-    (tmp_path / "max_energy_range_uj").write_text("1000\n")
-    # starts at 900, wraps at 1000: deltas 200, 200
-    counter = ScriptedCounter(tmp_path / "energy_uj", 900, [100, 300])
-    modulus = CounterMeter(counter.path)._modulus
-    assert modulus == 1000
-    assert counter_energy_uj(counter.sample(), modulus) == 400
 
 
 def test_sampling_drops_a_reading_taken_after_the_stop(tmp_path, monkeypatch):
@@ -380,32 +384,6 @@ def test_counter_meter_live_session(tmp_path):
     assert span.seconds >= 0.3
 
 
-def test_counter_meter_reports_sampler_not_ready(tmp_path, monkeypatch):
-    f = tmp_path / "energy_uj"
-    f.write_text("0")
-    meter = CounterMeter(f, sample_period=0.05)
-    release = threading.Event()
-
-    def blocked_read(path):
-        release.wait(10.0)
-        return 0
-
-    monkeypatch.setattr(meter_module, "read_counter_uj", blocked_read)
-    monkeypatch.setattr(meter_module, "_READY_TIMEOUT_S", 0.2)
-    ran = []
-    try:
-        with pytest.raises(AcquisitionError) as excinfo:
-            meter.record(lambda: ran.append(True))
-    finally:
-        release.set()
-    assert str(f) in str(excinfo.value) and "0.2 s" in str(excinfo.value)
-    assert ran == []  # the activity never started
-    for thread in threading.enumerate():
-        if thread.name == "encwatt-sampler":
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-
-
 def test_counter_meter_capture_idle_spans_duration(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("0")
@@ -436,6 +414,26 @@ def test_counter_meter_sampler_failure_stops_record_before_activity(tmp_path, mo
     with pytest.raises(AcquisitionError, match="gone"):
         meter.record(lambda: ran.append(True))
     assert ran == []
+
+
+def test_counter_meter_raises_a_failed_poll_after_the_activity(tmp_path, monkeypatch):
+    # the edge readings succeed; the sampler's poll fails during the activity
+    f = tmp_path / "energy_uj"
+    f.write_text("0")
+    meter = CounterMeter(f, sample_period=0.01)
+    read = meter_module.read_counter_uj
+    polled = threading.Event()
+
+    def poll_fails(path):
+        if threading.current_thread().name == "encwatt-sampler":
+            polled.set()
+            raise AcquisitionError(f"cannot read counter file {path}: gone")
+        return read(path)
+
+    monkeypatch.setattr(meter_module, "read_counter_uj", poll_fails)
+    with pytest.raises(AcquisitionError, match="gone"):
+        meter.record(lambda: polled.wait(5.0))
+    assert polled.is_set()
 
 
 class StepFeeder:
@@ -508,10 +506,13 @@ def test_counter_meter_energy_matches_counter_across_encode(tmp_path, lead_in):
             feeder.end_step()
             return time.perf_counter() - t0
 
-        trace, wall = meter.record(encode)
+        span, wall = meter.record(encode)
         idle = meter.capture_idle(wall)
     assert feeder.truth_j > 0
-    assert net_energy(trace, idle, wall) == pytest.approx(feeder.truth_j, rel=0.02)
+    net = net_energy(span, idle, wall)
+    assert net == pytest.approx(feeder.truth_j, rel=0.02), (
+        f"net {net:.4f} J, truth {feeder.truth_j:.4f} J, span {span.seconds:.4f} s, "
+        f"wall {wall:.4f} s, idle {idle.seconds:.4f} s, {feeder.ticks} feeder ticks")
 
 
 def test_counter_meter_row_ignores_a_pause_outside_the_activity_timer(monkeypatch, tmp_path):

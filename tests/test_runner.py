@@ -442,7 +442,7 @@ def test_campaign_empty_job_list_rejected(encoder_cmd, tmp_path):
 def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_path):
     # Counter file fed at a constant 5 W by a background thread, with a
     # shared 2 W idle baseline: net energy must be 3 W x wall time.  This
-    # drives the threaded sampler, its readiness handshake and edge readings.
+    # drives the threaded sampler and the edge readings.
     import os
     import threading
     import time as time_mod
