@@ -260,21 +260,27 @@ def poll_once(path):
 
 
 def test_sampling_takes_wrap_modulus_from_powercap_range_file(tmp_path):
+    zone = tmp_path / "intel-rapl:0"
+    zone.mkdir()
     rapl_max = 262143328850
-    # (range file, first reading, polls, counted uJ); each wraps on its first interval
-    cases = [
-        (rapl_max, rapl_max - 1000, [500, 1500, 2500], 3500),  # 1500 uJ, then 1000 each
-        (1000, 900, [100, 300], 400),  # 200 uJ each
-    ]
-    for i, (modulus, first, polls, energy_uj) in enumerate(cases):
-        zone = tmp_path / f"intel-rapl:{i}"
-        zone.mkdir()
-        (zone / "max_energy_range_uj").write_text(f"{modulus}\n")
-        counter = ScriptedCounter(zone / "energy_uj", first, polls)
-        readings = counter.sample()
-        assert readings == [first, *polls]
-        assert CounterMeter(counter.path)._modulus == modulus
-        assert counter_energy_uj(readings, modulus) == energy_uj
+    (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
+    # wraps on the first interval: 1500 uJ, then 1000 each
+    counter = ScriptedCounter(zone / "energy_uj", rapl_max - 1000, [500, 1500, 2500])
+    readings = counter.sample()
+    assert readings == [rapl_max - 1000, 500, 1500, 2500]
+    modulus = CounterMeter(zone / "energy_uj")._modulus
+    assert modulus == rapl_max
+    assert counter_energy_uj(readings, modulus) == 3500
+
+
+def test_wrap_modulus_env_override(tmp_path):
+    # the range file alone sets the modulus, even one far below 2**32
+    (tmp_path / "max_energy_range_uj").write_text("1000\n")
+    # starts at 900, wraps at 1000: deltas 200, 200
+    counter = ScriptedCounter(tmp_path / "energy_uj", 900, [100, 300])
+    modulus = CounterMeter(counter.path)._modulus
+    assert modulus == 1000
+    assert counter_energy_uj(counter.sample(), modulus) == 400
 
 
 def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
