@@ -8,8 +8,12 @@ exactly by vertex exchange, for sensitivity checks.
 
 The entry points are :func:`fit_report` (in-sample) and
 :func:`cross_validate` (k-fold).  Each fits every cell of one model kind
-and returns a :class:`FitReport`; a cell's parameters are read from it,
-as ``linear_params[preset]`` or ``qp_params[preset][class]``.
+through :func:`_fit_cell` and returns a :class:`FitReport`; a cell's
+parameters are read from it, as ``linear_params[preset]`` or
+``qp_params[preset][class]``.  Both score a row the one way ``estimate``
+does, by the model law of :mod:`encwatt.models` (:func:`_errors`), and a
+fit that fails names its cell once, as ``preset 'medium', class 'B'``
+(and ``, fold 6`` for a training fold).
 """
 
 from __future__ import annotations
@@ -77,8 +81,6 @@ def _solve_relative_ls(
     problem exactly by vertex exchange, from ``start`` if given (a fold
     gets its cell's full-data optimum), else from the least-squares fit.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     n, k = design.shape
     scaled = design / energies[:, None]
     if objective == "abs_rel" and start is not None:
@@ -158,77 +160,6 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     raise FitError(f"abs_rel vertex exchange not certified optimal after {cap} pivots")
 
 
-def _coef(params: LinearParams | QpModelParams) -> np.ndarray:
-    """The coefficients of ``params``, in its model's design-column order."""
-    if isinstance(params, QpModelParams):
-        return np.array([params.kappa, params.lam, params.mu, params.t0])
-    return np.array([params.p, params.e0])
-
-
-def _training_errors(
-    params: LinearParams | QpModelParams, x: np.ndarray, energy: np.ndarray
-) -> np.ndarray:
-    """Relative errors of ``params`` on the covariates ``x`` and energies it was fitted to."""
-    design = _qp_design if isinstance(params, QpModelParams) else _linear_design
-    return (design(x) @ _coef(params) - energy) / energy
-
-
-def _linear_design(t: np.ndarray) -> np.ndarray:
-    return np.column_stack([t, np.ones_like(t)])
-
-
-def _fit_linear(
-    t: np.ndarray, energy: np.ndarray, preset: str, covariate_kind: str, objective: str,
-    start: np.ndarray | None = None,
-) -> LinearParams:
-    if len(t) > 0 and np.all(t == t[0]):
-        raise SingularFitError(f"preset {preset!r}: all {covariate_kind} values equal ({t[0]})")
-    if len(t) < 3:
-        raise UnderdeterminedFitError(
-            f"preset {preset!r}: {len(t)} rows; need at least 3 to fit the affine model"
-        )
-    try:
-        slope, offset = _solve_relative_ls(_linear_design(t), energy, objective, start)
-    except FitError as exc:
-        raise _tag_fit_error(exc, f"preset {preset!r}") from exc
-    if slope <= 0:
-        raise FitRejectedError(f"preset {preset!r}: fitted slope {slope:.6g} W is not positive")
-    return LinearParams(p=float(slope), e0=float(offset), covariate_kind=covariate_kind)
-
-
-def _qp_design(qp: np.ndarray) -> np.ndarray:
-    # Column signs follow the model form  kappa*qp^3 - lam*qp^2 - mu*qp + t0.
-    return np.column_stack([qp**3, -(qp**2), -qp, np.ones_like(qp)])
-
-
-def _fit_qp(
-    qp: np.ndarray, energy: np.ndarray, preset: str, class_label: str, objective: str,
-    start: np.ndarray | None = None,
-) -> QpModelParams:
-    cell = f"preset {preset!r}, class {class_label!r}"
-    if len(qp) < 5:
-        raise UnderdeterminedFitError(f"{cell}: {len(qp)} rows; need at least 5")
-    design = _qp_design(qp)
-    try:
-        coef = _solve_relative_ls(design, energy, objective, start)
-    except SingularFitError as exc:
-        raise UnderdeterminedFitError(f"{cell}: {exc}") from exc
-    except FitError as exc:
-        raise _tag_fit_error(exc, cell) from exc
-    qp_range = (float(qp.min()), float(qp.max()))
-    # fitted in the energy domain: p_avg keeps its default of 1
-    kappa, lam, mu, t0 = coef.tolist()
-    params = QpModelParams(kappa=kappa, lam=lam, mu=mu, t0=t0, valid_qp_range=qp_range)
-    grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
-    grid_pred = _qp_design(grid) @ coef
-    if np.any(grid_pred <= 0):
-        bad = grid[np.argmin(grid_pred)]
-        raise FitRejectedError(
-            f"{cell}: fitted model predicts non-positive energy near qp {bad:.2f}"
-        )
-    return params
-
-
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Seeded partition of ``range(n)`` into ``k`` folds of near-equal size."""
     if k < 2:
@@ -239,32 +170,30 @@ def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i) for i in fold) for fold in np.array_split(perm, k))
 
 
-# The row field each model kind reads as its covariate.
-_COVARIATE = {"qp_cubic": "avg_qp", "time_linear": "t_enc", "uf_linear": "t_enc_uf"}
+# Per model kind: the row field it reads as its covariate, and the
+# covariate kind its LinearParams record (None: a QpModelParams fit).
+_COVARIATE = {"qp_cubic": ("avg_qp", None), "time_linear": ("t_enc", "own_time"),
+              "uf_linear": ("t_enc_uf", "ultrafast_time")}
 
-_Cells = dict[str, dict[str, list[DatasetRow]]]
 _Params = dict[str, dict[str, LinearParams | QpModelParams]]
 
 
-def _columns(rows: Sequence[DatasetRow], model_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The covariate and energy arrays of ``rows`` for ``model_kind``, in row order."""
-    field = _COVARIATE[model_kind]
-    return (np.array([getattr(r, field) for r in rows], dtype=float),
-            np.array([r.energy for r in rows], dtype=float))
-
-
-def _cells(data: Dataset, model_kind: str) -> _Cells:
-    """The rows each model of ``model_kind`` fits, as ``{preset: {class: rows}}``.
+def _cells(data: Dataset, model_kind: str, objective: str) -> list[tuple[str, str, str, list]]:
+    """The cells ``model_kind`` fits in ``data``, as ``(preset, class, name, rows)``.
 
     A cell is the rows one model fits: for ``qp_cubic`` one cell per
     (preset, class); for ``time_linear`` and ``uf_linear`` one cell per
     preset, under class ``""``.  Presets follow :data:`PRESETS`, classes
-    sort, and rows keep the dataset's order.
+    sort, and rows keep the dataset's order.  ``name`` names the cell in
+    errors.  ``model_kind`` and ``objective`` are checked here, once per
+    fit or cross-validation.
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     per_class = model_kind == "qp_cubic"
-    grouped: _Cells = {}
+    grouped: dict[str, dict[str, list[DatasetRow]]] = {}
     for row in data.rows:
         label = row.class_label if per_class else ""
         grouped.setdefault(row.preset, {}).setdefault(label, []).append(row)
@@ -274,27 +203,83 @@ def _cells(data: Dataset, model_kind: str) -> _Cells:
         grouped.pop("ultrafast", None)
     if not grouped:
         raise ValueError(f"no presets to evaluate for model {model_kind!r}")
-    cells = {preset: dict(sorted(grouped[preset].items())) for preset in PRESETS
-             if preset in grouped}
-    if per_class:
-        for preset, classes in cells.items():
-            for class_label, rows in classes.items():
-                missing = [r.sequence_id for r in rows if r.avg_qp is None]
-                if missing:
-                    raise DatasetError(f"preset {preset!r}, class {class_label!r}: "
-                                       f"rows missing avg_qp: {missing}")
+    cells = []
+    for preset in (p for p in PRESETS if p in grouped):
+        for class_label, rows in sorted(grouped[preset].items()):
+            name = f"preset {preset!r}" + (f", class {class_label!r}" if per_class else "")
+            missing = [r.sequence_id for r in rows if r.avg_qp is None] if per_class else []
+            if missing:
+                raise DatasetError(f"{name}: rows missing avg_qp: {missing}")
+            cells.append((preset, class_label, name, rows))
     return cells
 
 
-def _fit_cell(
-    x: np.ndarray, energy: np.ndarray, model_kind: str, preset: str, class_label: str,
-    objective: str, start: np.ndarray | None = None,
-) -> LinearParams | QpModelParams:
-    """Fit the model of ``model_kind`` to one cell's covariate and energy arrays."""
+def _columns(rows: Sequence[DatasetRow], model_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The covariate and energy arrays of ``rows`` for ``model_kind``, in row order."""
+    field = _COVARIATE[model_kind][0]
+    return (np.array([getattr(r, field) for r in rows], dtype=float),
+            np.array([r.energy for r in rows], dtype=float))
+
+
+def _design(model_kind: str, x: np.ndarray) -> np.ndarray:
+    """The design matrix of ``model_kind`` on covariates ``x``; ``design @ coef`` is energy."""
     if model_kind == "qp_cubic":
-        return _fit_qp(x, energy, preset, class_label, objective, start)
-    covariate_kind = "own_time" if model_kind == "time_linear" else "ultrafast_time"
-    return _fit_linear(x, energy, preset, covariate_kind, objective, start)
+        # Column signs follow the model form  kappa*qp^3 - lam*qp^2 - mu*qp + t0.
+        return np.column_stack([x**3, -(x**2), -x, np.ones_like(x)])
+    return np.column_stack([x, np.ones_like(x)])
+
+
+def _fit_cell(
+    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, context: str,
+    start: np.ndarray | None = None,
+) -> tuple[LinearParams | QpModelParams, np.ndarray]:
+    """Fit ``model_kind`` to one cell's covariates ``x`` and energies: ``(params, coef)``.
+
+    ``coef`` is the solver's coefficient vector, which each fold of the
+    cell takes as its ``start``.  A :class:`FitError` names the cell by
+    ``context``.
+    """
+    covariate_kind = _COVARIATE[model_kind][1]
+    qp = covariate_kind is None
+    try:
+        if qp and len(x) < 5:
+            raise UnderdeterminedFitError(f"{len(x)} rows; need at least 5")
+        if not qp and len(x) > 0 and np.all(x == x[0]):
+            raise SingularFitError(f"all {covariate_kind} values equal ({x[0]})")
+        if not qp and len(x) < 3:
+            raise UnderdeterminedFitError(f"{len(x)} rows; need at least 3 to fit the affine model")
+        coef = _solve_relative_ls(_design(model_kind, x), energy, objective, start)
+        if not qp:
+            slope, offset = coef.tolist()
+            if slope <= 0:
+                raise FitRejectedError(f"fitted slope {slope:.6g} W is not positive")
+            return LinearParams(p=slope, e0=offset, covariate_kind=covariate_kind), coef
+        kappa, lam, mu, t0 = coef.tolist()
+        qp_range = (float(x.min()), float(x.max()))
+        # fitted in the energy domain: p_avg keeps its default of 1
+        params = QpModelParams(kappa=kappa, lam=lam, mu=mu, t0=t0, valid_qp_range=qp_range)
+        grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
+        grid_pred = qp_time_law(params, grid)
+        if np.any(grid_pred <= 0):
+            raise FitRejectedError(f"fitted model predicts non-positive energy near qp "
+                                   f"{grid[np.argmin(grid_pred)]:.2f}")
+        return params, coef
+    except FitError as exc:
+        # a rank-deficient cubic design has too few distinct QPs
+        kind = UnderdeterminedFitError if qp and type(exc) is SingularFitError else type(exc)
+        raise kind(f"{context}: {exc}") from exc
+
+
+def _errors(
+    params: LinearParams | QpModelParams, x: np.ndarray, energy: np.ndarray
+) -> np.ndarray:
+    """Relative errors of ``params`` on covariates ``x``, predicted by the model law.
+
+    These are the predictions ``estimate`` makes.  QP fits are in the
+    energy domain (``p_avg`` 1), so their time law is the energy law.
+    """
+    law = qp_time_law if isinstance(params, QpModelParams) else affine_energy_law
+    return (law(params, x) - energy) / energy
 
 
 def _report(
@@ -314,12 +299,6 @@ def _report(
     overall_error = float(np.mean(list(per_preset_error.values())))
     return FitReport(model_kind=model_kind, per_preset_error=per_preset_error,
                      overall_error=overall_error, **fields)
-
-
-def _tag_fit_error(exc: FitError, context: str) -> FitError:
-    tagged = type(exc)(f"{context}: {exc}")
-    tagged.__cause__ = exc
-    return tagged
 
 
 def _joint_fold_map(data: Dataset, k: int, seed: int) -> dict[tuple[str, float], int]:
@@ -350,54 +329,47 @@ def cross_validate(
     everywhere.  A degenerate training fold aborts the run rather than
     being skipped.  A cell's error averages its held-out errors; a
     preset's error averages its cells' errors.  Each cell is fitted on all
-    its rows first, and that fit is each fold's ``start``; should it fail,
-    the folds start from least squares and its error follows theirs.
+    its rows first, and that fit's coefficients are each fold's ``start``;
+    should it fail, the folds start from least squares and its error
+    follows theirs.
     """
-    cells = _cells(data, model_kind)
     params: _Params = {}
     cell_errors: dict[str, dict[str, float]] = {}
     fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
     key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
-    # QP fits are in the energy domain (p_avg 1), so their time law is the energy law.
-    law = qp_time_law if model_kind == "qp_cubic" else affine_energy_law
 
-    for preset, classes in cells.items():
-        for class_label, rows in classes.items():
-            context = f"preset {preset!r}" + (f", class {class_label!r}" if class_label else "")
-            x, energy = _columns(rows, model_kind)
-            # Folds are drawn on the rows sorted by key, making reports
-            # independent of the input row order; a fold holds positions in it.
-            order = np.array(sorted(range(len(rows)), key=lambda i: rows[i].key()))
-            if key_fold is not None:
-                row_fold = np.array([key_fold[(r.sequence_id, r.crf)] for r in rows])[order]
-                folds = [np.flatnonzero(row_fold == fold_index) for fold_index in range(k)]
-            else:
-                if len(rows) < k:
-                    raise ValueError(f"{context}: {len(rows)} rows cannot fill {k} folds")
-                folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
-            try:
-                fitted = _fit_cell(x, energy, model_kind, preset, class_label, objective)
-                start, failure = _coef(fitted), None
-            except FitError as exc:  # raised after the folds, whose errors come first
-                start, failure = None, exc
-            held_out: list[np.ndarray] = []
-            for fold_index, fold in enumerate(folds):
-                if len(fold) == 0:
-                    continue  # joint split: this cell has no bitstream in the fold
-                train, test = np.delete(order, fold), order[fold]
-                try:
-                    trained = _fit_cell(x[train], energy[train], model_kind, preset, class_label,
-                                        objective, start=start)
-                except FitError as exc:
-                    raise _tag_fit_error(exc, f"{context}, fold {fold_index}") from exc
-                errors = (law(trained, x[test]) - energy[test]) / energy[test]
-                held_out.append(errors)
-                fold_errors[fold_index].append(errors)
-            if failure is not None:
-                raise failure
-            cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
-                np.concatenate(held_out))
-            params.setdefault(preset, {})[class_label] = fitted
+    for preset, class_label, name, rows in _cells(data, model_kind, objective):
+        x, energy = _columns(rows, model_kind)
+        # Folds are drawn on the rows sorted by key, making reports
+        # independent of the input row order; a fold holds positions in it.
+        order = np.array(sorted(range(len(rows)), key=lambda i: rows[i].key()))
+        if key_fold is not None:
+            row_fold = np.array([key_fold[(r.sequence_id, r.crf)] for r in rows])[order]
+            folds = [np.flatnonzero(row_fold == fold_index) for fold_index in range(k)]
+        else:
+            if len(rows) < k:
+                raise ValueError(f"{name}: {len(rows)} rows cannot fill {k} folds")
+            folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
+        try:
+            fitted, start = _fit_cell(x, energy, model_kind, objective, name)
+            failure = None
+        except FitError as exc:  # raised after the folds, whose errors come first
+            start, failure = None, exc
+        held_out: list[np.ndarray] = []
+        for fold_index, fold in enumerate(folds):
+            if len(fold) == 0:
+                continue  # joint split: this cell has no bitstream in the fold
+            train, test = np.delete(order, fold), order[fold]
+            trained, _ = _fit_cell(x[train], energy[train], model_kind, objective,
+                                   f"{name}, fold {fold_index}", start=start)
+            errors = _errors(trained, x[test], energy[test])
+            held_out.append(errors)
+            fold_errors[fold_index].append(errors)
+        if failure is not None:
+            raise failure
+        cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
+            np.concatenate(held_out))
+        params.setdefault(preset, {})[class_label] = fitted
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):
@@ -421,13 +393,12 @@ def fit_report(
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation, no draws: seed 0)."""
     params: _Params = {}
-    training_errors: dict[str, dict[str, float]] = {}
-    for preset, classes in _cells(data, model_kind).items():
-        for cls, rows in classes.items():
-            x, energy = _columns(rows, model_kind)
-            fitted = _fit_cell(x, energy, model_kind, preset, cls, objective)
-            params.setdefault(preset, {})[cls] = fitted
-            training_errors.setdefault(preset, {})[cls] = mean_abs_relative_error(
-                _training_errors(fitted, x, energy))
-    return _report(model_kind, params, training_errors, validation="in_sample", k=0, seed=0,
+    cell_errors: dict[str, dict[str, float]] = {}
+    for preset, class_label, name, rows in _cells(data, model_kind, objective):
+        x, energy = _columns(rows, model_kind)
+        fitted, _ = _fit_cell(x, energy, model_kind, objective, name)
+        params.setdefault(preset, {})[class_label] = fitted
+        cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
+            _errors(fitted, x, energy))
+    return _report(model_kind, params, cell_errors, validation="in_sample", k=0, seed=0,
                    objective=objective, tool_version=tool_version)

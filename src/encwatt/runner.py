@@ -45,7 +45,7 @@ from .errors import (
     MeasurementRunError,
 )
 from .meter import Meter
-from .models import PRESETS
+from .models import PRESETS, check_json
 
 logger = logging.getLogger(__name__)
 
@@ -314,8 +314,10 @@ def run_campaign(
     return Dataset(rows=tuple(rows), failures=tuple(failures))
 
 
-def _as_list(value) -> list:
-    return value if isinstance(value, list) else [value]
+# The JSON type of each manifest key.
+_MANIFEST_KEYS = {"sequence_id": str, "class": str, "input": str, "frames": int, "preset": str,
+                  "presets": tuple[str, ...], "crf": float, "crfs": tuple[float, ...],
+                  "extra_args": tuple[str, ...]}
 
 
 def load_manifest(path: str | Path) -> list[EncodeJob]:
@@ -335,18 +337,16 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
             raise ManifestError(f"{path}, line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(entry, dict):
             raise ManifestError(f"{path}, line {lineno}: expected an object")
-        extra_args = entry.get("extra_args", [])
-        if not (isinstance(extra_args, list) and all(isinstance(a, str) for a in extra_args)):
-            raise ManifestError(
-                f"{path}, line {lineno}: extra_args must be a list of strings, got {extra_args!r}"
-            )
         for scalar, plural in (("preset", "presets"), ("crf", "crfs")):
             if scalar in entry and plural in entry:
                 raise ManifestError(
                     f"{path}, line {lineno}: give {scalar!r} or {plural!r}, not both")
         try:
-            presets = _as_list(entry.get("presets", entry.get("preset", [])))
-            crfs = _as_list(entry.get("crfs", entry.get("crf", [])))
+            for key, hint in _MANIFEST_KEYS.items():
+                if key in entry:
+                    check_json(entry[key], hint, key, "manifest")
+            presets = entry["presets"] if "presets" in entry else [entry["preset"]]
+            crfs = entry["crfs"] if "crfs" in entry else [entry["crf"]]
             if not presets:
                 raise KeyError("preset")
             if not crfs:
@@ -358,10 +358,10 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
                             sequence_id=entry["sequence_id"],
                             class_label=entry.get("class", ""),
                             input_path=entry["input"],
-                            frames=int(entry["frames"]),
+                            frames=entry["frames"],
                             preset=preset,
                             crf=float(crf),
-                            extra_args=tuple(extra_args),
+                            extra_args=tuple(entry.get("extra_args", ())),
                         )
                     )
         except KeyError as exc:

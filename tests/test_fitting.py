@@ -24,7 +24,14 @@ from encwatt.fitting import (
     mean_abs_relative_error,
     relative_error,
 )
-from encwatt.models import QpRangeWarning, predict_energy_linear, predict_energy_qp
+from encwatt.models import (
+    OBJECTIVES,
+    QpRangeWarning,
+    affine_energy_law,
+    predict_energy_linear,
+    predict_energy_qp,
+    qp_time_law,
+)
 from encwatt.synth import SynthDatasetRecipe, generate_dataset
 
 
@@ -404,46 +411,68 @@ def test_cross_validation_equals_leave_one_out():
     assert report.per_preset_error["medium"] == pytest.approx(float(np.mean(errors)), rel=1e-12)
 
 
-def per_row_crossval(ds, model_kind, k, seed, joint_folds):
-    """Cell and fold errors of a k-fold crossval, one row at a time through the public API."""
-    keys = sorted({(r.sequence_id, r.crf) for r in ds.rows})
-    key_fold = {keys[i]: f for f, fold in enumerate(kfold_split(len(keys), k, seed)) for i in fold}
-    cell_errors, fold_errors = {}, [[] for _ in range(k)]
+def cells_of(ds, model_kind):
+    """``(preset, class, rows)`` of each cell of ``model_kind``, rows in dataset order."""
     for preset in ds.presets():
         if model_kind == "uf_linear" and preset == "ultrafast":
             continue
         in_preset = [r for r in ds.rows if r.preset == preset]
         labels = sorted({r.class_label for r in in_preset}) if model_kind == "qp_cubic" else [""]
         for label in labels:
-            rows = sorted((r for r in in_preset if label in ("", r.class_label)),
-                          key=lambda r: r.key())
-            if joint_folds:
-                folds = [[i for i, r in enumerate(rows) if key_fold[(r.sequence_id, r.crf)] == f]
-                         for f in range(k)]
-            else:
-                folds = kfold_split(len(rows), k, seed)
-            held_out = []
-            for f, fold in enumerate(folds):
-                if not fold:
-                    continue
-                train = Dataset(rows=tuple(r for i, r in enumerate(rows) if i not in fold))
-                report = fit_report(train, model_kind)
+            yield preset, label, [r for r in in_preset if label in ("", r.class_label)]
+
+
+def folds_of(ds, model_kind, k, seed, joint_folds):
+    """``(preset, class, rows, folds)`` of each cell of a crossval, rows sorted by key."""
+    keys = sorted({(r.sequence_id, r.crf) for r in ds.rows})
+    key_fold = {keys[i]: f for f, fold in enumerate(kfold_split(len(keys), k, seed)) for i in fold}
+    for preset, label, rows in cells_of(ds, model_kind):
+        rows = sorted(rows, key=lambda r: r.key())
+        if joint_folds:
+            folds = [[i for i, r in enumerate(rows) if key_fold[(r.sequence_id, r.crf)] == f]
+                     for f in range(k)]
+        else:
+            folds = kfold_split(len(rows), k, seed)
+        yield preset, label, rows, folds
+
+
+def cell_params(report, preset, label):
+    """The parameters ``report`` holds for one cell."""
+    if report.qp_params is not None:
+        return report.qp_params[preset][label]
+    return report.linear_params[preset]
+
+
+def cell_error_table(report):
+    """``{(preset, class): error}`` of ``report``, class ``""`` for a linear model."""
+    if report.per_class_error is not None:
+        return {(p, c): e for p, classes in report.per_class_error.items()
+                for c, e in classes.items()}
+    return {(p, ""): e for p, e in report.per_preset_error.items()}
+
+
+def per_row_crossval(ds, model_kind, k, seed, joint_folds):
+    """Cell and fold errors of a k-fold crossval, one row at a time through the public API."""
+    cell_errors, fold_errors = {}, [[] for _ in range(k)]
+    for preset, label, rows, folds in folds_of(ds, model_kind, k, seed, joint_folds):
+        held_out = []
+        for f, fold in enumerate(folds):
+            if not fold:
+                continue
+            train = Dataset(rows=tuple(r for i, r in enumerate(rows) if i not in fold))
+            params = cell_params(fit_report(train, model_kind), preset, label)
+            for i in fold:
+                row = rows[i]
                 if model_kind == "qp_cubic":
-                    params = report.qp_params[preset][label]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", QpRangeWarning)
+                        pred = predict_energy_qp(params, row.avg_qp)
                 else:
-                    params = report.linear_params[preset]
-                for i in fold:
-                    row = rows[i]
-                    if model_kind == "qp_cubic":
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", QpRangeWarning)
-                            pred = predict_energy_qp(params, row.avg_qp)
-                    else:
-                        t = row.t_enc if model_kind == "time_linear" else row.t_enc_uf
-                        pred = predict_energy_linear(params, t)
-                    held_out.append(relative_error(pred, row.energy))
-                    fold_errors[f].append(held_out[-1])
-            cell_errors[(preset, label)] = mean_abs_relative_error(held_out)
+                    t = row.t_enc if model_kind == "time_linear" else row.t_enc_uf
+                    pred = predict_energy_linear(params, t)
+                held_out.append(relative_error(pred, row.energy))
+                fold_errors[f].append(held_out[-1])
+        cell_errors[(preset, label)] = mean_abs_relative_error(held_out)
     return cell_errors, [mean_abs_relative_error(errs) for errs in fold_errors]
 
 
@@ -454,15 +483,81 @@ def test_cross_validation_equals_a_per_row_reference(model_kind, joint_folds):
     shuffled = Dataset(rows=tuple(reversed(ds.rows)))  # folds must not follow the input order
     report = cross_validate(shuffled, model_kind, k=5, seed=3, joint_folds=joint_folds)
     cell_errors, fold_errors = per_row_crossval(ds, model_kind, 5, 3, joint_folds)
-    if model_kind == "qp_cubic":
-        got = {(p, c): e for p, classes in report.per_class_error.items()
-               for c, e in classes.items()}
-    else:
-        got = {(p, ""): e for p, e in report.per_preset_error.items()}
+    got = cell_error_table(report)
     assert got.keys() == cell_errors.keys()
     for cell, expected in cell_errors.items():
         assert got[cell] == pytest.approx(expected, rel=1e-12), cell
     assert report.per_fold_errors == pytest.approx(fold_errors, rel=1e-12)
+
+
+_COVARIATE = {"qp_cubic": "avg_qp", "time_linear": "t_enc", "uf_linear": "t_enc_uf"}
+
+
+def law_errors(params, rows, model_kind):
+    """``|law(params, x) - E| / E`` of ``rows`` in their order, by the law ``estimate`` uses."""
+    x = np.array([getattr(r, _COVARIATE[model_kind]) for r in rows])
+    energy = np.array([r.energy for r in rows])
+    law = qp_time_law if model_kind == "qp_cubic" else affine_energy_law
+    return np.abs(law(params, x) - energy) / energy
+
+
+def assert_error_table(report, cell_errors):
+    """``report``'s cell, preset and overall errors are exactly those ``cell_errors`` make."""
+    assert cell_error_table(report) == cell_errors
+    per_preset = {}
+    for (preset, _), error in cell_errors.items():
+        per_preset.setdefault(preset, []).append(error)
+    per_preset = {preset: float(np.mean(errors)) for preset, errors in per_preset.items()}
+    assert report.per_preset_error == per_preset
+    assert report.overall_error == float(np.mean(list(per_preset.values())))
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_fit_errors_are_what_the_reports_parameters_predict(model_kind, objective):
+    ds = generate_dataset(SynthDatasetRecipe(seed=0))
+    report = fit_report(ds, model_kind, objective=objective)
+    assert_error_table(report, {
+        (preset, label): float(np.mean(law_errors(cell_params(report, preset, label), rows,
+                                                  model_kind)))
+        for preset, label, rows in cells_of(ds, model_kind)})
+
+
+@pytest.mark.parametrize("joint_folds", [False, True])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_crossval_errors_are_what_each_folds_parameters_predict(monkeypatch, model_kind,
+                                                                objective, joint_folds):
+    import encwatt.fitting as fitting
+
+    ds = generate_dataset(SynthDatasetRecipe(seed=0))
+    k, seed = 5, 0
+    fitted = {}  # each fit's parameters, by the cell (and fold) its errors name
+    fit_cell = fitting._fit_cell
+
+    def recorded(*args, start=None):
+        params, coef = fit_cell(*args, start=start)
+        fitted[args[4]] = params
+        return params, coef
+
+    monkeypatch.setattr(fitting, "_fit_cell", recorded)
+    report = cross_validate(ds, model_kind, k=k, seed=seed, objective=objective,
+                            joint_folds=joint_folds)
+    cell_errors, fold_errors = {}, [[] for _ in range(k)]
+    for preset, label, rows, folds in folds_of(ds, model_kind, k, seed, joint_folds):
+        name = f"preset {preset!r}" + (f", class {label!r}" if label else "")
+        assert cell_params(report, preset, label) == fitted[name]
+        held_out = []
+        for f, fold in enumerate(folds):
+            if len(fold) == 0:
+                continue
+            errors = law_errors(fitted[f"{name}, fold {f}"], [rows[i] for i in fold], model_kind)
+            held_out.append(errors)
+            fold_errors[f].append(errors)
+        cell_errors[(preset, label)] = float(np.mean(np.concatenate(held_out)))
+    assert_error_table(report, cell_errors)
+    assert report.per_fold_errors == tuple(float(np.mean(np.concatenate(errors)))
+                                           for errors in fold_errors)
 
 
 def test_cross_validation_invariant_to_row_order():
@@ -498,8 +593,20 @@ def test_rank_deficient_training_fold_of_a_full_rank_cell_is_named(objective):
     fit_report(ds, "qp_cubic", objective=objective)
     with pytest.raises(UnderdeterminedFitError) as info:
         cross_validate(ds, "qp_cubic", k=10, seed=0, objective=objective)
-    assert str(info.value) == ("preset 'medium', class 'B', fold 6: preset 'medium', class 'B': "
-                               "design matrix has rank 3 < 4")
+    assert str(info.value) == "preset 'medium', class 'B', fold 6: design matrix has rank 3 < 4"
+
+
+@pytest.mark.parametrize("model_kind, n, message", [
+    ("time_linear", 4, "preset 'medium', fold 0: 2 rows; need at least 3 to fit the affine model"),
+    ("qp_cubic", 6, "preset 'medium', class 'B', fold 0: 3 rows; need at least 5"),
+])
+def test_failed_fold_names_its_cell_once(model_kind, n, message):
+    # two folds: each trains on half the cell, one row too few
+    ds = dataset_from_arrays(np.linspace(1, 5, n), np.linspace(100, 500, n),
+                             qps=list(np.linspace(20.0, 35.0, n)))
+    with pytest.raises(UnderdeterminedFitError) as info:
+        cross_validate(ds, model_kind, k=2, seed=0)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("joint_folds", [False, True])

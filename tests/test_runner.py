@@ -327,6 +327,25 @@ def test_load_manifest_refuses_text_a_dataset_row_cannot_hold(tmp_path, key, val
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("frames", 2.7, "'frames' must be an integer, got 2.7"),
+    ("crf", True, "'crf' must be a number, got True"),
+    ("sequence_id", 7, "'sequence_id' must be a string, got 7"),
+    ("crfs", ["23"], "'crfs[0]' must be a number, got '23'"),
+])
+def test_load_manifest_refuses_a_value_of_the_wrong_json_type(tmp_path, key, value, shown):
+    # int() and float() would take these without a word (2, 1.0, 23.0); 7 is no string id
+    entry = {"sequence_id": "s1", "input": "a.yuv", "frames": 10, "preset": "fast", "crf": 23}
+    wrong = {**entry, "sequence_id": "s2", key: value}
+    if key == "crfs":
+        del wrong["crf"]
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n" + json.dumps(wrong) + "\n")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(manifest)
+    assert str(info.value) == f"{manifest}, line 2: manifest key {shown}"
+
+
 # ── campaigns ─────────────────────────────────────────────────────────────
 
 class SessionCountingMeter(CsvReplayMeter):
