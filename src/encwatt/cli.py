@@ -195,7 +195,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         report = FitReport.from_json(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"cannot read report {args.report}: missing key {exc}") from exc
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read report {args.report}: {exc}") from exc
     _print_report(report)
     return EXIT_OK

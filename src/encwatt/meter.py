@@ -35,7 +35,7 @@ from .errors import (
     MalformedTraceError,
     TraceWindowError,
 )
-from .models import check_json
+from .models import read_json
 
 __all__ = [
     "SyntheticRecipe",
@@ -485,7 +485,17 @@ class CsvReplayMeter(Meter):
 
 
 _RECIPE_ALIASES = {"base": "base_power", "active": "active_power", "noise": "noise_std"}
-_RECIPE_KEYS = ("base_power", "active_power", "noise_std", "seed", "period")
+# The JSON type of each recipe key, the aliases included.
+_RECIPE_KEYS = {"base_power": float, "active_power": float, "noise_std": float, "seed": int,
+                "period": float, **dict.fromkeys(_RECIPE_ALIASES, float)}
+
+
+def _inline_value(text: str) -> int | float | str:
+    """An inline recipe value as the JSON number it spells, else the text itself."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
 
 
 def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
@@ -494,40 +504,36 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
     Both forms take the keys of :class:`SyntheticRecipe` but ``duration``
     (each recording sets it), ``period``, and the aliases ``base``,
     ``active`` and ``noise``.  The shorthand is ``key=value,key=value``.
-    A value of the wrong type (``true``, or a ``seed`` that is not an
-    integer) is refused with its key and the recipe named.
+    An unknown key, a value given twice (``base`` and ``base_power``, or
+    one key repeated inline), or a value of the wrong type (``true``, or a
+    ``seed`` that is not an integer) is refused with the recipe named.
     """
     candidate = Path(path_or_inline)
-    from_file = candidate.suffix == ".json" or candidate.is_file()
-    if from_file:
+    what = f"recipe {path_or_inline!r}"
+    if candidate.suffix == ".json" or candidate.is_file():
         try:
             data = json.loads(candidate.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read recipe {candidate}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"recipe {candidate} must hold a JSON object")
-        items = list(data.items())
+        names = list(data) if isinstance(data, dict) else []
     else:
-        items = []
+        pairs = []
         for item in filter(None, (part.strip() for part in path_or_inline.split(","))):
             if "=" not in item:
                 raise ValueError(f"bad recipe item {item!r}; expected key=value")
             key, value = item.split("=", 1)
-            items.append((key.strip(), value))
-    what = f"recipe {path_or_inline!r}"
-    kwargs: dict[str, float] = {}
-    for name, value in items:
+            pairs.append((key.strip(), _inline_value(value)))
+        names, data = [key for key, _ in pairs], dict(pairs)
+    given: dict[str, str] = {}  # the name each recipe field was given under
+    for name in names:
+        if name not in _RECIPE_KEYS:
+            raise ValueError(f"unknown recipe key {name!r}")
         key = _RECIPE_ALIASES.get(name, name)
-        if key not in _RECIPE_KEYS:
-            raise ValueError(f"unknown recipe key {key!r}")
-        kind = int if key == "seed" else float
-        if from_file:
-            check_json(value, kind, name, what)
-        try:
-            kwargs[key] = kind(value)
-        except ValueError as exc:
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{what} key {name!r} must be {noun}, got {value!r}") from exc
+        if key in given:
+            raise ValueError(f"{what} gives {key!r} twice: as {given[key]!r} and {name!r}")
+        given[key] = name
+    values = read_json(data, _RECIPE_KEYS, what=what)
+    kwargs = {key: values[name] for key, name in given.items()}
     period = kwargs.pop("period", DEFAULT_POLL_PERIOD)
     return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
 

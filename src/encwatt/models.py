@@ -11,6 +11,10 @@ A table of published slope/offset parameters for the ultrafast-time model
 ships with the package (all presets except ultrafast itself, in watts and
 joules).  A :class:`FitReport` carries one fit or cross-validation's
 parameters and error table, and reads and writes its JSON form.
+
+Every JSON input (a report, a campaign manifest line, a recipe) is read
+by :func:`read_json`, which checks a value against a type and builds it
+in one walk, refusing a key the type does not have.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
@@ -220,69 +223,89 @@ def load_default_params() -> dict[str, LinearParams]:
     return table
 
 
-# The JSON key of each parameter field in a report, per parameter type.
-_PARAM_KEYS = {
+# The JSON key of each field of a parameter set.  A parameter set is
+# written whole and each of its keys is required; another dataclass is
+# keyed by its field names, and a field with a default may be absent.
+_JSON_KEYS = {
     LinearParams: {"p": "p_w", "e0": "e0_j", "covariate_kind": "covariate_kind"},
     QpModelParams: {name: name for name in ("kappa", "lam", "mu", "t0", "p_avg",
                                             "valid_qp_range")},
 }
-# The parameter type of each FitReport parameter field, and how many
-# levels of dicts (preset, then class) hold it.
-_REPORT_PARAMS = {"linear_params": (LinearParams, 1), "qp_params": (QpModelParams, 2)}
-
-
-def _params_to_json(params: LinearParams | QpModelParams) -> dict:
-    entry = {key: getattr(params, name) for name, key in _PARAM_KEYS[type(params)].items()}
-    if "valid_qp_range" in entry:  # an unknown range is written as []
-        entry["valid_qp_range"] = list(entry["valid_qp_range"] or ())
-    return entry
-
-
-def _params_from_json(kind: type, entry: dict) -> LinearParams | QpModelParams:
-    values = {name: entry[key] for name, key in _PARAM_KEYS[kind].items()}
-    if "valid_qp_range" in values:
-        values["valid_qp_range"] = tuple(values["valid_qp_range"] or ()) or None
-    return kind(**values)
-
 
 # The JSON type of each annotated Python type, and its name in messages.
 _JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
                dict: (dict, "an object"), tuple: (list, "a list")}
 
 
-def check_json(value, hint, key: str, what: str = "report") -> None:
-    """Raise ValueError, naming ``key``, unless ``value`` is the JSON of a ``hint`` value.
+def _json_fields(cls: type) -> list[tuple[str, str, bool]]:
+    """``(field name, JSON key, required)`` for each field of dataclass ``cls``."""
+    keys = _JSON_KEYS.get(cls)
+    return [(f.name, keys[f.name] if keys else f.name, keys is not None or f.default is MISSING)
+            for f in fields(cls)]
 
-    The message begins ``<what> key``.  Numbers are JSON numbers (an
-    integer where ``hint`` is ``int``), never ``true`` or ``false``; a
-    parameter set is an object holding its keys.
+
+def read_json(value, hint, key: str = "", what: str = "report"):
+    """``value``, the JSON of a ``hint`` value, checked and built as one.
+
+    ``hint`` is a dataclass (an object keyed as ``_JSON_KEYS`` says), a
+    schema dict of key to hint (an object read as a dict), ``dict[str, T]``,
+    ``tuple[T, ...]`` (a list), ``Optional[T]`` (null, or ``[]`` for a
+    tuple, stands for None), ``str``, ``int`` or ``float``.  Numbers are
+    JSON numbers (an integer where ``hint`` is ``int``), never ``true`` or
+    ``false``.  A wrong value or a key the schema lacks raises ValueError
+    naming the key's path (``<what> key 'a.b[0]' ...``), and a missing
+    required key raises KeyError with its path.
     """
-    origin = get_origin(hint)
-    if origin is Union:  # Optional: null stands for None
-        if value is not None:
-            check_json(value, get_args(hint)[0], key, what)
-        return
-    json_type, name = _JSON_TYPES[dict if hint in _PARAM_KEYS else origin or hint]
-    if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
-    if hint in _PARAM_KEYS:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        if value is None or value == [] and get_origin(args[0]) is tuple:
+            return None
+        return read_json(value, args[0], key, what)
+    json_fields = _json_fields(hint) if is_dataclass(hint) else None
+    if json_fields is not None:
         hints = get_type_hints(hint)
-        for field_name, entry_key in _PARAM_KEYS[hint].items():
-            if entry_key in value:  # a missing key is left to raise KeyError
-                check_json(value[entry_key], hints[field_name], f"{key}.{entry_key}", what)
-    elif origin is dict:
-        for inner_key, inner in value.items():
-            check_json(inner, get_args(hint)[1], f"{key}.{inner_key}", what)
-    elif origin is tuple:
-        for i, inner in enumerate(value):
-            check_json(inner, get_args(hint)[0], f"{key}[{i}]", what)
+        schema = {json_key: hints[name] for name, json_key, _ in json_fields}
+    else:
+        schema = hint if isinstance(hint, dict) else None
+    json_type, noun = _JSON_TYPES[dict if schema is not None else origin or hint]
+    if not isinstance(value, json_type) or isinstance(value, bool):
+        raise ValueError(f"{what} key {key!r} must be {noun}, got {value!r}" if key
+                         else f"{what} must be {noun}, got {value!r}")
+    prefix = f"{key}." if key else ""
+    if origin is tuple:
+        return tuple(read_json(inner, args[0], f"{key}[{i}]", what)
+                     for i, inner in enumerate(value))
+    if origin is dict:
+        return {k: read_json(inner, args[1], prefix + k, what) for k, inner in value.items()}
+    if schema is None:
+        return float(value) if hint is float else value
+    unknown = [k for k in value if k not in schema]
+    if unknown:
+        raise ValueError(f"unknown {what} key {prefix + unknown[0]!r}")
+    read = {k: read_json(inner, schema[k], prefix + k, what) for k, inner in value.items()}
+    if json_fields is None:
+        return read
+    missing = [json_key for _, json_key, required in json_fields
+               if required and json_key not in read]
+    if missing:
+        raise KeyError(prefix + missing[0])
+    return hint(**{name: read[json_key] for name, json_key, _ in json_fields if json_key in read})
 
 
-def _map_leaves(value, depth: int, convert):
-    """``convert`` applied to the values ``depth`` dict levels down in ``value``."""
-    if depth == 0:
-        return convert(value)
-    return {key: _map_leaves(inner, depth - 1, convert) for key, inner in value.items()}
+def _write_json(value):
+    """The JSON that :func:`read_json` reads back as ``value``.
+
+    A None field is left out, or written ``[]`` where its key is required.
+    """
+    if is_dataclass(value):
+        return {json_key: _write_json(() if item is None else item)
+                for name, json_key, required in _json_fields(type(value))
+                if (item := getattr(value, name)) is not None or required}
+    if isinstance(value, dict):
+        return {k: _write_json(inner) for k, inner in value.items()}
+    if isinstance(value, tuple):
+        return [_write_json(inner) for inner in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -290,7 +313,8 @@ class FitReport:
     """Per-preset parameters and error table for one model evaluation.
 
     Its JSON form holds one key per field.  A field whose value is None is
-    left out, and a key whose field has a default may be absent.
+    left out, a key whose field has a default may be absent, and an
+    unknown key is refused.
     """
 
     model_kind: str
@@ -310,30 +334,9 @@ class FitReport:
         return tuple(p for p in PRESETS if p in self.per_preset_error)
 
     def to_json(self) -> str:
-        payload = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is None:
-                continue
-            if field.name in _REPORT_PARAMS:
-                value = _map_leaves(value, _REPORT_PARAMS[field.name][1], _params_to_json)
-            payload[field.name] = value
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_write_json(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"a report must be a JSON object, got {type(data).__name__}")
-        hints = get_type_hints(cls)
-        values = {}
-        for field in fields(cls):
-            if field.name not in data and field.default is not MISSING:
-                continue
-            value = data[field.name]
-            check_json(value, hints[field.name], field.name)
-            if field.name in _REPORT_PARAMS and value is not None:
-                kind, depth = _REPORT_PARAMS[field.name]
-                value = _map_leaves(value, depth, partial(_params_from_json, kind))
-            values[field.name] = tuple(value) if field.name == "per_fold_errors" else value
-        return cls(**values)
+        """Read a report, refusing an unknown key or a value of the wrong type."""
+        return read_json(json.loads(text), cls)

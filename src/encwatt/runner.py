@@ -45,7 +45,7 @@ from .errors import (
     MeasurementRunError,
 )
 from .meter import Meter
-from .models import PRESETS, check_json
+from .models import PRESETS, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -314,7 +314,7 @@ def run_campaign(
     return Dataset(rows=tuple(rows), failures=tuple(failures))
 
 
-# The JSON type of each manifest key.
+# The JSON type of each manifest key; any other key is refused.
 _MANIFEST_KEYS = {"sequence_id": str, "class": str, "input": str, "frames": int, "preset": str,
                   "presets": tuple[str, ...], "crf": float, "crfs": tuple[float, ...],
                   "extra_args": tuple[str, ...]}
@@ -335,16 +335,11 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
             entry = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}, line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise ManifestError(f"{path}, line {lineno}: expected an object")
-        for scalar, plural in (("preset", "presets"), ("crf", "crfs")):
-            if scalar in entry and plural in entry:
-                raise ManifestError(
-                    f"{path}, line {lineno}: give {scalar!r} or {plural!r}, not both")
         try:
-            for key, hint in _MANIFEST_KEYS.items():
-                if key in entry:
-                    check_json(entry[key], hint, key, "manifest")
+            entry = read_json(entry, _MANIFEST_KEYS, what="manifest")
+            for scalar, plural in (("preset", "presets"), ("crf", "crfs")):
+                if scalar in entry and plural in entry:
+                    raise ValueError(f"give {scalar!r} or {plural!r}, not both")
             presets = entry["presets"] if "presets" in entry else [entry["preset"]]
             crfs = entry["crfs"] if "crfs" in entry else [entry["crf"]]
             if not presets:
@@ -360,8 +355,8 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
                             input_path=entry["input"],
                             frames=entry["frames"],
                             preset=preset,
-                            crf=float(crf),
-                            extra_args=tuple(entry.get("extra_args", ())),
+                            crf=crf,
+                            extra_args=entry.get("extra_args", ()),
                         )
                     )
         except KeyError as exc:

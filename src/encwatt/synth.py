@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .dataset import Dataset, DatasetRow
-from .models import PRESETS, check_json
+from .models import PRESETS, read_json
 
 __all__ = ["GROUND_TRUTH", "SynthDatasetRecipe", "generate_dataset", "load_dataset_recipe"]
 
@@ -134,12 +133,4 @@ def load_dataset_recipe(path: str | Path) -> SynthDatasetRecipe:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read recipe {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"recipe {path} must hold a JSON object")
-    hints = get_type_hints(SynthDatasetRecipe)
-    unknown = set(data) - set(hints)
-    if unknown:
-        raise ValueError(f"unknown recipe keys: {sorted(unknown)}")
-    for key, value in data.items():
-        check_json(value, hints[key], key, "recipe")
-    return SynthDatasetRecipe(**data)
+    return read_json(data, SynthDatasetRecipe, what="recipe")

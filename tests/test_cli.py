@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -430,6 +431,33 @@ def test_report_with_a_wrongly_typed_value_exits_two(capsys, tmp_path, path, val
     assert err.count("error:") == 1 and f"report key {key!r}" in err
 
 
+def test_report_missing_a_required_key_names_it(capsys, tmp_path):
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", "uf_linear", "--out", str(report))
+    payload = json.loads(report.read_text())
+    del payload["validation"]
+    report.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "report", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read report {report}: missing key 'validation'\n"
+
+
+# The sha256 of the `fit --out` report on `synth --seed 1`, with the tool
+# version fixed.  A change to the report's keys, layout or numbers moves it.
+@pytest.mark.parametrize(("model", "sha256"), [
+    ("uf_linear", "12d3b715d3d94359c31aa1e05a07122ea848b16914fabcb5529250d8cdd5c6b5"),
+    ("qp_cubic", "f1c872323ce1d71972d4119ea847c4a7f2c4c0c179673a977d29cff8e865064a"),
+])
+def test_fit_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, sha256):
+    monkeypatch.setattr("encwatt.cli._TOOL", "encwatt test")
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    code, _, _ = run_cli(capsys, "fit", str(data), "--model", model, "--out", str(report))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
+
+
 def test_synth_recipe_file(capsys, tmp_path):
     recipe = tmp_path / "recipe.json"
     recipe.write_text('{"n_sequences": 3, "noise": 0.0, "time_jitter": 0.0}')
@@ -778,13 +806,15 @@ def test_input_that_is_not_utf8_is_named(capsys, tmp_path, input_file, reader, c
 
 
 @pytest.mark.parametrize("meter", ["synth:{missing}", "synth:base=20,period=0",
-                                   "synth:{zero_period}", "synth:{unknown_key}"])
+                                   "synth:{zero_period}", "synth:{unknown_key}",
+                                   "synth:base=20,base_power=30", "synth:{given_twice}"])
 def test_measure_bad_synthetic_recipe_exits_two_before_any_encode(capsys, tmp_path, input_file,
                                                                   stub_encoder, meter):
     recipes = {"missing": tmp_path / "missing.json", "zero_period": tmp_path / "zero.json",
-               "unknown_key": tmp_path / "unknown.json"}
+               "unknown_key": tmp_path / "unknown.json", "given_twice": tmp_path / "twice.json"}
     recipes["zero_period"].write_text('{"base": 20, "period": 0}')
     recipes["unknown_key"].write_text('{"base": 20, "bogus": 1}')
+    recipes["given_twice"].write_text('{"base": 20, "base_power": 30}')
     code, err, calls = _measure_logging_calls(
         capsys, tmp_path, input_file, stub_encoder,
         "--meter", meter.format(**recipes), "--out", str(tmp_path / "d.csv"),

@@ -708,6 +708,25 @@ def test_json_recipe_takes_the_inline_aliases_and_keys(tmp_path):
         open_meter(f"synth:{recipe_file}")
 
 
+@pytest.mark.parametrize(("recipe", "field", "first", "second"), [
+    ("base=20,base_power=30", "base_power", "base", "base_power"),
+    ("base=20,base=30", "base_power", "base", "base"),
+    ('{"base": 20, "base_power": 30}', "base_power", "base", "base_power"),
+    ('{"noise_std": 1, "noise": 2}', "noise_std", "noise_std", "noise"),
+])
+def test_recipe_refuses_a_value_given_twice_naming_both_spellings(tmp_path, recipe, field,
+                                                                  first, second):
+    # the last spelling would win without a word
+    if recipe.startswith("{"):
+        path = tmp_path / "recipe.json"
+        path.write_text(recipe)
+        recipe = str(path)
+    with pytest.raises(ValueError) as info:
+        open_meter(f"synth:{recipe}")
+    assert str(info.value) == (f"recipe {recipe!r} gives {field!r} twice: "
+                               f"as {first!r} and {second!r}")
+
+
 def test_recipe_refuses_duration(tmp_path):
     # Each recording and idle capture sets the duration itself.
     recipe_file = tmp_path / "recipe.json"

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from encwatt.errors import ManifestError
+from encwatt.meter import load_recipe
 from encwatt.models import (
     PRESETS,
     FitReport,
@@ -18,6 +20,8 @@ from encwatt.models import (
     read_params_file,
     write_params_file,
 )
+from encwatt.runner import load_manifest
+from encwatt.synth import load_dataset_recipe
 
 
 def test_preset_list_has_nine_entries_fastest_first():
@@ -247,6 +251,14 @@ def test_fit_report_json_keys():
     assert "qp_params" not in linear and "per_class_error" not in linear
 
 
+@pytest.mark.parametrize("unknown", [None, []])
+def test_fit_report_reads_an_unknown_qp_range_as_none(unknown):
+    # [] is how a report writes a range it does not know
+    payload = json.loads(_REPORTS[0].to_json())
+    payload["qp_params"]["fast"]["A"]["valid_qp_range"] = unknown
+    assert FitReport.from_json(json.dumps(payload)).qp_params["fast"]["A"].valid_qp_range is None
+
+
 @pytest.mark.parametrize("path", [("validation",), ("linear_params", "medium", "e0_j")])
 def test_fit_report_missing_required_key_raises_key_error(path):
     payload = json.loads(_REPORTS[1].to_json())
@@ -256,3 +268,48 @@ def test_fit_report_missing_required_key_raises_key_error(path):
     del parent[path[-1]]
     with pytest.raises(KeyError):
         FitReport.from_json(json.dumps(payload))
+
+
+# ── every JSON reader ─────────────────────────────────────────────────────
+
+def _read_manifest(tmp_path, misspelt):
+    entry = {"sequence_id": "s1", "input": "a.yuv", "frames": 10, "preset": "fast", "crf": 23}
+    path = tmp_path / "jobs.jsonl"
+    path.write_text(json.dumps({**entry, **misspelt}) + "\n")
+    load_manifest(path)
+
+
+def _read_report(tmp_path, misspelt):
+    payload = json.loads(_REPORTS[1].to_json())
+    if "p" in misspelt:
+        payload["linear_params"]["medium"].update(misspelt)
+    else:
+        payload.update(misspelt)
+    FitReport.from_json(json.dumps(payload))
+
+
+def _read_synth_recipe(tmp_path, misspelt):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"n_sequences": 2, **misspelt}))
+    load_dataset_recipe(path)
+
+
+def _read_meter_recipe(tmp_path, misspelt):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"base": 20, **misspelt}))
+    load_recipe(str(path))
+
+
+@pytest.mark.parametrize(("read", "misspelt", "named"), [
+    (_read_manifest, {"clas": "B"}, "clas"),
+    (_read_manifest, {"extra-args": ["--x"]}, "extra-args"),
+    (_read_report, {"per_fold_error": [0.1]}, "per_fold_error"),
+    (_read_report, {"p": 358.21}, "linear_params.medium.p"),
+    (_read_synth_recipe, {"n_sequence": 4}, "n_sequence"),
+    (_read_meter_recipe, {"seeds": 4}, "seeds"),
+], ids=["manifest-clas", "manifest-extra-args", "report-per_fold_error", "report-p",
+        "synth-recipe", "meter-recipe"])
+def test_every_json_reader_refuses_a_misspelt_key_naming_it(tmp_path, read, misspelt, named):
+    # the value would otherwise be dropped without a word
+    with pytest.raises((ValueError, ManifestError), match=f"unknown .*key {named!r}"):
+        read(tmp_path, misspelt)
