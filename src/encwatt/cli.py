@@ -19,7 +19,6 @@ from . import __version__
 from .dataset import load_dataset_csv
 from .errors import (
     AcquisitionError,
-    DatasetError,
     FitError,
     MalformedTraceError,
     ManifestError,
@@ -66,6 +65,11 @@ def cross_validate(*args, **kwargs):
     return cross_validate(*args, **kwargs)
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` given on the command line; the rest keep their defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_measure(args: argparse.Namespace) -> int:
     from .energy import ConfidencePolicy
     # meter's parse_trace_csv, not this module's (see above)
@@ -76,12 +80,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         raise ValueError("--meter csv: needs --idle-trace: the replayed trace would be its "
                          "own idle baseline, and every net energy 0 J")
     jobs = load_manifest(args.manifest)
-    policy = ConfidencePolicy(
-        alpha=args.alpha,
-        beta=args.beta,
-        min_reps=args.min_reps,
-        max_reps=args.max_reps,
-    )
+    policy = ConfidencePolicy(**_given(args, "alpha", "beta", "min_reps", "max_reps"))
     meter = open_meter(args.meter)
     idle_trace = parse_trace_csv(args.idle_trace) if args.idle_trace else None
     dataset = run_campaign(
@@ -207,9 +206,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SynthDatasetRecipe, load_dataset_recipe
 
     recipe = load_dataset_recipe(args.recipe) if args.recipe else SynthDatasetRecipe()
-    given = {name: getattr(args, name) for name in ("seed", "noise", "time_jitter")
-             if getattr(args, name) is not None}
-    recipe = dataclasses.replace(recipe, **given)
+    recipe = dataclasses.replace(recipe, **_given(args, "seed", "noise", "time_jitter"))
     dataset = generate_dataset(recipe)
     dataset.write_csv(args.out)
     print(f"wrote {len(dataset.rows)} rows to {args.out} (seed {recipe.seed})")
@@ -231,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder-cmd", required=True,
                    help="command template with {input} {output} {preset} {crf} {frames}")
     p.add_argument("--out", required=True, help="dataset CSV to write")
-    p.add_argument("--alpha", type=float, default=0.99)
-    p.add_argument("--beta", type=float, default=0.02)
-    p.add_argument("--min-reps", type=int, default=2)
-    p.add_argument("--max-reps", type=int, default=50)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--min-reps", type=int)
+    p.add_argument("--max-reps", type=int)
     p.add_argument("--idle-trace", default=None,
                    help="shared idle baseline CSV (default: capture idle per repetition)")
     p.add_argument("--resume", action="store_true",
@@ -283,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, DatasetError, FitError, ValueError, OSError) as exc:
+    except (ManifestError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AcquisitionError, MalformedTraceError, TraceWindowError) as exc:

@@ -28,13 +28,26 @@ FORBIDDEN_TEXT_CHARS = ",\r\n"
 _FORBIDDEN_TEXT = frozenset(FORBIDDEN_TEXT_CHARS)
 
 
-def check_text_field(name: str, value: str) -> None:
-    """Refuse a text value that a dataset CSV cannot hold."""
-    if not _FORBIDDEN_TEXT.isdisjoint(str(value)):
-        raise DatasetError(
-            f"{name} must not hold any of {', '.join(map(repr, FORBIDDEN_TEXT_CHARS))}, "
-            f"got {value!r}"
-        )
+def check_job_identity(job) -> None:
+    """Refuse a job identity no encode can have, or a dataset CSV cannot hold.
+
+    ``job`` is an encode job or a dataset row: both carry ``sequence_id``,
+    ``class_label``, ``preset``, ``crf`` and ``frames``.
+    """
+    if not job.sequence_id:
+        raise DatasetError("sequence_id must be non-empty")
+    for name, text in (("sequence_id", job.sequence_id), ("class_label", job.class_label)):
+        if not _FORBIDDEN_TEXT.isdisjoint(str(text)):
+            raise DatasetError(
+                f"{name} must not hold any of {', '.join(map(repr, FORBIDDEN_TEXT_CHARS))}, "
+                f"got {text!r}"
+            )
+    if job.preset not in PRESETS:
+        raise DatasetError(f"unknown preset {job.preset!r}")
+    if not 0.0 <= job.crf <= 51.0:
+        raise DatasetError(f"crf must be in [0, 51], got {job.crf}")
+    if job.frames < 1:
+        raise DatasetError(f"frames must be >= 1, got {job.frames}")
 
 
 def _read_bool(raw: str) -> bool:
@@ -83,12 +96,7 @@ class DatasetRow:
     confident: bool = True
 
     def __post_init__(self) -> None:
-        check_text_field("sequence_id", self.sequence_id)
-        check_text_field("class_label", self.class_label)
-        if self.preset not in PRESETS:
-            raise DatasetError(f"unknown preset {self.preset!r}")
-        if not 0.0 <= self.crf <= 51.0:
-            raise DatasetError(f"crf must be in [0, 51], got {self.crf}")
+        check_job_identity(self)
         if not 0 < self.energy < math.inf:
             raise DatasetError(f"energy must be finite and > 0, got {self.energy}")
         if not 0 < self.t_enc < math.inf:
@@ -97,8 +105,6 @@ class DatasetRow:
             raise DatasetError(f"t_enc_uf must be finite and > 0, got {self.t_enc_uf}")
         if self.avg_qp is not None and not 0.0 <= self.avg_qp <= 51.0:
             raise DatasetError(f"avg_qp must be empty or in [0, 51], got {self.avg_qp}")
-        if self.frames < 1:
-            raise DatasetError(f"frames must be >= 1, got {self.frames}")
         if self.reps < 1:
             raise DatasetError(f"reps must be >= 1, got {self.reps}")
 

@@ -52,7 +52,7 @@ class ManifestError(EncwattError):
     """A campaign manifest could not be parsed or validated."""
 
 
-class DatasetError(EncwattError):
+class DatasetError(EncwattError, ValueError):
     """A dataset row or file violates the dataset schema."""
 
 

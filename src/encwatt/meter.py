@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import json
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -35,7 +34,7 @@ from .errors import (
     MalformedTraceError,
     TraceWindowError,
 )
-from .models import read_json
+from .models import parse_json, read_json
 
 __all__ = [
     "SyntheticRecipe",
@@ -181,19 +180,31 @@ def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
         fh.writelines(f"{t!r},{p!r}\n" for t, p in trace.samples.tolist())
 
 
+# Follows the error of a counter read that the file's permissions refused.
+_COUNTER_DENIED = ("; RAPL energy counters are readable only by root since CVE-2020-8694: "
+                   "run as root, or grant read access with a udev rule or chmod")
+
+
+def _read_int_file(path: str | Path, what: str, denied: str = "") -> int:
+    """The integer text file ``path`` holds; errors name it as ``what``, and
+    ``denied`` ends the error of a read its permissions refused."""
+    try:
+        raw = Path(path).read_text().strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = denied if isinstance(exc, PermissionError) else ""
+        raise AcquisitionError(f"cannot read {what}: {exc}{why}") from exc
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise AcquisitionError(f"{what} does not hold an integer: {raw!r}") from exc
+
+
 def _wrap_modulus(counter_path: str | Path) -> int:
     """The counter's wrap modulus: its sibling range file, else 2**32."""
     range_file = Path(counter_path).with_name("max_energy_range_uj")
     if not range_file.is_file():
         return DEFAULT_WRAP_UJ
-    try:
-        raw = range_file.read_text().strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise AcquisitionError(f"cannot read {range_file}: {exc}") from exc
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise AcquisitionError(f"{range_file} must be an integer, got {raw!r}") from exc
+    value = _read_int_file(range_file, str(range_file))
     if value <= 0:
         raise AcquisitionError(f"{range_file} must be positive, got {value}")
     return value
@@ -201,20 +212,7 @@ def _wrap_modulus(counter_path: str | Path) -> int:
 
 def read_counter_uj(path: str | Path) -> int:
     """Read a cumulative microjoule counter from a text file."""
-    try:
-        raw = Path(path).read_text().strip()
-    except PermissionError as exc:
-        raise AcquisitionError(
-            f"cannot read counter file {path}: {exc}; RAPL energy counters are readable "
-            f"only by root since CVE-2020-8694: run as root, or grant read access "
-            f"with a udev rule or chmod"
-        ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise AcquisitionError(f"cannot read counter file {path}: {exc}") from exc
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise AcquisitionError(f"counter file {path} does not hold an integer: {raw!r}") from exc
+    value = _read_int_file(path, f"counter file {path}", denied=_COUNTER_DENIED)
     if value < 0:
         raise AcquisitionError(f"counter file {path} holds a negative value: {value}")
     return value
@@ -484,10 +482,10 @@ class CsvReplayMeter(Meter):
         return self._trace
 
 
-_RECIPE_ALIASES = {"base": "base_power", "active": "active_power", "noise": "noise_std"}
-# The JSON type of each recipe key, the aliases included.
+# The JSON type of each recipe key, and the key each alias spells.
 _RECIPE_KEYS = {"base_power": float, "active_power": float, "noise_std": float, "seed": int,
-                "period": float, **dict.fromkeys(_RECIPE_ALIASES, float)}
+                "period": float, "base": "base_power", "active": "active_power",
+                "noise": "noise_std"}
 
 
 def _inline_value(text: str) -> int | float | str:
@@ -505,17 +503,15 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
     (each recording sets it), ``period``, and the aliases ``base``,
     ``active`` and ``noise``.  The shorthand is ``key=value,key=value``.
     An unknown key, a value given twice (``base`` and ``base_power``, or
-    one key repeated inline), or a value of the wrong type (``true``, or a
+    one key repeated), or a value of the wrong type (``true``, or a
     ``seed`` that is not an integer) is refused with the recipe named.
     """
     candidate = Path(path_or_inline)
-    what = f"recipe {path_or_inline!r}"
     if candidate.suffix == ".json" or candidate.is_file():
         try:
-            data = json.loads(candidate.read_text(encoding="utf-8"))
+            data = parse_json(candidate.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read recipe {candidate}: {exc}") from exc
-        names = list(data) if isinstance(data, dict) else []
     else:
         pairs = []
         for item in filter(None, (part.strip() for part in path_or_inline.split(","))):
@@ -523,17 +519,8 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
                 raise ValueError(f"bad recipe item {item!r}; expected key=value")
             key, value = item.split("=", 1)
             pairs.append((key.strip(), _inline_value(value)))
-        names, data = [key for key, _ in pairs], dict(pairs)
-    given: dict[str, str] = {}  # the name each recipe field was given under
-    for name in names:
-        if name not in _RECIPE_KEYS:
-            raise ValueError(f"unknown recipe key {name!r}")
-        key = _RECIPE_ALIASES.get(name, name)
-        if key in given:
-            raise ValueError(f"{what} gives {key!r} twice: as {given[key]!r} and {name!r}")
-        given[key] = name
-    values = read_json(data, _RECIPE_KEYS, what=what)
-    kwargs = {key: values[name] for key, name in given.items()}
+        data = tuple(pairs)
+    kwargs = read_json(data, _RECIPE_KEYS, what=f"recipe {path_or_inline!r}")
     period = kwargs.pop("period", DEFAULT_POLL_PERIOD)
     return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
 

@@ -12,9 +12,10 @@ ships with the package (all presets except ultrafast itself, in watts and
 joules).  A :class:`FitReport` carries one fit or cross-validation's
 parameters and error table, and reads and writes its JSON form.
 
-Every JSON input (a report, a campaign manifest line, a recipe) is read
+Every JSON input (a report, a campaign manifest line, a recipe) is parsed
+by :func:`parse_json`, which keeps each object's keys as given, and read
 by :func:`read_json`, which checks a value against a type and builds it
-in one walk, refusing a key the type does not have.
+in one walk, refusing a key the type does not have or a value given twice.
 """
 
 from __future__ import annotations
@@ -233,8 +234,9 @@ _JSON_KEYS = {
 }
 
 # The JSON type of each annotated Python type, and its name in messages.
+# A JSON object is read as its pairs (see parse_json).
 _JSON_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
-               dict: (dict, "an object"), tuple: (list, "a list")}
+               dict: (tuple, "an object"), tuple: (list, "a list")}
 
 
 def _json_fields(cls: type) -> list[tuple[str, str, bool]]:
@@ -244,15 +246,26 @@ def _json_fields(cls: type) -> list[tuple[str, str, bool]]:
             for f in fields(cls)]
 
 
+def parse_json(text: str):
+    """``text`` parsed as JSON, each object kept as its ``(key, value)`` pairs.
+
+    The pairs keep a repeated key, which a dict would drop, so that
+    :func:`read_json` can refuse it.
+    """
+    return json.loads(text, object_pairs_hook=tuple)
+
+
 def read_json(value, hint, key: str = "", what: str = "report"):
-    """``value``, the JSON of a ``hint`` value, checked and built as one.
+    """``value``, as :func:`parse_json` gives it, checked and built as a ``hint`` value.
 
     ``hint`` is a dataclass (an object keyed as ``_JSON_KEYS`` says), a
-    schema dict of key to hint (an object read as a dict), ``dict[str, T]``,
+    schema dict of key to hint (an object read as a dict; a str in place of
+    a hint makes its key an alias of the key it names), ``dict[str, T]``,
     ``tuple[T, ...]`` (a list), ``Optional[T]`` (null, or ``[]`` for a
     tuple, stands for None), ``str``, ``int`` or ``float``.  Numbers are
     JSON numbers (an integer where ``hint`` is ``int``), never ``true`` or
-    ``false``.  A wrong value or a key the schema lacks raises ValueError
+    ``false``.  A wrong value, a key the schema lacks, or a value given
+    twice (a key repeated, or given under two spellings) raises ValueError
     naming the key's path (``<what> key 'a.b[0]' ...``), and a missing
     required key raises KeyError with its path.
     """
@@ -269,20 +282,27 @@ def read_json(value, hint, key: str = "", what: str = "report"):
         schema = hint if isinstance(hint, dict) else None
     json_type, noun = _JSON_TYPES[dict if schema is not None else origin or hint]
     if not isinstance(value, json_type) or isinstance(value, bool):
-        raise ValueError(f"{what} key {key!r} must be {noun}, got {value!r}" if key
-                         else f"{what} must be {noun}, got {value!r}")
+        shown = dict(value) if isinstance(value, tuple) else value
+        raise ValueError(f"{what} key {key!r} must be {noun}, got {shown!r}" if key
+                         else f"{what} must be {noun}, got {shown!r}")
     prefix = f"{key}." if key else ""
     if origin is tuple:
         return tuple(read_json(inner, args[0], f"{key}[{i}]", what)
                      for i, inner in enumerate(value))
     if origin is dict:
-        return {k: read_json(inner, args[1], prefix + k, what) for k, inner in value.items()}
+        schema = dict.fromkeys([name for name, _ in value], args[1])
     if schema is None:
         return float(value) if hint is float else value
-    unknown = [k for k in value if k not in schema]
-    if unknown:
-        raise ValueError(f"unknown {what} key {prefix + unknown[0]!r}")
-    read = {k: read_json(inner, schema[k], prefix + k, what) for k, inner in value.items()}
+    read, given = {}, {}  # each key's value, and the name it was given under
+    for name, inner in value:
+        if name not in schema:  # named by the noun alone: "unknown recipe key"
+            raise ValueError(f"unknown {what.split()[0]} key {prefix + name!r}")
+        canonical = schema[name] if isinstance(schema[name], str) else name
+        if canonical in given:
+            raise ValueError(f"{what} gives {prefix + canonical!r} twice: "
+                             f"as {given[canonical]!r} and {name!r}")
+        given[canonical] = name
+        read[canonical] = read_json(inner, schema[canonical], prefix + name, what)
     if json_fields is None:
         return read
     missing = [json_key for _, json_key, required in json_fields
@@ -338,5 +358,5 @@ class FitReport:
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
-        """Read a report, refusing an unknown key or a value of the wrong type."""
-        return read_json(json.loads(text), cls)
+        """Read a report, refusing an unknown key, a wrongly typed value or a repeated key."""
+        return read_json(parse_json(text), cls)

@@ -15,7 +15,6 @@ to each job.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataset import Dataset, DatasetRow, DatasetWriter, check_text_field
+from .dataset import Dataset, DatasetRow, DatasetWriter, check_job_identity
 from .energy import (
     ConfidencePolicy,
     MeasurementRecord,
@@ -45,7 +44,7 @@ from .errors import (
     MeasurementRunError,
 )
 from .meter import Meter
-from .models import PRESETS, read_json
+from .models import PRESETS, parse_json, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -81,16 +80,7 @@ class EncodeJob:
     extra_args: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.sequence_id:
-            raise ValueError("sequence_id must be non-empty")
-        check_text_field("sequence_id", self.sequence_id)
-        check_text_field("class_label", self.class_label)
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.preset not in PRESETS:
-            raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
-        if not 0.0 <= self.crf <= 51.0:
-            raise ValueError(f"crf must be in [0, 51], got {self.crf}")
+        check_job_identity(self)
         object.__setattr__(self, "extra_args", tuple(self.extra_args))
 
     def key(self) -> tuple[str, str, float]:
@@ -332,8 +322,8 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+            entry = parse_json(line)
+        except ValueError as exc:
             raise ManifestError(f"{path}, line {lineno}: invalid JSON: {exc}") from exc
         try:
             entry = read_json(entry, _MANIFEST_KEYS, what="manifest")
@@ -361,7 +351,7 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
                     )
         except KeyError as exc:
             raise ManifestError(f"{path}, line {lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError, DatasetError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ManifestError(f"{path}, line {lineno}: {exc}") from exc
     if not jobs:
         raise ManifestError(f"{path}: manifest defines no jobs")

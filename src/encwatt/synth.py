@@ -11,14 +11,13 @@ exactly, which the fit tests rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, DatasetRow
-from .models import PRESETS, read_json
+from .models import PRESETS, parse_json, read_json
 
 __all__ = ["GROUND_TRUTH", "SynthDatasetRecipe", "generate_dataset", "load_dataset_recipe"]
 
@@ -73,12 +72,8 @@ class SynthDatasetRecipe:
 
 
 def _crf_scale(crf: float) -> float:
-    if crf in _CRF_TIME_SCALE:
-        return _CRF_TIME_SCALE[crf]
-    # Outside the standard grid: smooth interpolation of the same trend.
-    return float(np.interp(crf, sorted(_CRF_TIME_SCALE), [
-        _CRF_TIME_SCALE[c] for c in sorted(_CRF_TIME_SCALE)
-    ]))
+    # The grid's value at a grid CRF, linear between them, the nearest end's outside.
+    return float(np.interp(crf, *zip(*sorted(_CRF_TIME_SCALE.items()))))
 
 
 def _truncated_normals(rng: np.random.Generator, n: int) -> list[float]:
@@ -128,9 +123,9 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
 
 
 def load_dataset_recipe(path: str | Path) -> SynthDatasetRecipe:
-    """Read a dataset recipe from JSON; unknown keys and wrongly typed values are rejected."""
+    """Read a dataset recipe from JSON; an unknown, wrongly typed or repeated key is refused."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read recipe {path}: {exc}") from exc
     return read_json(data, SynthDatasetRecipe, what="recipe")

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,16 @@ def test_every_exported_name_resolves():
     for module in exporting:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_only_models_parses_json():
+    # every JSON input goes through models.parse_json, which keeps a
+    # repeated key for read_json to refuse; a plain json.loads drops it
+    modules = [importlib.import_module(f"encwatt.{info.name}")
+               for info in pkgutil.iter_modules(encwatt.__path__)]
+    parsing = [module.__name__ for module in modules
+               if re.search(r"\bjson\.loads?\(", Path(module.__file__).read_text())]
+    assert parsing == ["encwatt.models"]
 
 
 # ── estimate ──────────────────────────────────────────────────────────────
@@ -441,6 +452,37 @@ def test_report_missing_a_required_key_names_it(capsys, tmp_path):
     code, out, err = run_cli(capsys, "report", str(report))
     assert (code, out) == (2, "")
     assert err == f"error: cannot read report {report}: missing key 'validation'\n"
+
+
+@pytest.mark.parametrize("command", ["measure", "report", "synth"])
+def test_a_json_key_given_twice_exits_two_before_any_encode_or_write(capsys, tmp_path,
+                                                                      input_file, stub_encoder,
+                                                                      command):
+    # a plain json.loads would keep the last of the two without a word
+    given, out, calls = tmp_path / "given.json", tmp_path / "out.csv", tmp_path / "calls.log"
+    if command == "measure":
+        write_manifest(given, input_file, presets=("ultrafast",), n_seqs=1)
+        key = "frames"
+        argv = ["measure", str(given), "--meter", "synth:base=20", "--out", str(out),
+                "--encoder-cmd", f"{sys.executable} {stub_encoder} --input {{input}} "
+                f"--output {{output}} --preset {{preset}} --crf {{crf}} --frames {{frames}} "
+                f"--call-log {calls}"]
+    elif command == "report":
+        run_cli(capsys, "synth", "--out", str(tmp_path / "d.csv"), "--seed", "1")
+        run_cli(capsys, "fit", str(tmp_path / "d.csv"), "--model", "uf_linear",
+                "--out", str(given))
+        key, argv = "overall_error", ["report", str(given)]
+    else:
+        given.write_text(json.dumps({"n_sequences": 2, "seed": 1}))
+        key, argv = "seed", ["synth", "--recipe", str(given), "--out", str(out)]
+    text = given.read_text()
+    given.write_text(re.sub(rf'("{key}": [^,{{}}\n]+)', r"\1, \1", text, count=1))
+    assert given.read_text() != text
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    (line,) = err.splitlines()
+    assert f"gives {key!r} twice" in line
+    assert not calls.exists() and not out.exists()
 
 
 # The sha256 of the `fit --out` report on `synth --seed 1`, with the tool

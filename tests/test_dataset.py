@@ -17,6 +17,7 @@ from encwatt.dataset import (
 )
 from encwatt.errors import DatasetError
 from encwatt.models import PRESETS
+from encwatt.runner import EncodeJob
 
 HEADER = ",".join(DATASET_COLUMNS)
 
@@ -56,10 +57,26 @@ def test_row_validation():
     ("avg_qp", 60.0), ("avg_qp", -0.5), ("avg_qp", float("nan")),
     ("energy", float("nan")), ("energy", float("inf")),
     ("t_enc", float("inf")), ("t_enc", float("nan")), ("t_enc_uf", float("inf")),
+    ("sequence_id", ""),
 ])
 def test_row_rejects_values_no_encode_produces(field, value):
     with pytest.raises(DatasetError, match=field):
         make_row(**{field: value})
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    ("preset", "turbo"), ("crf", 77.0), ("crf", float("nan")), ("frames", 0),
+    ("sequence_id", ""), ("sequence_id", "a,b"),
+])
+def test_job_and_row_refuse_the_same_identities(field, value):
+    # one rule for both: no job is encoded whose row the dataset would refuse
+    job = dict(sequence_id="seq00", input_path="a.yuv", frames=100, preset="medium", crf=23.0)
+    with pytest.raises(DatasetError) as job_error:
+        EncodeJob(**{**job, field: value})
+    with pytest.raises(DatasetError) as row_error:
+        make_row(**{field: value})
+    assert str(job_error.value) == str(row_error.value)
+    assert isinstance(job_error.value, ValueError)
 
 
 @pytest.mark.parametrize("crf", [float("nan"), 60.0, -1.0, float("inf"), -float("inf")])
@@ -85,7 +102,7 @@ def test_row_accepts_qp_range_ends_and_missing_qp():
 
 @pytest.mark.parametrize("column, value", [
     ("avg_qp", "60.0"), ("avg_qp", "nan"), ("energy_j", "nan"), ("t_enc_s", "inf"),
-    ("energy_j", "inf"),
+    ("energy_j", "inf"), ("sequence_id", ""),
 ])
 def test_load_names_row_of_out_of_range_value(tmp_path, column, value):
     path = tmp_path / "bad.csv"

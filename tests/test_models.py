@@ -313,3 +313,35 @@ def test_every_json_reader_refuses_a_misspelt_key_naming_it(tmp_path, read, miss
     # the value would otherwise be dropped without a word
     with pytest.raises((ValueError, ManifestError), match=f"unknown .*key {named!r}"):
         read(tmp_path, misspelt)
+
+
+def _given_twice(text, key):
+    """``text`` with the first ``"key": <scalar>`` pair in it given twice."""
+    return re.sub(rf'("{key}": [^,{{}}\n]+)', r"\1, \1", text, count=1)
+
+
+_READERS = {
+    "manifest": load_manifest,
+    "report": lambda path: FitReport.from_json(path.read_text()),
+    "synth-recipe": load_dataset_recipe,
+    "meter-recipe": lambda path: load_recipe(str(path)),
+}
+
+
+@pytest.mark.parametrize(("reader", "text", "key", "named"), [
+    ("manifest", json.dumps({"sequence_id": "s1", "input": "a.yuv", "frames": 10,
+                             "preset": "fast", "crf": 23}), "sequence_id", "sequence_id"),
+    ("report", _REPORTS[0].to_json(), "overall_error", "overall_error"),
+    ("report", _REPORTS[0].to_json(), "fast", "per_preset_error.fast"),
+    ("report", _REPORTS[1].to_json(), "p_w", "linear_params.medium.p_w"),
+    ("synth-recipe", json.dumps({"n_sequences": 2, "seed": 1}), "seed", "seed"),
+    ("meter-recipe", json.dumps({"base": 20, "seed": 1}), "base", "base_power"),
+], ids=["manifest", "report", "report-nested", "report-params", "synth-recipe", "meter-recipe"])
+def test_every_json_reader_refuses_a_key_given_twice_naming_its_path(tmp_path, reader, text,
+                                                                     key, named):
+    # a plain json.loads keeps the last of the two without a word
+    path = tmp_path / "input.json"
+    path.write_text(_given_twice(text, key) + "\n")
+    assert path.read_text().count(f'"{key}":') == text.count(f'"{key}":') + 1
+    with pytest.raises((ValueError, ManifestError), match=re.escape(f"gives {named!r} twice")):
+        _READERS[reader](path)
