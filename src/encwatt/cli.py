@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration or schema problem, 3 meter
-problem, 4 encoder problem.
+problem, 4 encoder problem, 128 + the signal number when interrupted.
 
 This module imports no numpy: each command imports the modules it runs,
 so ``--version``, ``--help``, ``estimate`` and ``report`` start without it.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -65,6 +66,18 @@ def cross_validate(*args, **kwargs):
     return cross_validate(*args, **kwargs)
 
 
+class _Interrupted(BaseException):
+    """A signal that ends a campaign; its one argument is the signal number.
+
+    Not an ``Exception``, so no per-job handler records it as a failure: it
+    unwinds the campaign, and ``subprocess.run`` kills the running encoder.
+    """
+
+
+def _raise_interrupted(signum, frame):
+    raise _Interrupted(signum)
+
+
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The options among ``names`` given on the command line; the rest keep their defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -83,15 +96,21 @@ def cmd_measure(args: argparse.Namespace) -> int:
     policy = ConfidencePolicy(**_given(args, "alpha", "beta", "min_reps", "max_reps"))
     meter = open_meter(args.meter)
     idle_trace = parse_trace_csv(args.idle_trace) if args.idle_trace else None
-    dataset = run_campaign(
-        jobs,
-        encoder_cmd=args.encoder_cmd,
-        meter=meter,
-        policy=policy,
-        out_csv=args.out,
-        idle_trace=idle_trace,
-        resume=args.resume,
-    )
+    signums = (signal.SIGTERM, signal.SIGHUP)
+    previous = [signal.signal(signum, _raise_interrupted) for signum in signums]
+    try:
+        dataset = run_campaign(
+            jobs,
+            encoder_cmd=args.encoder_cmd,
+            meter=meter,
+            policy=policy,
+            out_csv=args.out,
+            idle_trace=idle_trace,
+            resume=args.resume,
+        )
+    finally:
+        for signum, handler in zip(signums, previous):
+            signal.signal(signum, handler)
     print(f"# campaign: {len(dataset.rows)} row(s), {len(dataset.failures)} failure(s)")
     print("sequence_id preset crf energy_j reps confident")
     for row in dataset.rows:
@@ -286,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     except (AcquisitionError, MalformedTraceError, TraceWindowError) as exc:
         print(f"meter error: {exc}", file=sys.stderr)
         return EXIT_METER
+    except (KeyboardInterrupt, _Interrupted) as exc:
+        signum = exc.args[0] if isinstance(exc, _Interrupted) else signal.SIGINT
+        print(f"interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
 
 
 if __name__ == "__main__":

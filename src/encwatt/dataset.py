@@ -50,6 +50,11 @@ def check_job_identity(job) -> None:
         raise DatasetError(f"frames must be >= 1, got {job.frames}")
 
 
+def probe_key(job) -> tuple[str, str, float]:
+    """The key of the ultrafast probe row that a job's or a row's bitstream needs."""
+    return (job.sequence_id, "ultrafast", float(job.crf))
+
+
 def _read_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
         raise ValueError(f"expected true/false, got {raw!r}")
@@ -147,11 +152,9 @@ class Dataset:
 
     def check_ultrafast_closure(self) -> None:
         """Every (sequence, CRF) must also have an ultrafast row."""
-        have_uf = {
-            (row.sequence_id, row.crf) for row in self.rows if row.preset == "ultrafast"
-        }
+        keys = {row.key() for row in self.rows}
         for row in self.rows:
-            if (row.sequence_id, row.crf) not in have_uf:
+            if probe_key(row) not in keys:
                 raise DatasetError(
                     f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
                 )

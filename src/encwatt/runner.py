@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataset import Dataset, DatasetRow, DatasetWriter, check_job_identity
+from .dataset import Dataset, DatasetRow, DatasetWriter, check_job_identity, probe_key
 from .energy import (
     ConfidencePolicy,
     MeasurementRecord,
@@ -209,20 +209,18 @@ def run_measured_encode(
 
 def ensure_ultrafast_closure(jobs: Sequence[EncodeJob]) -> list[EncodeJob]:
     """Add an ultrafast job for every (sequence, CRF) that lacks one."""
-    have_uf = {(j.sequence_id, float(j.crf)) for j in jobs if j.preset == "ultrafast"}
     out = list(jobs)
-    added: set[tuple[str, float]] = set()
+    keys = {job.key() for job in jobs}
     for job in jobs:
-        key = (job.sequence_id, float(job.crf))
-        if key not in have_uf and key not in added:
+        if probe_key(job) not in keys:
             out.append(replace(job, preset="ultrafast"))
-            added.add(key)
+            keys.add(probe_key(job))
     return out
 
 
 def _campaign_order(jobs: Sequence[EncodeJob]) -> list[EncodeJob]:
-    # Ultrafast first within each (sequence, crf) so the probe time is
-    # known when the slower presets of that bitstream run.
+    # Ultrafast first within each (sequence, crf) so the probe's row is
+    # written before the slower presets of that bitstream run.
     return sorted(jobs, key=lambda j: (j.sequence_id, j.crf, _PRESET_RANK[j.preset]))
 
 
@@ -237,9 +235,11 @@ def run_campaign(
 ) -> Dataset:
     """Measure a whole campaign grid sequentially and build a dataset.
 
-    Jobs run one at a time.  Rows are appended to ``out_csv`` as soon as
-    they complete, so an interrupted campaign can be resumed: with
-    ``resume=True`` the jobs of the rows already there are skipped.
+    Jobs run one at a time, each bitstream's ultrafast probe first.  Rows
+    are appended to ``out_csv`` as they complete and are the campaign's
+    only state: with ``resume=True`` the jobs of the rows already there are
+    skipped, a row's ``t_enc_uf`` is its probe row's ``t_enc``, and a job
+    whose probe has no row is recorded as failed without being encoded.
     :class:`DatasetWriter` decides what an existing file may hold, and
     refuses it before any encode.  Per-job failures are recorded on the
     returned dataset; only meter failures abort the campaign.
@@ -250,14 +250,16 @@ def run_campaign(
 
     failures: list[tuple[str, str]] = []
     with DatasetWriter(out_csv, resume=resume) as writer:
-        rows = list(writer.rows)
-        if rows:
-            logger.info("resuming campaign: %d rows already present", len(rows))
-        completed = {row.key() for row in rows}
-        uf_times = {(row.sequence_id, row.crf): row.t_enc
-                    for row in rows if row.preset == "ultrafast"}
+        done = {row.key(): row for row in writer.rows}
+        if done:
+            logger.info("resuming campaign: %d rows already present", len(done))
         for job in ordered:
-            if job.key() in completed:
+            if job.key() in done:
+                continue
+            probe = done.get(probe_key(job))
+            if probe is None and job.preset != "ultrafast":
+                failures.append((job.label(), "ultrafast probe for this bitstream failed"))
+                logger.error("%s: no ultrafast probe time available", job.label())
                 continue
             try:
                 record, result = run_measured_encode(
@@ -269,13 +271,6 @@ def run_campaign(
                 failures.append((job.label(), str(exc)))
                 logger.error("%s failed: %s", job.label(), exc)
                 continue
-            if job.preset == "ultrafast":
-                uf_times[(job.sequence_id, float(job.crf))] = result.wall_time
-            t_uf = uf_times.get((job.sequence_id, float(job.crf)))
-            if t_uf is None:
-                failures.append((job.label(), "ultrafast probe for this bitstream failed"))
-                logger.error("%s: no ultrafast probe time available", job.label())
-                continue
             try:
                 row = DatasetRow(
                     sequence_id=job.sequence_id,
@@ -285,7 +280,7 @@ def run_campaign(
                     frames=job.frames,
                     avg_qp=result.avg_qp,
                     t_enc=result.wall_time,
-                    t_enc_uf=t_uf,
+                    t_enc_uf=result.wall_time if probe is None else probe.t_enc,
                     energy=record.mean_energy,
                     reps=record.reps,
                     confident=record.confident,
@@ -294,14 +289,13 @@ def run_campaign(
                 failures.append((job.label(), str(exc)))
                 logger.error("%s produced an invalid row: %s", job.label(), exc)
                 continue
-            rows.append(row)
-            completed.add(job.key())
+            done[job.key()] = row
             writer.append(row)
             logger.info(
                 "%s: %.2f J over %d rep(s), confident=%s",
                 job.label(), record.mean_energy, record.reps, record.confident,
             )
-    return Dataset(rows=tuple(rows), failures=tuple(failures))
+    return Dataset(rows=tuple(done.values()), failures=tuple(failures))
 
 
 # The JSON type of each manifest key; any other key is refused.

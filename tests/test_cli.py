@@ -5,9 +5,13 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import os
 import re
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -884,3 +888,117 @@ def test_measure_recipe_value_of_the_wrong_type_exits_two_naming_key_and_recipe(
     (line,) = err.splitlines()
     assert f"recipe {recipe!r} key {key!r} must be {noun}" in line
     assert not calls.exists()
+
+
+def test_measure_encodes_nothing_more_of_a_bitstream_whose_probe_failed(capsys, tmp_path,
+                                                                        input_file, stub_encoder):
+    entry = {"sequence_id": "s0", "class": "B", "input": str(input_file), "frames": 100,
+             "crf": 23}
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(
+        json.dumps({**entry, "preset": "ultrafast", "extra_args": ["--fail"]}) + "\n"
+        + json.dumps({**entry, "presets": ["medium", "slow"],
+                      "extra_args": ["--base-sleep", "0.05"]}) + "\n"
+    )
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+        "--encoder-cmd", encoder, "--out", str(tmp_path / "d.csv"), "--max-reps", "3",
+    )
+    assert code == 4
+    assert calls.read_text() == "ultrafast 23\n"
+    failed = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert [line.split(": ")[1] for line in failed] == ["s0:ultrafast:crf23", "s0:medium:crf23",
+                                                         "s0:slow:crf23"]
+    assert failed[1:] == [f"failed: s0:{preset}:crf23: ultrafast probe for this bitstream failed"
+                          for preset in ("medium", "slow")]
+
+
+def test_measure_interrupted_by_ctrl_c_exits_130_with_one_line(capsys, tmp_path, input_file,
+                                                               stub_encoder, monkeypatch):
+    def run_campaign(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("encwatt.runner.run_campaign", run_campaign)
+    handlers = [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)]
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20", "--out", str(tmp_path / "d.csv"),
+    )
+    assert (code, err) == (130, "interrupted by SIGINT\n")
+    assert [signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)] == handlers
+
+
+# Completes an ultrafast encode at once; any other preset writes its pid
+# and sleeps, so that the test can signal encwatt during that encode.
+_PID_STUB = textwrap.dedent('''
+    import os, sys, time
+    from pathlib import Path
+
+    output, preset, pid_file = sys.argv[1:4]
+    if preset != "ultrafast":
+        Path(pid_file + ".part").write_text(str(os.getpid()))
+        os.replace(pid_file + ".part", pid_file)
+        time.sleep(60)
+    Path(output).write_bytes(b"B" * 64)
+    print("x265 [info]: frame P:   99, Avg QP:25.00  kb/s: 900.00")
+''')
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=lambda s: s.name)
+def test_measure_killed_by_a_signal_stops_its_encoder_and_keeps_its_rows(tmp_path, input_file,
+                                                                         signum):
+    stub, pid_file, out = tmp_path / "stub.py", tmp_path / "stub.pid", tmp_path / "d.csv"
+    stub.write_text(_PID_STUB)
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast", "medium"), n_seqs=1)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmpdir),
+           "PYTHONPATH": os.pathsep.join([str(Path(encwatt.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "encwatt.cli", "measure", str(manifest),
+         "--meter", "synth:base=20,active=30,noise=0,period=0.02",
+         "--encoder-cmd", f"{sys.executable} {stub} {{output}} {{preset}} {pid_file}",
+         "--out", str(out), "--min-reps", "2", "--max-reps", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    stub_pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert pid_file.exists(), proc.communicate(timeout=30)
+        stub_pid = int(pid_file.read_text())
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+        exited = time.monotonic()
+        assert proc.returncode == 128 + signum, err
+        assert err.splitlines()[-1] == f"interrupted by {signum.name}"
+        while _alive(stub_pid) and time.monotonic() < exited + 1.0:
+            time.sleep(0.02)
+        assert not _alive(stub_pid)
+        assert list(tmpdir.glob("encwatt_*.bin")) == []
+        (row,) = load_dataset_csv(out).rows
+        assert (row.preset, row.reps) == ("ultrafast", 2)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if stub_pid is not None and _alive(stub_pid):
+            os.kill(stub_pid, signal.SIGKILL)
+

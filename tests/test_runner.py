@@ -660,3 +660,81 @@ def test_campaign_aborts_on_a_meter_failure_and_keeps_the_rows_before_it(
     assert meter.recordings == 3
     (row,) = load_dataset_csv(out).rows
     assert row.preset == "ultrafast" and row.reps == 2
+
+
+def _logged_encodes(monkeypatch, failing):
+    """Replace the encoder with 1 s encodes; return the log of their labels.
+
+    A job whose label is in ``failing`` fails as a crashed encoder does.
+    """
+    calls = []
+
+    def run_encode(job, encoder_cmd, output_path=None):
+        calls.append(job.label())
+        if job.label() in failing:
+            raise EncodeFailedError("encoder exited with status 3")
+        return EncodeResult(job=job, wall_time=1.0, avg_qp=25.0, bitstream_bytes=100,
+                            encoder_log="")
+
+    monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
+    return calls
+
+
+PROBE_FAILED = "ultrafast probe for this bitstream failed"
+
+
+def test_campaign_encodes_no_preset_of_a_bitstream_whose_probe_row_is_refused(
+        input_file, tmp_path, monkeypatch):
+    # a preset row written with a refused probe's time would make the file
+    # unloadable: "no ultrafast row for sequence 's1' at crf 23.0"
+    import encwatt.runner
+
+    calls = _logged_encodes(monkeypatch, failing=set())
+    make_row = encwatt.runner.DatasetRow
+
+    def refusing_row(**fields):
+        if (fields["sequence_id"], fields["preset"]) == ("s1", "ultrafast"):
+            raise DatasetError("probe row refused")
+        return make_row(**fields)
+
+    monkeypatch.setattr("encwatt.runner.DatasetRow", refusing_row)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    out = tmp_path / "campaign.csv"
+    jobs = [make_job(input_file, preset=preset, sequence_id=seq)
+            for seq in ("s1", "s2") for preset in ("ultrafast", "medium")]
+    dataset = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+    loaded = load_dataset_csv(out)
+    assert [row.key() for row in loaded.rows] == [("s2", "ultrafast", 23.0),
+                                                  ("s2", "medium", 23.0)]
+    assert loaded.rows == dataset.rows
+    assert calls == ["s1:ultrafast:crf23"] * 2 + ["s2:ultrafast:crf23"] * 2 + ["s2:medium:crf23"] * 2
+    assert dataset.failures == (("s1:ultrafast:crf23", "probe row refused"),
+                                ("s1:medium:crf23", PROBE_FAILED))
+
+
+def test_campaign_resume_after_a_failed_probe_runs_the_probe_then_its_presets(
+        input_file, tmp_path, monkeypatch):
+    uf, medium, slow = "s1:ultrafast:crf23", "s1:medium:crf23", "s1:slow:crf23"
+    failing = {uf}
+    calls = _logged_encodes(monkeypatch, failing)
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    meter, idle = _replay(tmp_path)
+    out = tmp_path / "campaign.csv"
+    jobs = [make_job(input_file, preset=preset, sequence_id="s1")
+            for preset in ("slow", "medium", "ultrafast")]
+    first = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+    assert calls == [uf]
+    assert [label for label, _ in first.failures] == [uf, medium, slow]
+    assert first.failures[1:] == ((medium, PROBE_FAILED), (slow, PROBE_FAILED))
+    assert not first.rows and len(load_dataset_csv(out)) == 0
+
+    failing.clear()
+    calls.clear()
+    second = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle,
+                          resume=True)
+    assert calls == [uf] * 2 + [medium] * 2 + [slow] * 2
+    assert not second.failures
+    loaded = load_dataset_csv(out)
+    assert [row.preset for row in loaded.rows] == ["ultrafast", "medium", "slow"]
+    assert {row.t_enc_uf for row in loaded.rows} == {loaded.rows[0].t_enc}
