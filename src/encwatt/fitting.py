@@ -13,7 +13,9 @@ parameters are read from it, as ``linear_params[preset]`` or
 ``qp_params[preset][class]``.  Both score a row the one way ``estimate``
 does, by the model law of :mod:`encwatt.models` (:func:`_errors`), and a
 fit that fails names its cell once, as ``preset 'medium', class 'B'``
-(and ``, fold 6`` for a training fold).
+(and ``, fold 6`` for a training fold).  Cross-validation fits each cell
+on all its rows before its folds, so a cell that cannot be fitted fails
+naming the cell, not a fold.
 """
 
 from __future__ import annotations
@@ -175,18 +177,19 @@ def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
 _COVARIATE = {"qp_cubic": ("avg_qp", None), "time_linear": ("t_enc", "own_time"),
               "uf_linear": ("t_enc_uf", "ultrafast_time")}
 
-_Params = dict[str, dict[str, LinearParams | QpModelParams]]
 
-
-def _cells(data: Dataset, model_kind: str, objective: str) -> list[tuple[str, str, str, list]]:
-    """The cells ``model_kind`` fits in ``data``, as ``(preset, class, name, rows)``.
+def _cells(
+    data: Dataset, model_kind: str, objective: str
+) -> list[tuple[str, str, str, list[DatasetRow], np.ndarray, np.ndarray]]:
+    """The cells ``model_kind`` fits in ``data``, as ``(preset, class, name, rows, x, energy)``.
 
     A cell is the rows one model fits: for ``qp_cubic`` one cell per
     (preset, class); for ``time_linear`` and ``uf_linear`` one cell per
     preset, under class ``""``.  Presets follow :data:`PRESETS`, classes
-    sort, and rows keep the dataset's order.  ``name`` names the cell in
-    errors.  ``model_kind`` and ``objective`` are checked here, once per
-    fit or cross-validation.
+    sort, and rows keep the dataset's order, as do the covariate ``x`` and
+    ``energy`` columns.  ``name`` names the cell in errors.  ``model_kind``
+    and ``objective`` are checked here, and every cell's rows, before any
+    fit.
     """
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {model_kind!r}")
@@ -203,6 +206,7 @@ def _cells(data: Dataset, model_kind: str, objective: str) -> list[tuple[str, st
         grouped.pop("ultrafast", None)
     if not grouped:
         raise ValueError(f"no presets to evaluate for model {model_kind!r}")
+    field = _COVARIATE[model_kind][0]
     cells = []
     for preset in (p for p in PRESETS if p in grouped):
         for class_label, rows in sorted(grouped[preset].items()):
@@ -210,15 +214,10 @@ def _cells(data: Dataset, model_kind: str, objective: str) -> list[tuple[str, st
             missing = [r.sequence_id for r in rows if r.avg_qp is None] if per_class else []
             if missing:
                 raise DatasetError(f"{name}: rows missing avg_qp: {missing}")
-            cells.append((preset, class_label, name, rows))
+            cells.append((preset, class_label, name, rows,
+                          np.array([getattr(r, field) for r in rows], dtype=float),
+                          np.array([r.energy for r in rows], dtype=float)))
     return cells
-
-
-def _columns(rows: Sequence[DatasetRow], model_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The covariate and energy arrays of ``rows`` for ``model_kind``, in row order."""
-    field = _COVARIATE[model_kind][0]
-    return (np.array([getattr(r, field) for r in rows], dtype=float),
-            np.array([r.energy for r in rows], dtype=float))
 
 
 def _design(model_kind: str, x: np.ndarray) -> np.ndarray:
@@ -283,12 +282,19 @@ def _errors(
 
 
 def _report(
-    model_kind: str, params: _Params, cell_errors: dict[str, dict[str, float]], **fields
+    model_kind: str, cells: Sequence[tuple[str, str, LinearParams | QpModelParams, float]],
+    **fields,
 ) -> FitReport:
-    """Assemble the report of either command from its fitted parameters and one error per cell.
+    """Assemble the report of either command from one ``(preset, class, params, error)`` per cell.
 
-    A preset's error is the mean of its cells' errors.
+    ``cells`` come in :func:`_cells`' order.  A preset's error is the mean
+    of its cells' errors.
     """
+    params: dict[str, dict[str, LinearParams | QpModelParams]] = {}
+    cell_errors: dict[str, dict[str, float]] = {}
+    for preset, class_label, fitted, error in cells:
+        params.setdefault(preset, {})[class_label] = fitted
+        cell_errors.setdefault(preset, {})[class_label] = error
     per_preset_error = {
         preset: float(np.mean(list(errors.values()))) for preset, errors in cell_errors.items()
     }
@@ -329,17 +335,15 @@ def cross_validate(
     everywhere.  A degenerate training fold aborts the run rather than
     being skipped.  A cell's error averages its held-out errors; a
     preset's error averages its cells' errors.  Each cell is fitted on all
-    its rows first, and that fit's coefficients are each fold's ``start``;
-    should it fail, the folds start from least squares and its error
-    follows theirs.
+    its rows before its folds, and that fit's coefficients are each fold's
+    ``start``; a cell that cannot be fitted raises at once, naming the
+    cell, not a fold.
     """
-    params: _Params = {}
-    cell_errors: dict[str, dict[str, float]] = {}
+    cells = []
     fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
     key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
 
-    for preset, class_label, name, rows in _cells(data, model_kind, objective):
-        x, energy = _columns(rows, model_kind)
+    for preset, class_label, name, rows, x, energy in _cells(data, model_kind, objective):
         # Folds are drawn on the rows sorted by key, making reports
         # independent of the input row order; a fold holds positions in it.
         order = np.array(sorted(range(len(rows)), key=lambda i: rows[i].key()))
@@ -350,11 +354,7 @@ def cross_validate(
             if len(rows) < k:
                 raise ValueError(f"{name}: {len(rows)} rows cannot fill {k} folds")
             folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
-        try:
-            fitted, start = _fit_cell(x, energy, model_kind, objective, name)
-            failure = None
-        except FitError as exc:  # raised after the folds, whose errors come first
-            start, failure = None, exc
+        fitted, start = _fit_cell(x, energy, model_kind, objective, name)
         held_out: list[np.ndarray] = []
         for fold_index, fold in enumerate(folds):
             if len(fold) == 0:
@@ -365,11 +365,8 @@ def cross_validate(
             errors = _errors(trained, x[test], energy[test])
             held_out.append(errors)
             fold_errors[fold_index].append(errors)
-        if failure is not None:
-            raise failure
-        cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
-            np.concatenate(held_out))
-        params.setdefault(preset, {})[class_label] = fitted
+        cells.append((preset, class_label, fitted,
+                      mean_abs_relative_error(np.concatenate(held_out))))
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):
@@ -380,8 +377,7 @@ def cross_validate(
             )
         per_fold.append(mean_abs_relative_error(np.concatenate(errs)))
 
-    return _report(model_kind, params, cell_errors,
-                   validation="kfold", k=k, seed=seed, objective=objective,
+    return _report(model_kind, cells, validation="kfold", k=k, seed=seed, objective=objective,
                    per_fold_errors=tuple(per_fold), tool_version=tool_version)
 
 
@@ -392,13 +388,10 @@ def fit_report(
     tool_version: str = "",
 ) -> FitReport:
     """Fit on the full dataset and report in-sample errors (no validation, no draws: seed 0)."""
-    params: _Params = {}
-    cell_errors: dict[str, dict[str, float]] = {}
-    for preset, class_label, name, rows in _cells(data, model_kind, objective):
-        x, energy = _columns(rows, model_kind)
+    cells = []
+    for preset, class_label, name, _, x, energy in _cells(data, model_kind, objective):
         fitted, _ = _fit_cell(x, energy, model_kind, objective, name)
-        params.setdefault(preset, {})[class_label] = fitted
-        cell_errors.setdefault(preset, {})[class_label] = mean_abs_relative_error(
-            _errors(fitted, x, energy))
-    return _report(model_kind, params, cell_errors, validation="in_sample", k=0, seed=0,
+        cells.append((preset, class_label, fitted,
+                      mean_abs_relative_error(_errors(fitted, x, energy))))
+    return _report(model_kind, cells, validation="in_sample", k=0, seed=0,
                    objective=objective, tool_version=tool_version)

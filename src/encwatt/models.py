@@ -261,7 +261,8 @@ def read_json(value, hint, key: str = "", what: str = "report"):
     ``hint`` is a dataclass (an object keyed as ``_JSON_KEYS`` says), a
     schema dict of key to hint (an object read as a dict; a str in place of
     a hint makes its key an alias of the key it names), ``dict[str, T]``,
-    ``tuple[T, ...]`` (a list), ``Optional[T]`` (null, or ``[]`` for a
+    ``tuple[T, ...]`` (a list), ``tuple[T1, T2]`` (a list of exactly those
+    items, each read as its own hint), ``Optional[T]`` (null, or ``[]`` for a
     tuple, stands for None), ``str``, ``int`` or ``float``.  Numbers are
     JSON numbers (an integer where ``hint`` is ``int``), never ``true`` or
     ``false``.  A wrong value, a key the schema lacks, or a value given
@@ -281,14 +282,17 @@ def read_json(value, hint, key: str = "", what: str = "report"):
     else:
         schema = hint if isinstance(hint, dict) else None
     json_type, noun = _JSON_TYPES[dict if schema is not None else origin or hint]
+    where = f"{what} key {key!r}" if key else what
     if not isinstance(value, json_type) or isinstance(value, bool):
         shown = dict(value) if isinstance(value, tuple) else value
-        raise ValueError(f"{what} key {key!r} must be {noun}, got {shown!r}" if key
-                         else f"{what} must be {noun}, got {shown!r}")
+        raise ValueError(f"{where} must be {noun}, got {shown!r}")
     prefix = f"{key}." if key else ""
     if origin is tuple:
-        return tuple(read_json(inner, args[0], f"{key}[{i}]", what)
-                     for i, inner in enumerate(value))
+        item_hints = args if args[-1] is not ... else args[:1] * len(value)
+        if len(item_hints) != len(value):
+            raise ValueError(f"{where} must hold {len(item_hints)} items, got {len(value)}")
+        return tuple(read_json(inner, item_hint, f"{key}[{i}]", what)
+                     for i, (inner, item_hint) in enumerate(zip(value, item_hints)))
     if origin is dict:
         schema = dict.fromkeys([name for name, _ in value], args[1])
     if schema is None:

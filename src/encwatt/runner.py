@@ -10,7 +10,8 @@ Campaign manifests are JSON Lines: one object per line with keys
 ``sequence_id``, ``class`` (optional), ``input``, ``frames``, and one of
 scalar ``preset`` or list ``presets`` and one of ``crf`` or ``crfs``,
 which are expanded as a grid.  ``extra_args`` (list of strings) is passed on
-to each job.
+to each job.  Lines may share a ``sequence_id`` only with one ``input``,
+``frames`` and ``class``; their ``extra_args`` may differ.
 """
 
 from __future__ import annotations
@@ -114,13 +115,14 @@ def parse_avg_qp(log: str) -> Optional[float]:
 
 
 def _substitute(template: str, mapping: dict[str, str]) -> list[str]:
-    tokens = shlex.split(template)
-    out = []
-    for token in tokens:
-        for key, value in mapping.items():
-            token = token.replace("{" + key + "}", value)
-        out.append(token)
-    return out
+    """The argv of ``template``, each ``{key}`` of ``mapping`` replaced by its value.
+
+    Each token is substituted in one pass, so a value that itself holds a
+    placeholder (a path ``clip_{crf}.yuv``) reaches the encoder as given.
+    """
+    placeholder = re.compile(r"\{(" + "|".join(map(re.escape, mapping)) + r")\}")
+    return [placeholder.sub(lambda m: mapping[m.group(1)], token)
+            for token in shlex.split(template)]
 
 
 def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> EncodeResult:
@@ -305,13 +307,18 @@ _MANIFEST_KEYS = {"sequence_id": str, "class": str, "input": str, "frames": int,
 
 
 def load_manifest(path: str | Path) -> list[EncodeJob]:
-    """Parse a JSON Lines campaign manifest into an expanded job list."""
+    """Parse a JSON Lines campaign manifest into an expanded job list.
+
+    A sequence gets one ``input``, ``frames`` and ``class``: a line giving
+    its id another raises :class:`ManifestError` naming both values.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     jobs: list[EncodeJob] = []
+    sequences: dict[str, dict] = {}  # each sequence's first line
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -343,6 +350,12 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
                             extra_args=entry.get("extra_args", ()),
                         )
                     )
+            first = sequences.setdefault(entry["sequence_id"], entry)
+            for key in ("input", "frames", "class"):
+                here, before = entry.get(key, ""), first.get(key, "")
+                if here != before:
+                    raise ValueError(f"sequence {entry['sequence_id']!r} has {key} {here!r} "
+                                     f"here but {before!r} on an earlier line")
         except KeyError as exc:
             raise ManifestError(f"{path}, line {lineno}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

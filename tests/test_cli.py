@@ -276,6 +276,31 @@ def test_estimate_rejects_non_finite_params_before_any_output(capsys, tmp_path, 
     assert str(path) in err and "finite" in err
 
 
+@pytest.mark.parametrize(("text", "shown"), [
+    ("preset,p_w,e0_j\nmedium,100,2\n", "expected header 'preset,covariate_kind,p_w,e0_j'"),
+    ("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,100\n",
+     "expected 4 columns, got 'medium,ultrafast_time,100'"),
+    ("preset,covariate_kind,p_w,e0_j\nmedium,wall_clock,100,2\n",
+     "preset 'medium': covariate_kind must be one of"),
+], ids=["header", "columns", "covariate_kind"])
+def test_estimate_malformed_params_file_exits_two_naming_it(capsys, tmp_path, text, shown):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "estimate", "--params", str(path), "--t-uf", "2")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: {shown}")
+
+
+def test_estimate_preset_missing_from_params_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,100,2\n")
+    code, out, err = run_cli(capsys, "estimate", "--params", str(path), "--preset", "slow",
+                             "--t-uf", "2")
+    assert code == 2 and out == ""
+    assert err == "error: no parameters for preset 'slow'\n"
+
+
 # ── files that cannot be read or written ──────────────────────────────────
 
 @pytest.mark.parametrize("argv", [
@@ -362,6 +387,14 @@ def test_fit_qp_missing_class_column_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", str(bad), "--model", "qp_cubic")
     assert code == 2
     assert "class" in err
+
+
+def test_fit_empty_dataset_exits_two(capsys, tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("")
+    code, out, err = run_cli(capsys, "fit", str(data), "--model", "time_linear")
+    assert code == 2 and out == ""
+    assert err == f"error: {data}: empty file\n"
 
 
 def test_fit_bad_dataset_value_exits_two(capsys, tmp_path):
@@ -718,6 +751,71 @@ def _measure_logging_calls(capsys, tmp_path, input_file, stub_encoder, *args, en
     )
     code, _, err = run_cli(capsys, "measure", str(manifest), "--encoder-cmd", encoder, *args)
     return code, err, calls
+
+
+@pytest.mark.parametrize("grid", [{"presets": [], "crf": 23}, {"preset": "ultrafast", "crfs": []}],
+                         ids=["presets", "crfs"])
+def test_measure_manifest_with_an_empty_grid_exits_two_before_any_encode(capsys, tmp_path,
+                                                                         input_file,
+                                                                         stub_encoder, grid):
+    entry = {"sequence_id": "s0", "input": str(input_file), "frames": 100, **grid}
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", "synth:base=20", "--out", str(tmp_path / "d.csv"), entry=entry,
+    )
+    assert code == 2
+    missing = "preset" if "presets" in grid else "crf"
+    assert err == f"error: {tmp_path / 'jobs.jsonl'}, line 1: missing key '{missing}'\n"
+    assert not calls.exists()
+
+
+def test_measure_manifest_giving_a_sequence_two_inputs_exits_two_before_any_encode(
+        capsys, tmp_path, input_file, stub_encoder):
+    other = tmp_path / "other.yuv"
+    other.write_bytes(b"\x10" * 64)
+    entry = {"sequence_id": "s0", "class": "B", "input": str(input_file), "frames": 100,
+             "preset": "medium", "crf": 23}
+    manifest = tmp_path / "two.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n"
+                        + json.dumps({**entry, "preset": "ultrafast", "input": str(other)}) + "\n")
+    calls = tmp_path / "calls.log"
+    code, _, err = run_cli(
+        capsys, "measure", str(manifest), "--meter", "synth:base=20",
+        "--encoder-cmd", f"{sys.executable} {stub_encoder} --input {{input}} "
+                         f"--output {{output}} --call-log {calls}",
+        "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2
+    assert err == (f"error: {manifest}, line 2: sequence 's0' has input {str(other)!r} here "
+                   f"but {str(input_file)!r} on an earlier line\n")
+    assert not calls.exists() and not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize(("recipe", "shown"), [
+    ("base", "bad recipe item 'base'; expected key=value"),
+    ("base=abc", "recipe 'base=abc' key 'base' must be a number, got 'abc'"),
+])
+def test_measure_malformed_inline_recipe_exits_two_naming_it(capsys, tmp_path, input_file,
+                                                             stub_encoder, recipe, shown):
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", f"synth:{recipe}", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2
+    assert err == f"error: {shown}\n"
+    assert not calls.exists()
+
+
+def test_measure_counter_holding_a_negative_value_exits_three(capsys, tmp_path, input_file,
+                                                               stub_encoder):
+    counter = tmp_path / "energy_uj"
+    counter.write_text("-5\n")
+    code, err, _ = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", f"counter:{counter}", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 3
+    assert f"meter error: counter file {counter} holds a negative value: -5" in err
 
 
 @pytest.mark.parametrize("resume", [[], ["--resume"]])

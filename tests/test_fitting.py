@@ -296,7 +296,7 @@ def test_abs_rel_fit_at_pivot_cap_raises_naming_the_cell(monkeypatch, tmp_path, 
     monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", 0)
     with pytest.raises(FitError, match=r"preset 'ultrafast', class 'A'.*not certified"):
         fit_report(ds, "qp_cubic", objective="abs_rel")
-    with pytest.raises(FitError, match=r"preset 'ultrafast', fold \d+: .*not certified"):
+    with pytest.raises(FitError, match=r"preset 'ultrafast': .*not certified"):
         cross_validate(ds, "time_linear", objective="abs_rel")
     data = tmp_path / "d.csv"
     ds.write_csv(data)
@@ -607,6 +607,34 @@ def test_failed_fold_names_its_cell_once(model_kind, n, message):
     with pytest.raises(UnderdeterminedFitError) as info:
         cross_validate(ds, model_kind, k=2, seed=0)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cell, objective, pivots, message", [
+    # falling energy: every fit of the cell has a negative slope
+    ("falling", "squared_rel", 10, r"^preset 'medium': fitted slope -\S+ W is not positive$"),
+    # no pivots allowed: no abs_rel fit can be certified
+    ("synth", "abs_rel", 0, r"^preset 'ultrafast': .*not certified optimal after 0 pivots$"),
+])
+def test_a_cell_that_cannot_be_fitted_fails_before_its_folds(monkeypatch, cell, objective,
+                                                             pivots, message):
+    import encwatt.fitting as fitting
+
+    if cell == "falling":
+        ds = dataset_from_arrays(np.linspace(1, 5, 10), np.linspace(500, 100, 10))
+    else:
+        ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
+    monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", pivots)
+    contexts = []
+    fit_cell = fitting._fit_cell
+
+    def recorded(*args, start=None):
+        contexts.append(args[4])
+        return fit_cell(*args, start=start)
+
+    monkeypatch.setattr(fitting, "_fit_cell", recorded)
+    with pytest.raises(FitError, match=message) as info:
+        cross_validate(ds, "time_linear", k=2, seed=0, objective=objective)
+    assert contexts == [str(info.value).split(":")[0]]
 
 
 @pytest.mark.parametrize("joint_folds", [False, True])

@@ -259,6 +259,17 @@ def test_fit_report_reads_an_unknown_qp_range_as_none(unknown):
     assert FitReport.from_json(json.dumps(payload)).qp_params["fast"]["A"].valid_qp_range is None
 
 
+@pytest.mark.parametrize("qp_range", [[20, 30, 40], [20]])
+def test_fit_report_reads_a_qp_range_of_two_items_only(qp_range):
+    # a range of another length would only fail later, when predicting
+    payload = json.loads(_REPORTS[0].to_json())
+    payload["qp_params"]["fast"]["A"]["valid_qp_range"] = qp_range
+    with pytest.raises(ValueError) as info:
+        FitReport.from_json(json.dumps(payload))
+    assert str(info.value) == ("report key 'qp_params.fast.A.valid_qp_range' must hold 2 items, "
+                               f"got {len(qp_range)}")
+
+
 @pytest.mark.parametrize("path", [("validation",), ("linear_params", "medium", "e0_j")])
 def test_fit_report_missing_required_key_raises_key_error(path):
     payload = json.loads(_REPORTS[1].to_json())

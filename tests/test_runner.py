@@ -127,6 +127,15 @@ def test_run_encode_writes_requested_output(input_file, encoder_cmd, tmp_path):
     assert result.bitstream_bytes == out.stat().st_size
 
 
+def test_run_encode_passes_a_placeholder_in_a_value_through(encoder_cmd, tmp_path):
+    # each placeholder is substituted once: the {crf} in the path is not
+    literal = tmp_path / "clip_{crf}.yuv"
+    literal.write_bytes(b"\x10" * 64)
+    result = run_encode(make_job(literal, extra_args=("--base-sleep", "0.05")), encoder_cmd,
+                        tmp_path / "out.bin")
+    assert f"encoded 100 frames of {literal} " in result.encoder_log
+
+
 # ── run_measured_encode ───────────────────────────────────────────────────
 
 def test_measured_encode_energy_tracks_wall_time(input_file, encoder_cmd, monkeypatch):
@@ -344,6 +353,27 @@ def test_load_manifest_refuses_a_value_of_the_wrong_json_type(tmp_path, key, val
     with pytest.raises(ManifestError) as info:
         load_manifest(manifest)
     assert str(info.value) == f"{manifest}, line 2: manifest key {shown}"
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("input", "b.yuv", "input 'b.yuv' here but 'a.yuv'"),
+    ("frames", 50, "frames 50 here but 100"),
+    ("class", "B", "class 'B' here but 'A'"),
+])
+def test_load_manifest_gives_a_sequence_one_input_frames_and_class(tmp_path, key, value, shown):
+    # a medium row would otherwise carry another file's probe time as its t_enc_uf
+    entry = {"sequence_id": "s1", "class": "A", "input": "a.yuv", "frames": 100,
+             "preset": "medium", "crf": 23}
+    other = {**entry, "preset": "ultrafast", key: value}
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps(entry) + "\n" + json.dumps(other) + "\n")
+    with pytest.raises(ManifestError) as info:
+        load_manifest(manifest)
+    assert str(info.value) == f"{manifest}, line 2: sequence 's1' has {shown} on an earlier line"
+    # extra_args may differ between a sequence's lines
+    other = {**entry, "preset": "ultrafast", "extra_args": ["--tune", "psnr"]}
+    manifest.write_text(json.dumps(entry) + "\n" + json.dumps(other) + "\n")
+    assert [job.extra_args for job in load_manifest(manifest)] == [(), ("--tune", "psnr")]
 
 
 # ── campaigns ─────────────────────────────────────────────────────────────
