@@ -5,6 +5,9 @@ problem, 4 encoder problem, 128 + the signal number when interrupted.
 
 This module imports no numpy: each command imports the modules it runs,
 so ``--version``, ``--help``, ``estimate`` and ``report`` start without it.
+``measure`` loads it only for a ``csv:`` or ``synth:`` meter or an
+``--idle-trace``, when it first builds a trace; a ``counter:`` campaign
+never does.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise ValueError("the bundled table has no ultrafast entry; the ultrafast "
                              "encode is the probe whose time you pass as --t-uf")
         if args.preset not in table:
-            raise ValueError(f"no parameters for preset {args.preset!r}")
+            raise ValueError(f"{args.params}: no parameters for preset {args.preset!r}")
         _warn_if_not_probe_params(table, [args.preset])
         energy = predict_energy_linear(table[args.preset], args.t_uf)
         print(f"{args.preset} {energy!r} J ({energy / 1000.0:.6g} kJ)")

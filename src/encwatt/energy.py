@@ -14,6 +14,10 @@ quantiles from one row per ``alpha``, indexed by degrees of freedom and
 cached for the life of the process; a row grows one entry at a time,
 only as far as the repetitions some campaign has reached, never to
 ``max_reps`` in advance.
+
+numpy is imported by the functions that build or read a trace, so it is
+loaded when a trace is first built: a counter campaign, whose recordings
+are :class:`CounterSpan` pairs, never loads it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ import statistics
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import (
     InvalidMeasurementError,
@@ -34,6 +36,9 @@ from .errors import (
     MeasurementRunError,
     TraceWindowError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +61,8 @@ def _first_invalid_row(samples: np.ndarray) -> int:
     A row is invalid if a value is non-finite or negative, or if its
     timestamp is not greater than the previous row's.
     """
+    import numpy as np
+
     # Column views rather than reductions over the row axis, which are
     # slow on the C-order array the trace parser builds.
     t, p = samples[:, 0], samples[:, 1]
@@ -79,6 +86,8 @@ class PowerTrace:
     source_label: str = ""
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         samples = np.array(self.samples, dtype=np.float64, order="F")
         if samples.ndim != 2 or samples.shape[1] != 2:
             raise MalformedTraceError(
@@ -101,6 +110,8 @@ class PowerTrace:
     def from_arrays(
         cls, times: Sequence[float], powers: Sequence[float], source_label: str = ""
     ) -> "PowerTrace":
+        import numpy as np
+
         return cls(np.column_stack((times, powers)), source_label=source_label)
 
     @property
@@ -184,6 +195,8 @@ def integrate_energy(trace: PowerTrace, t_start: float, t_end: float) -> float:
     samples; ``np.interp`` on the two samples around an endpoint gives
     the value it gives on the whole trace.
     """
+    import numpy as np
+
     if not (trace.start <= t_start < t_end <= trace.end):
         raise TraceWindowError(
             f"window [{t_start}, {t_end}] outside trace span "

@@ -114,12 +114,18 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     n, k = scaled.shape
     residuals = scaled @ start - 1.0
-    basis: list[int] = []
-    for i in np.argsort(np.abs(residuals), kind="stable").tolist():
-        if np.linalg.matrix_rank(scaled[basis + [i]]) > len(basis):
-            basis.append(i)
-            if len(basis) == k:
-                break
+    order = np.argsort(np.abs(residuals), kind="stable").tolist()
+    # If the k first rows have full rank, so has each prefix of them (a row
+    # deleted cannot shrink the smallest singular value, nor grow the rank
+    # tolerance), and the row-by-row search would pick exactly them.
+    basis = order[:k]
+    if np.linalg.matrix_rank(scaled[basis]) < k:
+        basis = []
+        for i in order:
+            if np.linalg.matrix_rank(scaled[basis + [i]]) > len(basis):
+                basis.append(i)
+                if len(basis) == k:
+                    break
     if len(basis) < k:
         raise SingularFitError(f"design matrix has rank {len(basis)} < {k}")
     abs_scaled = np.abs(scaled)

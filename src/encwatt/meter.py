@@ -13,6 +13,9 @@ between only to catch wraps, and is returned with the seconds between
 the two readings as a :class:`CounterSpan`.  The wrap-around modulus is read
 once, when the meter is built, from a sibling ``max_energy_range_uj``
 file when there is one (as in a powercap zone), else it is 2**32.
+
+numpy is imported by the functions that parse or generate a trace, so it
+is loaded when a trace is first built; the counter path never loads it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .energy import CounterSpan, PowerTrace, Recording, _first_invalid_row
 from .errors import (
@@ -35,6 +36,9 @@ from .errors import (
     TraceWindowError,
 )
 from .models import parse_json, read_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SyntheticRecipe",
@@ -109,6 +113,8 @@ def _loadtxt_rows(path: Path, data: bytes) -> Optional[np.ndarray]:
     ``loadtxt`` skips, and ``float`` spellings it rejects (``1_0``,
     non-ASCII digits) are left to the line loop.
     """
+    import numpy as np
+
     header = data.partition(b"\n")[0]
     n_rows = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
     if b"\r" in data or header.strip() != TRACE_HEADER.encode() or n_rows < 1:
@@ -126,6 +132,8 @@ def _parse_trace_lines(path: Path, data: bytes) -> PowerTrace:
 
     Lines end in LF, CRLF or CR, as in a file read in text mode.
     """
+    import numpy as np
+
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
@@ -297,6 +305,8 @@ def generate_synthetic_trace(
     to exactly ``base * duration + active * (b - a)``.  Gaussian noise of
     the given std is added and truncated at zero.
     """
+    import numpy as np
+
     if sample_period <= 0:
         raise ValueError(f"sample_period must be > 0, got {sample_period}")
     a, b = active_window

@@ -86,10 +86,11 @@ def test_params_out_with_qp_cubic_exits_two_before_loading_the_dataset(capsys, t
 
 # ── import ────────────────────────────────────────────────────────────────
 
-# Blocks every import of one package, then runs each command in one
-# process and prints the exit codes and the package's loaded modules.
+# Blocks every import of one package, imports the given modules, then runs
+# each command in one process and prints the exit codes and the package's
+# loaded modules.
 _BLOCKED_IMPORT_SCRIPT = """
-import json, sys
+import importlib, json, sys
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -102,6 +103,8 @@ class Block:
 
 sys.meta_path.insert(0, Block())
 sys.path.insert(0, sys.argv[2])
+for module in json.loads(sys.argv[4]):
+    importlib.import_module(module)
 from encwatt.cli import main
 
 codes = []
@@ -115,11 +118,13 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == blo
 """
 
 
-def run_with_import_blocked(package, commands):
-    """Exit codes of ``commands``, the modules of ``package`` left loaded, and stderr."""
+def run_with_import_blocked(package, commands, modules=()):
+    """Exit codes of ``commands``, run after importing ``modules``, the modules
+    of ``package`` left loaded, and stderr."""
     src = str(Path(encwatt.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _BLOCKED_IMPORT_SCRIPT, package, src, json.dumps(commands)],
+        [sys.executable, "-c", _BLOCKED_IMPORT_SCRIPT, package, src, json.dumps(commands),
+         json.dumps(list(modules))],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -176,6 +181,62 @@ def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
     codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
     assert codes == [0] * len(commands), stderr
     assert numpy_modules == []
+
+
+# The modules that hold array code and import numpy when they are imported,
+# and those that import without it: a command loads numpy only when it runs
+# one of the first or first builds a power trace.
+NUMPY_MODULES = ["fitting", "synth"]
+NUMPY_FREE_MODULES = ["cli", "dataset", "energy", "errors", "meter", "models", "runner"]
+
+
+def test_only_fitting_and_synth_import_numpy():
+    names = sorted(info.name for info in pkgutil.iter_modules(encwatt.__path__))
+    assert names == sorted(NUMPY_MODULES + NUMPY_FREE_MODULES)  # a new module takes a side
+    codes, numpy_modules, stderr = run_with_import_blocked(
+        "numpy", [], modules=[f"encwatt.{name}" for name in NUMPY_FREE_MODULES])
+    assert codes == [], stderr
+    assert numpy_modules == []
+
+
+# Adds one joule to the counter file its first argument names, then runs the
+# rest of its arguments as the encoder.
+_COUNTER_BUMP = textwrap.dedent("""
+    import os, subprocess, sys
+
+    counter = sys.argv[1]
+    with open(counter) as fh:
+        value = int(fh.read()) + 1_000_000
+    with open(counter + ".tmp", "w") as fh:
+        fh.write(f"{value}\\n")
+    os.replace(counter + ".tmp", counter)
+    sys.exit(subprocess.call(sys.argv[2:]))
+""")
+
+
+def test_measure_on_a_counter_meter_runs_without_numpy(tmp_path, input_file, stub_encoder):
+    # encwatt shares the measured machine with the encoder for the whole
+    # campaign; the counter path builds no trace, so it must not load numpy
+    counter, bump = tmp_path / "energy_uj", tmp_path / "bump.py"
+    counter.write_text("7000000\n")
+    bump.write_text(_COUNTER_BUMP)
+    manifest, out = tmp_path / "jobs.jsonl", tmp_path / "d.csv"
+    write_manifest(manifest, input_file, presets=("ultrafast", "fast"), n_seqs=1)
+    encoder = (
+        f"{sys.executable} {bump} {counter} {sys.executable} {stub_encoder} --input {{input}} "
+        f"--output {{output}} --preset {{preset}} --crf {{crf}} --frames {{frames}}"
+    )
+    commands = [["measure", str(manifest), "--meter", f"counter:{counter}",
+                 "--encoder-cmd", encoder, "--out", str(out),
+                 "--min-reps", "2", "--max-reps", "3"]]
+    codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
+    assert codes == [0], stderr
+    assert numpy_modules == []
+    # each encode adds one joule and the counter stands still while idle
+    rows = load_dataset_csv(out).rows
+    assert [(row.preset, row.energy, row.reps, row.confident) for row in rows] == [
+        ("ultrafast", 1.0, 2, True), ("fast", 1.0, 2, True)]
+    assert counter.read_text() == "11000000\n"
 
 
 def test_every_exported_name_resolves():
@@ -298,7 +359,7 @@ def test_estimate_preset_missing_from_params_file_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "estimate", "--params", str(path), "--preset", "slow",
                              "--t-uf", "2")
     assert code == 2 and out == ""
-    assert err == "error: no parameters for preset 'slow'\n"
+    assert err == f"error: {path}: no parameters for preset 'slow'\n"
 
 
 # ── files that cannot be read or written ──────────────────────────────────

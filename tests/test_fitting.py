@@ -249,6 +249,34 @@ def test_abs_rel_fit_of_noiseless_cell_needs_no_pivot(monkeypatch):
     assert fit.per_preset_error["medium"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("repeated", [False, True], ids=["independent", "repeated"])
+def test_l1_first_basis_takes_one_rank_check_unless_its_rows_are_dependent(monkeypatch,
+                                                                           repeated):
+    import encwatt.fitting as fitting
+
+    rng = np.random.default_rng(5)
+    scaled = rng.uniform(0.5, 2.0, (12, 4))
+    start = np.linalg.lstsq(scaled, np.ones(12), rcond=None)[0]
+    if repeated:  # three copies of a row on the start: the first vertex cannot hold them all
+        scaled[:3] = start / (start @ start)
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def rank(a, *args, **kwargs):
+        calls.append(len(a))
+        return matrix_rank(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", rank)
+    coef = fitting._solve_l1(scaled, start)
+    monkeypatch.undo()
+    # one check of the k smallest-residual rows; the row-by-row search
+    # only when they are dependent
+    assert calls[0] == 4
+    assert (len(calls) > 1) == repeated
+    assert np.mean(np.abs(scaled @ coef - 1.0)) == pytest.approx(
+        l1_vertex_minimum(scaled, np.ones(12)), rel=1e-12)
+
+
 def test_abs_rel_pivots_never_raise_the_objective(monkeypatch):
     ds = noisy_qp_dataset(np.random.default_rng(5), 60)
     qps = np.array([r.avg_qp for r in ds.rows])
