@@ -4,16 +4,28 @@ Datasets are persisted as CSV with the column set below.  ``avg_qp`` may
 be empty when the encoder log could not be parsed; every other field is
 required.  Each (sequence, CRF) pair must also appear with the ultrafast
 preset so the ultrafast-probe covariate is defined for all rows.
+
+Two tables hold the rules.  ``_COLUMNS`` gives each column's read and
+write rule; ``_ROW_CHECKS`` is the ordered list of (field, predicate,
+message) checks a row must pass, of which the first few, the identity
+checks, an :class:`~encwatt.runner.EncodeJob` passes too.  Constructing a
+:class:`DatasetRow` applies the checks to that row.  ``load_dataset_csv``
+reads the file one line at a time, builds each row by the read rules
+without checking it, and then applies each predicate to its whole
+column.  Only when one fails are the rows checked again one by one, in
+file order, so the error names the first bad row just as a row-by-row
+load would.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import InitVar, dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DatasetError
 from .models import PRESETS
@@ -26,6 +38,52 @@ logger = logging.getLogger(__name__)
 # not be read back.
 FORBIDDEN_TEXT_CHARS = ",\r\n"
 _FORBIDDEN_TEXT = frozenset(FORBIDDEN_TEXT_CHARS)
+_FORBIDDEN_LIST = ", ".join(map(repr, FORBIDDEN_TEXT_CHARS))
+
+
+def _whole_text(text) -> bool:
+    return _FORBIDDEN_TEXT.isdisjoint(str(text))
+
+
+def _in_0_to_51(value) -> bool:
+    return 0.0 <= value <= 51.0
+
+
+def _at_least_one(count) -> bool:
+    return count >= 1
+
+
+def _finite_positive(value) -> bool:
+    return 0 < value < math.inf
+
+
+# (field, predicate, message) per check, in the order the checks apply.
+# A value the predicate refuses raises DatasetError with the message,
+# formatted with the value.  The identity checks come first: a job and a
+# row share them, so no job is encoded whose row the dataset would refuse.
+_IDENTITY_CHECKS = (
+    ("sequence_id", bool, "sequence_id must be non-empty"),
+    ("sequence_id", _whole_text, f"sequence_id must not hold any of {_FORBIDDEN_LIST}, got {{!r}}"),
+    ("class_label", _whole_text, f"class_label must not hold any of {_FORBIDDEN_LIST}, got {{!r}}"),
+    ("preset", PRESETS.__contains__, "unknown preset {!r}"),
+    ("crf", _in_0_to_51, "crf must be in [0, 51], got {}"),
+    ("frames", _at_least_one, "frames must be >= 1, got {}"),
+)
+_ROW_CHECKS = _IDENTITY_CHECKS + (
+    ("energy", _finite_positive, "energy must be finite and > 0, got {}"),
+    ("t_enc", _finite_positive, "t_enc must be finite and > 0, got {}"),
+    ("t_enc_uf", _finite_positive, "t_enc_uf must be finite and > 0, got {}"),
+    ("avg_qp", lambda qp: qp is None or _in_0_to_51(qp),
+     "avg_qp must be empty or in [0, 51], got {}"),
+    ("reps", _at_least_one, "reps must be >= 1, got {}"),
+)
+
+
+def _check(item, checks) -> None:
+    for field, ok, message in checks:
+        value = getattr(item, field)
+        if not ok(value):
+            raise DatasetError(message.format(value))
 
 
 def check_job_identity(job) -> None:
@@ -34,20 +92,7 @@ def check_job_identity(job) -> None:
     ``job`` is an encode job or a dataset row: both carry ``sequence_id``,
     ``class_label``, ``preset``, ``crf`` and ``frames``.
     """
-    if not job.sequence_id:
-        raise DatasetError("sequence_id must be non-empty")
-    for name, text in (("sequence_id", job.sequence_id), ("class_label", job.class_label)):
-        if not _FORBIDDEN_TEXT.isdisjoint(str(text)):
-            raise DatasetError(
-                f"{name} must not hold any of {', '.join(map(repr, FORBIDDEN_TEXT_CHARS))}, "
-                f"got {text!r}"
-            )
-    if job.preset not in PRESETS:
-        raise DatasetError(f"unknown preset {job.preset!r}")
-    if not 0.0 <= job.crf <= 51.0:
-        raise DatasetError(f"crf must be in [0, 51], got {job.crf}")
-    if job.frames < 1:
-        raise DatasetError(f"frames must be >= 1, got {job.frames}")
+    _check(job, _IDENTITY_CHECKS)
 
 
 def probe_key(job) -> tuple[str, str, float]:
@@ -67,11 +112,12 @@ def _write_float(value: float) -> str:
 
 # (column, read rule, write rule) per CSV column, in column order, which
 # is also DatasetRow's field order.  A read rule raises ValueError on a
-# field it cannot read.
+# field it cannot read.  Text is interned, so a load holds one string per
+# distinct sequence, class and preset rather than one per row.
 _COLUMNS = (
-    ("sequence_id", str, str),
-    ("class", str, str),
-    ("preset", str, str),
+    ("sequence_id", sys.intern, str),
+    ("class", sys.intern, str),
+    ("preset", sys.intern, str),
     ("crf", float, _write_float),
     ("frames", int, str),
     ("avg_qp", lambda raw: None if raw == "" else float(raw),
@@ -86,8 +132,7 @@ DATASET_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
 _HEADER = ",".join(DATASET_COLUMNS)
 
 
-@dataclass(frozen=True)
-class DatasetRow:
+class _RowFields(NamedTuple):
     sequence_id: str
     class_label: str
     preset: str
@@ -100,45 +145,57 @@ class DatasetRow:
     reps: int = 1
     confident: bool = True
 
-    def __post_init__(self) -> None:
-        check_job_identity(self)
-        if not 0 < self.energy < math.inf:
-            raise DatasetError(f"energy must be finite and > 0, got {self.energy}")
-        if not 0 < self.t_enc < math.inf:
-            raise DatasetError(f"t_enc must be finite and > 0, got {self.t_enc}")
-        if not 0 < self.t_enc_uf < math.inf:
-            raise DatasetError(f"t_enc_uf must be finite and > 0, got {self.t_enc_uf}")
-        if self.avg_qp is not None and not 0.0 <= self.avg_qp <= 51.0:
-            raise DatasetError(f"avg_qp must be empty or in [0, 51], got {self.avg_qp}")
-        if self.reps < 1:
-            raise DatasetError(f"reps must be >= 1, got {self.reps}")
+
+class DatasetRow(_RowFields):
+    """One measured encode; constructing one applies ``_ROW_CHECKS``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DatasetRow":
+        row = super().__new__(cls, *args, **kwargs)
+        _check(row, _ROW_CHECKS)
+        return row
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DatasetRow":
+        # ``_replace`` builds through ``_make``: keep it checked too.
+        return cls(*iterable)
 
     def key(self) -> tuple[str, str, float]:
         return (self.sequence_id, self.preset, self.crf)
 
     def to_csv_fields(self) -> tuple[str, ...]:
-        return tuple([write(value) for (_, _, write), value in zip(_COLUMNS, _row_values(self))])
+        return tuple([write(value) for (_, _, write), value in zip(_COLUMNS, self)])
 
 
-_row_values = operator.attrgetter(*(field.name for field in fields(DatasetRow)))
+# Per row check: its predicate and the getter of the column it applies to.
+_COLUMN_CHECKS = tuple((ok, itemgetter(DatasetRow._fields.index(field)))
+                       for field, ok, _ in _ROW_CHECKS)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows plus a record of jobs that failed to produce one."""
+    """Rows plus a record of jobs that failed to produce one.
+
+    ``require_closure`` also applies :meth:`check_ultrafast_closure`, on
+    the key set the duplicate check builds.
+    """
 
     rows: tuple[DatasetRow, ...]
     failures: tuple[tuple[str, str], ...] = ()
+    require_closure: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, require_closure: bool) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "failures", tuple(self.failures))
-        seen: set[tuple[str, str, float]] = set()
+        keys: set[tuple[str, str, float]] = set()
         for row in self.rows:
             key = row.key()
-            if key in seen:
+            if key in keys:
                 raise DatasetError(f"duplicate row key {key}")
-            seen.add(key)
+            keys.add(key)
+        if require_closure:
+            _check_closure(self.rows, keys)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -152,12 +209,7 @@ class Dataset:
 
     def check_ultrafast_closure(self) -> None:
         """Every (sequence, CRF) must also have an ultrafast row."""
-        keys = {row.key() for row in self.rows}
-        for row in self.rows:
-            if probe_key(row) not in keys:
-                raise DatasetError(
-                    f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
-                )
+        _check_closure(self.rows, {row.key() for row in self.rows})
 
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
@@ -165,6 +217,14 @@ class Dataset:
             fh.write(_HEADER + "\n")
             for row in self.rows:
                 fh.write(",".join(row.to_csv_fields()) + "\n")
+
+
+def _check_closure(rows: Iterable[DatasetRow], keys: set[tuple[str, str, float]]) -> None:
+    for row in rows:
+        if probe_key(row) not in keys:
+            raise DatasetError(
+                f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
+            )
 
 
 class DatasetWriter:
@@ -241,39 +301,68 @@ def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with path.open(encoding="utf-8") as lines:
+            rows = _read_rows(path, lines)
+    except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    except (DatasetError, UnicodeDecodeError):
+        # A file that is not UTF-8 is refused before any of its rows are,
+        # naming the offset of its first bad byte in the whole file.
+        try:
+            path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+        raise
+    if not all(all(map(ok, map(column, rows))) for ok, column in _COLUMN_CHECKS):
+        _check_rows(path, rows)
+    return Dataset(rows=tuple(rows), require_closure=require_closure)
+
+
+def _read_rows(path: Path, lines: IO[str]) -> list[DatasetRow]:
+    """Read the header and then each line into an unchecked row."""
+    first = next(lines, None)
+    if first is None:
         raise DatasetError(f"{path}: empty file")
-    header = tuple(lines[0].split(","))
+    header = tuple(first.rstrip("\n").split(","))
     if header != DATASET_COLUMNS:
         missing = set(DATASET_COLUMNS) - set(header)
         extra = set(header) - set(DATASET_COLUMNS)
         raise DatasetError(
             f"{path}: bad header; missing columns {sorted(missing)}, unexpected {sorted(extra)}"
         )
+    reads = [read for _, read, _ in _COLUMNS]
     rows: list[DatasetRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        raw_fields = line.split(",")
-        if len(raw_fields) != len(_COLUMNS):
-            raise DatasetError(
-                f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
-            )
-        values = []
-        for (column, read, _), raw in zip(_COLUMNS, raw_fields):
-            try:
-                values.append(read(raw))
-            except ValueError as exc:
-                raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=2):
+        raw_fields = line.rstrip("\n").split(",")
+        if len(raw_fields) != len(reads):
+            _refuse_line(path, lineno, raw_fields, rows)
         try:
-            rows.append(DatasetRow(*values))
+            values = [read(raw) for read, raw in zip(reads, raw_fields)]
+        except ValueError:
+            _refuse_line(path, lineno, raw_fields, rows)
+            raise
+        rows.append(tuple.__new__(DatasetRow, values))
+    return rows
+
+
+def _refuse_line(path: Path, lineno: int, raw_fields: list[str], rows: list[DatasetRow]) -> None:
+    """Raise the error for line ``lineno``, which did not read; an earlier row's comes first."""
+    _check_rows(path, rows)
+    if len(raw_fields) != len(_COLUMNS):
+        raise DatasetError(
+            f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
+        )
+    for (column, read, _), raw in zip(_COLUMNS, raw_fields):
+        try:
+            read(raw)
+        except ValueError as exc:
+            raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
+
+
+def _check_rows(path: Path, rows: list[DatasetRow]) -> None:
+    """Apply ``_ROW_CHECKS`` row by row, in file order, naming the first row that fails."""
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            _check(row, _ROW_CHECKS)
         except DatasetError as exc:
             raise DatasetError(f"{path}, row {lineno}: {exc}") from exc
-    dataset = Dataset(rows=tuple(rows))
-    if require_closure:
-        dataset.check_ultrafast_closure()
-    return dataset

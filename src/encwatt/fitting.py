@@ -352,7 +352,8 @@ def cross_validate(
     for preset, class_label, name, rows, x, energy in _cells(data, model_kind, objective):
         # Folds are drawn on the rows sorted by key, making reports
         # independent of the input row order; a fold holds positions in it.
-        order = np.array(sorted(range(len(rows)), key=lambda i: rows[i].key()))
+        keys = [row.key() for row in rows]
+        order = np.array(sorted(range(len(rows)), key=keys.__getitem__))
         if key_fold is not None:
             row_fold = np.array([key_fold[(r.sequence_id, r.crf)] for r in rows])[order]
             folds = [np.flatnonzero(row_fold == fold_index) for fold_index in range(k)]

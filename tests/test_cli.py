@@ -598,6 +598,36 @@ def test_fit_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, sha25
     assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
 
 
+# The sha256 of the `crossval --out` report followed by its stdout, on
+# `synth --seed 1` with the tool version fixed, for each model, objective
+# and fold kind (default seed and k).  A change to the folds, the fits or
+# the report moves it.
+@pytest.mark.parametrize(("model", "objective", "joint", "sha256"), [
+    ("qp_cubic", "squared_rel", False, "0d0e0af5afbc22c1357ca79258e8df5e8ab9cea5be272345e2b0fd238548c69c"),
+    ("qp_cubic", "squared_rel", True, "5c22851e62e5d3a4cdb4d46e3d9d6cc3c17aa1c0dfc6ec88b39f9b056f308127"),
+    ("qp_cubic", "abs_rel", False, "6d2586d0be9416533419d87c7c79a92fe4d550cce1b2e393c2dde80839e08d08"),
+    ("qp_cubic", "abs_rel", True, "b6f21c7b6351b5ad1d4624801b4408d47c400843a632b34db6138fd90d83d543"),
+    ("time_linear", "squared_rel", False, "f0bf281d903a53436399c571d771ad52bdfe7b495d274c6a02153115537da043"),
+    ("time_linear", "squared_rel", True, "5f268e67f502ee36ec87a01c0b8fc8e4a2794ca318ef6df25987fad66c22c96f"),
+    ("time_linear", "abs_rel", False, "9a0c046cd5f3e327a582cecbda704a56222a13fa57d9cf3530ae78edde7598ae"),
+    ("time_linear", "abs_rel", True, "ea8f2e4cbb33e4cab074ccc85a3e9b51669d03fe4c4e528a106708db850e8275"),
+    ("uf_linear", "squared_rel", False, "ba31979a22f6c1feef7811f90d2edaac7a2c965963cee48a170783c211f814c3"),
+    ("uf_linear", "squared_rel", True, "eee80b2e18f70361939e13cfd672fb595bed02d6718f012a0e098b6e89dd0559"),
+    ("uf_linear", "abs_rel", False, "9c325cdf7a0e752ccb0f36ee18d45487fa5a7b0a236dac1d5517d3815d289f34"),
+    ("uf_linear", "abs_rel", True, "0f0eb3a4a87ef84d65fec6ac1c200f01d6892652641567bf794ae13c10d07322"),
+])
+def test_crossval_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, objective,
+                                          joint, sha256):
+    monkeypatch.setattr("encwatt.cli._TOOL", "encwatt test")
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    code, stdout, _ = run_cli(capsys, "crossval", str(data), "--model", model,
+                              "--objective", objective, "--out", str(report),
+                              *(["--joint-folds"] if joint else []))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes() + stdout.encode()).hexdigest() == sha256
+
+
 def test_synth_recipe_file(capsys, tmp_path):
     recipe = tmp_path / "recipe.json"
     recipe.write_text('{"n_sequences": 3, "noise": 0.0, "time_jitter": 0.0}')

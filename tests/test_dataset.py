@@ -1,6 +1,7 @@
 """Dataset schema, CSV round trips, and incremental writing."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -293,3 +294,179 @@ def test_writer_starts_a_missing_or_empty_file_with_the_header(tmp_path):
         with DatasetWriter(path, resume=True) as writer:
             assert writer.rows == ()
         assert path.read_text() == HEADER + "\n"
+
+
+# DatasetRow's fields, in column order.
+_FIELD_NAMES = ("sequence_id", "class_label", "preset", "crf", "frames", "avg_qp", "t_enc",
+                "t_enc_uf", "energy", "reps", "confident")
+# A line the rules accept, and per column a mix of raw values the rules
+# accept and values they refuse.  ``frames`` 1.5 and ``confident`` True
+# cannot be read at all.
+_GOOD_LINE = dict(zip(DATASET_COLUMNS, ["seq00", "B", "medium", "23.0", "100", "25.0", "3.0",
+                                        "1.0", "350.0", "3", "true"]))
+_RAW_FLOAT = (st.sampled_from(["0", "51", "51.5", "nan", "inf", "-inf", "23.0", "-1.5", "1e-300"])
+              | st.floats().map(repr))
+_RAW_COUNT = st.sampled_from(["0", "1", "-2", "1.5"]) | st.integers(-3, 10**6).map(str)
+_RAW_VALUES = {
+    "sequence_id": st.sampled_from(["seq00", "", "s 1"]),
+    "class": st.sampled_from(["B", ""]),
+    "preset": st.sampled_from(PRESETS + ("turbo", "Medium")),
+    "crf": _RAW_FLOAT,
+    "frames": _RAW_COUNT,
+    "avg_qp": st.just("") | _RAW_FLOAT,
+    "t_enc_s": _RAW_FLOAT,
+    "t_enc_uf_s": _RAW_FLOAT,
+    "energy_j": _RAW_FLOAT,
+    "reps": _RAW_COUNT,
+    "confident": st.sampled_from(["true", "false", "True"]),
+}
+# The good line with up to three of its fields drawn from those mixes.
+_RAW_LINES = st.lists(st.sampled_from(DATASET_COLUMNS), max_size=3, unique=True).flatmap(
+    lambda columns: st.fixed_dictionaries({c: _RAW_VALUES[c] for c in columns})
+).map(lambda drawn: {**_GOOD_LINE, **drawn})
+
+
+def _read_as_documented(column, raw):
+    """A field's value as README's dataset section spells it; ValueError if it has none."""
+    if column in ("crf", "t_enc_s", "t_enc_uf_s", "energy_j"):
+        return float(raw)
+    if column == "avg_qp":
+        return None if raw == "" else float(raw)
+    if column in ("frames", "reps"):
+        return int(raw)
+    if column == "confident":
+        if raw not in ("true", "false"):
+            raise ValueError(raw)
+        return raw == "true"
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_LINES, st.integers(0, 3), st.integers(0, 2))
+@example({**_GOOD_LINE, "crf": "nan", "avg_qp": ""}, 2, 1)
+def test_loader_and_constructor_enforce_one_rule_set(raw, before, after):
+    good = [make_row(f"good{i}", preset="ultrafast") for i in range(before + after)]
+    line = ",".join(raw[column] for column in DATASET_COLUMNS)
+    lineno = 2 + before
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("".join(f"{text}\n" for text in (
+            HEADER, *(",".join(row.to_csv_fields()) for row in good[:before]), line,
+            *(",".join(row.to_csv_fields()) for row in good[before:]))))
+        values = {}
+        for column, field in zip(DATASET_COLUMNS, _FIELD_NAMES):
+            try:
+                values[field] = _read_as_documented(column, raw[column])
+            except ValueError:
+                with pytest.raises(DatasetError) as load_error:
+                    load_dataset_csv(path, require_closure=False)
+                prefix = f"{path}, row {lineno}, column {column!r}: "
+                assert str(load_error.value).startswith(prefix)
+                return
+        try:
+            expected = DatasetRow(**values)
+        except DatasetError as row_error:
+            with pytest.raises(DatasetError) as load_error:
+                load_dataset_csv(path, require_closure=False)
+            assert str(load_error.value) == f"{path}, row {lineno}: {row_error}"
+            return
+        loaded = load_dataset_csv(path, require_closure=False).rows
+    assert loaded == (*good[:before], expected, *good[before:])
+    row = loaded[before]
+    assert [type(row.crf), type(row.frames), type(row.reps), type(row.confident)] == [
+        float, int, int, bool]
+    assert (row.avg_qp is None) == (raw["avg_qp"] == "")
+    assert row.avg_qp is None or type(row.avg_qp) is float
+
+
+@pytest.fixture(scope="module")
+def benchmark_csv(tmp_path_factory):
+    """The 9,000-row set the benchmark's crossval workload loads (250 sequences, seed 1)."""
+    from encwatt.synth import SynthDatasetRecipe, generate_dataset
+
+    path = tmp_path_factory.mktemp("benchmark") / "d.csv"
+    generate_dataset(SynthDatasetRecipe(n_sequences=250, seed=1)).write_csv(path)
+    return path
+
+
+def test_load_of_the_benchmark_set_peaks_below_5_mb(benchmark_csv):
+    # The rows kept take about 2.5 MB; a load that also holds the whole
+    # text and its list of lines peaks near 7 MB.
+    tracemalloc.start()
+    try:
+        dataset = load_dataset_csv(benchmark_csv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 9000
+    assert peak < 5e6
+
+
+# One bad value per column in the last of 9,000 rows.  No value of `class`
+# that a CSV line can hold is refused: `,`, CR and LF split the line.
+@pytest.mark.parametrize(("column", "value", "message"), [
+    ("sequence_id", "", "row 9001: sequence_id must be non-empty"),
+    ("preset", "turbo", "row 9001: unknown preset 'turbo'"),
+    ("crf", "51.5", "row 9001: crf must be in [0, 51], got 51.5"),
+    ("crf", "x", "row 9001, column 'crf': could not convert string to float: 'x'"),
+    ("frames", "0", "row 9001: frames must be >= 1, got 0"),
+    ("frames", "1.5",
+     "row 9001, column 'frames': invalid literal for int() with base 10: '1.5'"),
+    ("avg_qp", "nan", "row 9001: avg_qp must be empty or in [0, 51], got nan"),
+    ("t_enc_s", "0", "row 9001: t_enc must be finite and > 0, got 0.0"),
+    ("t_enc_uf_s", "inf", "row 9001: t_enc_uf must be finite and > 0, got inf"),
+    ("energy_j", "-1", "row 9001: energy must be finite and > 0, got -1.0"),
+    ("reps", "0", "row 9001: reps must be >= 1, got 0"),
+    ("confident", "True", "row 9001, column 'confident': expected true/false, got 'True'"),
+])
+def test_load_names_the_last_row_and_its_column(benchmark_csv, tmp_path, column, value,
+                                                message):
+    lines = benchmark_csv.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[DATASET_COLUMNS.index(column)] = value
+    lines[-1] = ",".join(fields)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError) as error:
+        load_dataset_csv(path)
+    assert str(error.value) == f"{path}, {message}"
+
+
+def test_load_of_a_crlf_file_equals_its_lf_twin(benchmark_csv, tmp_path):
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(benchmark_csv.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_dataset_csv(crlf).rows == load_dataset_csv(benchmark_csv).rows
+
+
+def test_load_refuses_a_blank_line_mid_file(benchmark_csv, tmp_path):
+    lines = benchmark_csv.read_text().splitlines()
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines[:4000] + [""] + lines[4000:]) + "\n")
+    with pytest.raises(DatasetError) as error:
+        load_dataset_csv(path)
+    assert str(error.value) == f"{path}, row 4001: expected 11 columns, got 1"
+
+
+def test_load_names_the_first_of_two_bad_rows(benchmark_csv, tmp_path):
+    # a value check in row 3 comes before a line that cannot be read in row 9001
+    lines = benchmark_csv.read_text().splitlines()
+    first = lines[2].split(",")
+    first[DATASET_COLUMNS.index("reps")] = "0"
+    lines[2], lines[-1] = ",".join(first), "seq,B"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError) as error:
+        load_dataset_csv(path)
+    assert str(error.value) == f"{path}, row 3: reps must be >= 1, got 0"
+
+
+def test_load_refuses_a_late_byte_that_is_not_utf8_before_any_row(benchmark_csv, tmp_path):
+    data = benchmark_csv.read_bytes()
+    head, tail = data[:1000], data[1000:]
+    data = head.replace(b"\n", b"\n,", 1) + tail[:-10] + b"\xff" + tail[-10:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(DatasetError) as error:
+        load_dataset_csv(path)
+    assert str(error.value) == (f"cannot read dataset {path}: 'utf-8' codec can't decode byte "
+                                f"0xff in position {len(data) - 11}: invalid start byte")
