@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import sys
 from dataclasses import InitVar, dataclass
 from operator import itemgetter
@@ -177,8 +178,8 @@ _COLUMN_CHECKS = tuple((ok, itemgetter(DatasetRow._fields.index(field)))
 class Dataset:
     """Rows plus a record of jobs that failed to produce one.
 
-    ``require_closure`` also applies :meth:`check_ultrafast_closure`, on
-    the key set the duplicate check builds.
+    ``require_closure`` also requires an ultrafast row for every
+    (sequence, CRF), checked on the key set the duplicate check builds.
     """
 
     rows: tuple[DatasetRow, ...]
@@ -195,7 +196,11 @@ class Dataset:
                 raise DatasetError(f"duplicate row key {key}")
             keys.add(key)
         if require_closure:
-            _check_closure(self.rows, keys)
+            for row in self.rows:
+                if probe_key(row) not in keys:
+                    raise DatasetError(
+                        f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
+                    )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -207,24 +212,12 @@ class Dataset:
         present = {row.preset for row in self.rows}
         return tuple(p for p in PRESETS if p in present)
 
-    def check_ultrafast_closure(self) -> None:
-        """Every (sequence, CRF) must also have an ultrafast row."""
-        _check_closure(self.rows, {row.key() for row in self.rows})
-
     def write_csv(self, path: str | Path) -> None:
         path = Path(path)
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(_HEADER + "\n")
             for row in self.rows:
                 fh.write(",".join(row.to_csv_fields()) + "\n")
-
-
-def _check_closure(rows: Iterable[DatasetRow], keys: set[tuple[str, str, float]]) -> None:
-    for row in rows:
-        if probe_key(row) not in keys:
-            raise DatasetError(
-                f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
-            )
 
 
 class DatasetWriter:
@@ -245,41 +238,44 @@ class DatasetWriter:
 
     def __enter__(self) -> "DatasetWriter":
         try:
-            data = self.path.read_bytes()
+            with self.path.open("rb") as fh:
+                head = fh.read(len(_HEADER) + 2)  # the header and room for its line end
+                size = fh.seek(0, os.SEEK_END)
+                tail = _after_last_line_end(fh, size)
         except FileNotFoundError:
-            data = b""
+            size = 0
         except OSError as exc:
             raise DatasetError(f"cannot read dataset {self.path}: {exc}") from exc
-        if data:
-            self._take_over(data)
+        if size:
+            self._take_over(head, size, tail)
         self._fh = self.path.open("a", encoding="utf-8", newline="\n")
-        if not data:
+        if not size:
             self._fh.write(_HEADER + "\n")
             self._fh.flush()
         return self
 
-    def _take_over(self, data: bytes) -> None:
+    def _take_over(self, head: bytes, size: int, tail: bytes) -> None:
+        """Check an existing file of ``size`` bytes from its first bytes and its last line."""
         header = _HEADER.encode()
         line_end = next((end for end in (b"\r\n", b"\n", b"\r")
-                         if data.startswith(header + end)), None)
+                         if head.startswith(header + end)), None)
         if line_end is None:
             raise DatasetError(f"{self.path}: existing file does not begin with the "
                                f"dataset header line and its line end")
         if not self.resume:
-            if len(data) > len(header) + len(line_end):
+            if size > len(header) + len(line_end):
                 raise DatasetError(
                     f"{self.path} already holds measured rows; pass --resume to continue "
                     f"that campaign, or write to a new file"
                 )
             return
-        if not data.endswith((b"\n", b"\r")):
+        if tail:
             # Every row the writer completes ends in a line end, so only the
             # last line can be torn; appending would glue a row onto it.
-            keep = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
             logger.warning("%s: dropping unterminated last line %r",
-                           self.path, data[keep:].decode(errors="replace"))
+                           self.path, tail.decode(errors="replace"))
             with self.path.open("rb+") as fh:
-                fh.truncate(keep)
+                fh.truncate(size - len(tail))
         self.rows = load_dataset_csv(self.path, require_closure=False).rows
 
     def append(self, row: DatasetRow) -> None:
@@ -291,6 +287,22 @@ class DatasetWriter:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+
+
+def _after_last_line_end(fh: IO[bytes], size: int) -> bytes:
+    """The bytes after the last LF or CR of binary file ``fh``, ``size`` bytes long.
+
+    The end of the file is read in growing blocks: a complete last line costs one.
+    """
+    tail, block = b"", 4096
+    while len(tail) < size:
+        fh.seek(max(0, size - block))
+        tail = fh.read()
+        cut = max(tail.rfind(b"\n"), tail.rfind(b"\r")) + 1
+        if cut:
+            return tail[cut:]
+        block *= 2
+    return tail
 
 
 def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:

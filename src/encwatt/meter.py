@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SyntheticRecipe",
     "parse_trace_csv",
-    "write_trace_csv",
     "read_counter_uj",
     "sample_counter_file",
     "generate_synthetic_trace",
@@ -163,6 +162,11 @@ def _parse_trace_lines(path: Path, data: bytes) -> PowerTrace:
 
 def _trace_from_rows(path: Path, samples: np.ndarray, unparsed: Optional[str] = None) -> PowerTrace:
     """The trace of the rows parsed from ``path``, which stopped at ``unparsed`` if set."""
+    if unparsed is None and len(samples) >= 2:
+        try:
+            return PowerTrace(samples, source_label=str(path))
+        except MalformedTraceError:
+            pass  # a row breaks an invariant: worded below, by its line
     i = _first_invalid_row(samples)  # reported first: it precedes any unparseable line
     if i >= 0:
         t, p = samples[i].tolist()
@@ -175,17 +179,7 @@ def _trace_from_rows(path: Path, samples: np.ndarray, unparsed: Optional[str] = 
         raise MalformedTraceError(f"{path}, line {i + 2}: {why}")
     if unparsed is not None:
         raise MalformedTraceError(f"{path}, {unparsed}")
-    if len(samples) < 2:
-        raise MalformedTraceError(f"{path}: fewer than 2 samples")
-    return PowerTrace(samples, source_label=str(path))
-
-
-def write_trace_csv(trace: PowerTrace, path: str | Path) -> None:
-    """Write a trace in canonical CSV form (shortest round-trip floats, LF)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        fh.writelines(f"{t!r},{p!r}\n" for t, p in trace.samples.tolist())
+    raise MalformedTraceError(f"{path}: fewer than 2 samples")
 
 
 # Follows the error of a counter read that the file's permissions refused.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -35,11 +34,8 @@ __all__ = [
     "OBJECTIVES",
     "QpModelParams",
     "LinearParams",
-    "QpRangeWarning",
     "qp_time_law",
     "affine_energy_law",
-    "predict_time_qp",
-    "predict_energy_qp",
     "predict_energy_linear",
     "load_default_params",
     "read_params_file",
@@ -72,10 +68,6 @@ OBJECTIVES: tuple[str, ...] = ("squared_rel", "abs_rel")
 DEFAULT_PARAMS_RESOURCE = "data/default_uf_params.csv"
 
 PARAMS_HEADER = "preset,covariate_kind,p_w,e0_j"
-
-
-class QpRangeWarning(UserWarning):
-    """A QP-model prediction was requested outside the calibrated range."""
 
 
 @dataclass(frozen=True)
@@ -130,26 +122,6 @@ def qp_time_law(params: QpModelParams, qp):
 def affine_energy_law(params: LinearParams, t):
     """``e0 + p * t`` joules for a time or an array of times, unchecked."""
     return params.e0 + params.p * t
-
-
-def predict_time_qp(params: QpModelParams, qp: float) -> float:
-    """Encoding time predicted by the cubic QP model, in seconds."""
-    if not 0.0 <= qp <= 51.0:
-        raise ValueError(f"qp must be in [0, 51], got {qp}")
-    if params.valid_qp_range is not None:
-        lo, hi = params.valid_qp_range
-        if not lo <= qp <= hi:
-            warnings.warn(
-                f"qp {qp} lies outside the calibrated range [{lo}, {hi}]",
-                QpRangeWarning,
-                stacklevel=2,
-            )
-    return qp_time_law(params, qp)
-
-
-def predict_energy_qp(params: QpModelParams, qp: float) -> float:
-    """Energy predicted by the QP model: predicted time times average power."""
-    return predict_time_qp(params, qp) * params.p_avg
 
 
 def predict_energy_linear(params: LinearParams, t: float) -> float:

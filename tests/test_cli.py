@@ -731,16 +731,15 @@ def test_measure_unreadable_counter_exits_three(capsys, tmp_path, input_file):
 
 
 def test_measure_with_shared_idle_trace(capsys, tmp_path, input_file, stub_encoder):
-    from encwatt.meter import SyntheticRecipe, generate_synthetic_trace, write_trace_csv
+    from encwatt.meter import SyntheticRecipe, generate_synthetic_trace
 
-    idle_csv = tmp_path / "idle.csv"
-    write_trace_csv(
-        generate_synthetic_trace(
-            SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, duration=30.0),
-            (0.0, 0.0), sample_period=0.02,
-        ),
-        idle_csv,
+    idle = generate_synthetic_trace(
+        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, duration=30.0),
+        (0.0, 0.0), sample_period=0.02,
     )
+    idle_csv = tmp_path / "idle.csv"
+    rows = "".join(f"{t!r},{p!r}\n" for t, p in idle.samples.tolist())
+    idle_csv.write_text(f"t_s,p_w\n{rows}", newline="\n")
     manifest = tmp_path / "jobs.jsonl"
     write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
     out = tmp_path / "dataset.csv"

@@ -124,9 +124,9 @@ def test_dataset_rejects_duplicate_keys():
 
 def test_ultrafast_closure_check():
     rows = (make_row(), make_row(preset="ultrafast", t_enc=1.0))
-    Dataset(rows=rows).check_ultrafast_closure()
+    Dataset(rows=rows, require_closure=True)
     with pytest.raises(DatasetError, match="ultrafast"):
-        Dataset(rows=(make_row(),)).check_ultrafast_closure()
+        Dataset(rows=(make_row(),), require_closure=True)
 
 
 def test_csv_round_trip(tmp_path):
@@ -286,6 +286,24 @@ def test_writer_resume_drops_a_torn_last_line(tmp_path, caplog):
             assert len(writer.rows) == 1
     assert path.read_text() == complete
     assert any("unterminated last line 'seq00,B,med'" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("torn", ["seq00,B,med", "x" * 10_000], ids=["short", "long"])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_writer_resume_reads_only_the_ends_of_the_file(tmp_path, monkeypatch, torn, line_end):
+    def refuse(self):
+        raise AssertionError("the whole file was read")
+
+    path = tmp_path / "d.csv"
+    rows = [make_row(sequence_id=f"seq{i:03}", preset="ultrafast", t_enc=1.0) for i in range(200)]
+    complete = "".join(line + line_end
+                       for line in [HEADER] + [",".join(r.to_csv_fields()) for r in rows])
+    path.write_bytes((complete + torn).encode())
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    with DatasetWriter(path, resume=True) as writer:
+        assert writer.rows == tuple(rows)
+    monkeypatch.undo()
+    assert path.read_bytes() == complete.encode()
 
 
 def test_writer_starts_a_missing_or_empty_file_with_the_header(tmp_path):

@@ -31,8 +31,14 @@ from encwatt.meter import (
     open_meter,
     parse_trace_csv,
     sample_counter_file,
-    write_trace_csv,
 )
+
+
+def write_canonical_trace(trace, path):
+    """Write ``trace`` as canonical trace CSV: shortest round-trip floats, LF line ends."""
+    rows = "".join(f"{t!r},{p!r}\n" for t, p in trace.samples.tolist())
+    path.write_text(f"t_s,p_w\n{rows}", newline="\n")
+
 
 # ── CSV parsing ───────────────────────────────────────────────────────────
 
@@ -102,8 +108,8 @@ def test_canonical_round_trip_is_byte_identical(tmp_path):
         SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=1.5, duration=5.0, seed=3),
         (1.0, 4.0),
     )
-    write_trace_csv(trace, src)
-    write_trace_csv(parse_trace_csv(src), dst)
+    write_canonical_trace(trace, src)
+    write_canonical_trace(parse_trace_csv(src), dst)
     assert src.read_bytes() == dst.read_bytes()
 
 
@@ -176,11 +182,11 @@ _valid_rows = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(rows=_valid_rows)
 def test_parse_round_trips_valid_traces(tmp_path_factory, rows):
-    # canonical files through write_trace_csv, and the benchmark's %.3f,%.4f
+    # canonical files through write_canonical_trace, and the benchmark's %.3f,%.4f
     f = tmp_path_factory.mktemp("round_trip") / "trace.csv"
     times = np.cumsum([step for step, _ in rows]) / 1000.0
     trace = PowerTrace.from_arrays(times, [p for _, p in rows])
-    write_trace_csv(trace, f)
+    write_canonical_trace(trace, f)
     assert parse_trace_csv(f).samples.tobytes() == trace.samples.tobytes()
     f.write_text("t_s,p_w\n" + "".join(f"{t:.3f},{p:.4f}\n" for t, p in zip(times, trace.powers())))
     assert _parse_outcome(parse_trace_csv, f) == _parse_outcome(_line_loop, f)

@@ -12,11 +12,9 @@ from encwatt.models import (
     FitReport,
     LinearParams,
     QpModelParams,
-    QpRangeWarning,
     load_default_params,
     predict_energy_linear,
-    predict_energy_qp,
-    predict_time_qp,
+    qp_time_law,
     read_params_file,
     write_params_file,
 )
@@ -34,32 +32,26 @@ def test_preset_list_has_nine_entries_fastest_first():
 
 def test_qp_time_at_zero_is_offset():
     params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0)
-    assert predict_time_qp(params, 0.0) == 10.0
+    assert qp_time_law(params, 0.0) == 10.0
 
 
 def test_qp_time_hand_value():
     params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0)
     # 0.8 - 0.4 - 0.2 + 10
-    assert predict_time_qp(params, 20.0) == pytest.approx(10.2, rel=1e-12)
+    assert qp_time_law(params, 20.0) == pytest.approx(10.2, rel=1e-12)
 
 
 def test_qp_sign_convention_lambda_decreases_prediction():
     lo = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0)
     hi = QpModelParams(kappa=1e-4, lam=2e-3, mu=0.01, t0=10.0)
-    assert predict_time_qp(hi, 20.0) < predict_time_qp(lo, 20.0)
+    assert qp_time_law(hi, 20.0) < qp_time_law(lo, 20.0)
 
 
 def test_qp_time_matches_horner_oracle():
     params = QpModelParams(kappa=3.2e-4, lam=2.1e-3, mu=0.045, t0=12.5)
     for qp in range(0, 52):
         horner = ((params.kappa * qp - params.lam) * qp - params.mu) * qp + params.t0
-        assert predict_time_qp(params, float(qp)) == pytest.approx(horner, rel=1e-12)
-
-
-def test_qp_energy_is_time_times_power():
-    params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0, p_avg=100.0)
-    assert predict_energy_qp(params, 20.0) == pytest.approx(1020.0, rel=1e-12)
-    assert predict_energy_qp(params, 0.0) == pytest.approx(1000.0, rel=1e-12)
+        assert qp_time_law(params, float(qp)) == pytest.approx(horner, rel=1e-12)
 
 
 def test_qp_nonpositive_power_rejected_at_construction():
@@ -73,19 +65,6 @@ def test_qp_non_finite_value_rejected_at_construction(name, value):
     values = {"kappa": 1e-4, "lam": 1e-3, "mu": 0.01, "t0": 10.0, "p_avg": 100.0}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         QpModelParams(**{**values, name: value})
-
-
-def test_qp_out_of_domain_rejected():
-    params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0)
-    with pytest.raises(ValueError):
-        predict_time_qp(params, 52.0)
-
-
-def test_qp_warns_outside_calibrated_range():
-    params = QpModelParams(kappa=1e-4, lam=1e-3, mu=0.01, t0=10.0,
-                           valid_qp_range=(18.0, 38.0))
-    with pytest.warns(QpRangeWarning):
-        predict_time_qp(params, 10.0)
 
 
 # ── linear model ──────────────────────────────────────────────────────────

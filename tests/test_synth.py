@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from encwatt.dataset import Dataset
 from encwatt.synth import (
     GROUND_TRUTH,
     SynthDatasetRecipe,
@@ -20,7 +21,7 @@ def test_default_recipe_grid_shape():
     assert len(ds.presets()) == 9
     assert len({row.sequence_id for row in ds.rows}) == 25
     assert sorted({row.crf for row in ds.rows}) == [18.0, 23.0, 28.0, 33.0]
-    ds.check_ultrafast_closure()
+    Dataset(rows=ds.rows, require_closure=True)
 
 
 def test_determinism_and_seed_sensitivity():
