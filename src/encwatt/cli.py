@@ -21,13 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import load_dataset_csv
-from .errors import (
-    AcquisitionError,
-    FitError,
-    MalformedTraceError,
-    ManifestError,
-    TraceWindowError,
-)
+from .errors import AcquisitionError, FitError, ManifestError
 from .models import (
     MODEL_KINDS,
     OBJECTIVES,
@@ -305,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ManifestError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AcquisitionError, MalformedTraceError, TraceWindowError) as exc:
+    except AcquisitionError as exc:
         print(f"meter error: {exc}", file=sys.stderr)
         return EXIT_METER
     except (KeyboardInterrupt, _Interrupted) as exc:

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .errors import (
-    InvalidMeasurementError,
-    MalformedTraceError,
-    MeasurementRunError,
-    TraceWindowError,
-)
+from .errors import AcquisitionError, InvalidMeasurementError, MeasurementRunError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,16 +85,16 @@ class PowerTrace:
 
         samples = np.array(self.samples, dtype=np.float64, order="F")
         if samples.ndim != 2 or samples.shape[1] != 2:
-            raise MalformedTraceError(
+            raise AcquisitionError(
                 f"trace {self.source_label!r}: expected (t, p) rows, got shape {samples.shape}"
             )
         if len(samples) < 2:
-            raise MalformedTraceError(
+            raise AcquisitionError(
                 f"trace {self.source_label!r} has {len(samples)} sample(s); need at least 2"
             )
         i = _first_invalid_row(samples)
         if i >= 0:
-            raise MalformedTraceError(
+            raise AcquisitionError(
                 f"trace {self.source_label!r}: sample {i} {tuple(samples[i].tolist())} breaks "
                 f"the invariants (finite, >= 0, timestamps strictly increasing)"
             )
@@ -198,7 +193,7 @@ def integrate_energy(trace: PowerTrace, t_start: float, t_end: float) -> float:
     import numpy as np
 
     if not (trace.start <= t_start < t_end <= trace.end):
-        raise TraceWindowError(
+        raise AcquisitionError(
             f"window [{t_start}, {t_end}] outside trace span "
             f"[{trace.start}, {trace.end}] of {trace.source_label!r}"
         )
@@ -230,7 +225,7 @@ def net_energy(total: Recording, idle: Recording, duration: float) -> float:
     and returned unclamped.
     """
     if duration <= 0:
-        raise TraceWindowError(f"duration must be > 0, got {duration}")
+        raise ValueError(f"duration must be > 0, got {duration}")
     e_total, seconds = _energy_over(total, duration)
     e_idle, idle_seconds = _energy_over(idle, seconds)
     net = float(e_total - e_idle * (seconds / idle_seconds))

@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class stands for one thing its caller does: an
+:class:`AcquisitionError` aborts a campaign (``measure`` exits 3); a
+:class:`MeasurementRunError`, :class:`InvalidMeasurementError` or
+:class:`EncodeFailedError` fails one job (exit 4); a
+:class:`ManifestError`, :class:`DatasetError` or :class:`FitError`
+refuses the input (exit 2).
+"""
 
 from __future__ import annotations
 
@@ -7,28 +15,19 @@ class EncwattError(Exception):
     """Base class for all encwatt errors."""
 
 
-class MalformedTraceError(EncwattError):
-    """A power trace (or trace file) violates the trace invariants."""
-
-
-class TraceWindowError(EncwattError):
-    """An integration window falls outside the span of a trace."""
-
-
 class AcquisitionError(EncwattError):
-    """A live meter source could not be read."""
-
-
-class CorruptCounterError(AcquisitionError):
-    """A cumulative energy counter moved in a way no wrap-around explains."""
+    """The meter cannot give an encode's energy: a counter or trace file is
+    unreadable, malformed or corrupt, or a trace does not cover the window
+    asked of it.  The caller aborts the campaign."""
 
 
 class InvalidMeasurementError(EncwattError):
-    """Measured energies are unusable (e.g. non-positive mean)."""
+    """Measured energies are unusable (e.g. non-positive mean); the caller fails the job."""
 
 
 class MeasurementRunError(EncwattError):
-    """A measurement repetition failed.
+    """A measurement repetition failed; the caller fails the job, or aborts
+    the campaign if the cause is an :class:`AcquisitionError`.
 
     Carries the 1-based repetition index and the energies of the
     repetitions that completed before the failure.
@@ -41,7 +40,7 @@ class MeasurementRunError(EncwattError):
 
 
 class EncodeFailedError(EncwattError):
-    """The encoder process failed to produce a bitstream."""
+    """The encoder process failed to produce a bitstream; the caller fails the job."""
 
     def __init__(self, message: str, log_tail: str = ""):
         super().__init__(message)
@@ -49,24 +48,14 @@ class EncodeFailedError(EncwattError):
 
 
 class ManifestError(EncwattError):
-    """A campaign manifest could not be parsed or validated."""
+    """A campaign manifest could not be parsed or validated; the caller refuses it."""
 
 
 class DatasetError(EncwattError, ValueError):
-    """A dataset row or file violates the dataset schema."""
+    """A dataset row or file violates the dataset schema; the caller refuses it."""
 
 
 class FitError(EncwattError):
-    """Base class for model-fitting failures."""
-
-
-class SingularFitError(FitError):
-    """The design matrix is rank deficient (e.g. all covariates equal)."""
-
-
-class UnderdeterminedFitError(FitError):
-    """Too few rows for the number of model coefficients."""
-
-
-class FitRejectedError(FitError):
-    """The fit converged to physically meaningless parameters."""
+    """A model cannot be fitted to a cell: too few rows or distinct
+    covariates, an uncertified L1 solve, or physically meaningless
+    parameters.  The caller refuses the dataset."""

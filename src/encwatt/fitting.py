@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, DatasetRow
-from .errors import (
-    DatasetError,
-    FitError,
-    FitRejectedError,
-    SingularFitError,
-    UnderdeterminedFitError,
-)
+from .errors import DatasetError, FitError
 from .models import (
     MODEL_KINDS,
     OBJECTIVES,
@@ -89,7 +83,7 @@ def _solve_relative_ls(
         return _solve_l1(scaled, start)
     coef, _, rank, _ = np.linalg.lstsq(scaled, np.ones(n), rcond=None)
     if rank < k:
-        raise SingularFitError(f"design matrix has rank {rank} < {k}")
+        raise FitError(f"design matrix has rank {rank} < {k}")
     return _solve_l1(scaled, coef) if objective == "abs_rel" else coef
 
 
@@ -99,7 +93,7 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
     An L1 optimum interpolates ``k`` linearly independent rows (Barrodale
     & Roberts, SIAM J. Numer. Anal. 10(5), 1973).  The first vertex goes
     through the ``k`` rows of smallest ``|residual|`` under ``start`` that
-    have full rank (fewer raise :class:`SingularFitError`), so a ``start``
+    have full rank (fewer raise :class:`FitError`), so a ``start``
     near the optimum needs few pivots.  Every row outside the basis ``B``
     has a side ``s_i``: the sign of its residual, or for a row resting at
     zero residual the side it was last moved to (0 if none).  The dual
@@ -127,7 +121,7 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
                 if len(basis) == k:
                     break
     if len(basis) < k:
-        raise SingularFitError(f"design matrix has rank {len(basis)} < {k}")
+        raise FitError(f"design matrix has rank {len(basis)} < {k}")
     abs_scaled = np.abs(scaled)
     sides = np.zeros(n)
     cap = _PIVOTS_PER_ROW * n
@@ -248,16 +242,16 @@ def _fit_cell(
     qp = covariate_kind is None
     try:
         if qp and len(x) < 5:
-            raise UnderdeterminedFitError(f"{len(x)} rows; need at least 5")
+            raise FitError(f"{len(x)} rows; need at least 5")
         if not qp and len(x) > 0 and np.all(x == x[0]):
-            raise SingularFitError(f"all {covariate_kind} values equal ({x[0]})")
+            raise FitError(f"all {covariate_kind} values equal ({x[0]})")
         if not qp and len(x) < 3:
-            raise UnderdeterminedFitError(f"{len(x)} rows; need at least 3 to fit the affine model")
+            raise FitError(f"{len(x)} rows; need at least 3 to fit the affine model")
         coef = _solve_relative_ls(_design(model_kind, x), energy, objective, start)
         if not qp:
             slope, offset = coef.tolist()
             if slope <= 0:
-                raise FitRejectedError(f"fitted slope {slope:.6g} W is not positive")
+                raise FitError(f"fitted slope {slope:.6g} W is not positive")
             return LinearParams(p=slope, e0=offset, covariate_kind=covariate_kind), coef
         kappa, lam, mu, t0 = coef.tolist()
         qp_range = (float(x.min()), float(x.max()))
@@ -266,13 +260,11 @@ def _fit_cell(
         grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
         grid_pred = qp_time_law(params, grid)
         if np.any(grid_pred <= 0):
-            raise FitRejectedError(f"fitted model predicts non-positive energy near qp "
-                                   f"{grid[np.argmin(grid_pred)]:.2f}")
+            raise FitError(f"fitted model predicts non-positive energy near qp "
+                           f"{grid[np.argmin(grid_pred)]:.2f}")
         return params, coef
     except FitError as exc:
-        # a rank-deficient cubic design has too few distinct QPs
-        kind = UnderdeterminedFitError if qp and type(exc) is SingularFitError else type(exc)
-        raise kind(f"{context}: {exc}") from exc
+        raise FitError(f"{context}: {exc}") from exc
 
 
 def _errors(

@@ -29,12 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .energy import CounterSpan, PowerTrace, Recording, _first_invalid_row
-from .errors import (
-    AcquisitionError,
-    CorruptCounterError,
-    MalformedTraceError,
-    TraceWindowError,
-)
+from .errors import AcquisitionError
 from .models import parse_json, read_json
 
 if TYPE_CHECKING:
@@ -136,12 +131,12 @@ def _parse_trace_lines(path: Path, data: bytes) -> PowerTrace:
     try:
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        raise MalformedTraceError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise AcquisitionError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline
     if not lines or lines[0].strip() != TRACE_HEADER:
-        raise MalformedTraceError(
+        raise AcquisitionError(
             f"{path}: expected header {TRACE_HEADER!r}, got {lines[0]!r}" if lines
             else f"{path}: empty file"
         )
@@ -165,7 +160,7 @@ def _trace_from_rows(path: Path, samples: np.ndarray, unparsed: Optional[str] = 
     if unparsed is None and len(samples) >= 2:
         try:
             return PowerTrace(samples, source_label=str(path))
-        except MalformedTraceError:
+        except AcquisitionError:
             pass  # a row breaks an invariant: worded below, by its line
     i = _first_invalid_row(samples)  # reported first: it precedes any unparseable line
     if i >= 0:
@@ -176,10 +171,10 @@ def _trace_from_rows(path: Path, samples: np.ndarray, unparsed: Optional[str] = 
             why = f"timestamp {t} not greater than previous {float(samples[i - 1, 0])}"
         else:
             why = f"values must be finite and >= 0, got {t}, {p}"
-        raise MalformedTraceError(f"{path}, line {i + 2}: {why}")
+        raise AcquisitionError(f"{path}, line {i + 2}: {why}")
     if unparsed is not None:
-        raise MalformedTraceError(f"{path}, {unparsed}")
-    raise MalformedTraceError(f"{path}: fewer than 2 samples")
+        raise AcquisitionError(f"{path}, {unparsed}")
+    raise AcquisitionError(f"{path}: fewer than 2 samples")
 
 
 # Follows the error of a counter read that the file's permissions refused.
@@ -232,7 +227,7 @@ def counter_delta_uj(prev: int, current: int, modulus: int) -> int:
     if delta < 0:
         delta += modulus
         if not 0 <= delta < _WRAP_FRACTION * modulus:
-            raise CorruptCounterError(
+            raise AcquisitionError(
                 f"counter fell from {prev} to {current}; implied wrap energy {delta} uJ "
                 f"is outside [0, {_WRAP_FRACTION:.0%} of modulus {modulus})"
             )
@@ -468,7 +463,11 @@ class SyntheticMeter(Meter):
 
 
 class CsvReplayMeter(Meter):
-    """Replays a fixed trace file; useful for dry runs and diagnostics."""
+    """Replays a fixed trace file; useful for dry runs and diagnostics.
+
+    The replayed trace is no idle baseline (it would net every energy to
+    0 J), so a campaign on this meter needs a shared idle trace.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -478,12 +477,8 @@ class CsvReplayMeter(Meter):
         return self._trace, activity()
 
     def capture_idle(self, duration: float) -> PowerTrace:
-        if self._trace.duration < duration:
-            raise TraceWindowError(
-                f"replay trace {self.path} spans {self._trace.duration:.6g} s, "
-                f"shorter than the requested {duration:.6g} s idle window"
-            )
-        return self._trace
+        raise AcquisitionError(f"replay trace {self.path} is no idle baseline; "
+                               f"a shared idle trace is needed")
 
 
 # The JSON type of each recipe key, and the key each alias spells.

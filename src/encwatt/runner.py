@@ -244,7 +244,9 @@ def run_campaign(
     whose probe has no row is recorded as failed without being encoded.
     :class:`DatasetWriter` decides what an existing file may hold, and
     refuses it before any encode.  Per-job failures are recorded on the
-    returned dataset; only meter failures abort the campaign.
+    returned dataset.  A meter failure, an :class:`AcquisitionError` in
+    any repetition (an unreadable or corrupt counter, a malformed trace,
+    or a trace shorter than the encode), aborts the campaign at once.
     """
     if not jobs:
         raise ValueError("job list is empty")

@@ -19,6 +19,7 @@ import pytest
 import encwatt
 from encwatt.cli import build_parser, main
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
+from encwatt.errors import AcquisitionError, DatasetError, FitError, ManifestError
 from encwatt.models import read_params_file
 from encwatt.synth import GROUND_TRUTH
 
@@ -381,6 +382,23 @@ def test_file_that_cannot_be_read_or_written_exits_two(capsys, tmp_path, argv):
     assert line.startswith("error: ") and str(missing) in line
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (ManifestError("bad manifest"), 2, "error"),
+    (DatasetError("bad row"), 2, "error"),
+    (FitError("bad fit"), 2, "error"),
+    (ValueError("bad value"), 2, "error"),
+    (OSError("bad file"), 2, "error"),
+    (AcquisitionError("bad meter"), 3, "meter error"),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code, prefix):
+    # the exit-code table of the README: 2 refuses the input, 3 is the meter's
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr("encwatt.cli.cmd_report", fail)
+    assert run_cli(capsys, "report", "unused.json") == (code, "", f"{prefix}: {error}\n")
+
+
 # ── synth + fit + crossval + report ───────────────────────────────────────
 
 def test_synth_writes_expected_grid(capsys, tmp_path):
@@ -728,6 +746,39 @@ def test_measure_unreadable_counter_exits_three(capsys, tmp_path, input_file):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 3
+
+
+def test_measure_aborts_when_the_replay_is_shorter_than_an_encode(capsys, tmp_path, input_file,
+                                                                   stub_encoder):
+    # a 0.1 s trace cannot cover a 0.3 s encode: a meter failure, which
+    # stops the campaign after its first encode
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,p_w\n0.0,50.0\n0.1,50.0\n")
+    idle = tmp_path / "idle.csv"
+    idle.write_text("t_s,p_w\n0.0,20.0\n10.0,20.0\n")
+    manifest = tmp_path / "jobs.jsonl"
+    manifest.write_text(json.dumps({
+        "sequence_id": "s0", "input": str(input_file), "frames": 100,
+        "presets": ["ultrafast", "medium"], "crfs": [23, 28],
+        "extra_args": ["--base-sleep", "0.3"],
+    }) + "\n")
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    code, stdout, err = run_cli(
+        capsys, "measure", str(manifest),
+        "--meter", f"csv:{trace}",
+        "--encoder-cmd", encoder,
+        "--out", str(tmp_path / "dataset.csv"),
+        "--idle-trace", str(idle),
+    )
+    assert code == 3
+    (line,) = err.splitlines()
+    assert re.fullmatch(rf"meter error: window \[0\.0, \S+\] outside trace span "
+                        rf"\[0\.0, 0\.1\] of '{re.escape(str(trace))}'", line)
+    assert calls.read_text().splitlines() == ["ultrafast 23"]
 
 
 def test_measure_with_shared_idle_trace(capsys, tmp_path, input_file, stub_encoder):

@@ -21,12 +21,7 @@ from encwatt.energy import (
     net_energy,
     t_critical,
 )
-from encwatt.errors import (
-    InvalidMeasurementError,
-    MalformedTraceError,
-    MeasurementRunError,
-    TraceWindowError,
-)
+from encwatt.errors import AcquisitionError, InvalidMeasurementError, MeasurementRunError
 
 
 def const_trace(p, t0=0.0, t1=10.0, n=11, label="const"):
@@ -42,27 +37,27 @@ def ramp_trace(t0=0.0, t1=10.0, n=11, label="ramp"):
 # ── trace construction ────────────────────────────────────────────────────
 
 def test_trace_requires_two_samples():
-    with pytest.raises(MalformedTraceError, match="at least 2"):
+    with pytest.raises(AcquisitionError, match="at least 2"):
         PowerTrace.from_arrays([0.0], [1.0])
 
 
 def test_trace_timestamps_strictly_increasing():
-    with pytest.raises(MalformedTraceError, match="strictly increasing"):
+    with pytest.raises(AcquisitionError, match="strictly increasing"):
         PowerTrace.from_arrays([0.0, 0.0], [1.0, 2.0])
 
 
 def test_sample_rejects_negative_values():
-    with pytest.raises(MalformedTraceError):
+    with pytest.raises(AcquisitionError, match="sample 0"):
         PowerTrace.from_arrays([-1.0, 1.0], [5.0, 5.0])
-    with pytest.raises(MalformedTraceError):
+    with pytest.raises(AcquisitionError, match="sample 1"):
         PowerTrace.from_arrays([0.0, 1.0], [5.0, -5.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_trace_rejects_non_finite_values(bad):
-    with pytest.raises(MalformedTraceError, match="sample 1"):
+    with pytest.raises(AcquisitionError, match="sample 1"):
         PowerTrace.from_arrays([0.0, bad], [1.0, 1.0])
-    with pytest.raises(MalformedTraceError, match="sample 1"):
+    with pytest.raises(AcquisitionError, match="sample 1"):
         PowerTrace.from_arrays([0.0, 1.0], [1.0, bad])
 
 
@@ -160,11 +155,11 @@ def test_integrate_subwindow_of_constant():
 
 def test_integrate_window_outside_span():
     trace = const_trace(50.0, 1.0, 9.0)
-    with pytest.raises(TraceWindowError):
+    with pytest.raises(AcquisitionError, match="outside trace span"):
         integrate_energy(trace, 0.5, 5.0)
-    with pytest.raises(TraceWindowError):
+    with pytest.raises(AcquisitionError, match="outside trace span"):
         integrate_energy(trace, 2.0, 9.5)
-    with pytest.raises(TraceWindowError):
+    with pytest.raises(AcquisitionError, match="outside trace span"):
         integrate_energy(trace, 5.0, 5.0)
 
 
@@ -267,8 +262,10 @@ def test_net_energy_window_uses_each_traces_own_start():
 def test_net_energy_insufficient_span():
     total = const_trace(50.0, 0.0, 5.0)
     idle = const_trace(20.0)
-    with pytest.raises(TraceWindowError):
+    with pytest.raises(AcquisitionError, match="outside trace span"):
         net_energy(total, idle, 8.0)
+    with pytest.raises(ValueError, match="duration must be > 0, got 0.0"):
+        net_energy(total, idle, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -298,7 +295,7 @@ def test_net_energy_takes_idle_over_a_counter_span():
 
 
 def test_net_energy_idle_trace_must_cover_the_counter_span():
-    with pytest.raises(TraceWindowError, match="outside trace span"):
+    with pytest.raises(AcquisitionError, match="outside trace span"):
         net_energy(CounterSpan(joules=60.0, seconds=1.2), const_trace(20.0, t1=1.1), 1.0)
 
 

@@ -710,6 +710,22 @@ def _logged_encodes(monkeypatch, failing):
     return calls
 
 
+def test_campaign_aborts_when_the_idle_trace_is_shorter_than_an_encode(
+        input_file, tmp_path, monkeypatch):
+    # a trace that cannot cover an encode is a meter failure: the campaign
+    # stops at its first repetition, not after one encode per probe
+    calls = _logged_encodes(monkeypatch, failing=())
+    meter, _ = _replay(tmp_path)
+    short_idle = PowerTrace.from_arrays([0.0, 0.5], [20.0, 20.0])
+    jobs = [make_job(input_file, preset=preset, crf=crf)
+            for preset in ("ultrafast", "medium") for crf in (23.0, 28.0)]
+    out = tmp_path / "campaign.csv"
+    with pytest.raises(AcquisitionError, match=r"window \[0\.0, 1\.0\] outside trace span"):
+        run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out, idle_trace=short_idle)
+    assert calls == ["seqA:ultrafast:crf23"]
+    assert len(load_dataset_csv(out)) == 0
+
+
 PROBE_FAILED = "ultrafast probe for this bitstream failed"
 
 
