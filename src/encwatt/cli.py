@@ -29,8 +29,6 @@ from .models import (
     FitReport,
     load_default_params,
     predict_energy_linear,
-    read_params_file,
-    write_params_file,
 )
 
 EXIT_OK = 0
@@ -123,7 +121,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.defaults == (args.params is not None):
         raise ValueError("give exactly one of --defaults or --params")
-    table = load_default_params() if args.defaults else read_params_file(args.params)
+    table = load_default_params() if args.defaults else _read_report(args.params).linear_params
+    if table is None:
+        raise ValueError(f"{args.params}: report holds no per-preset linear parameters; "
+                         f"fit a uf_linear or time_linear model")
     if not (math.isfinite(args.t_uf) and args.t_uf > 0):
         raise ValueError(f"--t-uf must be finite and > 0, got {args.t_uf}")
     if args.preset is not None:
@@ -180,12 +181,9 @@ def _print_report(report: FitReport) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    """``fit`` and ``crossval``: evaluate one model, write its report and parameters."""
+    """``fit`` and ``crossval``: evaluate one model and write its report."""
     from .fitting import fit_report
 
-    if args.params_out and args.model == "qp_cubic":
-        raise ValueError("--params-out writes the per-preset parameters of a linear model; "
-                         "qp_cubic has none")
     dataset = load_dataset_csv(args.dataset)
     if args.subcommand == "crossval":
         report = cross_validate(
@@ -197,24 +195,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
         report = fit_report(dataset, args.model, objective=args.objective, tool_version=_TOOL)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
-    if args.params_out:
-        write_params_file(
-            report.linear_params,
-            args.params_out,
-            metadata={"tool": _TOOL, "seed": report.seed, "objective": report.objective},
-        )
     _print_report(report)
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _read_report(path: str) -> FitReport:
     try:
-        report = FitReport.from_json(Path(args.report).read_text(encoding="utf-8"))
+        return FitReport.from_json(Path(path).read_text(encoding="utf-8"))
     except KeyError as exc:
-        raise ValueError(f"cannot read report {args.report}: missing key {exc}") from exc
+        raise ValueError(f"cannot read report {path}: missing key {exc}") from exc
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read report {args.report}: {exc}") from exc
-    _print_report(report)
+        raise ValueError(f"cannot read report {path}: {exc}") from exc
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    _print_report(_read_report(args.report))
     return EXIT_OK
 
 
@@ -256,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate energy from an ultrafast probe time")
     p.add_argument("--defaults", action="store_true", help="use the bundled parameter table")
-    p.add_argument("--params", default=None, help="parameter file from a fit")
+    p.add_argument("--params", default=None,
+                   help="report JSON written by fit/crossval --out for a linear model")
     p.add_argument("--preset", default=None, choices=PRESETS)
     p.add_argument("--t-uf", type=float, required=True, dest="t_uf",
                    help="ultrafast probe encoding time in seconds")
@@ -268,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, choices=MODEL_KINDS)
         p.add_argument("--objective", choices=OBJECTIVES, default="squared_rel")
         p.add_argument("--out", default=None, help="write the report as JSON")
-        p.add_argument("--params-out", default=None,
-                       help="write fitted per-preset parameters (linear models)")
         if name == "crossval":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--k", type=int, default=10, help="number of folds")

@@ -8,14 +8,16 @@ Three model families are supported:
   which allows estimating the energy of any preset without running it.
 
 A table of published slope/offset parameters for the ultrafast-time model
-ships with the package (all presets except ultrafast itself, in watts and
-joules).  A :class:`FitReport` carries one fit or cross-validation's
-parameters and error table, and reads and writes its JSON form.
+ships with the package as JSON (all presets except ultrafast itself, in
+watts and joules).  A :class:`FitReport` carries one fit or
+cross-validation's parameters and error table, and reads and writes its
+JSON form; its ``linear_params`` are what ``estimate --params`` reads.
 
-Every JSON input (a report, a campaign manifest line, a recipe) is parsed
-by :func:`parse_json`, which keeps each object's keys as given, and read
-by :func:`read_json`, which checks a value against a type and builds it
-in one walk, refusing a key the type does not have or a value given twice.
+Every JSON input (a report, the bundled table, a campaign manifest line, a
+recipe) is parsed by :func:`parse_json`, which keeps each object's keys as
+given, and read by :func:`read_json`, which checks a value against a type
+and builds it in one walk, refusing a key the type does not have or a
+value given twice.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib.resources import files
-from pathlib import Path
-from typing import Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "PRESETS",
@@ -38,8 +39,6 @@ __all__ = [
     "affine_energy_law",
     "predict_energy_linear",
     "load_default_params",
-    "read_params_file",
-    "write_params_file",
     "DEFAULT_PARAMS_RESOURCE",
     "FitReport",
 ]
@@ -65,9 +64,7 @@ COVARIATE_KINDS: tuple[str, ...] = ("own_time", "ultrafast_time")
 MODEL_KINDS: tuple[str, ...] = ("qp_cubic", "time_linear", "uf_linear")
 OBJECTIVES: tuple[str, ...] = ("squared_rel", "abs_rel")
 
-DEFAULT_PARAMS_RESOURCE = "data/default_uf_params.csv"
-
-PARAMS_HEADER = "preset,covariate_kind,p_w,e0_j"
+DEFAULT_PARAMS_RESOURCE = "data/default_uf_params.json"
 
 
 @dataclass(frozen=True)
@@ -131,63 +128,14 @@ def predict_energy_linear(params: LinearParams, t: float) -> float:
     return affine_energy_law(params, t)
 
 
-def write_params_file(
-    params: Mapping[str, LinearParams],
-    path: str | Path,
-    metadata: Optional[Mapping[str, object]] = None,
-) -> None:
-    """Write per-preset affine parameters as CSV with ``#`` metadata lines, in preset order."""
-    unknown = sorted(set(params) - set(PRESETS))
-    if unknown:
-        raise ValueError(f"cannot write parameters for unknown presets {unknown}")
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        fh.write(PARAMS_HEADER + "\n")
-        for preset in (p for p in PRESETS if p in params):
-            lp = params[preset]
-            fh.write(f"{preset},{lp.covariate_kind},{lp.p!r},{lp.e0!r}\n")
-
-
-def _parse_params_text(text: str, origin: str) -> dict[str, LinearParams]:
-    lines = [ln for ln in text.split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or lines[0].strip() != PARAMS_HEADER:
-        raise ValueError(f"{origin}: expected header {PARAMS_HEADER!r}")
-    table: dict[str, LinearParams] = {}
-    for line in lines[1:]:
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise ValueError(f"{origin}: expected 4 columns, got {line!r}")
-        preset, kind, p_w, e0_j = fields
-        if preset not in PRESETS:
-            raise ValueError(f"{origin}: unknown preset {preset!r}")
-        if preset in table:
-            raise ValueError(f"{origin}: duplicate preset {preset!r}")
-        try:
-            table[preset] = LinearParams(p=float(p_w), e0=float(e0_j), covariate_kind=kind)
-        except ValueError as exc:
-            raise ValueError(f"{origin}: preset {preset!r}: {exc}") from exc
-    return table
-
-
-def read_params_file(path: str | Path) -> dict[str, LinearParams]:
-    """Read a per-preset affine parameter file written by :func:`write_params_file`."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read params file {path}: {exc}") from exc
-    return _parse_params_text(text, str(path))
-
-
 def load_default_params() -> dict[str, LinearParams]:
-    """Bundled published ultrafast-time parameters, keyed by preset.
+    """Bundled ultrafast-time parameters from a published least-squares fit, keyed by preset.
 
     Covers the eight presets from superfast through veryslow; ultrafast
     has no entry because its own time is the model input.
     """
     text = files("encwatt").joinpath(DEFAULT_PARAMS_RESOURCE).read_text(encoding="utf-8")
-    table = _parse_params_text(text, DEFAULT_PARAMS_RESOURCE)
+    table = read_json(parse_json(text), dict[str, LinearParams], what=DEFAULT_PARAMS_RESOURCE)
     expected = set(PRESETS) - {"ultrafast"}
     if set(table) != expected:
         raise ValueError(

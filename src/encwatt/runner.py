@@ -24,6 +24,7 @@ import statistics
 import subprocess
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -364,8 +365,7 @@ def load_manifest(path: str | Path) -> list[EncodeJob]:
             raise ManifestError(f"{path}, line {lineno}: {exc}") from exc
     if not jobs:
         raise ManifestError(f"{path}: manifest defines no jobs")
-    keys = [j.key() for j in jobs]
-    if len(set(keys)) != len(keys):
-        dupes = {k for k in keys if keys.count(k) > 1}
-        raise ManifestError(f"{path}: duplicate jobs {sorted(dupes)}")
+    dupes = sorted(key for key, n in Counter(j.key() for j in jobs).items() if n > 1)
+    if dupes:
+        raise ManifestError(f"{path}: duplicate jobs {dupes}")
     return jobs

@@ -11,6 +11,7 @@ exactly, which the fit tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,8 +67,9 @@ class SynthDatasetRecipe:
             raise ValueError("n_sequences must be >= 1")
         if not self.crfs:
             raise ValueError("need at least one CRF")
-        if self.noise < 0 or self.time_jitter < 0:
-            raise ValueError("noise and time_jitter must be >= 0")
+        for name in ("noise", "time_jitter"):  # a NaN fails every comparison
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "crfs", tuple(float(c) for c in self.crfs))
 
 

@@ -20,7 +20,7 @@ import encwatt
 from encwatt.cli import build_parser, main
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.errors import AcquisitionError, DatasetError, FitError, ManifestError
-from encwatt.models import read_params_file
+from encwatt.models import FitReport
 from encwatt.synth import GROUND_TRUTH
 
 
@@ -39,9 +39,8 @@ CLI_OPTIONS = {
     "measure": ["--alpha", "--beta", "--encoder-cmd", "--idle-trace", "--max-reps", "--meter",
                 "--min-reps", "--out", "--resume"],
     "estimate": ["--defaults", "--params", "--preset", "--t-uf"],
-    "fit": ["--model", "--objective", "--out", "--params-out"],
-    "crossval": ["--joint-folds", "--k", "--model", "--objective", "--out", "--params-out",
-                 "--seed"],
+    "fit": ["--model", "--objective", "--out"],
+    "crossval": ["--joint-folds", "--k", "--model", "--objective", "--out", "--seed"],
     "report": [],
     "synth": ["--noise", "--out", "--recipe", "--seed", "--time-jitter"],
 }
@@ -71,18 +70,6 @@ def test_removed_settings_are_usage_errors(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["fit", "crossval"])
-def test_params_out_with_qp_cubic_exits_two_before_loading_the_dataset(capsys, tmp_path,
-                                                                      command):
-    # qp_cubic has no per-preset linear parameters to write
-    params = tmp_path / "p.csv"
-    code, _, err = run_cli(capsys, command, str(tmp_path / "missing.csv"),
-                           "--model", "qp_cubic", "--params-out", str(params))
-    assert code == 2
-    assert "--params-out" in err and "missing.csv" not in err
-    assert not params.exists()
 
 
 # ── import ────────────────────────────────────────────────────────────────
@@ -161,13 +148,12 @@ def test_cli_import_does_not_load_scipy(tmp_path, input_file, stub_encoder):
 
 def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
     # the probe-time estimate is the paper's product: it must not wait for numpy
-    data, params = str(tmp_path / "d.csv"), str(tmp_path / "p.csv")
+    data = str(tmp_path / "d.csv")
     run_cli(capsys, "synth", "--out", data, "--seed", "1")
     reports = []
-    for model, params_out in (("uf_linear", ["--params-out", params]), ("qp_cubic", [])):
+    for model in ("uf_linear", "qp_cubic"):
         reports.append(str(tmp_path / f"{model}.json"))
-        code, _, err = run_cli(capsys, "fit", data, "--model", model, "--out", reports[-1],
-                               *params_out)
+        code, _, err = run_cli(capsys, "fit", data, "--model", model, "--out", reports[-1])
         assert code == 0, err
     commands = [
         ["--version"],
@@ -176,7 +162,7 @@ def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
                                         "synth")),
         ["estimate", "--defaults", "--t-uf", "2.0"],
         ["estimate", "--defaults", "--t-uf", "2.0", "--preset", "medium"],
-        ["estimate", "--params", params, "--t-uf", "2.0"],
+        ["estimate", "--params", reports[0], "--t-uf", "2.0"],
         *(["report", report] for report in reports),
     ]
     codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
@@ -315,11 +301,19 @@ def test_estimate_rejects_non_finite_probe_time_before_any_output(capsys, t_uf, 
     assert "--t-uf" in err
 
 
-def test_estimate_own_time_params_warn(capsys, tmp_path):
-    from encwatt.models import LinearParams, write_params_file
+def write_params_report(path, linear_params):
+    """Write a fit report whose ``linear_params`` is the JSON object given."""
+    path.write_text(json.dumps({
+        "model_kind": "time_linear", "validation": "in_sample", "k": 0, "seed": 0,
+        "objective": "squared_rel", "per_preset_error": dict.fromkeys(linear_params, 0.1),
+        "overall_error": 0.1, "linear_params": linear_params,
+    }))  # json writes a non-finite float as the bare token NaN or Infinity
 
-    path = tmp_path / "own.csv"
-    write_params_file({"medium": LinearParams(p=100.0, e0=2.0, covariate_kind="own_time")}, path)
+
+def test_estimate_own_time_params_warn(capsys, tmp_path):
+    path = tmp_path / "own.json"
+    write_params_report(path, {"medium": {"covariate_kind": "own_time", "p_w": 100.0,
+                                          "e0_j": 2.0}})
     code, out, err = run_cli(capsys, "estimate", "--params", str(path),
                              "--preset", "medium", "--t-uf", "2.0")
     assert code == 0
@@ -329,8 +323,9 @@ def test_estimate_own_time_params_warn(capsys, tmp_path):
 
 @pytest.mark.parametrize("preset", [(), ("--preset", "medium")])
 def test_estimate_rejects_non_finite_params_before_any_output(capsys, tmp_path, preset):
-    path = tmp_path / "p.csv"
-    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,nan,inf\n")
+    path = tmp_path / "p.json"
+    write_params_report(path, {"medium": {"covariate_kind": "ultrafast_time",
+                                          "p_w": float("nan"), "e0_j": float("inf")}})
     code, out, err = run_cli(capsys, "estimate", "--params", str(path), *preset,
                              "--t-uf", "2")
     assert code == 2
@@ -338,40 +333,94 @@ def test_estimate_rejects_non_finite_params_before_any_output(capsys, tmp_path, 
     assert str(path) in err and "finite" in err
 
 
-@pytest.mark.parametrize(("text", "shown"), [
-    ("preset,p_w,e0_j\nmedium,100,2\n", "expected header 'preset,covariate_kind,p_w,e0_j'"),
-    ("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,100\n",
-     "expected 4 columns, got 'medium,ultrafast_time,100'"),
-    ("preset,covariate_kind,p_w,e0_j\nmedium,wall_clock,100,2\n",
-     "preset 'medium': covariate_kind must be one of"),
-], ids=["header", "columns", "covariate_kind"])
-def test_estimate_malformed_params_file_exits_two_naming_it(capsys, tmp_path, text, shown):
-    path = tmp_path / "p.csv"
-    path.write_text(text)
+@pytest.mark.parametrize(("linear_params", "shown"), [
+    # a parameter CSV, which earlier versions read, is no report
+    ("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,100,2\n",
+     "Expecting value: line 1 column 1 (char 0)"),
+    ({"medium": {"covariate_kind": "wall_clock", "p_w": 100, "e0_j": 2}},
+     "covariate_kind must be one of"),
+], ids=["parameter_csv", "covariate_kind"])
+def test_estimate_malformed_params_file_exits_two_naming_it(capsys, tmp_path, linear_params,
+                                                             shown):
+    path = tmp_path / "p.json"
+    if isinstance(linear_params, str):
+        path.write_text(linear_params)
+    else:
+        write_params_report(path, linear_params)
     code, out, err = run_cli(capsys, "estimate", "--params", str(path), "--t-uf", "2")
     assert code == 2 and out == ""
     (line,) = err.splitlines()
-    assert line.startswith(f"error: {path}: {shown}")
+    assert line.startswith(f"error: cannot read report {path}: {shown}")
+
+
+def test_estimate_from_a_qp_cubic_report_exits_two_naming_it(capsys, tmp_path):
+    # a qp_cubic report holds no per-preset linear parameters to estimate with
+    data, report = tmp_path / "d.csv", tmp_path / "qp.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", "qp_cubic", "--out", str(report))
+    code, out, err = run_cli(capsys, "estimate", "--params", str(report), "--t-uf", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {report}: report holds no per-preset linear parameters; "
+                   f"fit a uf_linear or time_linear model\n")
 
 
 def test_estimate_preset_missing_from_params_file_exits_two(capsys, tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,100,2\n")
+    path = tmp_path / "p.json"
+    write_params_report(path, {"medium": {"covariate_kind": "ultrafast_time", "p_w": 100,
+                                          "e0_j": 2}})
     code, out, err = run_cli(capsys, "estimate", "--params", str(path), "--preset", "slow",
                              "--t-uf", "2")
     assert code == 2 and out == ""
     assert err == f"error: {path}: no parameters for preset 'slow'\n"
 
 
+# The sha256 of `estimate --t-uf 2.0`'s stdout followed by its stderr: with
+# the bundled table, and with the `fit --out` and `crossval --out` reports of
+# a linear model on `synth --seed 1` (stderr holds time_linear's own_time
+# warning).  The values were taken when the table and `--params` were read
+# from a parameter CSV, so the reports must give the same bytes.
+@pytest.mark.parametrize(("source", "preset", "sha256"), [
+    ("defaults", None, "80ca9db17e7ff270435f9972cf52dd383aa698cd0a6ff05135eff7fa857da38d"),
+    ("defaults", "superfast", "7f5875bd7d0093ab6d141c3db7b22a4884306df3d9d3f04f0502386e7d29dd60"),
+    ("defaults", "veryfast", "f90cfc6118bf16ea89e6bebd5eeee42761b498451ef72086ef45c008ead12668"),
+    ("defaults", "faster", "66a9e99bf8b32ac1e1526df5ebc8ca75ebc7f1d621312f51a2d03dad55288929"),
+    ("defaults", "fast", "f11b72b736ccb099586fc8a96f2adb2eeb148e144c5eb2c45a390c8c0be85014"),
+    ("defaults", "medium", "68dea1a71a156834d48665924ba91db1f248e47f80bac562b926e20874b30a3c"),
+    ("defaults", "slow", "f2d97a3a3e2d30898e674a20f11b43b87e772fe627009547dac3c4fb2e19890a"),
+    ("defaults", "slower", "7687965f4c2c1c1768b3b06e5bb25d008781347ce6a76f9c6b18ea55a571597b"),
+    ("defaults", "veryslow", "3910c3dd86cfde4a39a434b51647326bd4554ebcf90a4fed40c32eebdbd27220"),
+    ("uf_linear", None, "67fc0b7f04872f3a4c1c5300751cb32c8dedc42e54b5238f40c8a3d24654cb55"),
+    ("uf_linear", "medium", "732fae9f6c4050e55317b936ae04648a248e5c901d0d612099b17266890c00d6"),
+    ("time_linear", None, "733ba7f5de394f1b56f195a1cd0624bb66060c0996f2ee3bfddffa58b4308ea3"),
+    ("time_linear", "medium", "51eabe6eec5e5374225c04efc45a5770b9a812ef08a21eb09881064f821eaf80"),
+    ("time_linear", "ultrafast",
+     "e06626eb73971d53ddecd43fc02692c6286f32eb57e9b538e9976a285a917e81"),
+])
+def test_estimate_output_bytes_are_pinned(capsys, tmp_path, source, preset, sha256):
+    data = tmp_path / "d.csv"
+    sources = [["--defaults"]]
+    if source != "defaults":
+        run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+        sources = []
+        for command in ("fit", "crossval"):
+            report = tmp_path / f"{command}.json"
+            run_cli(capsys, command, str(data), "--model", source, "--out", str(report))
+            sources.append(["--params", str(report)])
+    chosen = ["--preset", preset] if preset else []
+    for given in sources:
+        code, out, err = run_cli(capsys, "estimate", *given, *chosen, "--t-uf", "2.0")
+        assert code == 0
+        assert hashlib.sha256((out + err).encode()).hexdigest() == sha256
+
+
 # ── files that cannot be read or written ──────────────────────────────────
 
 @pytest.mark.parametrize("argv", [
-    ["estimate", "--params", "{missing}/p.csv", "--t-uf", "2"],
+    ["estimate", "--params", "{missing}/r.json", "--t-uf", "2"],
     ["fit", "{data}", "--model", "uf_linear", "--out", "{missing}/r.json"],
     ["crossval", "{data}", "--model", "uf_linear", "--out", "{missing}/r.json"],
-    ["fit", "{data}", "--model", "uf_linear", "--params-out", "{missing}/p.csv"],
     ["synth", "--out", "{missing}/d.csv"],
-], ids=["estimate-params", "fit-out", "crossval-out", "fit-params-out", "synth-out"])
+], ids=["estimate-params", "fit-out", "crossval-out", "synth-out"])
 def test_file_that_cannot_be_read_or_written_exits_two(capsys, tmp_path, argv):
     data, missing = tmp_path / "d.csv", tmp_path / "no_such_dir"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
@@ -415,11 +464,11 @@ def test_synth_zero_noise_then_fit_recovers_constants(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "synth", "--out", str(out),
                          "--noise", "0", "--time-jitter", "0", "--seed", "0")
     assert code == 0
-    params_out = tmp_path / "params.csv"
+    report = tmp_path / "report.json"
     code, stdout, _ = run_cli(capsys, "fit", str(out), "--model", "time_linear",
-                              "--params-out", str(params_out))
+                              "--out", str(report))
     assert code == 0
-    fitted = read_params_file(params_out)
+    fitted = FitReport.from_json(report.read_text()).linear_params
     for preset, law in GROUND_TRUTH.items():
         assert fitted[preset].p == pytest.approx(law.power_w, rel=1e-9)
         assert fitted[preset].e0 == pytest.approx(law.offset_j, rel=1e-9)
@@ -1070,9 +1119,9 @@ def test_input_that_is_not_utf8_is_named(capsys, tmp_path, input_file, reader, c
     manifest, trace = tmp_path / "jobs.jsonl", tmp_path / "trace.csv"
     write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
     trace.write_text("t_s,p_w\n0.0,20.0\n10.0,20.0\n")
-    data, params = tmp_path / "d.csv", tmp_path / "p.csv"
+    data, params = tmp_path / "d.csv", tmp_path / "r.json"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
-    run_cli(capsys, "fit", str(data), "--model", "uf_linear", "--params-out", str(params))
+    run_cli(capsys, "fit", str(data), "--model", "uf_linear", "--out", str(params))
     good = {"trace": trace, "manifest": manifest, "dataset": data, "params": params}[reader]
     bad = tmp_path / f"bad-{reader}"
     bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff", 1))

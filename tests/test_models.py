@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -15,8 +16,6 @@ from encwatt.models import (
     load_default_params,
     predict_energy_linear,
     qp_time_law,
-    read_params_file,
-    write_params_file,
 )
 from encwatt.runner import load_manifest
 from encwatt.synth import load_dataset_recipe
@@ -118,6 +117,20 @@ def test_default_table_has_exactly_eight_presets():
     assert all(lp.covariate_kind == "ultrafast_time" for lp in table.values())
 
 
+def test_every_bundled_data_file_is_packaged():
+    # an editable install reads src/ directly, so a package-data glob that
+    # misses a file would ship a wheel without it and no other test would fail
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    with (root / "pyproject.toml").open("rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["encwatt"]
+    package = root / "src" / "encwatt"
+    data = [PurePosixPath(path.relative_to(package).as_posix())
+            for path in (package / "data").rglob("*") if path.is_file()]
+    assert data
+    assert [path for path in data if not any(path.match(glob) for glob in globs)] == []
+
+
 def test_default_table_spot_values():
     table = load_default_params()
     assert table["slow"].p == 1137.65 and table["slow"].e0 == -70.20
@@ -150,52 +163,6 @@ def test_default_table_slope_ratios():
     table = load_default_params()
     assert table["fast"].p / table["superfast"].p == pytest.approx(2.36, abs=0.005)
     assert table["veryslow"].p / table["superfast"].p == pytest.approx(42.2, abs=0.05)
-
-
-# ── parameter files ───────────────────────────────────────────────────────
-
-def test_params_file_round_trip(tmp_path):
-    params = {
-        "superfast": LinearParams(p=160.36, e0=-9.73),
-        "medium": LinearParams(p=358.21, e0=-25.51),
-    }
-    path = tmp_path / "params.csv"
-    write_params_file(params, path, metadata={"seed": 0})
-    loaded = read_params_file(path)
-    assert loaded == params
-    assert path.read_text().startswith("# seed: 0\n")
-
-
-def test_params_file_rejects_unknown_preset(tmp_path):
-    path = tmp_path / "params.csv"
-    path.write_text("preset,covariate_kind,p_w,e0_j\nwarp9,ultrafast_time,1.0,0.0\n")
-    with pytest.raises(ValueError, match="warp9"):
-        read_params_file(path)
-
-
-def test_params_file_rejects_duplicate_preset(tmp_path):
-    path = tmp_path / "params.csv"
-    path.write_text(
-        "preset,covariate_kind,p_w,e0_j\n"
-        "slow,ultrafast_time,1.0,0.0\nslow,ultrafast_time,2.0,0.0\n"
-    )
-    with pytest.raises(ValueError, match="duplicate"):
-        read_params_file(path)
-
-
-def test_params_file_rejects_non_finite_values_naming_the_file(tmp_path):
-    path = tmp_path / "params.csv"
-    path.write_text("preset,covariate_kind,p_w,e0_j\nmedium,ultrafast_time,nan,inf\n")
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        read_params_file(path)
-
-
-def test_params_file_writer_refuses_what_the_reader_would(tmp_path):
-    path = tmp_path / "params.csv"
-    params = {"medium": LinearParams(p=358.21, e0=-25.51), "warp9": LinearParams(p=1.0, e0=0.0)}
-    with pytest.raises(ValueError, match="warp9"):
-        write_params_file(params, path)
-    assert not path.exists()
 
 
 # ── fit reports ───────────────────────────────────────────────────────────

@@ -298,6 +298,23 @@ def test_load_manifest_errors(tmp_path):
         load_manifest(empty)
 
 
+def test_load_manifest_names_every_duplicate_job_once_in_order(tmp_path):
+    line = '{{"sequence_id": "{}", "input": "{}.yuv", "frames": 10, "presets": {}, "crf": {}}}\n'
+    manifest = tmp_path / "dupes.jsonl"
+    manifest.write_text(
+        line.format("s2", "b", '["slow", "fast"]', 28)
+        + line.format("s1", "a", '["fast"]', 23)
+        + line.format("s2", "b", '["slow"]', 28)
+        + line.format("s1", "a", '["fast", "medium"]', 23)
+        + line.format("s2", "b", '["slow"]', 28.0)
+        + line.format("s1", "a", '["medium"]', 18)
+    )
+    with pytest.raises(ManifestError) as info:
+        load_manifest(manifest)
+    assert str(info.value) == (f"{manifest}: duplicate jobs [('s1', 'fast', 23.0), "
+                               f"('s2', 'slow', 28.0)]")
+
+
 @pytest.mark.parametrize("scalar, plural", [("preset", "presets"), ("crf", "crfs")])
 def test_load_manifest_refuses_a_scalar_and_its_list_together(tmp_path, scalar, plural):
     # one of the two forms would have to be dropped without a word

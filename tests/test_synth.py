@@ -127,3 +127,25 @@ def test_synth_command_exits_two_on_a_wrongly_typed_recipe(tmp_path, capsys):
     assert main(["synth", "--recipe", str(recipe), "--out", str(out)]) == 2
     assert "error: recipe key 'seed' must be an integer, got True" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("given", "message"), [
+    (["--noise", "nan"], "noise must be finite and >= 0, got nan"),
+    (["--time-jitter", "inf"], "time_jitter must be finite and >= 0, got inf"),
+    ({"noise": 1e999}, "noise must be finite and >= 0, got inf"),  # json reads 1e999 as inf
+    ({"time_jitter": -0.5}, "time_jitter must be finite and >= 0, got -0.5"),
+], ids=["noise-flag-nan", "jitter-flag-inf", "noise-key-inf", "jitter-key-negative"])
+def test_synth_refuses_a_non_finite_spread_naming_it(tmp_path, capsys, given, message):
+    # a NaN spread once passed the recipe's check and failed later on a row's energy
+    from encwatt.cli import main
+
+    recipe, out = tmp_path / "recipe.json", tmp_path / "d.csv"
+    argv = ["synth", "--out", str(out)]
+    if isinstance(given, dict):
+        recipe.write_text(json.dumps({"n_sequences": 2, **given}))
+        argv += ["--recipe", str(recipe)]
+    else:
+        argv += given
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
