@@ -13,7 +13,7 @@ parameters are read from it, as ``linear_params[preset]`` or
 ``qp_params[preset][class]``.  Both score a row the one way ``estimate``
 does, by the model law of :mod:`encwatt.models` (:func:`_errors`), and a
 fit that fails names its cell once, as ``preset 'medium', class 'B'``
-(and ``, fold 6`` for a training fold).  Cross-validation fits each cell
+(and ``, fold 0`` for a training fold).  Cross-validation fits each cell
 on all its rows before its folds, so a cell that cannot be fitted fails
 naming the cell, not a fold.
 """
@@ -163,13 +163,27 @@ def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
-    """Seeded partition of ``range(n)`` into ``k`` folds of near-equal size."""
+    """Seeded partition of ``range(n)`` into ``k`` folds of near-equal size.
+
+    The permutation is a Fisher–Yates shuffle driven by
+    ``random.Random(seed).random()``, a stream the Python docs keep fixed
+    for a given seed across versions.  It is cut into contiguous folds, the
+    first ``n % k`` one item larger.
+    """
+    import random  # not numpy.random, whose first import costs a process ~6 MB
+
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
         raise ValueError(f"cannot split {n} items into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
-    return tuple(tuple(int(i) for i in fold) for fold in np.array_split(perm, k))
+    draw = random.Random(seed).random
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(draw() * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    size, extra = divmod(n, k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    return tuple(tuple(perm[bounds[i]:bounds[i + 1]]) for i in range(k))
 
 
 # Per model kind: the row field it reads as its covariate, and the

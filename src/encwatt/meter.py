@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -73,10 +74,9 @@ class SyntheticRecipe:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.base_power >= 0 and self.active_power >= 0):
-            raise ValueError("base_power and active_power must be >= 0")
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be >= 0")
+        for name in ("base_power", "active_power", "noise_std"):  # a NaN fails every comparison
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
 

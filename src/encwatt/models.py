@@ -282,5 +282,11 @@ class FitReport:
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
-        """Read a report, refusing an unknown key, a wrongly typed value or a repeated key."""
-        return read_json(parse_json(text), cls)
+        """Read a report, refusing an unknown key, a wrongly typed value, a repeated key,
+        or a table key that is not a preset."""
+        report = read_json(parse_json(text), cls)
+        for field in ("linear_params", "qp_params", "per_preset_error", "per_class_error"):
+            for preset in getattr(report, field) or {}:
+                if preset not in PRESETS:
+                    raise ValueError(f"report key '{field}.{preset}' is not a preset")
+        return report

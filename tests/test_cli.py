@@ -74,9 +74,9 @@ def test_removed_settings_are_usage_errors(capsys, argv):
 
 # ── import ────────────────────────────────────────────────────────────────
 
-# Blocks every import of one package, imports the given modules, then runs
-# each command in one process and prints the exit codes and the package's
-# loaded modules.
+# Blocks every import of one package (or subpackage, such as numpy.random),
+# imports the given modules, then runs each command in one process and
+# prints the exit codes and the package's loaded modules.
 _BLOCKED_IMPORT_SCRIPT = """
 import importlib, json, sys
 from contextlib import redirect_stdout
@@ -84,9 +84,12 @@ from io import StringIO
 
 blocked = sys.argv[1]
 
+def inside(name):
+    return name == blocked or name.startswith(blocked + ".")
+
 class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == blocked:
+        if inside(name):
             raise ImportError(f"{blocked} is blocked: {name}")
 
 sys.meta_path.insert(0, Block())
@@ -102,7 +105,7 @@ for argv in json.loads(sys.argv[3]):
             codes.append(main(argv))
         except SystemExit as exc:  # argparse exits after --version and --help
             codes.append(exc.code)
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == blocked)]))
+print(json.dumps([codes, sorted(m for m in sys.modules if inside(m))]))
 """
 
 
@@ -168,6 +171,21 @@ def test_version_help_estimate_and_report_run_without_numpy(capsys, tmp_path):
     codes, numpy_modules, stderr = run_with_import_blocked("numpy", commands)
     assert codes == [0] * len(commands), stderr
     assert numpy_modules == []
+
+
+def test_fit_and_crossval_run_without_numpy_random(capsys, tmp_path):
+    # folds are drawn from the standard library: of all commands, only synth
+    # and a synth: meter draw from numpy.random
+    data = str(tmp_path / "d.csv")
+    run_cli(capsys, "synth", "--out", data, "--seed", "1")
+    commands = [
+        ["fit", data, "--model", "qp_cubic"],
+        ["crossval", data, "--model", "uf_linear"],
+        ["crossval", data, "--model", "qp_cubic", "--joint-folds"],
+    ]
+    codes, random_modules, stderr = run_with_import_blocked("numpy.random", commands)
+    assert codes == [0] * len(commands), stderr
+    assert random_modules == []
 
 
 # The modules that hold array code and import numpy when they are imported,
@@ -607,6 +625,27 @@ def test_report_with_a_wrongly_typed_value_exits_two(capsys, tmp_path, path, val
     assert err.count("error:") == 1 and f"report key {key!r}" in err
 
 
+@pytest.mark.parametrize(("model", "section"), [
+    ("uf_linear", "linear_params"), ("uf_linear", "per_preset_error"),
+    ("qp_cubic", "qp_params"), ("qp_cubic", "per_class_error"),
+])
+@pytest.mark.parametrize("command", ["estimate", "report"])
+def test_report_key_that_is_not_a_preset_exits_two_naming_it(capsys, tmp_path, command, model,
+                                                              section):
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", model, "--out", str(report))
+    payload = json.loads(report.read_text())
+    payload[section]["warp9"] = payload[section]["medium"]
+    report.write_text(json.dumps(payload))
+    argv = (["estimate", "--params", str(report), "--t-uf", "2"] if command == "estimate"
+            else ["report", str(report)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read report {report}: "
+                   f"report key '{section}.warp9' is not a preset\n")
+
+
 def test_report_missing_a_required_key_names_it(capsys, tmp_path):
     data, report = tmp_path / "d.csv", tmp_path / "report.json"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
@@ -670,18 +709,18 @@ def test_fit_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, sha25
 # and fold kind (default seed and k).  A change to the folds, the fits or
 # the report moves it.
 @pytest.mark.parametrize(("model", "objective", "joint", "sha256"), [
-    ("qp_cubic", "squared_rel", False, "0d0e0af5afbc22c1357ca79258e8df5e8ab9cea5be272345e2b0fd238548c69c"),
-    ("qp_cubic", "squared_rel", True, "5c22851e62e5d3a4cdb4d46e3d9d6cc3c17aa1c0dfc6ec88b39f9b056f308127"),
-    ("qp_cubic", "abs_rel", False, "6d2586d0be9416533419d87c7c79a92fe4d550cce1b2e393c2dde80839e08d08"),
-    ("qp_cubic", "abs_rel", True, "b6f21c7b6351b5ad1d4624801b4408d47c400843a632b34db6138fd90d83d543"),
-    ("time_linear", "squared_rel", False, "f0bf281d903a53436399c571d771ad52bdfe7b495d274c6a02153115537da043"),
-    ("time_linear", "squared_rel", True, "5f268e67f502ee36ec87a01c0b8fc8e4a2794ca318ef6df25987fad66c22c96f"),
-    ("time_linear", "abs_rel", False, "9a0c046cd5f3e327a582cecbda704a56222a13fa57d9cf3530ae78edde7598ae"),
-    ("time_linear", "abs_rel", True, "ea8f2e4cbb33e4cab074ccc85a3e9b51669d03fe4c4e528a106708db850e8275"),
-    ("uf_linear", "squared_rel", False, "ba31979a22f6c1feef7811f90d2edaac7a2c965963cee48a170783c211f814c3"),
-    ("uf_linear", "squared_rel", True, "eee80b2e18f70361939e13cfd672fb595bed02d6718f012a0e098b6e89dd0559"),
-    ("uf_linear", "abs_rel", False, "9c325cdf7a0e752ccb0f36ee18d45487fa5a7b0a236dac1d5517d3815d289f34"),
-    ("uf_linear", "abs_rel", True, "0f0eb3a4a87ef84d65fec6ac1c200f01d6892652641567bf794ae13c10d07322"),
+    ("qp_cubic", "squared_rel", False, "e210d9f5bcc627b1bd574c24a5c27765e57c880e148ee6df8bcc24ae43e8244c"),
+    ("qp_cubic", "squared_rel", True, "28b9b51a952cafb09e8a6cb6066388ba598330ff0139a88c0c3f8d1a5cb5b761"),
+    ("qp_cubic", "abs_rel", False, "1c847eb306ac6506a865c8ef6108aa618b6692fb0813a0d6c9630735a56c7b4b"),
+    ("qp_cubic", "abs_rel", True, "eeeb3c0181f0a5a342cfb3958f2e24f33f9e49dfdb8c9535f25190a3b7c913d5"),
+    ("time_linear", "squared_rel", False, "d30fd4cf6fc5df101880a60e4037c68482eb30ac936c0d77624a4cbd949775b7"),
+    ("time_linear", "squared_rel", True, "008dda8f28d0bc550eec20b43004d9872c9fb69b3c79d7d5e7dd37dc12172a54"),
+    ("time_linear", "abs_rel", False, "7a07828585e967cd70f4bfe9b19f059faef5a95e8e0fa2402a274d311122a2da"),
+    ("time_linear", "abs_rel", True, "7d0d3b9622d6286d352319706cc75b76be2cbed985e9933d90dc5332f7ddef8b"),
+    ("uf_linear", "squared_rel", False, "11e55412b85c61142476bb30b1b76b3a77929fcefc6d186e3cd89edb8d81343e"),
+    ("uf_linear", "squared_rel", True, "3958602c710d8b70d1d036db52959a83c3b402012664084c171c8917a161ad32"),
+    ("uf_linear", "abs_rel", False, "2e55343512616a326b72f9d386b89ad043150c785d412942efd74f23c899a766"),
+    ("uf_linear", "abs_rel", True, "96dd12df0e241f9bf06880eae27f45cf2a1185362a8b228d581f672e4d0bcf60"),
 ])
 def test_crossval_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, objective,
                                           joint, sha256):
@@ -993,6 +1032,20 @@ def test_measure_malformed_inline_recipe_exits_two_naming_it(capsys, tmp_path, i
     )
     assert code == 2
     assert err == f"error: {shown}\n"
+    assert not calls.exists()
+
+
+@pytest.mark.parametrize(("recipe", "field"), [("base=inf", "base_power"),
+                                             ("active=inf", "active_power"),
+                                             ("noise=inf", "noise_std")])
+def test_measure_infinite_recipe_value_exits_two_before_any_encode(capsys, tmp_path, input_file,
+                                                                   stub_encoder, recipe, field):
+    code, err, calls = _measure_logging_calls(
+        capsys, tmp_path, input_file, stub_encoder,
+        "--meter", f"synth:{recipe}", "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 2
+    assert err == f"error: {field} must be finite and >= 0, got inf\n"
     assert not calls.exists()
 
 

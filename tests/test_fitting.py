@@ -387,6 +387,11 @@ def test_kfold_partition_properties():
     assert max(len(f) for f in folds) - min(len(f) for f in folds) <= 1
 
 
+def test_kfold_draw_is_pinned():
+    # a Fisher–Yates shuffle on random.Random(0).random(), cut 4, 3, 3
+    assert kfold_split(10, 3, seed=0) == ((9, 4, 0, 5), (2, 7, 1), (3, 6, 8))
+
+
 def test_kfold_deterministic():
     assert kfold_split(25, 10, seed=3) == kfold_split(25, 10, seed=3)
     assert kfold_split(25, 10, seed=3) != kfold_split(25, 10, seed=4)
@@ -616,7 +621,7 @@ def test_rank_deficient_training_fold_of_a_full_rank_cell_is_named(objective):
     fit_report(ds, "qp_cubic", objective=objective)
     with pytest.raises(FitError) as info:
         cross_validate(ds, "qp_cubic", k=10, seed=0, objective=objective)
-    assert str(info.value) == "preset 'medium', class 'B', fold 6: design matrix has rank 3 < 4"
+    assert str(info.value) == "preset 'medium', class 'B', fold 0: design matrix has rank 3 < 4"
 
 
 @pytest.mark.parametrize("model_kind, n, message", [
@@ -733,12 +738,23 @@ def test_uf_and_time_models_use_different_covariates():
 
 
 def test_qp_cross_validation_averages_class_means():
-    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+    # three sequences per class: every cell holds 12 rows, each training fold 9
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=15, seed=3))
     report = cross_validate(ds, "qp_cubic", k=4, seed=3)
     for preset, class_means in (report.per_class_error or {}).items():
         assert report.per_preset_error[preset] == pytest.approx(
             float(np.mean(list(class_means.values()))), rel=1e-12
         )
+
+
+def test_qp_training_fold_predicting_non_positive_energy_is_named():
+    # two sequences per class: each cell holds 8 rows, and one 6-row training
+    # fold fits a cubic that falls below zero inside its QP range
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+    with pytest.raises(FitError) as info:
+        cross_validate(ds, "qp_cubic", k=4, seed=3)
+    assert str(info.value) == ("preset 'faster', class 'B', fold 2: fitted model predicts "
+                               "non-positive energy near qp 31.72")
 
 
 def test_qp_cross_validation_rejects_missing_avg_qp():
