@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import itertools
 import math
 import threading
 import time
@@ -65,20 +66,22 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class SyntheticRecipe:
-    """Test double for a power meter: base load plus an active step."""
+    """Test double for a power meter: base load plus an active step on a ``period`` grid."""
 
     base_power: float = 20.0
     active_power: float = 30.0
     noise_std: float = 0.0
-    duration: float = 10.0
     seed: int = 0
+    period: float = DEFAULT_POLL_PERIOD
 
     def __post_init__(self) -> None:
         for name in ("base_power", "active_power", "noise_std"):  # a NaN fails every comparison
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
 
 
 def parse_trace_csv(path: str | Path) -> PowerTrace:
@@ -282,31 +285,30 @@ def sample_counter_file(
 
 def generate_synthetic_trace(
     recipe: SyntheticRecipe,
-    active_window: tuple[float, float],
-    sample_period: float = DEFAULT_POLL_PERIOD,
+    duration: float,
+    active_window: tuple[float, float] = (0.0, 0.0),
     source_label: str = "synthetic",
 ) -> PowerTrace:
     """Deterministic synthetic trace: base power plus a step inside the window.
 
-    Samples lie on the grid ``0, T, 2T, ...`` up to the recipe duration
-    (the endpoint is included).  Window membership is half-open,
-    ``a <= t < b``, so a window with edges on the sample grid integrates
-    to exactly ``base * duration + active * (b - a)``.  Gaussian noise of
-    the given std is added and truncated at zero.
+    Samples lie on the grid ``0, T, 2T, ...`` of the recipe's ``period``
+    ``T`` up to ``duration`` (the endpoint is included).  Window
+    membership is half-open, ``a <= t < b``, so a window with edges on the
+    sample grid integrates to exactly ``base * duration + active * (b - a)``;
+    the default, empty window gives base power only.  Gaussian noise of the
+    recipe's std, drawn from its seed, is added and truncated at zero.
     """
     import numpy as np
 
-    if sample_period <= 0:
-        raise ValueError(f"sample_period must be > 0, got {sample_period}")
+    if not duration > 0:
+        raise ValueError(f"duration must be > 0, got {duration}")
     a, b = active_window
-    if not (0.0 <= a <= b <= recipe.duration):
-        raise ValueError(
-            f"active window [{a}, {b}] must lie within [0, {recipe.duration}]"
-        )
-    n = int(np.floor(recipe.duration / sample_period + 1e-9)) + 1
-    times = np.arange(n) * sample_period
-    if times[-1] < recipe.duration - 1e-12:
-        times = np.append(times, recipe.duration)
+    if not (0.0 <= a <= b <= duration):
+        raise ValueError(f"active window [{a}, {b}] must lie within [0, {duration}]")
+    n = int(np.floor(duration / recipe.period + 1e-9)) + 1
+    times = np.arange(n) * recipe.period
+    if times[-1] < duration - 1e-12:
+        times = np.append(times, duration)
     powers = np.full(times.shape, recipe.base_power, dtype=float)
     powers[(times >= a) & (times < b)] += recipe.active_power
     if recipe.noise_std > 0:
@@ -421,45 +423,29 @@ class CounterMeter(Meter):
 class SyntheticMeter(Meter):
     """Meter test double generating traces from a recipe.
 
-    Each recording and idle capture draws a fresh seed derived from the
-    recipe seed so repeated measurements see independent noise; with
-    ``noise_std=0`` traces are exactly reproducible.
+    The n-th recording or idle capture draws its noise from seed
+    ``recipe.seed + n``, so repeated measurements see independent noise;
+    with ``noise_std=0`` traces are exactly reproducible.
     """
 
-    def __init__(self, recipe: SyntheticRecipe, sample_period: float = DEFAULT_POLL_PERIOD):
+    def __init__(self, recipe: SyntheticRecipe):
         self.recipe = recipe
-        if not sample_period > 0:
-            raise ValueError(f"sample_period must be > 0, got {sample_period}")
-        self.sample_period = sample_period
-        self._uses = 0
+        self._seeds = itertools.count(recipe.seed + 1)
 
-    def _next_seed(self) -> int:
-        self._uses += 1
-        return self.recipe.seed + self._uses
+    def _trace(self, seed: int, seconds: float, active: float, label: str) -> PowerTrace:
+        """``seconds`` plus two periods, active over the first ``active``, noise from ``seed``."""
+        recipe = replace(self.recipe, seed=seed)
+        return generate_synthetic_trace(recipe, seconds + 2 * recipe.period, (0.0, active), label)
 
     def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
-        seed = self._next_seed()
+        seed = next(self._seeds)  # drawn first: an activity that fails uses its seed up
         t0 = time.perf_counter()
         result = activity()
         elapsed = time.perf_counter() - t0
-        recipe = replace(self.recipe, duration=elapsed + 2 * self.sample_period, seed=seed)
-        trace = generate_synthetic_trace(
-            recipe, (0.0, elapsed), sample_period=self.sample_period, source_label="synthetic-meter"
-        )
-        return trace, result
+        return self._trace(seed, elapsed, elapsed, "synthetic-meter"), result
 
     def capture_idle(self, duration: float) -> PowerTrace:
-        recipe = replace(
-            self.recipe,
-            duration=duration + 2 * self.sample_period,
-            seed=self._next_seed(),
-        )
-        return generate_synthetic_trace(
-            recipe,
-            (0.0, 0.0),  # empty active window: base power only
-            sample_period=self.sample_period,
-            source_label="synthetic-idle",
-        )
+        return self._trace(next(self._seeds), duration, 0.0, "synthetic-idle")
 
 
 class CsvReplayMeter(Meter):
@@ -495,15 +481,15 @@ def _inline_value(text: str) -> int | float | str:
     return text
 
 
-def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
-    """Load a synthetic recipe and its ``period`` from a JSON file or inline shorthand.
+def load_recipe(path_or_inline: str) -> SyntheticRecipe:
+    """Load a synthetic recipe from a JSON file or inline shorthand.
 
-    Both forms take the keys of :class:`SyntheticRecipe` but ``duration``
-    (each recording sets it), ``period``, and the aliases ``base``,
-    ``active`` and ``noise``.  The shorthand is ``key=value,key=value``.
-    An unknown key, a value given twice (``base`` and ``base_power``, or
-    one key repeated), or a value of the wrong type (``true``, or a
-    ``seed`` that is not an integer) is refused with the recipe named.
+    Both forms take the keys of :class:`SyntheticRecipe` and the aliases
+    ``base``, ``active`` and ``noise``; the shorthand is ``key=value,...``.
+    An unknown key (``duration`` too: each recording sets its own), a
+    value given twice (``base`` and ``base_power``, or one key repeated) or
+    a value of the wrong type (``true``, or a ``seed`` that is not an
+    integer) is refused with the recipe named, one out of range with its key.
     """
     candidate = Path(path_or_inline)
     if candidate.suffix == ".json" or candidate.is_file():
@@ -519,9 +505,7 @@ def load_recipe(path_or_inline: str) -> tuple[SyntheticRecipe, float]:
             key, value = item.split("=", 1)
             pairs.append((key.strip(), _inline_value(value)))
         data = tuple(pairs)
-    kwargs = read_json(data, _RECIPE_KEYS, what=f"recipe {path_or_inline!r}")
-    period = kwargs.pop("period", DEFAULT_POLL_PERIOD)
-    return SyntheticRecipe(**kwargs), period  # type: ignore[arg-type]
+    return SyntheticRecipe(**read_json(data, _RECIPE_KEYS, what=f"recipe {path_or_inline!r}"))
 
 
 def open_meter(spec: str) -> Meter:
@@ -539,4 +523,4 @@ def open_meter(spec: str) -> Meter:
         return CsvReplayMeter(target)
     if kind == "counter":
         return CounterMeter(target)
-    return SyntheticMeter(*load_recipe(target))
+    return SyntheticMeter(load_recipe(target))

@@ -96,7 +96,6 @@ class EncodeJob:
 class EncodeResult:
     """Observed outcome of one encoder invocation."""
 
-    job: EncodeJob
     wall_time: float
     avg_qp: Optional[float]
     bitstream_bytes: int
@@ -163,13 +162,7 @@ def run_encode(job: EncodeJob, encoder_cmd: str, output_path: str | Path) -> Enc
     if avg_qp is None:
         logger.warning("%s: no average QP found in encoder log", job.label())
     size = Path(output_path).stat().st_size if Path(output_path).exists() else 0
-    return EncodeResult(
-        job=job,
-        wall_time=wall_time,
-        avg_qp=avg_qp,
-        bitstream_bytes=size,
-        encoder_log=log,
-    )
+    return EncodeResult(wall_time=wall_time, avg_qp=avg_qp, bitstream_bytes=size, encoder_log=log)
 
 
 def run_measured_encode(
@@ -244,13 +237,21 @@ def run_campaign(
     skipped, a row's ``t_enc_uf`` is its probe row's ``t_enc``, and a job
     whose probe has no row is recorded as failed without being encoded.
     :class:`DatasetWriter` decides what an existing file may hold, and
-    refuses it before any encode.  Per-job failures are recorded on the
-    returned dataset.  A meter failure, an :class:`AcquisitionError` in
-    any repetition (an unreadable or corrupt counter, a malformed trace,
-    or a trace shorter than the encode), aborts the campaign at once.
+    refuses it before any encode; an ``encoder_cmd`` that does not split
+    into words is refused before the file is opened.  Per-job failures
+    are recorded on the returned dataset.  A meter failure, an
+    :class:`AcquisitionError` in any repetition (an unreadable or corrupt
+    counter, a malformed trace, or a trace shorter than the encode),
+    aborts the campaign at once.
     """
     if not jobs:
         raise ValueError("job list is empty")
+    try:
+        words = shlex.split(encoder_cmd)
+    except ValueError as exc:
+        raise ValueError(f"encoder command {encoder_cmd!r} cannot be split: {exc}") from exc
+    if not words:
+        raise ValueError(f"encoder command {encoder_cmd!r} holds no words")
     ordered = _campaign_order(ensure_ultrafast_closure(jobs))
 
     failures: list[tuple[str, str]] = []

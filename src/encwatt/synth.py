@@ -70,6 +70,8 @@ class SynthDatasetRecipe:
         for name in ("noise", "time_jitter"):  # a NaN fails every comparison
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "crfs", tuple(float(c) for c in self.crfs))
 
 

@@ -265,8 +265,8 @@ def test_criterion_8_end_to_end_with_doubles(tmp_path, stub_encoder, input_file)
         period = 0.05
         active_w = 30.0
         meter = SyntheticMeter(
-            SyntheticRecipe(base_power=20.0, active_power=active_w, noise_std=0.0, seed=0),
-            sample_period=period,
+            SyntheticRecipe(base_power=20.0, active_power=active_w, noise_std=0.0, seed=0,
+                            period=period)
         )
         jobs = []
         for seq in ("clipA", "clipB"):

@@ -398,21 +398,24 @@ def test_estimate_preset_missing_from_params_file_exits_two(capsys, tmp_path):
 # warning).  The values were taken when the table and `--params` were read
 # from a parameter CSV, so the reports must give the same bytes.
 @pytest.mark.parametrize(("source", "preset", "sha256"), [
-    ("defaults", None, "80ca9db17e7ff270435f9972cf52dd383aa698cd0a6ff05135eff7fa857da38d"),
-    ("defaults", "superfast", "7f5875bd7d0093ab6d141c3db7b22a4884306df3d9d3f04f0502386e7d29dd60"),
-    ("defaults", "veryfast", "f90cfc6118bf16ea89e6bebd5eeee42761b498451ef72086ef45c008ead12668"),
-    ("defaults", "faster", "66a9e99bf8b32ac1e1526df5ebc8ca75ebc7f1d621312f51a2d03dad55288929"),
-    ("defaults", "fast", "f11b72b736ccb099586fc8a96f2adb2eeb148e144c5eb2c45a390c8c0be85014"),
-    ("defaults", "medium", "68dea1a71a156834d48665924ba91db1f248e47f80bac562b926e20874b30a3c"),
-    ("defaults", "slow", "f2d97a3a3e2d30898e674a20f11b43b87e772fe627009547dac3c4fb2e19890a"),
-    ("defaults", "slower", "7687965f4c2c1c1768b3b06e5bb25d008781347ce6a76f9c6b18ea55a571597b"),
-    ("defaults", "veryslow", "3910c3dd86cfde4a39a434b51647326bd4554ebcf90a4fed40c32eebdbd27220"),
-    ("uf_linear", None, "67fc0b7f04872f3a4c1c5300751cb32c8dedc42e54b5238f40c8a3d24654cb55"),
-    ("uf_linear", "medium", "732fae9f6c4050e55317b936ae04648a248e5c901d0d612099b17266890c00d6"),
-    ("time_linear", None, "733ba7f5de394f1b56f195a1cd0624bb66060c0996f2ee3bfddffa58b4308ea3"),
-    ("time_linear", "medium", "51eabe6eec5e5374225c04efc45a5770b9a812ef08a21eb09881064f821eaf80"),
-    ("time_linear", "ultrafast",
-     "e06626eb73971d53ddecd43fc02692c6286f32eb57e9b538e9976a285a917e81"),
+    pytest.param(source, preset, sha256, id=f"{source}-{preset or 'all'}")
+    for source, preset, sha256 in [
+        ("defaults", None, "80ca9db17e7ff270435f9972cf52dd383aa698cd0a6ff05135eff7fa857da38d"),
+        ("defaults", "superfast", "7f5875bd7d0093ab6d141c3db7b22a4884306df3d9d3f04f0502386e7d29dd60"),
+        ("defaults", "veryfast", "f90cfc6118bf16ea89e6bebd5eeee42761b498451ef72086ef45c008ead12668"),
+        ("defaults", "faster", "66a9e99bf8b32ac1e1526df5ebc8ca75ebc7f1d621312f51a2d03dad55288929"),
+        ("defaults", "fast", "f11b72b736ccb099586fc8a96f2adb2eeb148e144c5eb2c45a390c8c0be85014"),
+        ("defaults", "medium", "68dea1a71a156834d48665924ba91db1f248e47f80bac562b926e20874b30a3c"),
+        ("defaults", "slow", "f2d97a3a3e2d30898e674a20f11b43b87e772fe627009547dac3c4fb2e19890a"),
+        ("defaults", "slower", "7687965f4c2c1c1768b3b06e5bb25d008781347ce6a76f9c6b18ea55a571597b"),
+        ("defaults", "veryslow", "3910c3dd86cfde4a39a434b51647326bd4554ebcf90a4fed40c32eebdbd27220"),
+        ("uf_linear", None, "67fc0b7f04872f3a4c1c5300751cb32c8dedc42e54b5238f40c8a3d24654cb55"),
+        ("uf_linear", "medium", "732fae9f6c4050e55317b936ae04648a248e5c901d0d612099b17266890c00d6"),
+        ("time_linear", None, "733ba7f5de394f1b56f195a1cd0624bb66060c0996f2ee3bfddffa58b4308ea3"),
+        ("time_linear", "medium", "51eabe6eec5e5374225c04efc45a5770b9a812ef08a21eb09881064f821eaf80"),
+        ("time_linear", "ultrafast",
+         "e06626eb73971d53ddecd43fc02692c6286f32eb57e9b538e9976a285a917e81"),
+    ]
 ])
 def test_estimate_output_bytes_are_pinned(capsys, tmp_path, source, preset, sha256):
     data = tmp_path / "d.csv"
@@ -692,8 +695,10 @@ def test_a_json_key_given_twice_exits_two_before_any_encode_or_write(capsys, tmp
 # The sha256 of the `fit --out` report on `synth --seed 1`, with the tool
 # version fixed.  A change to the report's keys, layout or numbers moves it.
 @pytest.mark.parametrize(("model", "sha256"), [
-    ("uf_linear", "12d3b715d3d94359c31aa1e05a07122ea848b16914fabcb5529250d8cdd5c6b5"),
-    ("qp_cubic", "f1c872323ce1d71972d4119ea847c4a7f2c4c0c179673a977d29cff8e865064a"),
+    pytest.param(model, sha256, id=model) for model, sha256 in [
+        ("uf_linear", "12d3b715d3d94359c31aa1e05a07122ea848b16914fabcb5529250d8cdd5c6b5"),
+        ("qp_cubic", "f1c872323ce1d71972d4119ea847c4a7f2c4c0c179673a977d29cff8e865064a"),
+    ]
 ])
 def test_fit_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, sha256):
     monkeypatch.setattr("encwatt.cli._TOOL", "encwatt test")
@@ -709,18 +714,22 @@ def test_fit_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, sha25
 # and fold kind (default seed and k).  A change to the folds, the fits or
 # the report moves it.
 @pytest.mark.parametrize(("model", "objective", "joint", "sha256"), [
-    ("qp_cubic", "squared_rel", False, "e210d9f5bcc627b1bd574c24a5c27765e57c880e148ee6df8bcc24ae43e8244c"),
-    ("qp_cubic", "squared_rel", True, "28b9b51a952cafb09e8a6cb6066388ba598330ff0139a88c0c3f8d1a5cb5b761"),
-    ("qp_cubic", "abs_rel", False, "1c847eb306ac6506a865c8ef6108aa618b6692fb0813a0d6c9630735a56c7b4b"),
-    ("qp_cubic", "abs_rel", True, "eeeb3c0181f0a5a342cfb3958f2e24f33f9e49dfdb8c9535f25190a3b7c913d5"),
-    ("time_linear", "squared_rel", False, "d30fd4cf6fc5df101880a60e4037c68482eb30ac936c0d77624a4cbd949775b7"),
-    ("time_linear", "squared_rel", True, "008dda8f28d0bc550eec20b43004d9872c9fb69b3c79d7d5e7dd37dc12172a54"),
-    ("time_linear", "abs_rel", False, "7a07828585e967cd70f4bfe9b19f059faef5a95e8e0fa2402a274d311122a2da"),
-    ("time_linear", "abs_rel", True, "7d0d3b9622d6286d352319706cc75b76be2cbed985e9933d90dc5332f7ddef8b"),
-    ("uf_linear", "squared_rel", False, "11e55412b85c61142476bb30b1b76b3a77929fcefc6d186e3cd89edb8d81343e"),
-    ("uf_linear", "squared_rel", True, "3958602c710d8b70d1d036db52959a83c3b402012664084c171c8917a161ad32"),
-    ("uf_linear", "abs_rel", False, "2e55343512616a326b72f9d386b89ad043150c785d412942efd74f23c899a766"),
-    ("uf_linear", "abs_rel", True, "96dd12df0e241f9bf06880eae27f45cf2a1185362a8b228d581f672e4d0bcf60"),
+    pytest.param(model, objective, joint, sha256,
+                 id=f"{model}-{objective}-{'joint' if joint else 'per-cell'}")
+    for model, objective, joint, sha256 in [
+        ("qp_cubic", "squared_rel", False, "e210d9f5bcc627b1bd574c24a5c27765e57c880e148ee6df8bcc24ae43e8244c"),
+        ("qp_cubic", "squared_rel", True, "28b9b51a952cafb09e8a6cb6066388ba598330ff0139a88c0c3f8d1a5cb5b761"),
+        ("qp_cubic", "abs_rel", False, "1c847eb306ac6506a865c8ef6108aa618b6692fb0813a0d6c9630735a56c7b4b"),
+        ("qp_cubic", "abs_rel", True, "eeeb3c0181f0a5a342cfb3958f2e24f33f9e49dfdb8c9535f25190a3b7c913d5"),
+        ("time_linear", "squared_rel", False, "d30fd4cf6fc5df101880a60e4037c68482eb30ac936c0d77624a4cbd949775b7"),
+        ("time_linear", "squared_rel", True, "008dda8f28d0bc550eec20b43004d9872c9fb69b3c79d7d5e7dd37dc12172a54"),
+        ("time_linear", "abs_rel", False, "7a07828585e967cd70f4bfe9b19f059faef5a95e8e0fa2402a274d311122a2da"),
+        ("time_linear", "abs_rel", True, "7d0d3b9622d6286d352319706cc75b76be2cbed985e9933d90dc5332f7ddef8b"),
+        ("uf_linear", "squared_rel", False, "11e55412b85c61142476bb30b1b76b3a77929fcefc6d186e3cd89edb8d81343e"),
+        ("uf_linear", "squared_rel", True, "3958602c710d8b70d1d036db52959a83c3b402012664084c171c8917a161ad32"),
+        ("uf_linear", "abs_rel", False, "2e55343512616a326b72f9d386b89ad043150c785d412942efd74f23c899a766"),
+        ("uf_linear", "abs_rel", True, "96dd12df0e241f9bf06880eae27f45cf2a1185362a8b228d581f672e4d0bcf60"),
+    ]
 ])
 def test_crossval_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, model, objective,
                                           joint, sha256):
@@ -873,8 +882,7 @@ def test_measure_with_shared_idle_trace(capsys, tmp_path, input_file, stub_encod
     from encwatt.meter import SyntheticRecipe, generate_synthetic_trace
 
     idle = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, duration=30.0),
-        (0.0, 0.0), sample_period=0.02,
+        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, period=0.02), 30.0
     )
     idle_csv = tmp_path / "idle.csv"
     rows = "".join(f"{t!r},{p!r}\n" for t, p in idle.samples.tolist())
@@ -1049,6 +1057,22 @@ def test_measure_infinite_recipe_value_exits_two_before_any_encode(capsys, tmp_p
     assert not calls.exists()
 
 
+@pytest.mark.parametrize(("template", "why"), [
+    ("", "holds no words"),
+    ("x265 'unterminated {input}", "cannot be split: No closing quotation"),
+], ids=["empty", "unterminated-quote"])
+def test_measure_encoder_template_that_cannot_be_split_exits_two_before_any_encode(
+        capsys, tmp_path, input_file, template, why):
+    # each job once failed on its own, after the meter and the dataset were opened
+    manifest, out = tmp_path / "jobs.jsonl", tmp_path / "d.csv"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    code, _, err = run_cli(capsys, "measure", str(manifest), "--meter", "synth:base=20",
+                           "--encoder-cmd", template, "--out", str(out))
+    assert code == 2
+    assert err == f"error: encoder command {template!r} {why}\n"
+    assert not out.exists()
+
+
 def test_measure_counter_holding_a_negative_value_exits_three(capsys, tmp_path, input_file,
                                                                stub_encoder):
     counter = tmp_path / "energy_uj"
@@ -1194,14 +1218,18 @@ def test_input_that_is_not_utf8_is_named(capsys, tmp_path, input_file, reader, c
 
 @pytest.mark.parametrize("meter", ["synth:{missing}", "synth:base=20,period=0",
                                    "synth:{zero_period}", "synth:{unknown_key}",
-                                   "synth:base=20,base_power=30", "synth:{given_twice}"])
+                                   "synth:base=20,base_power=30", "synth:{given_twice}",
+                                   "synth:seed=-5", "synth:{negative_seed}"])
 def test_measure_bad_synthetic_recipe_exits_two_before_any_encode(capsys, tmp_path, input_file,
                                                                   stub_encoder, meter):
+    # numpy itself refuses a negative seed only as the first trace is drawn, after an encode
     recipes = {"missing": tmp_path / "missing.json", "zero_period": tmp_path / "zero.json",
-               "unknown_key": tmp_path / "unknown.json", "given_twice": tmp_path / "twice.json"}
+               "unknown_key": tmp_path / "unknown.json", "given_twice": tmp_path / "twice.json",
+               "negative_seed": tmp_path / "seed.json"}
     recipes["zero_period"].write_text('{"base": 20, "period": 0}')
     recipes["unknown_key"].write_text('{"base": 20, "bogus": 1}')
     recipes["given_twice"].write_text('{"base": 20, "base_power": 30}')
+    recipes["negative_seed"].write_text('{"seed": -5}')
     code, err, calls = _measure_logging_calls(
         capsys, tmp_path, input_file, stub_encoder,
         "--meter", meter.format(**recipes), "--out", str(tmp_path / "d.csv"),

@@ -1,5 +1,6 @@
 """Trace CSV parsing, counter-file sampling, and synthetic generation."""
 
+import hashlib
 import math
 import os
 import threading
@@ -100,8 +101,7 @@ def test_canonical_round_trip_is_byte_identical(tmp_path):
     src = tmp_path / "a.csv"
     dst = tmp_path / "b.csv"
     trace = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=1.5, duration=5.0, seed=3),
-        (1.0, 4.0),
+        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=1.5, seed=3), 5.0, (1.0, 4.0),
     )
     write_canonical_trace(trace, src)
     write_canonical_trace(parse_trace_csv(src), dst)
@@ -582,55 +582,54 @@ def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
 # ── synthetic traces ──────────────────────────────────────────────────────
 
 def test_synthetic_zero_noise_integrates_exactly():
-    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0, duration=10.0)
-    active = generate_synthetic_trace(recipe, (2.0, 8.0), sample_period=0.1)
+    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0, period=0.1)
+    active = generate_synthetic_trace(recipe, 10.0, (2.0, 8.0))
     assert integrate_energy(active, 0.0, 10.0) == pytest.approx(
         20.0 * 10.0 + 30.0 * 6.0, rel=1e-9
     )
 
 
 def test_synthetic_net_energy_against_base_only():
-    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0, duration=10.0)
-    active = generate_synthetic_trace(recipe, (2.0, 8.0), sample_period=0.1)
-    base = generate_synthetic_trace(recipe, (0.0, 0.0), sample_period=0.1)
+    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0, period=0.1)
+    active = generate_synthetic_trace(recipe, 10.0, (2.0, 8.0))
+    base = generate_synthetic_trace(recipe, 10.0)
     assert net_energy(active, base, 10.0) == pytest.approx(180.0, rel=1e-9)
 
 
 def test_synthetic_deterministic_for_fixed_seed():
-    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, duration=5.0, seed=11)
-    a = generate_synthetic_trace(recipe, (1.0, 4.0))
-    b = generate_synthetic_trace(recipe, (1.0, 4.0))
+    recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, seed=11)
+    a = generate_synthetic_trace(recipe, 5.0, (1.0, 4.0))
+    b = generate_synthetic_trace(recipe, 5.0, (1.0, 4.0))
     assert np.array_equal(a.samples, b.samples)
     c = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, duration=5.0, seed=12),
-        (1.0, 4.0),
+        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0, seed=12), 5.0, (1.0, 4.0),
     )
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_synthetic_noisy_mean_within_standard_error():
     n = 10_000
-    recipe = SyntheticRecipe(
-        base_power=20.0, active_power=0.0, noise_std=1.0,
-        duration=(n - 1) * 0.1, seed=5,
-    )
-    trace = generate_synthetic_trace(recipe, (0.0, 0.0), sample_period=0.1)
+    recipe = SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=1.0, seed=5, period=0.1)
+    trace = generate_synthetic_trace(recipe, (n - 1) * 0.1)
     assert len(trace) == n
     assert abs(float(np.mean(trace.powers())) - 20.0) < 3.0 * 1.0 / np.sqrt(n)
 
 
 def test_synthetic_noise_truncated_at_zero():
-    recipe = SyntheticRecipe(base_power=0.5, active_power=0.0, noise_std=5.0, duration=50.0, seed=1)
-    trace = generate_synthetic_trace(recipe, (0.0, 0.0), sample_period=0.1)
+    recipe = SyntheticRecipe(base_power=0.5, active_power=0.0, noise_std=5.0, seed=1, period=0.1)
+    trace = generate_synthetic_trace(recipe, 50.0)
     assert np.all(trace.powers() >= 0.0)
 
 
 def test_synthetic_window_validation():
-    recipe = SyntheticRecipe(duration=5.0)
+    recipe = SyntheticRecipe()
     with pytest.raises(ValueError):
-        generate_synthetic_trace(recipe, (2.0, 6.0))
+        generate_synthetic_trace(recipe, 5.0, (2.0, 6.0))
     with pytest.raises(ValueError):
-        generate_synthetic_trace(recipe, (-1.0, 2.0))
+        generate_synthetic_trace(recipe, 5.0, (-1.0, 2.0))
+    for duration in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            generate_synthetic_trace(recipe, duration)
 
 
 def test_recipe_validation():
@@ -638,8 +637,8 @@ def test_recipe_validation():
         SyntheticRecipe(base_power=-1.0)
     with pytest.raises(ValueError):
         SyntheticRecipe(noise_std=-0.1)
-    with pytest.raises(ValueError):
-        SyntheticRecipe(duration=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SyntheticRecipe(seed=-1)
     for field in ("base_power", "active_power", "noise_std"):  # as `synth:noise=nan` gives
         with pytest.raises(ValueError, match=">= 0"):
             SyntheticRecipe(**{field: math.nan})
@@ -658,7 +657,7 @@ def test_open_meter_kinds(tmp_path):
     assert meter.sample_period == DEFAULT_POLL_PERIOD
     meter = open_meter("synth:base=20,active=30,noise=0,seed=1")
     assert isinstance(meter, SyntheticMeter)
-    assert meter.sample_period == DEFAULT_POLL_PERIOD
+    assert meter.recipe.period == DEFAULT_POLL_PERIOD
     with pytest.raises(ValueError):
         open_meter("bogus:/x")
     with pytest.raises(ValueError):
@@ -666,14 +665,15 @@ def test_open_meter_kinds(tmp_path):
 
 
 def test_open_meter_validation(tmp_path):
-    # The meters themselves refuse a period, however they are built.
+    # A counter meter and a synthetic recipe refuse a period, however they are built.
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
     for period in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="sample_period must be > 0"):
             CounterMeter(counter, sample_period=period)
-        with pytest.raises(ValueError, match="sample_period must be > 0"):
-            SyntheticMeter(SyntheticRecipe(), sample_period=period)
+    for period in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"period must be finite and > 0, got {period}"):
+            SyntheticRecipe(period=period)
 
 
 def test_open_meter_counter_must_be_readable(tmp_path):
@@ -686,7 +686,7 @@ def test_open_meter_counter_must_be_readable(tmp_path):
 def test_open_meter_synthetic_inline_and_json(tmp_path):
     meter = open_meter("synth:base=20,active=30,noise=0,period=0.05")
     assert isinstance(meter, SyntheticMeter)
-    assert meter.sample_period == 0.05
+    assert meter.recipe.period == 0.05
     assert meter.recipe.base_power == 20.0
 
     recipe_file = tmp_path / "recipe.json"
@@ -703,7 +703,7 @@ def test_json_recipe_takes_the_inline_aliases_and_keys(tmp_path):
     json_meter = open_meter(f"synth:{recipe_file}")
     inline_meter = open_meter("synth:base=20,active=5,noise=0.5,seed=3,period=0.05")
     assert json_meter.recipe == inline_meter.recipe
-    assert json_meter.sample_period == inline_meter.sample_period == 0.05
+    assert json_meter.recipe.period == 0.05
     recipe_file.write_text('{"base": 20, "bogus": 1}')
     with pytest.raises(ValueError, match="unknown recipe key 'bogus'"):
         open_meter(f"synth:{recipe_file}")
@@ -749,7 +749,7 @@ def test_recipe_file_that_cannot_be_read_is_named(tmp_path):
 
 @pytest.mark.parametrize("spec", ["synth:base=20,period=0", "synth:period=-0.1"])
 def test_recipe_period_gets_the_sample_period_check(spec):
-    with pytest.raises(ValueError, match="sample_period must be > 0"):
+    with pytest.raises(ValueError, match="^period must be finite and > 0, got "):
         open_meter(spec)
 
 
@@ -766,8 +766,8 @@ def test_csv_replay_meter(tmp_path):
 
 
 def test_synthetic_meter_record_covers_activity():
-    meter = SyntheticMeter(SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0),
-                           sample_period=0.05)
+    meter = SyntheticMeter(SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0,
+                                           period=0.05))
 
     def activity():
         t0 = time.perf_counter()
@@ -781,3 +781,62 @@ def test_synthetic_meter_record_covers_activity():
     # The active step starts at the trace's first sample and ends after the
     # activity's own wall time: at most half a period's ramp is lost.
     assert 30.0 * wall - 30.0 * 0.05 / 2 - 1e-9 <= e <= 30.0 * wall + 1e-9
+
+
+def _trace_sha256(trace):
+    return hashlib.sha256(trace.source_label.encode() + b"\0" + trace.samples.tobytes()).hexdigest()
+
+
+# Pinned when the grid period and the duration were passed apart from the
+# recipe; building a trace from one recipe must not move a sample.
+@pytest.mark.parametrize(("base", "active", "noise", "seed", "period", "duration", "window",
+                          "sha256"), [
+    pytest.param(20.0, 30.0, 1.5, 3, 0.05, 5.0, (1.0, 4.0),
+                 "62a133335befe252b27e333e463ce8efd0ea179a67d1d6720381063a8c7dae08", id="inner"),
+    pytest.param(20.0, 30.0, 2.0, 11, 0.02, 4.37, (0.0, 4.37),  # endpoint off the grid
+                 "787885d2af6657072824e996ec4d72b5017e472d9afcfa8fc39962bd59ec604a", id="edge"),
+    pytest.param(0.5, 0.0, 5.0, 1, 0.1, 3.0, (0.0, 0.0),  # noise truncated at zero
+                 "87b26057bcfcee635f556f8e51b77c02f986f689ef454e15ee57678b921cc73f", id="empty"),
+    pytest.param(20.0, 30.0, 0.0, 0, 0.1, 10.0, (2.0, 8.0),
+                 "a3efc1683248580d341a88950c6545ab1039428183c55d083638bc67f303e6ce", id="no-noise"),
+])
+def test_synthetic_trace_bytes_are_pinned(base, active, noise, seed, period, duration, window,
+                                          sha256):
+    recipe = SyntheticRecipe(base_power=base, active_power=active, noise_std=noise, seed=seed,
+                             period=period)
+    assert _trace_sha256(generate_synthetic_trace(recipe, duration, window)) == sha256
+
+
+def test_synthetic_meter_trace_bytes_are_pinned(monkeypatch):
+    # Seeds recipe.seed + 1, + 2, ... alternate between recordings and idle captures.
+    ticks = iter([100.0, 101.234, 200.0, 200.5, 300.0, 303.05])
+    monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: next(ticks))
+    meter = SyntheticMeter(SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0,
+                                           seed=7, period=0.05))
+    digests = []
+    for idle in (1.0, 0.5, 2.0):
+        trace, result = meter.record(lambda: "done")
+        assert result == "done"
+        digests += _trace_sha256(trace), _trace_sha256(meter.capture_idle(idle))
+    assert digests == [
+        "55f122ac25ba42e20d54a832563adb21fc4f98f22201345d4a70de7125dba8f6",
+        "abd856ead3b3357ac6d80b0f4e8a7ae58cfa23157fec5b9b43a2254a9b31acec",
+        "18cac8af3615bbdde5e99c0bd0630c211e175695586cbb0b7b3ea3da168ac7f0",
+        "73f8074ee7daf4dd9a823f82adf57cc8a6559a01ae360e56bde4ea9708f631a7",
+        "98ae70aee76a780c9a6a3d6f62e1d110ed4ccbdddfb65ebb3a765aa0f0929147",
+        "5d1eda59d76e9ed81acc047d4792ea1169c0e09dcf8b6c220e08b2441b38054f",
+    ]
+
+
+def test_synthetic_meter_activity_that_fails_uses_its_seed_up():
+    # A campaign goes on past a failed job, so the traces after it keep their seeds.
+    meter = SyntheticMeter(SyntheticRecipe(noise_std=1.0, seed=4))
+
+    def encode():
+        raise RuntimeError("encoder failed")
+
+    with pytest.raises(RuntimeError):
+        meter.record(encode)
+    idle = meter.capture_idle(1.0)
+    expected = generate_synthetic_trace(SyntheticRecipe(noise_std=1.0, seed=6), 1.0 + 2 * 0.1)
+    assert np.array_equal(idle.samples, expected.samples)

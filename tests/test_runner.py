@@ -49,8 +49,8 @@ def make_job(input_file, preset="ultrafast", crf=23.0, sequence_id="seqA", **ove
 
 def fast_meter(noise=0.0, period=0.02, seed=0):
     return SyntheticMeter(
-        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=noise, seed=seed),
-        sample_period=period,
+        SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=noise, seed=seed,
+                        period=period)
     )
 
 
@@ -191,8 +191,7 @@ def test_measured_encode_shared_idle_trace(input_file, encoder_cmd):
     from encwatt.meter import generate_synthetic_trace
 
     idle = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, duration=30.0),
-        (0.0, 0.0), sample_period=0.02,
+        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, period=0.02), 30.0
     )
     job = make_job(input_file, extra_args=("--base-sleep", "0.2"))
     policy = ConfidencePolicy(beta=0.2, min_reps=2, max_reps=4)
@@ -532,8 +531,7 @@ def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_pa
     thread.start()
     try:
         idle = generate_synthetic_trace(
-            SyntheticRecipe(base_power=2.0, active_power=0.0, noise_std=0.0, duration=30.0),
-            (0.0, 0.0), sample_period=0.05,
+            SyntheticRecipe(base_power=2.0, active_power=0.0, noise_std=0.0, period=0.05), 30.0
         )
         meter = CounterMeter(counter, sample_period=0.05)
         job = make_job(input_file, extra_args=("--base-sleep", "0.3"))
@@ -555,8 +553,7 @@ def test_campaign_records_negative_energy_job_as_failure(input_file, encoder_cmd
     from encwatt.meter import SyntheticRecipe as Recipe, generate_synthetic_trace
 
     hot_idle = generate_synthetic_trace(
-        Recipe(base_power=80.0, active_power=0.0, noise_std=0.0, duration=30.0),
-        (0.0, 0.0), sample_period=0.02,
+        Recipe(base_power=80.0, active_power=0.0, noise_std=0.0, period=0.02), 30.0
     )
     jobs = [make_job(input_file, preset="ultrafast", extra_args=("--base-sleep", "0.05"))]
     dataset = run_campaign(jobs, encoder_cmd, fast_meter(), quick_policy(),
@@ -596,7 +593,7 @@ def _replay(tmp_path):
     trace = tmp_path / "replay.csv"
     trace.write_text("t_s,p_w\n0.0,50.0\n10.0,50.0\n")
     idle = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=0.0, duration=10.0), (0.0, 0.0)
+        SyntheticRecipe(base_power=20.0, active_power=0.0), 10.0
     )
     return CsvReplayMeter(trace), idle
 
@@ -606,8 +603,7 @@ def _fake_encodes(monkeypatch, wall_times):
     walls = iter(wall_times)
 
     def run_encode(job, encoder_cmd, output_path=None):
-        return EncodeResult(job=job, wall_time=next(walls), avg_qp=25.0,
-                            bitstream_bytes=100, encoder_log="")
+        return EncodeResult(wall_time=next(walls), avg_qp=25.0, bitstream_bytes=100, encoder_log="")
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
 
@@ -660,8 +656,7 @@ def test_campaign_without_resume_refuses_a_csv_that_holds_rows(input_file, tmp_p
 
     def run_encode(job, encoder_cmd, output_path=None):
         calls.append(job.label())
-        return EncodeResult(job=job, wall_time=1.0, avg_qp=25.0, bitstream_bytes=100,
-                            encoder_log="")
+        return EncodeResult(wall_time=1.0, avg_qp=25.0, bitstream_bytes=100, encoder_log="")
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
@@ -720,8 +715,7 @@ def _logged_encodes(monkeypatch, failing):
         calls.append(job.label())
         if job.label() in failing:
             raise EncodeFailedError("encoder exited with status 3")
-        return EncodeResult(job=job, wall_time=1.0, avg_qp=25.0, bitstream_bytes=100,
-                            encoder_log="")
+        return EncodeResult(wall_time=1.0, avg_qp=25.0, bitstream_bytes=100, encoder_log="")
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
     return calls

@@ -149,3 +149,20 @@ def test_synth_refuses_a_non_finite_spread_naming_it(tmp_path, capsys, given, me
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [["--seed", "-1"], {"seed": -1}], ids=["flag", "key"])
+def test_synth_refuses_a_negative_seed_naming_it(tmp_path, capsys, given):
+    # numpy's own refusal, "expected non-negative integer", named neither
+    from encwatt.cli import main
+
+    recipe, out = tmp_path / "recipe.json", tmp_path / "d.csv"
+    argv = ["synth", "--out", str(out)]
+    if isinstance(given, dict):
+        recipe.write_text(json.dumps({"n_sequences": 2, **given}))
+        argv += ["--recipe", str(recipe)]
+    else:
+        argv += given
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
