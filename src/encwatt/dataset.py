@@ -10,11 +10,13 @@ write rule; ``_ROW_CHECKS`` is the ordered list of (field, predicate,
 message) checks a row must pass, of which the first few, the identity
 checks, an :class:`~encwatt.runner.EncodeJob` passes too.  Constructing a
 :class:`DatasetRow` applies the checks to that row.  ``load_dataset_csv``
-reads the file one line at a time, builds each row by the read rules
-without checking it, and then applies each predicate to its whole
-column.  Only when one fails are the rows checked again one by one, in
-file order, so the error names the first bad row just as a row-by-row
-load would.
+reads the file in blocks of lines and converts each block column by
+column, one read rule per column, into rows it does not check; a block
+holding a line that does not read is read again line by line, so the
+error names that line.  ``check_rows`` then applies each predicate to
+its whole column, an identity check once per distinct value.  Only when
+one fails are the rows checked again one by one, in order, so the error
+names the first bad row just as a row-by-row load would.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import math
 import os
 import sys
 from dataclasses import InitVar, dataclass
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DatasetError
 from .models import PRESETS
@@ -130,6 +133,10 @@ _COLUMNS = (
     ("confident", _read_bool, lambda value: "true" if value else "false"),
 )
 DATASET_COLUMNS = tuple(column for column, _, _ in _COLUMNS)
+_READS = tuple(read for _, read, _ in _COLUMNS)
+# Lines a load converts column by column at once: enough to spread the
+# cost of a call per column, few enough that a block's text stays small.
+_BLOCK_LINES = 256
 _HEADER = ",".join(DATASET_COLUMNS)
 
 
@@ -169,9 +176,20 @@ class DatasetRow(_RowFields):
         return tuple([write(value) for (_, _, write), value in zip(_COLUMNS, self)])
 
 
-# Per row check: its predicate and the getter of the column it applies to.
-_COLUMN_CHECKS = tuple((ok, itemgetter(DatasetRow._fields.index(field)))
-                       for field, ok, _ in _ROW_CHECKS)
+def _column_checks(checks) -> tuple:
+    """Per check: its predicate and the getter of the column it applies to."""
+    return tuple((ok, itemgetter(DatasetRow._fields.index(field))) for field, ok, _ in checks)
+
+
+# An identity value recurs across a dataset (each sequence, preset and CRF
+# is shared by many rows), so its check runs once per distinct value.  A
+# measured value is nearly always distinct: a set of them would cost memory
+# and save no check.
+_IDENTITY_COLUMN_CHECKS = _column_checks(_IDENTITY_CHECKS)
+_MEASURED_COLUMN_CHECKS = _column_checks(_ROW_CHECKS[len(_IDENTITY_CHECKS):])
+# A row's key, as DatasetRow.key gives it, and its (sequence, CRF).
+_KEY = itemgetter(0, 2, 3)
+_BITSTREAM = itemgetter(0, 3)
 
 
 @dataclass(frozen=True)
@@ -189,18 +207,21 @@ class Dataset:
     def __post_init__(self, require_closure: bool) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "failures", tuple(self.failures))
-        keys: set[tuple[str, str, float]] = set()
-        for row in self.rows:
-            key = row.key()
-            if key in keys:
-                raise DatasetError(f"duplicate row key {key}")
-            keys.add(key)
+        keys = set(map(_KEY, self.rows))
+        if len(keys) < len(self.rows):
+            seen: set[tuple[str, str, float]] = set()
+            for key in map(_KEY, self.rows):
+                if key in seen:
+                    raise DatasetError(f"duplicate row key {key}")
+                seen.add(key)
         if require_closure:
-            for row in self.rows:
-                if probe_key(row) not in keys:
-                    raise DatasetError(
-                        f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
-                    )
+            probed = {(sequence_id, crf) for sequence_id, preset, crf in keys
+                      if preset == "ultrafast"}
+            if not probed.issuperset(map(_BITSTREAM, self.rows)):
+                row = next(row for row in self.rows if _BITSTREAM(row) not in probed)
+                raise DatasetError(
+                    f"no ultrafast row for sequence {row.sequence_id!r} at crf {row.crf}"
+                )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -325,13 +346,30 @@ def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
         except (OSError, UnicodeDecodeError) as exc:
             raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
         raise
-    if not all(all(map(ok, map(column, rows))) for ok, column in _COLUMN_CHECKS):
-        _check_rows(path, rows)
+    _check_file_rows(path, rows)
     return Dataset(rows=tuple(rows), require_closure=require_closure)
 
 
+def check_rows(rows: list[DatasetRow], name: Callable[[int, DatasetRow], str]) -> None:
+    """Apply ``_ROW_CHECKS`` to rows built unchecked.
+
+    Each predicate runs on its whole column: an identity check once per
+    distinct value, a measurement check once per row.  Only when one fails
+    are the rows checked one by one, in order, and the first bad row's
+    error is raised prefixed with ``name(index, row)``.
+    """
+    if (all(all(map(ok, set(map(column, rows)))) for ok, column in _IDENTITY_COLUMN_CHECKS)
+            and all(all(map(ok, map(column, rows))) for ok, column in _MEASURED_COLUMN_CHECKS)):
+        return
+    for index, row in enumerate(rows):
+        try:
+            _check(row, _ROW_CHECKS)
+        except DatasetError as exc:
+            raise DatasetError(f"{name(index, row)}: {exc}") from exc
+
+
 def _read_rows(path: Path, lines: IO[str]) -> list[DatasetRow]:
-    """Read the header and then each line into an unchecked row."""
+    """Read the header and then each block of lines into unchecked rows."""
     first = next(lines, None)
     if first is None:
         raise DatasetError(f"{path}: empty file")
@@ -342,24 +380,41 @@ def _read_rows(path: Path, lines: IO[str]) -> list[DatasetRow]:
         raise DatasetError(
             f"{path}: bad header; missing columns {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    reads = [read for _, read, _ in _COLUMNS]
     rows: list[DatasetRow] = []
-    for lineno, line in enumerate(lines, start=2):
-        raw_fields = line.rstrip("\n").split(",")
-        if len(raw_fields) != len(reads):
+    lineno = 2
+    while block := [line.rstrip("\n").split(",") for line in islice(lines, _BLOCK_LINES)]:
+        try:
+            rows.extend(_read_columns(block))
+        except ValueError:
+            _read_lines(path, lineno, block, rows)
+        lineno += len(block)
+    return rows
+
+
+def _read_columns(block: list[list[str]]) -> Iterator[DatasetRow]:
+    """A block's unchecked rows, read column by column; ValueError if any line does not read."""
+    if any(len(raw_fields) != len(_READS) for raw_fields in block):
+        raise ValueError("a line of the wrong width")
+    columns = [list(map(read, raw)) for read, raw in zip(_READS, zip(*block))]
+    return map(tuple.__new__, repeat(DatasetRow), zip(*columns))
+
+
+def _read_lines(path: Path, start: int, block: list[list[str]], rows: list[DatasetRow]) -> None:
+    """Read a block that starts at line ``start`` line by line, refusing its first bad line."""
+    for lineno, raw_fields in enumerate(block, start=start):
+        if len(raw_fields) != len(_READS):
             _refuse_line(path, lineno, raw_fields, rows)
         try:
-            values = [read(raw) for read, raw in zip(reads, raw_fields)]
+            values = [read(raw) for read, raw in zip(_READS, raw_fields)]
         except ValueError:
             _refuse_line(path, lineno, raw_fields, rows)
             raise
         rows.append(tuple.__new__(DatasetRow, values))
-    return rows
 
 
 def _refuse_line(path: Path, lineno: int, raw_fields: list[str], rows: list[DatasetRow]) -> None:
     """Raise the error for line ``lineno``, which did not read; an earlier row's comes first."""
-    _check_rows(path, rows)
+    _check_file_rows(path, rows)
     if len(raw_fields) != len(_COLUMNS):
         raise DatasetError(
             f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
@@ -371,10 +426,6 @@ def _refuse_line(path: Path, lineno: int, raw_fields: list[str], rows: list[Data
             raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
 
 
-def _check_rows(path: Path, rows: list[DatasetRow]) -> None:
-    """Apply ``_ROW_CHECKS`` row by row, in file order, naming the first row that fails."""
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            _check(row, _ROW_CHECKS)
-        except DatasetError as exc:
-            raise DatasetError(f"{path}, row {lineno}: {exc}") from exc
+def _check_file_rows(path: Path, rows: list[DatasetRow]) -> None:
+    """Apply ``_ROW_CHECKS`` to the rows read from ``path``, naming the first row that fails."""
+    check_rows(rows, lambda index, _: f"{path}, row {index + 2}")

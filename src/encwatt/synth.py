@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetRow
+from .dataset import Dataset, DatasetRow, check_rows
 from .models import PRESETS, parse_json, read_json
 
 __all__ = ["GROUND_TRUTH", "SynthDatasetRecipe", "generate_dataset", "load_dataset_recipe"]
@@ -75,54 +76,61 @@ class SynthDatasetRecipe:
         object.__setattr__(self, "crfs", tuple(float(c) for c in self.crfs))
 
 
-def _crf_scale(crf: float) -> float:
+def _crf_scales(crfs: tuple[float, ...]) -> np.ndarray:
     # The grid's value at a grid CRF, linear between them, the nearest end's outside.
-    return float(np.interp(crf, *zip(*sorted(_CRF_TIME_SCALE.items()))))
-
-
-def _truncated_normals(rng: np.random.Generator, n: int) -> list[float]:
-    # One block draw is the same stream as n scalar draws.  Clipped at 3
-    # sigma so times and energies stay positive.
-    return [min(max(z, -3.0), 3.0) for z in rng.normal(0.0, 1.0, n).tolist()]
+    return np.interp(crfs, *zip(*sorted(_CRF_TIME_SCALE.items())))
 
 
 def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
-    """Deterministically generate a campaign dataset from the recipe."""
+    """Deterministically generate a campaign dataset from the recipe.
+
+    Each sequence draws two uniforms and then one block of normals, a time
+    jitter (all but ultrafast), an energy noise and a QP shift per row,
+    each clipped at 3 sigma so times and energies stay positive.  A
+    sequence's rows are computed from its draws as arrays, in the order of
+    operations of the one-row-at-a-time formulas, so every value is the
+    same float.  A row the dataset rules refuse raises DatasetError
+    naming its key.
+    """
     rng = np.random.default_rng(recipe.seed)
     classes = sorted(_CLASS_BASE_TIME)
+    # Each array holds one value per row of a sequence: CRF by CRF, and
+    # within a CRF in PRESETS order.
+    n_rows = len(recipe.crfs) * len(PRESETS)
+    laws = [GROUND_TRUTH[preset] for preset in PRESETS] * len(recipe.crfs)
+    time_factor = np.array([law.time_factor for law in laws])
+    power_w = np.array([law.power_w for law in laws])
+    offset_j = np.array([law.offset_j for law in laws])
+    row_presets = PRESETS * len(recipe.crfs)
+    row_crfs = [crf for crf in recipe.crfs for _ in PRESETS]
+    crfs = np.array(row_crfs)
+    crf_scales = np.repeat(_crf_scales(recipe.crfs), len(PRESETS))
+    # Per row a (time, energy, QP) triple of draws.  Ultrafast, first in
+    # PRESETS, draws no time jitter: its slot stays 0.
+    draws = np.zeros((len(recipe.crfs), 3 * len(PRESETS)))
     rows: list[DatasetRow] = []
     for i in range(recipe.n_sequences):
         sequence_id = f"seq{i:02d}"
         class_label = classes[i % len(classes)]
         content_scale = rng.uniform(0.75, 1.35)   # within-class content complexity
         qp_offset = rng.uniform(-2.5, 2.5)        # sequence-dependent avg-QP shift
-        # per row: a time jitter (all but ultrafast), an energy noise, a QP shift
-        z = iter(_truncated_normals(rng, len(recipe.crfs) * (3 * len(PRESETS) - 1)))
-        for crf in recipe.crfs:
-            t_uf = _CLASS_BASE_TIME[class_label] * content_scale * _crf_scale(crf)
-            for preset in PRESETS:
-                law = GROUND_TRUTH[preset]
-                if preset == "ultrafast":
-                    t_enc = t_uf
-                else:
-                    t_enc = law.time_factor * t_uf * (1.0 + next(z) * recipe.time_jitter)
-                energy = (law.power_w * t_enc + law.offset_j) * (1.0 + next(z) * recipe.noise)
-                avg_qp = min(max(crf + qp_offset + next(z) * 0.4, 0.0), 51.0)
-                rows.append(
-                    DatasetRow(
-                        sequence_id=sequence_id,
-                        class_label=class_label,
-                        preset=preset,
-                        crf=crf,
-                        frames=recipe.frames,
-                        avg_qp=avg_qp,
-                        t_enc=t_enc,
-                        t_enc_uf=t_uf,
-                        energy=energy,
-                        reps=1,
-                        confident=True,
-                    )
-                )
+        draws[:, 1:] = np.clip(rng.normal(0.0, 1.0, (len(recipe.crfs), draws.shape[1] - 1)),
+                               -3.0, 3.0)
+        z_time, z_energy, z_qp = draws.reshape(n_rows, 3).T.copy()
+        t_uf = _CLASS_BASE_TIME[class_label] * content_scale * crf_scales
+        # The factor of ultrafast is 1 and its jitter 0: its t_enc is t_uf.
+        t_enc = time_factor * t_uf * (1.0 + z_time * recipe.time_jitter)
+        energy = (power_w * t_enc + offset_j) * (1.0 + z_energy * recipe.noise)
+        avg_qp = np.clip(crfs + qp_offset + z_qp * 0.4, 0.0, 51.0)
+        # One float per bitstream: its rows' t_enc_uf and its ultrafast t_enc.
+        ufs = t_uf[::len(PRESETS)].tolist()
+        t_encs = t_enc.tolist()
+        t_encs[::len(PRESETS)] = ufs
+        rows.extend(map(tuple.__new__, repeat(DatasetRow), zip(
+            repeat(sequence_id), repeat(class_label), row_presets, row_crfs,
+            repeat(recipe.frames), avg_qp.tolist(), t_encs,
+            [uf for uf in ufs for _ in PRESETS], energy.tolist(), repeat(1), repeat(True))))
+    check_rows(rows, lambda _, row: f"synth row {row.key()}")
     return Dataset(rows=tuple(rows))
 
 

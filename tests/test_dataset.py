@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from encwatt.dataset import (
+    _BLOCK_LINES,
     DATASET_COLUMNS,
     FORBIDDEN_TEXT_CHARS,
     Dataset,
@@ -420,6 +421,24 @@ def test_load_of_the_benchmark_set_peaks_below_5_mb(benchmark_csv):
     assert peak < 5e6
 
 
+def test_synth_of_the_benchmark_set_keeps_2_2_mb_and_peaks_below_3_3_mb():
+    # synth is the process of the benchmark's crossval workload whose RSS it
+    # reports; its rows take about 2.1 MB.
+    from encwatt.synth import SynthDatasetRecipe, generate_dataset
+
+    recipe = SynthDatasetRecipe(n_sequences=250, seed=1)
+    generate_dataset(recipe)  # warm-up: numpy's first-call allocations are not the rows'
+    tracemalloc.start()
+    try:
+        dataset = generate_dataset(recipe)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 9000
+    assert kept <= 2.2e6
+    assert peak < 3.3e6
+
+
 # One bad value per column in the last of 9,000 rows.  No value of `class`
 # that a CSV line can hold is refused: `,`, CR and LF split the line.
 @pytest.mark.parametrize(("column", "value", "message"), [
@@ -436,13 +455,19 @@ def test_load_of_the_benchmark_set_peaks_below_5_mb(benchmark_csv):
     ("energy_j", "-1", "row 9001: energy must be finite and > 0, got -1.0"),
     ("reps", "0", "row 9001: reps must be >= 1, got 0"),
     ("confident", "True", "row 9001, column 'confident': expected true/false, got 'True'"),
+    # a bad value and a field that does not read on row 2 and at the edges of a block
+    *[case for row in (2, _BLOCK_LINES + 1, _BLOCK_LINES + 2, 2 * _BLOCK_LINES + 1) for case in (
+        ("reps", "0", f"row {row}: reps must be >= 1, got 0"),
+        ("crf", "x", f"row {row}, column 'crf': could not convert string to float: 'x'"),
+    )],
 ])
 def test_load_names_the_last_row_and_its_column(benchmark_csv, tmp_path, column, value,
                                                 message):
+    lineno = int(message.split(":")[0].split(",")[0].removeprefix("row "))
     lines = benchmark_csv.read_text().splitlines()
-    fields = lines[-1].split(",")
+    fields = lines[lineno - 1].split(",")
     fields[DATASET_COLUMNS.index(column)] = value
-    lines[-1] = ",".join(fields)
+    lines[lineno - 1] = ",".join(fields)
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError) as error:
@@ -456,13 +481,15 @@ def test_load_of_a_crlf_file_equals_its_lf_twin(benchmark_csv, tmp_path):
     assert load_dataset_csv(crlf).rows == load_dataset_csv(benchmark_csv).rows
 
 
-def test_load_refuses_a_blank_line_mid_file(benchmark_csv, tmp_path):
+# Row 2 and the first and last lines of blocks, as well as a row mid-block.
+@pytest.mark.parametrize("lineno", [2, _BLOCK_LINES + 1, _BLOCK_LINES + 2, 4001])
+def test_load_refuses_a_blank_line_mid_file(benchmark_csv, tmp_path, lineno):
     lines = benchmark_csv.read_text().splitlines()
     path = tmp_path / "blank.csv"
-    path.write_text("\n".join(lines[:4000] + [""] + lines[4000:]) + "\n")
+    path.write_text("\n".join(lines[:lineno - 1] + [""] + lines[lineno - 1:]) + "\n")
     with pytest.raises(DatasetError) as error:
         load_dataset_csv(path)
-    assert str(error.value) == f"{path}, row 4001: expected 11 columns, got 1"
+    assert str(error.value) == f"{path}, row {lineno}: expected 11 columns, got 1"
 
 
 def test_load_names_the_first_of_two_bad_rows(benchmark_csv, tmp_path):

@@ -93,7 +93,12 @@ def test_recipe_validation():
      "1af37502fcfdc0ca66946fe2d1ba60157f5e0c3e377ab470647b7619d2ced3d3"),
     (SynthDatasetRecipe(n_sequences=6, crfs=(20.0, 30.0), noise=0.0, time_jitter=0.0, seed=3),
      "352f5d2ed2c444840de6a1b9b94a156ced85e85fad72d3dd03f24546c1fa4055"),
-], ids=["seed0", "seed1", "zero_noise"])
+    (SynthDatasetRecipe(n_sequences=250, seed=1),
+     "434189b0c563523303ea9e8632939473e1524a37ca5da047187a92bc0cae438f"),
+    (SynthDatasetRecipe(n_sequences=7, crfs=(16.0, 20.5, 31.0, 40.0), noise=0.3,
+                        time_jitter=0.25, seed=11),
+     "2d411f77dc3290567e478ea4082431f383d84a1eef12733516b0eb9522c04dbe"),
+], ids=["seed0", "seed1", "zero_noise", "benchmark_set", "off_grid_clipped"])
 def test_generated_csv_is_pinned(tmp_path, recipe, sha256):
     path = tmp_path / "d.csv"
     generate_dataset(recipe).write_csv(path)
@@ -165,4 +170,19 @@ def test_synth_refuses_a_negative_seed_naming_it(tmp_path, capsys, given):
         argv += given
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("flag", "row", "energy"), [
+    ("--noise", "('seq00', 'veryfast', 18.0)", "-2917.342530857258"),
+    ("--time-jitter", "('seq00', 'superfast', 18.0)", "-1224.8788582514733"),
+], ids=["noise", "time-jitter"])
+def test_synth_names_the_first_row_it_cannot_build(tmp_path, capsys, flag, row, energy):
+    # the error once gave the refused value alone, naming neither row nor recipe
+    from encwatt.cli import main
+
+    out = tmp_path / "d.csv"
+    assert main(["synth", flag, "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: synth row {row}: energy must be finite and > 0, got {energy}\n")
     assert not out.exists()
