@@ -163,13 +163,12 @@ def _print_report(report: FitReport) -> None:
     if report.linear_params is not None:
         print("preset p_w e0_j")
         for preset in report.presets():
-            lp = report.linear_params.get(preset)
-            if lp is not None:
-                print(f"{preset} {lp.p:.6g} {lp.e0:.6g}")
+            lp = report.linear_params[preset]
+            print(f"{preset} {lp.p:.6g} {lp.e0:.6g}")
     if report.qp_params is not None:
         print("preset class kappa lam mu t0 p_avg")
         for preset in report.presets():
-            for cls, qp in sorted((report.qp_params.get(preset) or {}).items()):
+            for cls, qp in sorted(report.qp_params[preset].items()):
                 print(
                     f"{preset} {cls or '-'} {qp.kappa:.6g} {qp.lam:.6g} "
                     f"{qp.mu:.6g} {qp.t0:.6g} {qp.p_avg:.6g}"

@@ -11,16 +11,17 @@ message) checks a row must pass, of which the first few, the identity
 checks, an :class:`~encwatt.runner.EncodeJob` passes too.  Constructing a
 :class:`DatasetRow` applies the checks to that row.  ``load_dataset_csv``
 reads the file in blocks of lines and converts each block column by
-column, one read rule per column, into rows it does not check; a block
-holding a line that does not read is read again line by line, so the
-error names that line.  ``check_rows`` then applies each predicate to
-its whole column, an identity check once per distinct value.  Only when
-one fails are the rows checked again one by one, in order, so the error
-names the first bad row just as a row-by-row load would.
+column, one read rule per column, into rows it does not check;
+``check_rows`` then applies each predicate to its whole column, an
+identity check once per distinct value.  That path only says whether a
+file is good.  A file it does not take is read again by one strict
+reader, one line at a time, which reads and checks each line in turn and
+alone words the refusal, naming the first bad row.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import math
 import os
@@ -29,7 +30,7 @@ from dataclasses import InitVar, dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DatasetError
 from .models import PRESETS
@@ -329,47 +330,64 @@ def _after_last_line_end(fh: IO[bytes], size: int) -> bytes:
 def load_dataset_csv(path: str | Path, require_closure: bool = True) -> Dataset:
     """Load and schema-check a dataset CSV.
 
-    ``require_closure=False`` skips the ultrafast-closure check, which a
-    partially written campaign file cannot yet satisfy.
+    A file whose blocks all read and whose columns pass ``check_rows`` is
+    taken as read; any other file is read again by :func:`_read_lines`,
+    which alone words the refusal.  ``require_closure=False`` skips the
+    ultrafast-closure check, which a partially written campaign file
+    cannot yet satisfy.
     """
     path = Path(path)
     try:
         with path.open(encoding="utf-8") as lines:
-            rows = _read_rows(path, lines)
+            rows = _read_blocks(lines)
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    except (DatasetError, UnicodeDecodeError):
-        # A file that is not UTF-8 is refused before any of its rows are,
-        # naming the offset of its first bad byte in the whole file.
-        try:
-            path.read_bytes().decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-        raise
-    _check_file_rows(path, rows)
+    except ValueError:  # DatasetError and UnicodeDecodeError included
+        rows = None
+    if rows is None or not check_rows(rows):
+        rows = _read_lines(path)
     return Dataset(rows=tuple(rows), require_closure=require_closure)
 
 
-def check_rows(rows: list[DatasetRow], name: Callable[[int, DatasetRow], str]) -> None:
-    """Apply ``_ROW_CHECKS`` to rows built unchecked.
+def check_rows(rows: list[DatasetRow]) -> bool:
+    """Whether rows built unchecked all pass ``_ROW_CHECKS``.
 
     Each predicate runs on its whole column: an identity check once per
-    distinct value, a measurement check once per row.  Only when one fails
-    are the rows checked one by one, in order, and the first bad row's
-    error is raised prefixed with ``name(index, row)``.
+    distinct value, a measurement check once per row.  No row is named:
+    a caller that must name the first bad row checks the rows one by one.
     """
-    if (all(all(map(ok, set(map(column, rows)))) for ok, column in _IDENTITY_COLUMN_CHECKS)
-            and all(all(map(ok, map(column, rows))) for ok, column in _MEASURED_COLUMN_CHECKS)):
-        return
-    for index, row in enumerate(rows):
-        try:
-            _check(row, _ROW_CHECKS)
-        except DatasetError as exc:
-            raise DatasetError(f"{name(index, row)}: {exc}") from exc
+    return (all(all(map(ok, set(map(column, rows)))) for ok, column in _IDENTITY_COLUMN_CHECKS)
+            and all(all(map(ok, map(column, rows))) for ok, column in _MEASURED_COLUMN_CHECKS))
 
 
-def _read_rows(path: Path, lines: IO[str]) -> list[DatasetRow]:
-    """Read the header and then each block of lines into unchecked rows."""
+def _read_blocks(lines: IO[str]) -> list[DatasetRow]:
+    """The unchecked rows of each block of lines, read column by column.
+
+    ValueError if the header or any line does not read.
+    """
+    if next(lines, "").rstrip("\n") != _HEADER:
+        raise ValueError("not the dataset header")
+    rows: list[DatasetRow] = []
+    while block := [line.rstrip("\n").split(",") for line in islice(lines, _BLOCK_LINES)]:
+        if any(len(raw_fields) != len(_READS) for raw_fields in block):
+            raise ValueError("a line of the wrong width")
+        columns = [list(map(read, raw)) for read, raw in zip(_READS, zip(*block))]
+        rows.extend(map(tuple.__new__, repeat(DatasetRow), zip(*columns)))
+    return rows
+
+
+def _read_lines(path: Path) -> list[DatasetRow]:
+    """The rows of dataset CSV ``path``, read and checked one line at a time.
+
+    The reference reader: it raises the first error in the file, for a
+    file that is not UTF-8 before any row, and otherwise in line order.
+    Lines end in LF, CRLF or CR, as in a file read in text mode.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    lines = io.StringIO(text, newline=None)
     first = next(lines, None)
     if first is None:
         raise DatasetError(f"{path}: empty file")
@@ -381,51 +399,20 @@ def _read_rows(path: Path, lines: IO[str]) -> list[DatasetRow]:
             f"{path}: bad header; missing columns {sorted(missing)}, unexpected {sorted(extra)}"
         )
     rows: list[DatasetRow] = []
-    lineno = 2
-    while block := [line.rstrip("\n").split(",") for line in islice(lines, _BLOCK_LINES)]:
+    for lineno, line in enumerate(lines, start=2):
+        raw_fields = line.rstrip("\n").split(",")
+        if len(raw_fields) != len(_COLUMNS):
+            raise DatasetError(
+                f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
+            )
+        values = []
+        for (column, read, _), raw in zip(_COLUMNS, raw_fields):
+            try:
+                values.append(read(raw))
+            except ValueError as exc:
+                raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
         try:
-            rows.extend(_read_columns(block))
-        except ValueError:
-            _read_lines(path, lineno, block, rows)
-        lineno += len(block)
+            rows.append(DatasetRow(*values))
+        except DatasetError as exc:
+            raise DatasetError(f"{path}, row {lineno}: {exc}") from exc
     return rows
-
-
-def _read_columns(block: list[list[str]]) -> Iterator[DatasetRow]:
-    """A block's unchecked rows, read column by column; ValueError if any line does not read."""
-    if any(len(raw_fields) != len(_READS) for raw_fields in block):
-        raise ValueError("a line of the wrong width")
-    columns = [list(map(read, raw)) for read, raw in zip(_READS, zip(*block))]
-    return map(tuple.__new__, repeat(DatasetRow), zip(*columns))
-
-
-def _read_lines(path: Path, start: int, block: list[list[str]], rows: list[DatasetRow]) -> None:
-    """Read a block that starts at line ``start`` line by line, refusing its first bad line."""
-    for lineno, raw_fields in enumerate(block, start=start):
-        if len(raw_fields) != len(_READS):
-            _refuse_line(path, lineno, raw_fields, rows)
-        try:
-            values = [read(raw) for read, raw in zip(_READS, raw_fields)]
-        except ValueError:
-            _refuse_line(path, lineno, raw_fields, rows)
-            raise
-        rows.append(tuple.__new__(DatasetRow, values))
-
-
-def _refuse_line(path: Path, lineno: int, raw_fields: list[str], rows: list[DatasetRow]) -> None:
-    """Raise the error for line ``lineno``, which did not read; an earlier row's comes first."""
-    _check_file_rows(path, rows)
-    if len(raw_fields) != len(_COLUMNS):
-        raise DatasetError(
-            f"{path}, row {lineno}: expected {len(_COLUMNS)} columns, got {len(raw_fields)}"
-        )
-    for (column, read, _), raw in zip(_COLUMNS, raw_fields):
-        try:
-            read(raw)
-        except ValueError as exc:
-            raise DatasetError(f"{path}, row {lineno}, column {column!r}: {exc}") from exc
-
-
-def _check_file_rows(path: Path, rows: list[DatasetRow]) -> None:
-    """Apply ``_ROW_CHECKS`` to the rows read from ``path``, naming the first row that fails."""
-    check_rows(rows, lambda index, _: f"{path}, row {index + 2}")

@@ -283,10 +283,34 @@ class FitReport:
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
         """Read a report, refusing an unknown key, a wrongly typed value, a repeated key,
-        or a table key that is not a preset."""
+        a table key that is not a preset, or tables that disagree.
+
+        ``per_preset_error`` must name a preset, and each other preset table
+        present must name the same ones; per preset, ``per_class_error``
+        must name the classes ``qp_params`` does.
+        """
         report = read_json(parse_json(text), cls)
         for field in ("linear_params", "qp_params", "per_preset_error", "per_class_error"):
             for preset in getattr(report, field) or {}:
                 if preset not in PRESETS:
                     raise ValueError(f"report key '{field}.{preset}' is not a preset")
+        if not report.per_preset_error:
+            raise ValueError("report table 'per_preset_error' is empty")
+        for field in ("linear_params", "qp_params", "per_class_error"):
+            if getattr(report, field) is not None:
+                _same_keys(("per_preset_error", report.per_preset_error),
+                           (field, getattr(report, field)), "preset")
+        if report.qp_params is not None and report.per_class_error is not None:
+            for preset, classes in report.qp_params.items():
+                _same_keys((f"qp_params.{preset}", classes),
+                           (f"per_class_error.{preset}", report.per_class_error[preset]), "class")
         return report
+
+
+def _same_keys(a: tuple[str, dict], b: tuple[str, dict], what: str) -> None:
+    """Refuse two report tables, each given as ``(name, table)``, unless their keys agree."""
+    for (name, table), (other_name, other) in ((a, b), (b, a)):
+        missing = [key for key in other if key not in table]
+        if missing:
+            raise ValueError(f"report table {name!r} has no {what} {missing[0]!r}, "
+                             f"which {other_name!r} has")

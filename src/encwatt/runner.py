@@ -236,6 +236,8 @@ def run_campaign(
     only state: with ``resume=True`` the jobs of the rows already there are
     skipped, a row's ``t_enc_uf`` is its probe row's ``t_enc``, and a job
     whose probe has no row is recorded as failed without being encoded.
+    A row whose class or frame count is not its sequence's in ``jobs`` is
+    refused with :class:`DatasetError` before any encode.
     :class:`DatasetWriter` decides what an existing file may hold, and
     refuses it before any encode; an ``encoder_cmd`` that does not split
     into words is refused before the file is opened.  Per-job failures
@@ -257,6 +259,15 @@ def run_campaign(
     failures: list[tuple[str, str]] = []
     with DatasetWriter(out_csv, resume=resume) as writer:
         done = {row.key(): row for row in writer.rows}
+        sequences = {job.sequence_id: (job.class_label, job.frames) for job in ordered}
+        for row in writer.rows:
+            given = sequences.get(row.sequence_id)
+            if given is not None and given != (row.class_label, row.frames):
+                raise DatasetError(
+                    f"{out_csv}: sequence {row.sequence_id!r} was measured as class "
+                    f"{row.class_label!r} with {row.frames} frames, but its jobs give class "
+                    f"{given[0]!r} with {given[1]} frames"
+                )
         if done:
             logger.info("resuming campaign: %d rows already present", len(done))
         for job in ordered:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, DatasetRow, check_rows
+from .errors import DatasetError
 from .models import PRESETS, parse_json, read_json
 
 __all__ = ["GROUND_TRUTH", "SynthDatasetRecipe", "generate_dataset", "load_dataset_recipe"]
@@ -130,7 +131,12 @@ def generate_dataset(recipe: SynthDatasetRecipe) -> Dataset:
             repeat(sequence_id), repeat(class_label), row_presets, row_crfs,
             repeat(recipe.frames), avg_qp.tolist(), t_encs,
             [uf for uf in ufs for _ in PRESETS], energy.tolist(), repeat(1), repeat(True))))
-    check_rows(rows, lambda _, row: f"synth row {row.key()}")
+    if not check_rows(rows):
+        for row in rows:
+            try:
+                DatasetRow(*row)
+            except DatasetError as exc:
+                raise DatasetError(f"synth row {row.key()}: {exc}") from exc
     return Dataset(rows=tuple(rows))
 
 

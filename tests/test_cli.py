@@ -7,6 +7,7 @@ import json
 import pkgutil
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import encwatt
 from encwatt.cli import build_parser, main
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
 from encwatt.errors import AcquisitionError, DatasetError, FitError, ManifestError
-from encwatt.models import FitReport
+from encwatt.models import PRESETS, FitReport
 from encwatt.synth import GROUND_TRUTH
 
 
@@ -28,6 +29,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _quick_start_commands():
+    """The ``encwatt`` lines of the ``sh`` block under README's Quick start, split into words."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("encwatt ")]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path):
+    commands = _quick_start_commands()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(encwatt.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    for words in commands:
+        done = subprocess.run([sys.executable, "-m", "encwatt.cli", *words[1:]], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (words, done.stderr)
+    assert commands[-1][1:3] == ["estimate", "--params"]
+    header, *estimates = done.stdout.splitlines()
+    assert header == "preset estimate_j estimate_kj"
+    assert [line.split()[0] for line in estimates] == list(PRESETS[1:])
 
 
 # ── settings ──────────────────────────────────────────────────────────────
@@ -649,6 +672,43 @@ def test_report_key_that_is_not_a_preset_exits_two_naming_it(capsys, tmp_path, c
                    f"report key '{section}.warp9' is not a preset\n")
 
 
+def _drop_first_class(table):
+    classes = table["medium"]
+    del classes[next(iter(classes))]
+
+
+# Per case: the model, an edit of its report, and the refusal, which may
+# name the first key of a table (``{first}``) that the edit left whole.
+@pytest.mark.parametrize(("model", "edit", "refusal"), [
+    ("uf_linear", lambda payload: payload["per_preset_error"].pop("medium"),
+     "report table 'per_preset_error' has no preset 'medium', which 'linear_params' has"),
+    ("uf_linear", lambda payload: payload.update(linear_params={}),
+     "report table 'linear_params' has no preset {first!r}, which 'per_preset_error' has"),
+    ("uf_linear", lambda payload: payload.update(per_preset_error={}),
+     "report table 'per_preset_error' is empty"),
+    ("qp_cubic", lambda payload: _drop_first_class(payload["per_class_error"]),
+     "report table 'per_class_error.medium' has no class {first!r}, "
+     "which 'qp_params.medium' has"),
+], ids=["per_preset_error-lacks-medium", "linear_params-empty", "per_preset_error-empty",
+        "per_class_error-lacks-a-class"])
+@pytest.mark.parametrize("command", ["estimate", "report"])
+def test_report_whose_tables_disagree_exits_two_naming_them(capsys, tmp_path, command, model,
+                                                            edit, refusal):
+    data, report = tmp_path / "d.csv", tmp_path / "report.json"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    run_cli(capsys, "fit", str(data), "--model", model, "--out", str(report))
+    payload = json.loads(report.read_text())
+    first = next(iter(payload["per_preset_error"] if model == "uf_linear"
+                      else payload["qp_params"]["medium"]))
+    edit(payload)
+    report.write_text(json.dumps(payload))
+    argv = (["estimate", "--params", str(report), "--t-uf", "2"] if command == "estimate"
+            else ["report", str(report)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read report {report}: {refusal.format(first=first)}\n"
+
+
 def test_report_missing_a_required_key_names_it(capsys, tmp_path):
     data, report = tmp_path / "d.csv", tmp_path / "report.json"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
@@ -988,6 +1048,34 @@ def _measure_logging_calls(capsys, tmp_path, input_file, stub_encoder, *args, en
     )
     code, _, err = run_cli(capsys, "measure", str(manifest), "--encoder-cmd", encoder, *args)
     return code, err, calls
+
+
+@pytest.mark.parametrize(("changed", "named"), [
+    ({"class": "B"}, "class 'B' with 10 frames"),
+    ({"frames": 99}, "class 'A' with 99 frames"),
+    ({"class": "B", "frames": 99}, "class 'B' with 99 frames"),
+], ids=["class", "frames", "both"])
+def test_measure_resume_refuses_a_sequence_whose_class_or_frames_changed(
+        capsys, tmp_path, input_file, stub_encoder, changed, named):
+    # the old and the new rows would put one sequence in two classes
+    out = tmp_path / "dataset.csv"
+    first = {"sequence_id": "s0", "class": "A", "input": str(input_file), "frames": 10,
+             "preset": "ultrafast", "crf": 23}
+    meter = ("--meter", "synth:base=20,active=30,noise=0,period=0.02", "--out", str(out),
+             "--min-reps", "2", "--max-reps", "2")
+    code, err, calls = _measure_logging_calls(capsys, tmp_path, input_file, stub_encoder,
+                                              *meter, entry=first)
+    assert code == 0, err
+    before, calls_before = out.read_bytes(), calls.read_bytes()
+    second = {**first, **changed, "presets": ["ultrafast", "medium"]}
+    del second["preset"]
+    code, err, calls = _measure_logging_calls(capsys, tmp_path, input_file, stub_encoder,
+                                              *meter, "--resume", entry=second)
+    assert code == 2
+    assert err == (f"error: {out}: sequence 's0' was measured as class 'A' with 10 frames, "
+                   f"but its jobs give {named}\n")
+    assert out.read_bytes() == before
+    assert calls.read_bytes() == calls_before
 
 
 @pytest.mark.parametrize("grid", [{"presets": [], "crf": 23}, {"preset": "ultrafast", "crfs": []}],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import encwatt.dataset as dataset_module
 from encwatt.dataset import (
     _BLOCK_LINES,
     DATASET_COLUMNS,
@@ -515,3 +516,87 @@ def test_load_refuses_a_late_byte_that_is_not_utf8_before_any_row(benchmark_csv,
         load_dataset_csv(path)
     assert str(error.value) == (f"cannot read dataset {path}: 'utf-8' codec can't decode byte "
                                 f"0xff in position {len(data) - 11}: invalid start byte")
+
+
+_HEADER_LINE = HEADER.encode()
+_UF_LINE = b"seq00,B,ultrafast,23.0,100,25.0,1.0,1.0,110.0,3,true"
+_MEDIUM_LINE = b"seq00,B,medium,23.0,100,25.0,3.0,1.0,350.0,3,true"
+
+
+def _lines(*lines, end=b"\n"):
+    return b"".join(line + end for line in lines)
+
+
+def _check_in_block_1_before_unreadable_line_in_block_2():
+    lines = [b"seq%03d,B,ultrafast,23.0,100,25.0,1.0,1.0,110.0,3,true" % i
+             for i in range(_BLOCK_LINES + 1)]
+    lines[1] = lines[1].replace(b",3,true", b",0,true")  # row 3
+    lines[-1] = b"seq,B"  # row _BLOCK_LINES + 2, the first of block 2
+    return _lines(_HEADER_LINE, *lines)
+
+
+# Each case must load as the strict line reader alone reads it: to equal
+# rows, or to the same exception type and message.  A case maps to its
+# file and either the number of rows it loads to or its refusal, with
+# ``{path}`` for the file.
+DATASET_CORPUS = {
+    "lf": (_lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE), 2),
+    "crlf": (_lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE, end=b"\r\n"), 2),
+    "lone_cr_line_ends": (_lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE, end=b"\r"), 2),
+    "no_final_newline": (_lines(_HEADER_LINE, _UF_LINE) + _MEDIUM_LINE, 2),
+    "empty_avg_qp": (_lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE.replace(b",25.0,", b",,")), 2),
+    "header_only": (_lines(_HEADER_LINE), 0),
+    "header_without_line_end": (_HEADER_LINE, 0),
+    "lone_cr_in_a_field": (
+        _lines(_HEADER_LINE, _UF_LINE.replace(b"ultra", b"ultra\r"), _MEDIUM_LINE),
+        "{path}, row 2: expected 11 columns, got 3"),
+    "utf8_bom": (
+        b"\xef\xbb\xbf" + _lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE),
+        "{path}: bad header; missing columns ['sequence_id'], unexpected ['\\ufeffsequence_id']"),
+    "empty_file": (b"", "{path}: empty file"),
+    "wrong_width": (_lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE + b",1"),
+                    "{path}, row 3: expected 11 columns, got 12"),
+    "blank_line_mid_file": (_lines(_HEADER_LINE, _UF_LINE, b"", _MEDIUM_LINE),
+                            "{path}, row 3: expected 11 columns, got 1"),
+    "confident_True": (
+        _lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE.replace(b"true", b"True")),
+        "{path}, row 3, column 'confident': expected true/false, got 'True'"),
+    "check_in_block_1_before_unreadable_line_in_block_2": (
+        _check_in_block_1_before_unreadable_line_in_block_2(),
+        "{path}, row 3: reps must be >= 1, got 0"),
+    "late_byte_not_utf8": (
+        _lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE[:-4] + b"\xffrue"),
+        "cannot read dataset {path}: 'utf-8' codec can't decode byte 0xff in position 184: "
+        "invalid start byte"),
+    "crlf_unreadable_field": (
+        _lines(_HEADER_LINE, _UF_LINE, _MEDIUM_LINE.replace(b",3.0,", b",x,"), end=b"\r\n"),
+        "{path}, row 3, column 't_enc_s': could not convert string to float: 'x'"),
+}
+
+
+def _load_outcome(read, path):
+    try:
+        return tuple(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(("data", "expected"), DATASET_CORPUS.values(),
+                         ids=DATASET_CORPUS.keys())
+def test_load_matches_the_line_reader(tmp_path, data, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    loaded = _load_outcome(lambda p: load_dataset_csv(p, require_closure=False), path)
+    assert loaded == _load_outcome(dataset_module._read_lines, path)
+    if isinstance(expected, int):
+        assert len(loaded) == expected and all(type(row) is DatasetRow for row in loaded)
+    else:
+        assert loaded == (DatasetError, expected.format(path=path))
+
+
+def test_load_of_a_valid_file_does_not_need_the_line_reader(benchmark_csv, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(dataset_module, "_read_lines", refuse)
+    assert len(load_dataset_csv(benchmark_csv)) == 9000
