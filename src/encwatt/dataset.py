@@ -178,14 +178,17 @@ class DatasetRow(_RowFields):
 
 
 def _column_checks(checks) -> tuple:
-    """Per check: its predicate and the getter of the column it applies to."""
-    return tuple((ok, itemgetter(DatasetRow._fields.index(field))) for field, ok, _ in checks)
+    """Per check: its predicate, the getter of its column, and whether that column may hold None."""
+    return tuple((ok, itemgetter(DatasetRow._fields.index(field)), field == "avg_qp")
+                 for field, ok, _ in checks)
 
 
 # An identity value recurs across a dataset (each sequence, preset and CRF
 # is shared by many rows), so its check runs once per distinct value.  A
 # measured value is nearly always distinct: a set of them would cost memory
-# and save no check.
+# and save no check.  Each measured check accepts an interval of numbers
+# (and avg_qp also None), so a column with no NaN passes it if its least
+# and greatest numbers do.
 _IDENTITY_COLUMN_CHECKS = _column_checks(_IDENTITY_CHECKS)
 _MEASURED_COLUMN_CHECKS = _column_checks(_ROW_CHECKS[len(_IDENTITY_CHECKS):])
 # A row's key, as DatasetRow.key gives it, and its (sequence, CRF).
@@ -353,11 +356,19 @@ def check_rows(rows: list[DatasetRow]) -> bool:
     """Whether rows built unchecked all pass ``_ROW_CHECKS``.
 
     Each predicate runs on its whole column: an identity check once per
-    distinct value, a measurement check once per row.  No row is named:
-    a caller that must name the first bad row checks the rows one by one.
+    distinct value, a measurement check on the column's least and greatest
+    numbers after a scan for NaN.  No row is named: a caller that must
+    name the first bad row checks the rows one by one.
     """
-    return (all(all(map(ok, set(map(column, rows)))) for ok, column in _IDENTITY_COLUMN_CHECKS)
-            and all(all(map(ok, map(column, rows))) for ok, column in _MEASURED_COLUMN_CHECKS))
+    if not all(all(map(ok, set(map(column, rows)))) for ok, column, _ in _IDENTITY_COLUMN_CHECKS):
+        return False
+    for ok, column, may_be_empty in _MEASURED_COLUMN_CHECKS:
+        values = list(map(column, rows))
+        if may_be_empty:
+            values = [value for value in values if value is not None]
+        if values and (any(map(math.isnan, values)) or not (ok(min(values)) and ok(max(values)))):
+            return False
+    return True
 
 
 def _read_blocks(lines: IO[str]) -> list[DatasetRow]:

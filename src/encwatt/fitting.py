@@ -4,7 +4,10 @@ Both model families are linear in their parameters, so least squares on
 relative residuals ``(prediction - E) / E`` is ordinary least squares on
 rows scaled by ``1/E`` and is solved in closed form.  An optional L1
 variant minimizes the mean absolute relative error instead, solved
-exactly by vertex exchange, for sensitivity checks.
+exactly by vertex exchange, for sensitivity checks.  The one L1 solver,
+:func:`_solve_l1`, runs over a stack of problems that share one cell's
+rows, each a training-row mask and a start: a cell's own fit is a stack
+of one, and a cell's folds are one stack.
 
 The entry points are :func:`fit_report` (in-sample) and
 :func:`cross_validate` (k-fold).  Each fits every cell of one model kind
@@ -15,7 +18,8 @@ does, by the model law of :mod:`encwatt.models` (:func:`_errors`), and a
 fit that fails names its cell once, as ``preset 'medium', class 'B'``
 (and ``, fold 0`` for a training fold).  Cross-validation fits each cell
 on all its rows before its folds, so a cell that cannot be fitted fails
-naming the cell, not a fold.
+naming the cell, not a fold; it then fits all the cell's folds through
+:func:`_fit_folds` and names the first that failed, in fold order.
 """
 
 from __future__ import annotations
@@ -67,99 +71,148 @@ def mean_abs_relative_error(errors: Sequence[float]) -> float:
     return float(np.mean(np.abs(np.asarray(errors, dtype=float))))
 
 
-def _solve_relative_ls(
-    design: np.ndarray, energies: np.ndarray, objective: str, start: np.ndarray | None = None
-) -> np.ndarray:
-    """Minimize the relative-residual objective for a parameter-linear model.
-
-    ``design @ c`` predicts energy.  For ``squared_rel`` this is one
-    closed-form weighted least-squares solve; ``abs_rel`` solves the L1
-    problem exactly by vertex exchange, from ``start`` if given (a fold
-    gets its cell's full-data optimum), else from the least-squares fit.
-    """
-    n, k = design.shape
-    scaled = design / energies[:, None]
-    if objective == "abs_rel" and start is not None:
-        return _solve_l1(scaled, start)
+def _least_squares(scaled: np.ndarray) -> np.ndarray:
+    """The minimizer of ``sum((scaled @ c - 1)**2)``; a rank-deficient ``scaled`` raises."""
+    n, k = scaled.shape
     coef, _, rank, _ = np.linalg.lstsq(scaled, np.ones(n), rcond=None)
     if rank < k:
         raise FitError(f"design matrix has rank {rank} < {k}")
-    return _solve_l1(scaled, coef) if objective == "abs_rel" else coef
+    return coef
 
 
-def _solve_l1(scaled: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Minimize ``sum(|scaled @ c - 1|)`` exactly by vertex exchange.
+def _solve_relative_ls(design: np.ndarray, energies: np.ndarray, objective: str) -> np.ndarray:
+    """Minimize the relative-residual objective of one cell for a parameter-linear model.
+
+    ``design @ c`` predicts energy.  For ``squared_rel`` this is one
+    closed-form weighted least-squares solve; ``abs_rel`` solves the L1
+    problem exactly by vertex exchange, as a stack of one problem that
+    starts from the least-squares fit.
+    """
+    scaled = design / energies[:, None]
+    coef = _least_squares(scaled)
+    if objective == "abs_rel":
+        (coef,) = _solve_l1(scaled, np.ones((1, len(scaled)), dtype=bool), coef[None])
+        if isinstance(coef, FitError):
+            raise coef
+    return coef
+
+
+def _solve_l1(
+    scaled: np.ndarray, masks: np.ndarray, starts: np.ndarray
+) -> list[np.ndarray | FitError]:
+    """Minimize ``sum(|scaled[m] @ c - 1|)`` exactly by vertex exchange, per problem ``(m, start)``.
+
+    The problems of a stack share the rows of ``scaled``; problem ``p``
+    trains on the rows ``masks[p]`` selects, from ``starts[p]``.  Its
+    result is its coefficients, or the :class:`FitError` it failed with:
+    nothing is raised, so a caller can name the first failing problem.
+    Only the numpy work is stacked; each problem takes the steps it would
+    take alone, on its training rows in their order.
 
     An L1 optimum interpolates ``k`` linearly independent rows (Barrodale
     & Roberts, SIAM J. Numer. Anal. 10(5), 1973).  The first vertex goes
     through the ``k`` rows of smallest ``|residual|`` under ``start`` that
-    have full rank (fewer raise :class:`FitError`), so a ``start``
-    near the optimum needs few pivots.  Every row outside the basis ``B``
-    has a side ``s_i``: the sign of its residual, or for a row resting at
-    zero residual the side it was last moved to (0 if none).  The dual
+    have full rank (fewer fail), so a ``start`` near the optimum needs few
+    pivots.  Every row outside the basis ``B`` has a side ``s_i``: the
+    sign of its residual, or for a row resting at zero residual the side
+    it was last moved to (0 if none).  The dual
     ``u = -B^-T sum_{i not in B} s_i a_i`` certifies the vertex optimal
-    when ``max|u| <= 1``.  Otherwise the basis row ``j`` of largest
-    ``|u_j|`` is released along ``d = B^-1 sign(u_j) e_j``, on which the
-    objective falls, up to the breakpoint where its slope turns
-    non-negative (a weighted median of ``-r_i / (a_i . d)``); the rows
-    passed change sides and the row breaking there enters the basis.  A
-    fit still uncertified after ``_PIVOTS_PER_ROW`` pivots per row raises
-    :class:`FitError`.
+    when ``max|u| <= 1``; the coefficients are then ``B^-1 1``.  Otherwise
+    the basis row ``j`` of largest ``|u_j|`` is released along
+    ``d = B^-1 sign(u_j) e_j``, on which the objective falls, up to the
+    breakpoint where its slope turns non-negative (a weighted median of
+    ``-r_i / (a_i . d)``, ties to the lower row); the rows passed change
+    sides and the row breaking there enters the basis.  A problem still
+    uncertified after ``_PIVOTS_PER_ROW`` pivots per training row fails.
     """
     n, k = scaled.shape
-    residuals = scaled @ start - 1.0
-    order = np.argsort(np.abs(residuals), kind="stable").tolist()
-    # If the k first rows have full rank, so has each prefix of them (a row
-    # deleted cannot shrink the smallest singular value, nor grow the rank
-    # tolerance), and the row-by-row search would pick exactly them.
-    basis = order[:k]
-    if np.linalg.matrix_rank(scaled[basis]) < k:
-        basis = []
-        for i in order:
-            if np.linalg.matrix_rank(scaled[basis + [i]]) > len(basis):
-                basis.append(i)
-                if len(basis) == k:
+    outcomes: list[np.ndarray | FitError | None] = [None] * len(starts)
+    train = masks.sum(axis=1)
+    ranked = np.argsort(np.where(masks, np.abs(starts @ scaled.T - 1.0), np.inf),
+                        axis=1, kind="stable")
+    basis = ranked[:, :k].copy()
+    # If a problem's k first rows have full rank, so has each prefix of
+    # them (a row deleted cannot shrink the smallest singular value, nor
+    # grow the rank tolerance), and the row-by-row search would pick them.
+    for p in np.flatnonzero((np.linalg.matrix_rank(scaled[basis]) < k) | (train < k)):
+        found: list[int] = []
+        for i in ranked[p, :train[p]].tolist():
+            if np.linalg.matrix_rank(scaled[found + [i]]) > len(found):
+                found.append(i)
+                if len(found) == k:
                     break
-    if len(basis) < k:
-        raise FitError(f"design matrix has rank {len(basis)} < {k}")
-    abs_scaled = np.abs(scaled)
-    sides = np.zeros(n)
-    cap = _PIVOTS_PER_ROW * n
-    for pivot in range(cap + 1):
+        if len(found) < k:
+            outcomes[p] = FitError(f"design matrix has rank {len(found)} < {k}")
+        else:
+            basis[p] = found
+    live = np.array([p for p, outcome in enumerate(outcomes) if outcome is None], dtype=int)
+    basis, masks, caps = basis[live], masks[live], _PIVOTS_PER_ROW * train[live]
+    sides = np.zeros(masks.shape)
+    scaled_t, abs_scaled_t, unit, places = scaled.T, np.abs(scaled).T, np.eye(k), np.arange(n)
+    # Per-problem state is kept as (problem, row) and (problem, basis slot)
+    # arrays.  An element is reached by its flat index: its problem's first
+    # flat index (``first`` for rows, ``first_slot`` for slots) plus its
+    # row or slot.
+    first, first_slot = np.arange(0, len(live) * n, n), np.arange(0, len(live) * k, k)
+    pivot = 0
+    while len(live):
+        in_basis = basis + first[:, None]
         rows = scaled[basis]
         coef = np.linalg.solve(rows, np.ones(k))
-        residuals = scaled @ coef - 1.0
+        residuals = coef @ scaled_t - 1.0
         # a residual within rounding of its terms' scale rests at zero
-        off_zero = np.abs(residuals) > _ZERO_RESIDUAL * (abs_scaled @ np.abs(coef) + 1.0)
-        off_zero[basis] = False
-        residuals[~off_zero] = 0.0
+        scale = np.abs(coef) @ abs_scaled_t + 1.0
+        off_zero = masks & (np.abs(residuals) > _ZERO_RESIDUAL * scale)
+        off_zero.put(in_basis, False)
+        residuals = np.where(off_zero, residuals, 0.0)
         sides = np.where(off_zero, np.sign(residuals), sides)
-        sides[basis] = 0.0
-        dual = -np.linalg.solve(rows.T, sides @ scaled)
-        j = int(np.argmax(np.abs(dual)))
-        if abs(dual[j]) <= 1.0 + _DUAL_SLACK:
-            return coef
-        if pivot == cap:
-            break
-        sign = np.sign(dual[j])
-        step = np.linalg.solve(rows, sign * np.eye(k)[j])
-        rates = scaled @ step  # each residual's change per unit step
-        moving = np.abs(rates) > _ZERO_RESIDUAL * (abs_scaled @ np.abs(step))
-        moving[basis] = False
+        sides.put(in_basis, 0.0)
+        dual = -np.linalg.solve(rows.transpose(0, 2, 1), (sides @ scaled)[..., None])[..., 0]
+        j = np.argmax(np.abs(dual), axis=1)
+        dual_j = dual.take(first_slot + j)
+        certified = np.abs(dual_j) <= 1.0 + _DUAL_SLACK
+        finished = certified | (caps == pivot)
+        if finished.any():
+            for p, c, cap, ok in zip(live[finished], coef[finished], caps[finished],
+                                     certified[finished]):
+                outcomes[p] = c if ok else FitError(
+                    f"abs_rel vertex exchange not certified optimal after {cap} pivots")
+            go = ~finished
+            live, basis, masks, caps, sides, rows, residuals, j, dual_j = (
+                a[go] for a in (live, basis, masks, caps, sides, rows, residuals, j, dual_j))
+            first, first_slot = first[:len(live)], first_slot[:len(live)]
+            in_basis = basis + first[:, None]
+        sign = np.sign(dual_j)
+        step = np.linalg.solve(rows, (sign[:, None] * unit[j])[..., None])[..., 0]
+        rates = step @ scaled_t  # each residual's change per unit step
+        moving = masks & (np.abs(rates) > _ZERO_RESIDUAL * (np.abs(step) @ abs_scaled_t))
+        moving.put(in_basis, False)
         # A row moving against its side (or off zero with no side yet)
         # breaks at ratio -r/rate >= 0, where its slope contribution turns
         # from side*rate to |rate|; the released row adds 1 to the slope.
-        breaks = np.flatnonzero(moving & (sides * rates <= 0.0))
-        order = breaks[np.argsort(-residuals[breaks] / rates[breaks], kind="stable")]
-        jumps = np.abs(rates[order]) - sides[order] * rates[order]
-        slopes = np.cumsum(jumps) + 1.0 - abs(dual[j])
-        at = int(np.searchsorted(slopes, 0.0))  # first breakpoint where the slope is >= 0
-        if at == len(order):
-            raise FitError("abs_rel vertex exchange found no breakpoint along a descent step")
-        sides[order[:at]] = np.sign(rates[order[:at]])
-        sides[basis[j]] = sign
-        basis[j] = int(order[at])
-    raise FitError(f"abs_rel vertex exchange not certified optimal after {cap} pivots")
+        # Every other row sorts last, at +inf.
+        breaks = moving & (sides * rates <= 0.0)
+        ratios = np.divide(-residuals, rates, out=np.full(rates.shape, np.inf), where=breaks)
+        order = np.argsort(ratios, axis=1, kind="stable")
+        ordered = order + first[:, None]
+        ordered_rates, ordered_sides = rates.take(ordered), sides.take(ordered)
+        jumps = np.abs(ordered_rates) - ordered_sides * ordered_rates  # >= 0: slopes never fall
+        reached = np.cumsum(jumps, axis=1) + 1.0 - np.abs(dual_j)[:, None] >= 0.0
+        at = np.argmax(reached, axis=1)  # first breakpoint where the slope is >= 0
+        sides.put(ordered, np.where(places < at[:, None], np.sign(ordered_rates), ordered_sides))
+        released = first_slot + j
+        sides.put(first + basis.take(released), sign)
+        basis.put(released, order.take(first + at))
+        stuck = ~reached.take(first + at) | (at >= breaks.sum(axis=1))
+        if stuck.any():
+            for p in live[stuck]:
+                outcomes[p] = FitError("abs_rel vertex exchange found no breakpoint along a "
+                                       "descent step")
+            go = ~stuck
+            live, basis, masks, caps, sides = (a[go] for a in (live, basis, masks, caps, sides))
+            first, first_slot = first[:len(live)], first_slot[:len(live)]
+        pivot += 1
+    return outcomes
 
 
 def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
@@ -242,43 +295,88 @@ def _design(model_kind: str, x: np.ndarray) -> np.ndarray:
     return np.column_stack([x, np.ones_like(x)])
 
 
+def _check_rows(x: np.ndarray, model_kind: str) -> None:
+    """Refuse covariates ``x`` that ``model_kind`` cannot be fitted to, before any solve."""
+    covariate_kind = _COVARIATE[model_kind][1]
+    if covariate_kind is None:
+        if len(x) < 5:
+            raise FitError(f"{len(x)} rows; need at least 5")
+        return
+    if len(x) > 0 and np.all(x == x[0]):
+        raise FitError(f"all {covariate_kind} values equal ({x[0]})")
+    if len(x) < 3:
+        raise FitError(f"{len(x)} rows; need at least 3 to fit the affine model")
+
+
+def _params(coef: np.ndarray, x: np.ndarray, model_kind: str) -> LinearParams | QpModelParams:
+    """The parameters of solver coefficients ``coef`` fitted on covariates ``x``, checked."""
+    covariate_kind = _COVARIATE[model_kind][1]
+    if covariate_kind is not None:
+        slope, offset = coef.tolist()
+        if slope <= 0:
+            raise FitError(f"fitted slope {slope:.6g} W is not positive")
+        return LinearParams(p=slope, e0=offset, covariate_kind=covariate_kind)
+    kappa, lam, mu, t0 = coef.tolist()
+    qp_range = (float(x.min()), float(x.max()))
+    # fitted in the energy domain: p_avg keeps its default of 1
+    params = QpModelParams(kappa=kappa, lam=lam, mu=mu, t0=t0, valid_qp_range=qp_range)
+    grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
+    grid_pred = qp_time_law(params, grid)
+    if np.any(grid_pred <= 0):
+        raise FitError(f"fitted model predicts non-positive energy near qp "
+                       f"{grid[np.argmin(grid_pred)]:.2f}")
+    return params
+
+
 def _fit_cell(
-    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, context: str,
-    start: np.ndarray | None = None,
+    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, context: str
 ) -> tuple[LinearParams | QpModelParams, np.ndarray]:
     """Fit ``model_kind`` to one cell's covariates ``x`` and energies: ``(params, coef)``.
 
-    ``coef`` is the solver's coefficient vector, which each fold of the
-    cell takes as its ``start``.  A :class:`FitError` names the cell by
+    ``coef`` is the solver's coefficient vector, which each abs_rel fold of
+    the cell takes as its start.  A :class:`FitError` names the cell by
     ``context``.
     """
-    covariate_kind = _COVARIATE[model_kind][1]
-    qp = covariate_kind is None
     try:
-        if qp and len(x) < 5:
-            raise FitError(f"{len(x)} rows; need at least 5")
-        if not qp and len(x) > 0 and np.all(x == x[0]):
-            raise FitError(f"all {covariate_kind} values equal ({x[0]})")
-        if not qp and len(x) < 3:
-            raise FitError(f"{len(x)} rows; need at least 3 to fit the affine model")
-        coef = _solve_relative_ls(_design(model_kind, x), energy, objective, start)
-        if not qp:
-            slope, offset = coef.tolist()
-            if slope <= 0:
-                raise FitError(f"fitted slope {slope:.6g} W is not positive")
-            return LinearParams(p=slope, e0=offset, covariate_kind=covariate_kind), coef
-        kappa, lam, mu, t0 = coef.tolist()
-        qp_range = (float(x.min()), float(x.max()))
-        # fitted in the energy domain: p_avg keeps its default of 1
-        params = QpModelParams(kappa=kappa, lam=lam, mu=mu, t0=t0, valid_qp_range=qp_range)
-        grid = np.arange(qp_range[0], qp_range[1] + 0.25, 0.25)
-        grid_pred = qp_time_law(params, grid)
-        if np.any(grid_pred <= 0):
-            raise FitError(f"fitted model predicts non-positive energy near qp "
-                           f"{grid[np.argmin(grid_pred)]:.2f}")
-        return params, coef
+        _check_rows(x, model_kind)
+        coef = _solve_relative_ls(_design(model_kind, x), energy, objective)
+        return _params(coef, x, model_kind), coef
     except FitError as exc:
         raise FitError(f"{context}: {exc}") from exc
+
+
+def _fit_folds(
+    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, masks: np.ndarray,
+    start: np.ndarray,
+) -> list[LinearParams | QpModelParams | FitError]:
+    """Fit ``model_kind`` on each training mask of one cell's covariates ``x`` and energies.
+
+    Returns per mask its parameters or the :class:`FitError` it failed
+    with, raising none, so that a caller names the first failing fold in
+    fold order.  For ``abs_rel`` the masks whose rows pass
+    :func:`_check_rows` are solved as one stack, each from the cell's
+    optimum ``start``; each ``squared_rel`` mask is one least-squares solve.
+    """
+    scaled = _design(model_kind, x) / energy[:, None]
+    outcomes: list = []
+    for mask in masks:
+        try:
+            _check_rows(x[mask], model_kind)
+            outcomes.append(_least_squares(scaled[mask]) if objective == "squared_rel" else None)
+        except FitError as exc:
+            outcomes.append(exc)
+    if objective == "abs_rel":
+        stacked = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        coefs = _solve_l1(scaled, masks[stacked], np.tile(start, (len(stacked), 1)))
+        for i, coef in zip(stacked, coefs):
+            outcomes[i] = coef
+    for i, (mask, coef) in enumerate(zip(masks, outcomes)):
+        if not isinstance(coef, FitError):
+            try:
+                outcomes[i] = _params(coef, x[mask], model_kind)
+            except FitError as exc:
+                outcomes[i] = exc
+    return outcomes
 
 
 def _errors(
@@ -345,10 +443,11 @@ def cross_validate(
     ``joint_folds`` the partition is computed once over all bitstream keys
     and shared across cells, so a bitstream is held out in the same fold
     everywhere.  A degenerate training fold aborts the run rather than
-    being skipped.  A cell's error averages its held-out errors; a
-    preset's error averages its cells' errors.  Each cell is fitted on all
-    its rows before its folds, and that fit's coefficients are each fold's
-    ``start``; a cell that cannot be fitted raises at once, naming the
+    being skipped, naming the first such fold in fold order.  A cell's
+    error averages its held-out errors; a preset's error averages its
+    cells' errors.  Each cell is fitted on all its rows before its folds,
+    and for ``abs_rel`` that fit's coefficients start every fold of the
+    cell's stack; a cell that cannot be fitted raises at once, naming the
     cell, not a fold.
     """
     cells = []
@@ -368,14 +467,18 @@ def cross_validate(
                 raise ValueError(f"{name}: {len(rows)} rows cannot fill {k} folds")
             folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
         fitted, start = _fit_cell(x, energy, model_kind, objective, name)
+        # joint split: a cell may have no bitstream in a fold
+        kept = [(fold_index, fold) for fold_index, fold in enumerate(folds) if len(fold)]
+        masks = np.ones((len(kept), len(rows)), dtype=bool)
+        for mask, (_, fold) in zip(masks, kept):
+            mask[fold] = False
+        x, energy = x[order], energy[order]
+        trained = _fit_folds(x, energy, model_kind, objective, masks, start)
         held_out: list[np.ndarray] = []
-        for fold_index, fold in enumerate(folds):
-            if len(fold) == 0:
-                continue  # joint split: this cell has no bitstream in the fold
-            train, test = np.delete(order, fold), order[fold]
-            trained, _ = _fit_cell(x[train], energy[train], model_kind, objective,
-                                   f"{name}, fold {fold_index}", start=start)
-            errors = _errors(trained, x[test], energy[test])
+        for (fold_index, fold), params in zip(kept, trained):
+            if isinstance(params, FitError):
+                raise FitError(f"{name}, fold {fold_index}: {params}") from params
+            errors = _errors(params, x[fold], energy[fold])
             held_out.append(errors)
             fold_errors[fold_index].append(errors)
         cells.append((preset, class_label, fitted,

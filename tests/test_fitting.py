@@ -254,15 +254,15 @@ def test_l1_first_basis_takes_one_rank_check_unless_its_rows_are_dependent(monke
     matrix_rank = np.linalg.matrix_rank
 
     def rank(a, *args, **kwargs):
-        calls.append(len(a))
+        calls.append(np.shape(a))
         return matrix_rank(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "matrix_rank", rank)
-    coef = fitting._solve_l1(scaled, start)
+    (coef,) = fitting._solve_l1(scaled, np.ones((1, 12), dtype=bool), start[None])
     monkeypatch.undo()
-    # one check of the k smallest-residual rows; the row-by-row search
-    # only when they are dependent
-    assert calls[0] == 4
+    # one check of the k smallest-residual rows, for the whole stack; the
+    # row-by-row search only when they are dependent
+    assert calls[0] == (1, 4, 4)
     assert (len(calls) > 1) == repeated
     assert np.mean(np.abs(scaled @ coef - 1.0)) == pytest.approx(
         l1_vertex_minimum(scaled, np.ones(12)), rel=1e-12)
@@ -279,7 +279,8 @@ def test_abs_rel_pivots_never_raise_the_objective(monkeypatch):
     def spy(a, b):
         x = solve(a, b)
         if np.array_equal(b, np.ones(4)):  # a vertex: the fit through the basis rows
-            vertices.append(float(np.mean(np.abs((design @ x - energies) / energies))))
+            (coef,) = x  # a cell's fit is a stack of one problem
+            vertices.append(float(np.mean(np.abs((design @ coef - energies) / energies))))
         return x
 
     monkeypatch.setattr(np.linalg, "solve", spy)
@@ -561,20 +562,34 @@ def test_crossval_errors_are_what_each_folds_parameters_predict(monkeypatch, mod
     ds = generate_dataset(SynthDatasetRecipe(seed=0))
     k, seed = 5, 0
     fitted = {}  # each fit's parameters, by the cell (and fold) its errors name
-    fit_cell = fitting._fit_cell
+    fold_fits = []  # per cell, in cell order: its training masks and their fits
+    fit_cell, fit_folds = fitting._fit_cell, fitting._fit_folds
 
-    def recorded(*args, start=None):
-        params, coef = fit_cell(*args, start=start)
+    def recorded_cell(*args):
+        params, coef = fit_cell(*args)
         fitted[args[4]] = params
         return params, coef
 
-    monkeypatch.setattr(fitting, "_fit_cell", recorded)
+    def recorded_folds(*args):
+        trained = fit_folds(*args)
+        fold_fits.append((args[4], trained))
+        return trained
+
+    monkeypatch.setattr(fitting, "_fit_cell", recorded_cell)
+    monkeypatch.setattr(fitting, "_fit_folds", recorded_folds)
     report = cross_validate(ds, model_kind, k=k, seed=seed, objective=objective,
                             joint_folds=joint_folds)
     cell_errors, fold_errors = {}, [[] for _ in range(k)]
-    for preset, label, rows, folds in folds_of(ds, model_kind, k, seed, joint_folds):
+    cells = list(folds_of(ds, model_kind, k, seed, joint_folds))
+    assert len(fold_fits) == len(cells)
+    for (preset, label, rows, folds), (masks, trained) in zip(cells, fold_fits):
         name = f"preset {preset!r}" + (f", class {label!r}" if label else "")
         assert cell_params(report, preset, label) == fitted[name]
+        # one training mask per fold that holds rows: every row but the fold's
+        kept = [f for f, fold in enumerate(folds) if len(fold)]
+        assert [sorted(np.flatnonzero(~mask)) for mask in masks] == [
+            sorted(folds[f]) for f in kept]
+        fitted.update((f"{name}, fold {f}", params) for f, params in zip(kept, trained))
         held_out = []
         for f, fold in enumerate(folds):
             if len(fold) == 0:
@@ -637,6 +652,82 @@ def test_failed_fold_names_its_cell_once(model_kind, n, message):
     assert str(info.value) == message
 
 
+_CAPPED = "abs_rel vertex exchange not certified optimal after 0 pivots"
+_RANK = "design matrix has rank 3 < 4"
+# Cells with two bad folds under abs_rel when no pivot is allowed: a fold
+# whose warm start is not its own optimum fails in the solver, and the other
+# fails a check, before the solve (one own_time value) or in the stack's
+# first-basis search (three QP values).  QP cells keep t_enc out of play.
+_TWO_BAD_FOLDS = {
+    "linear": ("time_linear", 2, [2.0, 2.0, 2.0, 4.9, 3.7, 3.6],
+               [338.0, 297.0, 263.0, 832.0, 580.0, 512.0]),
+    "qp_rank_first": ("qp_cubic", 3, [20, 20, 20, 35, 30, 25, 30, 20, 30, 25, 25, 30, 30, 20, 35],
+                      [476, 594, 648, 1219, 1039, 897, 1280, 548, 1079, 876, 667, 655, 1292,
+                       554, 1120]),
+    "qp_cap_first": ("qp_cubic", 3, [30, 25, 35, 30, 35, 20, 20, 35, 25, 30, 20, 30],
+                     [1093, 862, 1298, 1018, 1021, 638, 481, 1262, 793, 1161, 595, 667]),
+}
+
+
+@pytest.mark.parametrize("cell, seed, failures", [
+    ("linear", 5, {0: _CAPPED, 1: "all own_time values equal (2.0)"}),
+    ("linear", 7, {0: "all own_time values equal (2.0)", 1: _CAPPED}),
+    ("qp_rank_first", 4, {1: _RANK, 2: _CAPPED}),
+    ("qp_cap_first", 10, {0: _CAPPED, 1: _RANK}),
+])
+def test_first_failing_fold_in_fold_order_is_named(monkeypatch, cell, seed, failures):
+    import encwatt.fitting as fitting
+
+    model_kind, k, x, energies = _TWO_BAD_FOLDS[cell]
+    if model_kind == "qp_cubic":
+        ds = dataset_from_arrays(np.linspace(1, 5, len(x)), energies, qps=[float(q) for q in x])
+        name = "preset 'medium', class 'B'"
+    else:
+        ds = dataset_from_arrays(x, energies)
+        name = "preset 'medium'"
+    monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", 0)
+    outcomes = []
+    fit_folds = fitting._fit_folds
+
+    def recorded(*args):
+        outcomes.extend(fit_folds(*args))
+        return outcomes
+
+    monkeypatch.setattr(fitting, "_fit_folds", recorded)
+    with pytest.raises(FitError) as info:
+        cross_validate(ds, model_kind, k=k, seed=seed, objective="abs_rel")
+    first = min(failures)
+    assert str(info.value) == f"{name}, fold {first}: {failures[first]}"
+    # every fold was fitted before the first failure was raised, and both
+    # bad folds failed, each with its own message
+    assert len(outcomes) == k
+    assert {f: str(o) for f, o in enumerate(outcomes) if isinstance(o, FitError)} == failures
+
+
+@pytest.mark.parametrize("model_kind", ["time_linear", "qp_cubic"])
+def test_stacked_folds_reach_each_folds_vertex_minimum_and_its_cold_fit(model_kind):
+    import encwatt.fitting as fitting
+
+    rng = np.random.default_rng(17)
+    make = noisy_linear_dataset if model_kind == "time_linear" else noisy_qp_dataset
+    for fold_seed in range(3):
+        ds = make(rng, 12, ties=True)  # rows 1-3 repeat row 0, so their breakpoints tie
+        x = np.array([r.t_enc if model_kind == "time_linear" else r.avg_qp for r in ds.rows])
+        energy = np.array([r.energy for r in ds.rows])
+        design = fitting._design(model_kind, x)
+        _, start = fitting._fit_cell(x, energy, model_kind, "abs_rel", "cell")
+        masks = np.ones((4, 12), dtype=bool)
+        for mask, fold in zip(masks, kfold_split(12, 4, fold_seed)):
+            mask[list(fold)] = False
+        stacked = fitting._solve_l1(design / energy[:, None], masks, np.tile(start, (4, 1)))
+        for mask, coef in zip(masks, stacked):
+            train, energies = design[mask], energy[mask]
+            assert np.mean(np.abs(train @ coef - energies) / energies) == pytest.approx(
+                l1_vertex_minimum(train, energies), rel=1e-12)
+            # the same fold alone, started cold from its own least squares
+            assert np.array_equal(coef, fitting._solve_relative_ls(train, energies, "abs_rel"))
+
+
 @pytest.mark.parametrize("cell, objective, pivots, message", [
     # falling energy: every fit of the cell has a negative slope
     ("falling", "squared_rel", 10, r"^preset 'medium': fitted slope -\S+ W is not positive$"),
@@ -653,13 +744,18 @@ def test_a_cell_that_cannot_be_fitted_fails_before_its_folds(monkeypatch, cell, 
         ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
     monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", pivots)
     contexts = []
-    fit_cell = fitting._fit_cell
+    fit_cell, fit_folds = fitting._fit_cell, fitting._fit_folds
 
-    def recorded(*args, start=None):
+    def recorded(*args):
         contexts.append(args[4])
-        return fit_cell(*args, start=start)
+        return fit_cell(*args)
+
+    def recorded_folds(*args):
+        contexts.append("folds")
+        return fit_folds(*args)
 
     monkeypatch.setattr(fitting, "_fit_cell", recorded)
+    monkeypatch.setattr(fitting, "_fit_folds", recorded_folds)
     with pytest.raises(FitError, match=message) as info:
         cross_validate(ds, "time_linear", k=2, seed=0, objective=objective)
     assert contexts == [str(info.value).split(":")[0]]
@@ -681,7 +777,13 @@ def test_warm_started_folds_report_what_cold_started_folds_do(monkeypatch, seed,
 
     warm = report()
     fit_cell = fitting._fit_cell
-    monkeypatch.setattr(fitting, "_fit_cell", lambda *args, start=None: fit_cell(*args))
+
+    def cold(x, energy, model_kind, objective, masks, start):
+        # each fold alone, as a cell: a least-squares start and a stack of one
+        return [fit_cell(x[mask], energy[mask], model_kind, objective, "cold")[0]
+                for mask in masks]
+
+    monkeypatch.setattr(fitting, "_fit_folds", cold)
     assert warm == report()
 
 
