@@ -184,12 +184,16 @@ def _column_checks(checks) -> tuple:
 
 
 # An identity value recurs across a dataset (each sequence, preset and CRF
-# is shared by many rows), so its check runs once per distinct value.  A
-# measured value is nearly always distinct: a set of them would cost memory
-# and save no check.  Each measured check accepts an interval of numbers
-# (and avg_qp also None), so a column with no NaN passes it if its least
-# and greatest numbers do.
-_IDENTITY_COLUMN_CHECKS = _column_checks(_IDENTITY_CHECKS)
+# is shared by many rows), so its checks run once per distinct value, on
+# one set per column (sequence_id has two checks).  A measured value is
+# nearly always distinct: a set of them would cost memory and save no
+# check.  Each measured check accepts an interval of numbers (and avg_qp
+# also None), so a column with no NaN passes it if its least and greatest
+# numbers do.
+_IDENTITY_COLUMN_CHECKS = tuple(
+    (itemgetter(DatasetRow._fields.index(field)),
+     tuple(ok for checked, ok, _ in _IDENTITY_CHECKS if checked == field))
+    for field in dict.fromkeys(field for field, _, _ in _IDENTITY_CHECKS))
 _MEASURED_COLUMN_CHECKS = _column_checks(_ROW_CHECKS[len(_IDENTITY_CHECKS):])
 # A row's key, as DatasetRow.key gives it, and its (sequence, CRF).
 _KEY = itemgetter(0, 2, 3)
@@ -360,8 +364,10 @@ def check_rows(rows: list[DatasetRow]) -> bool:
     numbers after a scan for NaN.  No row is named: a caller that must
     name the first bad row checks the rows one by one.
     """
-    if not all(all(map(ok, set(map(column, rows)))) for ok, column, _ in _IDENTITY_COLUMN_CHECKS):
-        return False
+    for column, predicates in _IDENTITY_COLUMN_CHECKS:
+        values = set(map(column, rows))
+        if not all(all(map(ok, values)) for ok in predicates):
+            return False
     for ok, column, may_be_empty in _MEASURED_COLUMN_CHECKS:
         values = list(map(column, rows))
         if may_be_empty:

@@ -5,25 +5,30 @@ relative residuals ``(prediction - E) / E`` is ordinary least squares on
 rows scaled by ``1/E`` and is solved in closed form.  An optional L1
 variant minimizes the mean absolute relative error instead, solved
 exactly by vertex exchange, for sensitivity checks.  The one L1 solver,
-:func:`_solve_l1`, runs over a stack of problems that share one cell's
-rows, each a training-row mask and a start: a cell's own fit is a stack
-of one, and a cell's folds are one stack.
+:func:`_solve_l1`, takes problems drawn from many cells, each a
+training-row mask of one cell started from that cell's start, and solves
+them in stacks of at most ``_STACK_SLOTS`` (problem, row) slots, which
+bounds its memory: all the cells' own fits are one call, and all their
+folds another.
 
 The entry points are :func:`fit_report` (in-sample) and
 :func:`cross_validate` (k-fold).  Each fits every cell of one model kind
-through :func:`_fit_cell` and returns a :class:`FitReport`; a cell's
+through :func:`_fit` and returns a :class:`FitReport`; a cell's
 parameters are read from it, as ``linear_params[preset]`` or
 ``qp_params[preset][class]``.  Both score a row the one way ``estimate``
 does, by the model law of :mod:`encwatt.models` (:func:`_errors`), and a
 fit that fails names its cell once, as ``preset 'medium', class 'B'``
-(and ``, fold 0`` for a training fold).  Cross-validation fits each cell
-on all its rows before its folds, so a cell that cannot be fitted fails
-naming the cell, not a fold; it then fits all the cell's folds through
-:func:`_fit_folds` and names the first that failed, in fold order.
+(and ``, fold 0`` for a training fold).  Cross-validation fits every cell
+on all its rows, then the folds of each cell before the first that
+failed, each step one call of :func:`_fit`.  It names failures in cell
+order: a cell that cannot be fitted (naming the cell, not a fold), then
+its folds in fold order.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +60,10 @@ __all__ = [
 _PIVOTS_PER_ROW = 10  # vertex-exchange cap of an abs_rel fit, per row; reaching it raises
 _ZERO_RESIDUAL = 1e-12  # a residual or rate within this share of its terms' size counts as 0
 _DUAL_SLACK = 1e-9  # rounding allowance on the optimality certificate max|u| <= 1
+# (problem, row) slots of one stack of abs_rel problems, padding rows
+# included.  On a 9,000-row set, twice as many saved little time and
+# raised a crossval process's peak memory by about 1 MB.
+_STACK_SLOTS = 8192
 
 
 def relative_error(estimated: float, measured: float) -> float:
@@ -80,42 +89,97 @@ def _least_squares(scaled: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _solve_relative_ls(design: np.ndarray, energies: np.ndarray, objective: str) -> np.ndarray:
-    """Minimize the relative-residual objective of one cell for a parameter-linear model.
+def _first_basis(
+    padded: np.ndarray, owner: np.ndarray, masks: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, list[FitError | None]]:
+    """Each problem's first vertex, for :func:`_solve_l1`: ``(basis, errors)``.
 
-    ``design @ c`` predicts energy.  For ``squared_rel`` this is one
-    closed-form weighted least-squares solve; ``abs_rel`` solves the L1
-    problem exactly by vertex exchange, as a stack of one problem that
-    starts from the least-squares fit.
+    Problem ``p`` trains on the rows ``masks[p]`` selects of the cell
+    ``padded[owner[p]]``, which starts from ``starts[owner[p]]``.  Its basis
+    is the ``k`` training rows of smallest ``|residual|`` under that start
+    that have full rank.  ``errors[p]`` is the :class:`FitError` of a
+    problem whose training rows have rank below ``k``, else None.
     """
-    scaled = design / energies[:, None]
-    coef = _least_squares(scaled)
-    if objective == "abs_rel":
-        (coef,) = _solve_l1(scaled, np.ones((1, len(scaled)), dtype=bool), coef[None])
-        if isinstance(coef, FitError):
-            raise coef
-    return coef
+    k = padded.shape[2]
+    errors: list[FitError | None] = [None] * len(owner)
+    train = masks.sum(axis=1)
+    # Each cell's rows ranked once, by |residual| under its start (a
+    # padding row is in no mask); each problem's training rows follow in
+    # that order, problem after problem, and k spare entries end the run
+    # so that every problem has k first rows to check.
+    by_rank = np.argsort(np.abs(padded @ starts[..., None] - 1.0)[..., 0], axis=1,
+                         kind="stable")[owner]
+    problem, place = np.nonzero(np.take_along_axis(masks, by_rank, axis=1))
+    ranked = np.append(by_rank[problem, place], np.zeros(k, dtype=int))
+    runs = np.cumsum(train) - train
+    basis = ranked[runs[:, None] + np.arange(k)]
+    # If a problem's k first rows have full rank, so has each prefix of
+    # them (a row deleted cannot shrink the smallest singular value, nor
+    # grow the rank tolerance), and the row-by-row search would pick them.
+    full_rank = np.linalg.matrix_rank(padded[owner[:, None], basis]) == k
+    for p in np.flatnonzero(~full_rank | (train < k)):
+        found: list[int] = []
+        for i in ranked[runs[p]:runs[p] + train[p]].tolist():
+            if np.linalg.matrix_rank(padded[owner[p], found + [i]]) > len(found):
+                found.append(i)
+                if len(found) == k:
+                    break
+        if len(found) < k:
+            errors[p] = FitError(f"design matrix has rank {len(found)} < {k}")
+        else:
+            basis[p] = found
+    return basis, errors
 
 
 def _solve_l1(
-    scaled: np.ndarray, masks: np.ndarray, starts: np.ndarray
+    scaled: Sequence[np.ndarray], masks: Sequence[np.ndarray], starts: np.ndarray
 ) -> list[np.ndarray | FitError]:
-    """Minimize ``sum(|scaled[m] @ c - 1|)`` exactly by vertex exchange, per problem ``(m, start)``.
+    """Minimize ``sum(|scaled[c][m] @ x - 1|)`` exactly by vertex exchange, per problem ``(c, m)``.
 
-    The problems of a stack share the rows of ``scaled``; problem ``p``
-    trains on the rows ``masks[p]`` selects, from ``starts[p]``.  Its
-    result is its coefficients, or the :class:`FitError` it failed with:
-    nothing is raised, so a caller can name the first failing problem.
-    Only the numpy work is stacked; each problem takes the steps it would
-    take alone, on its training rows in their order.
+    The problems come from cells: cell ``c`` has the rows ``scaled[c]``,
+    each of its problems trains on the rows that one mask of ``masks[c]``
+    selects, and all of them start from ``starts[c]``.  The results come
+    cell after cell, in mask order: each problem's coefficients, or the
+    :class:`FitError` it failed with.  Nothing is raised, so a caller can
+    name the first failing problem.  The problems are taken in order into
+    stacks of :func:`_solve_stack`, each of at most ``_STACK_SLOTS``
+    (problem, row) slots, a problem taking as many slots as its stack's
+    longest cell has rows; a problem that alone needs more is a stack by
+    itself.  So the solver's memory is bounded, however unequal the cells.
+    """
+    problems = [(c, i) for c, cell_masks in enumerate(masks) for i in range(len(cell_masks))]
+    rows = [len(scaled[c]) for c, _ in problems]
+    outcomes: list[np.ndarray | FitError] = []
+    while problems:
+        size, longest = 1, rows[0]
+        while size < len(problems) and (size + 1) * max(longest, rows[size]) <= _STACK_SLOTS:
+            longest = max(longest, rows[size])
+            size += 1
+        stack, problems, rows = problems[:size], problems[size:], rows[size:]
+        by_cell = [(c, [i for _, i in group]) for c, group in groupby(stack, itemgetter(0))]
+        outcomes += _solve_stack([scaled[c] for c, _ in by_cell],
+                                 [masks[c][chosen] for c, chosen in by_cell],
+                                 starts[[c for c, _ in by_cell]])
+    return outcomes
+
+
+def _solve_stack(
+    scaled: Sequence[np.ndarray], masks: Sequence[np.ndarray], starts: np.ndarray
+) -> list[np.ndarray | FitError]:
+    """Solve the problems of :func:`_solve_l1` as one stack, laid out as there.
+
+    Only the numpy work is stacked: each cell's rows are padded to the
+    longest cell's count by rows no mask selects, and each problem takes
+    the steps it would take alone, on its training rows in their order.
 
     An L1 optimum interpolates ``k`` linearly independent rows (Barrodale
     & Roberts, SIAM J. Numer. Anal. 10(5), 1973).  The first vertex goes
     through the ``k`` rows of smallest ``|residual|`` under ``start`` that
     have full rank (fewer fail), so a ``start`` near the optimum needs few
-    pivots.  Every row outside the basis ``B`` has a side ``s_i``: the
-    sign of its residual, or for a row resting at zero residual the side
-    it was last moved to (0 if none).  The dual
+    pivots; a cell's rows are ranked once, and each problem takes its
+    training rows in that ranking.  Every row outside the basis ``B`` has
+    a side ``s_i``: the sign of its residual, or for a row resting at zero
+    residual the side it was last moved to (0 if none).  The dual
     ``u = -B^-T sum_{i not in B} s_i a_i`` certifies the vertex optimal
     when ``max|u| <= 1``; the coefficients are then ``B^-1 1``.  Otherwise
     the basis row ``j`` of largest ``|u_j|`` is released along
@@ -125,30 +189,28 @@ def _solve_l1(
     sides and the row breaking there enters the basis.  A problem still
     uncertified after ``_PIVOTS_PER_ROW`` pivots per training row fails.
     """
-    n, k = scaled.shape
-    outcomes: list[np.ndarray | FitError | None] = [None] * len(starts)
-    train = masks.sum(axis=1)
-    ranked = np.argsort(np.where(masks, np.abs(starts @ scaled.T - 1.0), np.inf),
-                        axis=1, kind="stable")
-    basis = ranked[:, :k].copy()
-    # If a problem's k first rows have full rank, so has each prefix of
-    # them (a row deleted cannot shrink the smallest singular value, nor
-    # grow the rank tolerance), and the row-by-row search would pick them.
-    for p in np.flatnonzero((np.linalg.matrix_rank(scaled[basis]) < k) | (train < k)):
-        found: list[int] = []
-        for i in ranked[p, :train[p]].tolist():
-            if np.linalg.matrix_rank(scaled[found + [i]]) > len(found):
-                found.append(i)
-                if len(found) == k:
-                    break
-        if len(found) < k:
-            outcomes[p] = FitError(f"design matrix has rank {len(found)} < {k}")
-        else:
-            basis[p] = found
+    k = starts.shape[1]
+    n = max(len(rows) for rows in scaled)
+    owner = np.repeat(np.arange(len(scaled)), [len(cell_masks) for cell_masks in masks])
+    padded = np.zeros((len(scaled), n, k))
+    stacked = np.zeros((len(owner), n), dtype=bool)  # each problem's mask, padded
+    first_problem = 0
+    for cell_rows, rows, cell_masks in zip(padded, scaled, masks):
+        cell_rows[:len(rows)] = rows
+        stacked[first_problem:first_problem + len(cell_masks), :len(rows)] = cell_masks
+        first_problem += len(cell_masks)
+    basis, outcomes = _first_basis(padded, owner, stacked, starts)
     live = np.array([p for p, outcome in enumerate(outcomes) if outcome is None], dtype=int)
-    basis, masks, caps = basis[live], masks[live], _PIVOTS_PER_ROW * train[live]
+    basis, masks = basis[live], stacked[live]
+    caps = _PIVOTS_PER_ROW * masks.sum(axis=1)
+    first_row = owner[live] * n  # the index of each problem's first row among the cells' rows
+    cell_rows = padded.reshape(-1, k)
+    # each live problem's cell rows as (problem, column, row): made once,
+    # and cut down only as problems finish
+    problem_rows = padded.transpose(0, 2, 1)[owner[live]]
+    abs_problem_rows = np.abs(problem_rows)
     sides = np.zeros(masks.shape)
-    scaled_t, abs_scaled_t, unit, places = scaled.T, np.abs(scaled).T, np.eye(k), np.arange(n)
+    unit, places = np.eye(k), np.arange(n)
     # Per-problem state is kept as (problem, row) and (problem, basis slot)
     # arrays.  An element is reached by its flat index: its problem's first
     # flat index (``first`` for rows, ``first_slot`` for slots) plus its
@@ -157,17 +219,17 @@ def _solve_l1(
     pivot = 0
     while len(live):
         in_basis = basis + first[:, None]
-        rows = scaled[basis]
+        rows = cell_rows[basis + first_row[:, None]]
         coef = np.linalg.solve(rows, np.ones(k))
-        residuals = coef @ scaled_t - 1.0
+        residuals = (coef[:, None] @ problem_rows)[:, 0] - 1.0
         # a residual within rounding of its terms' scale rests at zero
-        scale = np.abs(coef) @ abs_scaled_t + 1.0
-        off_zero = masks & (np.abs(residuals) > _ZERO_RESIDUAL * scale)
+        off_zero = masks & (np.abs(residuals) > _ZERO_RESIDUAL
+                            * ((np.abs(coef)[:, None] @ abs_problem_rows)[:, 0] + 1.0))
         off_zero.put(in_basis, False)
         residuals = np.where(off_zero, residuals, 0.0)
         sides = np.where(off_zero, np.sign(residuals), sides)
         sides.put(in_basis, 0.0)
-        dual = -np.linalg.solve(rows.transpose(0, 2, 1), (sides @ scaled)[..., None])[..., 0]
+        dual = -np.linalg.solve(rows.transpose(0, 2, 1), problem_rows @ sides[..., None])[..., 0]
         j = np.argmax(np.abs(dual), axis=1)
         dual_j = dual.take(first_slot + j)
         certified = np.abs(dual_j) <= 1.0 + _DUAL_SLACK
@@ -178,14 +240,17 @@ def _solve_l1(
                 outcomes[p] = c if ok else FitError(
                     f"abs_rel vertex exchange not certified optimal after {cap} pivots")
             go = ~finished
-            live, basis, masks, caps, sides, rows, residuals, j, dual_j = (
-                a[go] for a in (live, basis, masks, caps, sides, rows, residuals, j, dual_j))
+            (live, basis, masks, caps, sides, first_row, problem_rows, abs_problem_rows, rows,
+             residuals, j, dual_j) = (
+                a[go] for a in (live, basis, masks, caps, sides, first_row, problem_rows,
+                                abs_problem_rows, rows, residuals, j, dual_j))
             first, first_slot = first[:len(live)], first_slot[:len(live)]
             in_basis = basis + first[:, None]
         sign = np.sign(dual_j)
         step = np.linalg.solve(rows, (sign[:, None] * unit[j])[..., None])[..., 0]
-        rates = step @ scaled_t  # each residual's change per unit step
-        moving = masks & (np.abs(rates) > _ZERO_RESIDUAL * (np.abs(step) @ abs_scaled_t))
+        rates = (step[:, None] @ problem_rows)[:, 0]  # each residual's change per unit step
+        moving = masks & (np.abs(rates) > _ZERO_RESIDUAL
+                          * (np.abs(step)[:, None] @ abs_problem_rows)[:, 0])
         moving.put(in_basis, False)
         # A row moving against its side (or off zero with no side yet)
         # breaks at ratio -r/rate >= 0, where its slope contribution turns
@@ -209,7 +274,9 @@ def _solve_l1(
                 outcomes[p] = FitError("abs_rel vertex exchange found no breakpoint along a "
                                        "descent step")
             go = ~stuck
-            live, basis, masks, caps, sides = (a[go] for a in (live, basis, masks, caps, sides))
+            live, basis, masks, caps, sides, first_row, problem_rows, abs_problem_rows = (
+                a[go] for a in (live, basis, masks, caps, sides, first_row, problem_rows,
+                                abs_problem_rows))
             first, first_slot = first[:len(live)], first_slot[:len(live)]
         pivot += 1
     return outcomes
@@ -328,55 +395,61 @@ def _params(coef: np.ndarray, x: np.ndarray, model_kind: str) -> LinearParams | 
     return params
 
 
-def _fit_cell(
-    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, context: str
-) -> tuple[LinearParams | QpModelParams, np.ndarray]:
-    """Fit ``model_kind`` to one cell's covariates ``x`` and energies: ``(params, coef)``.
-
-    ``coef`` is the solver's coefficient vector, which each abs_rel fold of
-    the cell takes as its start.  A :class:`FitError` names the cell by
-    ``context``.
-    """
+def _checked(coef: np.ndarray | FitError, x: np.ndarray, model_kind: str
+             ) -> tuple[LinearParams | QpModelParams, np.ndarray] | FitError:
+    """``(params, coef)`` of ``coef`` fitted on ``x``, or the :class:`FitError` it is or raises."""
+    if isinstance(coef, FitError):
+        return coef
     try:
-        _check_rows(x, model_kind)
-        coef = _solve_relative_ls(_design(model_kind, x), energy, objective)
         return _params(coef, x, model_kind), coef
     except FitError as exc:
-        raise FitError(f"{context}: {exc}") from exc
+        return exc
 
 
-def _fit_folds(
-    x: np.ndarray, energy: np.ndarray, model_kind: str, objective: str, masks: np.ndarray,
-    start: np.ndarray,
-) -> list[LinearParams | QpModelParams | FitError]:
-    """Fit ``model_kind`` on each training mask of one cell's covariates ``x`` and energies.
+def _fit(
+    cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]],
+    model_kind: str, objective: str,
+) -> list[list[tuple[LinearParams | QpModelParams, np.ndarray] | FitError]]:
+    """Fit ``model_kind`` on each training mask of each cell ``(x, energy, masks, start)``.
 
-    Returns per mask its parameters or the :class:`FitError` it failed
-    with, raising none, so that a caller names the first failing fold in
-    fold order.  For ``abs_rel`` the masks whose rows pass
-    :func:`_check_rows` are solved as one stack, each from the cell's
-    optimum ``start``; each ``squared_rel`` mask is one least-squares solve.
+    Returns per cell, per mask, ``(params, coef)`` or the :class:`FitError`
+    it failed with, raising none, so that a caller names the first failing
+    fit in its own order.  ``coef`` is the solver's coefficient vector; a
+    cell's fit on all its rows (one all-true mask) gives the ``start`` of
+    its abs_rel folds.  A mask whose rows pass :func:`_check_rows` is one
+    least-squares solve if the objective is ``squared_rel`` or ``start`` is
+    None.  For ``abs_rel`` all those masks are then solved by one call of
+    :func:`_solve_l1`, each from ``start``, or if it is None from the
+    mask's own least squares.
     """
-    scaled = _design(model_kind, x) / energy[:, None]
-    outcomes: list = []
-    for mask in masks:
-        try:
-            _check_rows(x[mask], model_kind)
-            outcomes.append(_least_squares(scaled[mask]) if objective == "squared_rel" else None)
-        except FitError as exc:
-            outcomes.append(exc)
-    if objective == "abs_rel":
-        stacked = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        coefs = _solve_l1(scaled, masks[stacked], np.tile(start, (len(stacked), 1)))
-        for i, coef in zip(stacked, coefs):
-            outcomes[i] = coef
-    for i, (mask, coef) in enumerate(zip(masks, outcomes)):
-        if not isinstance(coef, FitError):
+    coefs: list[list] = []
+    l1_cells, l1_fits = [], []  # the cells of the _solve_l1 call, and per problem its (cell, mask)
+    for c, (x, energy, masks, start) in enumerate(cells):
+        scaled = _design(model_kind, x) / energy[:, None]
+        coefs.append([])
+        warm = []  # the masks solved from start
+        for m, mask in enumerate(masks):
             try:
-                outcomes[i] = _params(coef, x[mask], model_kind)
+                _check_rows(x[mask], model_kind)
+                coefs[c].append(_least_squares(scaled[mask])
+                                if objective == "squared_rel" or start is None else None)
             except FitError as exc:
-                outcomes[i] = exc
-    return outcomes
+                coefs[c].append(exc)
+                continue
+            if objective == "abs_rel":
+                l1_fits.append((c, m))
+                if start is None:
+                    l1_cells.append((scaled, mask[None], coefs[c][m]))
+                else:
+                    warm.append(m)
+        if warm:
+            l1_cells.append((scaled, masks[warm], start))
+    if l1_cells:
+        l1_scaled, l1_masks, l1_starts = zip(*l1_cells)
+        for (c, m), coef in zip(l1_fits, _solve_l1(l1_scaled, l1_masks, np.array(l1_starts))):
+            coefs[c][m] = coef
+    return [[_checked(coef, x[mask], model_kind) for mask, coef in zip(masks, cell_coefs)]
+            for (x, _, masks, _), cell_coefs in zip(cells, coefs)]
 
 
 def _errors(
@@ -442,19 +515,26 @@ def cross_validate(
     model is never validated on a bitstream it trained on.  With
     ``joint_folds`` the partition is computed once over all bitstream keys
     and shared across cells, so a bitstream is held out in the same fold
-    everywhere.  A degenerate training fold aborts the run rather than
-    being skipped, naming the first such fold in fold order.  A cell's
-    error averages its held-out errors; a preset's error averages its
-    cells' errors.  Each cell is fitted on all its rows before its folds,
-    and for ``abs_rel`` that fit's coefficients start every fold of the
-    cell's stack; a cell that cannot be fitted raises at once, naming the
-    cell, not a fold.
-    """
-    cells = []
-    fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
-    key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
+    everywhere.  A cell's error averages its held-out errors; a preset's
+    error averages its cells' errors.
 
-    for preset, class_label, name, rows, x, energy in _cells(data, model_kind, objective):
+    Every cell is first fitted on all its rows, through one call of
+    :func:`_fit`.  Then the folds of every cell before the first that
+    cannot be fitted are fitted, through another; for ``abs_rel`` a cell's
+    optimum starts each of its folds.  Failures are named in cell order:
+    a cell that cannot be fitted, then its folds in fold order (a
+    degenerate training fold aborts the run rather than being skipped).
+    So a cell that cannot be fitted is named, not a fold, and no fold of
+    it or of a later cell is fitted.
+    """
+    key_fold = _joint_fold_map(data, k, seed) if joint_folds else None
+    cells = _cells(data, model_kind, objective)
+    fits = _fit([(x, energy, np.ones((1, len(x)), dtype=bool), None)
+                 for *_, x, energy in cells], model_kind, objective)
+    planned = []  # per cell before the first failing one: its report entry and kept folds
+    fold_cells = []  # and its sorted covariates and energies, training masks and start
+    failure: tuple[Exception, Exception | None] | None = None
+    for (preset, class_label, name, rows, x, energy), (fit,) in zip(cells, fits):
         # Folds are drawn on the rows sorted by key, making reports
         # independent of the input row order; a fold holds positions in it.
         keys = [row.key() for row in rows]
@@ -462,27 +542,38 @@ def cross_validate(
         if key_fold is not None:
             row_fold = np.array([key_fold[(r.sequence_id, r.crf)] for r in rows])[order]
             folds = [np.flatnonzero(row_fold == fold_index) for fold_index in range(k)]
+        elif len(rows) < k:
+            failure = (ValueError(f"{name}: {len(rows)} rows cannot fill {k} folds"), None)
+            break
         else:
-            if len(rows) < k:
-                raise ValueError(f"{name}: {len(rows)} rows cannot fill {k} folds")
             folds = [np.array(fold) for fold in kfold_split(len(rows), k, seed)]
-        fitted, start = _fit_cell(x, energy, model_kind, objective, name)
+        if isinstance(fit, FitError):
+            failure = (FitError(f"{name}: {fit}"), fit)
+            break
         # joint split: a cell may have no bitstream in a fold
         kept = [(fold_index, fold) for fold_index, fold in enumerate(folds) if len(fold)]
         masks = np.ones((len(kept), len(rows)), dtype=bool)
         for mask, (_, fold) in zip(masks, kept):
             mask[fold] = False
-        x, energy = x[order], energy[order]
-        trained = _fit_folds(x, energy, model_kind, objective, masks, start)
+        planned.append((preset, class_label, name, fit[0], kept))
+        fold_cells.append((x[order], energy[order], masks, fit[1]))
+
+    report_cells = []
+    fold_errors: list[list[np.ndarray]] = [[] for _ in range(k)]
+    trained = _fit(fold_cells, model_kind, objective)
+    for (preset, class_label, name, fitted, kept), (x, energy, _, _), cell_trained in zip(
+            planned, fold_cells, trained):
         held_out: list[np.ndarray] = []
-        for (fold_index, fold), params in zip(kept, trained):
-            if isinstance(params, FitError):
-                raise FitError(f"{name}, fold {fold_index}: {params}") from params
-            errors = _errors(params, x[fold], energy[fold])
+        for (fold_index, fold), fold_fit in zip(kept, cell_trained):
+            if isinstance(fold_fit, FitError):
+                raise FitError(f"{name}, fold {fold_index}: {fold_fit}") from fold_fit
+            errors = _errors(fold_fit[0], x[fold], energy[fold])
             held_out.append(errors)
             fold_errors[fold_index].append(errors)
-        cells.append((preset, class_label, fitted,
-                      mean_abs_relative_error(np.concatenate(held_out))))
+        report_cells.append((preset, class_label, fitted,
+                             mean_abs_relative_error(np.concatenate(held_out))))
+    if failure is not None:
+        raise failure[0] from failure[1]
 
     per_fold: list[float] = []
     for fold_index, errs in enumerate(fold_errors):
@@ -493,8 +584,9 @@ def cross_validate(
             )
         per_fold.append(mean_abs_relative_error(np.concatenate(errs)))
 
-    return _report(model_kind, cells, validation="kfold", k=k, seed=seed, objective=objective,
-                   per_fold_errors=tuple(per_fold), tool_version=tool_version)
+    return _report(model_kind, report_cells, validation="kfold", k=k, seed=seed,
+                   objective=objective, per_fold_errors=tuple(per_fold),
+                   tool_version=tool_version)
 
 
 def fit_report(
@@ -503,11 +595,20 @@ def fit_report(
     objective: str = "squared_rel",
     tool_version: str = "",
 ) -> FitReport:
-    """Fit on the full dataset and report in-sample errors (no validation, no draws: seed 0)."""
-    cells = []
-    for preset, class_label, name, _, x, energy in _cells(data, model_kind, objective):
-        fitted, _ = _fit_cell(x, energy, model_kind, objective, name)
-        cells.append((preset, class_label, fitted,
-                      mean_abs_relative_error(_errors(fitted, x, energy))))
-    return _report(model_kind, cells, validation="in_sample", k=0, seed=0,
+    """Fit on the full dataset and report in-sample errors (no validation, no draws: seed 0).
+
+    Every cell is fitted through :func:`_fit`, so the ``abs_rel`` fits are
+    one call of :func:`_solve_l1`; the first cell that cannot be fitted is
+    named.
+    """
+    cells = _cells(data, model_kind, objective)
+    fits = _fit([(x, energy, np.ones((1, len(x)), dtype=bool), None)
+                 for *_, x, energy in cells], model_kind, objective)
+    report_cells = []
+    for (preset, class_label, name, _, x, energy), (fit,) in zip(cells, fits):
+        if isinstance(fit, FitError):
+            raise FitError(f"{name}: {fit}") from fit
+        report_cells.append((preset, class_label, fit[0],
+                             mean_abs_relative_error(_errors(fit[0], x, energy))))
+    return _report(model_kind, report_cells, validation="in_sample", k=0, seed=0,
                    objective=objective, tool_version=tool_version)

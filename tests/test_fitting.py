@@ -258,7 +258,7 @@ def test_l1_first_basis_takes_one_rank_check_unless_its_rows_are_dependent(monke
         return matrix_rank(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "matrix_rank", rank)
-    (coef,) = fitting._solve_l1(scaled, np.ones((1, 12), dtype=bool), start[None])
+    (coef,) = fitting._solve_l1([scaled], [np.ones((1, 12), dtype=bool)], start[None])
     monkeypatch.undo()
     # one check of the k smallest-residual rows, for the whole stack; the
     # row-by-row search only when they are dependent
@@ -561,30 +561,30 @@ def test_crossval_errors_are_what_each_folds_parameters_predict(monkeypatch, mod
 
     ds = generate_dataset(SynthDatasetRecipe(seed=0))
     k, seed = 5, 0
-    fitted = {}  # each fit's parameters, by the cell (and fold) its errors name
+    fitted = {}  # each fold fit's parameters, by the cell and fold its errors name
+    cell_fits = []  # per cell, in cell order: its fit on all its rows
     fold_fits = []  # per cell, in cell order: its training masks and their fits
-    fit_cell, fit_folds = fitting._fit_cell, fitting._fit_folds
+    fit = fitting._fit
 
-    def recorded_cell(*args):
-        params, coef = fit_cell(*args)
-        fitted[args[4]] = params
-        return params, coef
+    def recorded(cells, *args):
+        fits = fit(cells, *args)
+        if all(start is None for *_, start in cells):  # each cell on all its rows
+            cell_fits.extend(cell_fit for (cell_fit,) in fits)
+        else:
+            fold_fits.extend((masks, [params for params, _ in trained])
+                             for (_, _, masks, _), trained in zip(cells, fits))
+        return fits
 
-    def recorded_folds(*args):
-        trained = fit_folds(*args)
-        fold_fits.append((args[4], trained))
-        return trained
-
-    monkeypatch.setattr(fitting, "_fit_cell", recorded_cell)
-    monkeypatch.setattr(fitting, "_fit_folds", recorded_folds)
+    monkeypatch.setattr(fitting, "_fit", recorded)
     report = cross_validate(ds, model_kind, k=k, seed=seed, objective=objective,
                             joint_folds=joint_folds)
     cell_errors, fold_errors = {}, [[] for _ in range(k)]
     cells = list(folds_of(ds, model_kind, k, seed, joint_folds))
-    assert len(fold_fits) == len(cells)
-    for (preset, label, rows, folds), (masks, trained) in zip(cells, fold_fits):
+    assert len(cell_fits) == len(fold_fits) == len(cells)
+    for (preset, label, rows, folds), (params, _), (masks, trained) in zip(cells, cell_fits,
+                                                                            fold_fits):
         name = f"preset {preset!r}" + (f", class {label!r}" if label else "")
-        assert cell_params(report, preset, label) == fitted[name]
+        assert cell_params(report, preset, label) == params
         # one training mask per fold that holds rows: every row but the fold's
         kept = [f for f, fold in enumerate(folds) if len(fold)]
         assert [sorted(np.flatnonzero(~mask)) for mask in masks] == [
@@ -686,14 +686,16 @@ def test_first_failing_fold_in_fold_order_is_named(monkeypatch, cell, seed, fail
         ds = dataset_from_arrays(x, energies)
         name = "preset 'medium'"
     monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", 0)
-    outcomes = []
-    fit_folds = fitting._fit_folds
+    outcomes = []  # of the fold fits
+    fit = fitting._fit
 
-    def recorded(*args):
-        outcomes.extend(fit_folds(*args))
-        return outcomes
+    def recorded(cells, *args):
+        trained = fit(cells, *args)
+        if any(start is not None for *_, start in cells):
+            outcomes.extend(outcome for cell in trained for outcome in cell)
+        return trained
 
-    monkeypatch.setattr(fitting, "_fit_folds", recorded)
+    monkeypatch.setattr(fitting, "_fit", recorded)
     with pytest.raises(FitError) as info:
         cross_validate(ds, model_kind, k=k, seed=seed, objective="abs_rel")
     first = min(failures)
@@ -715,17 +717,21 @@ def test_stacked_folds_reach_each_folds_vertex_minimum_and_its_cold_fit(model_ki
         x = np.array([r.t_enc if model_kind == "time_linear" else r.avg_qp for r in ds.rows])
         energy = np.array([r.energy for r in ds.rows])
         design = fitting._design(model_kind, x)
-        _, start = fitting._fit_cell(x, energy, model_kind, "abs_rel", "cell")
+        (((_, start),),) = fitting._fit([(x, energy, np.ones((1, 12), dtype=bool), None)],
+                                        model_kind, "abs_rel")
         masks = np.ones((4, 12), dtype=bool)
         for mask, fold in zip(masks, kfold_split(12, 4, fold_seed)):
             mask[list(fold)] = False
-        stacked = fitting._solve_l1(design / energy[:, None], masks, np.tile(start, (4, 1)))
+        stacked = fitting._solve_l1([design / energy[:, None]], [masks], start[None])
         for mask, coef in zip(masks, stacked):
             train, energies = design[mask], energy[mask]
             assert np.mean(np.abs(train @ coef - energies) / energies) == pytest.approx(
                 l1_vertex_minimum(train, energies), rel=1e-12)
-            # the same fold alone, started cold from its own least squares
-            assert np.array_equal(coef, fitting._solve_relative_ls(train, energies, "abs_rel"))
+            # the same fold alone, as a cell: started cold from its own least squares
+            (((_, cold),),) = fitting._fit(
+                [(x[mask], energies, np.ones((1, len(energies)), dtype=bool), None)],
+                model_kind, "abs_rel")
+            assert np.array_equal(coef, cold)
 
 
 @pytest.mark.parametrize("cell, objective, pivots, message", [
@@ -743,22 +749,149 @@ def test_a_cell_that_cannot_be_fitted_fails_before_its_folds(monkeypatch, cell, 
     else:
         ds = generate_dataset(SynthDatasetRecipe(n_sequences=25, seed=0))
     monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", pivots)
-    contexts = []
-    fit_cell, fit_folds = fitting._fit_cell, fitting._fit_folds
+    fold_cells = []  # the cells whose folds were fitted, each from its start
+    fit = fitting._fit
 
-    def recorded(*args):
-        contexts.append(args[4])
-        return fit_cell(*args)
+    def recorded(cells, *args):
+        fold_cells.extend(cell for cell in cells if cell[3] is not None)
+        return fit(cells, *args)
 
-    def recorded_folds(*args):
-        contexts.append("folds")
-        return fit_folds(*args)
-
-    monkeypatch.setattr(fitting, "_fit_cell", recorded)
-    monkeypatch.setattr(fitting, "_fit_folds", recorded_folds)
-    with pytest.raises(FitError, match=message) as info:
+    monkeypatch.setattr(fitting, "_fit", recorded)
+    with pytest.raises(FitError, match=message):
         cross_validate(ds, "time_linear", k=2, seed=0, objective=objective)
-    assert contexts == [str(info.value).split(":")[0]]
+    # the failing cell is the first, so no fold of any cell was fitted
+    assert fold_cells == []
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_an_earlier_cells_failing_fold_is_named_before_a_later_cell_that_cannot_be_fitted(
+        monkeypatch, objective):
+    import encwatt.fitting as fitting
+
+    # 'fast' comes before 'medium'.  The fold of 'fast' that holds its one
+    # row at 3.0 trains on one own_time value; 'medium' has falling energy,
+    # so even its fit on all its rows has a negative slope.
+    rows = (rows_from_arrays([2.0] * 9 + [3.0], list(np.linspace(100, 190, 9)) + [300.0],
+                             preset="fast")
+            + rows_from_arrays(np.linspace(1, 5, 10), np.linspace(500, 100, 10)))
+    fold_cells = []  # the cells whose folds were fitted, each from its start
+    fit = fitting._fit
+
+    def recorded(cells, *args):
+        fold_cells.extend(cell for cell in cells if cell[3] is not None)
+        return fit(cells, *args)
+
+    monkeypatch.setattr(fitting, "_fit", recorded)
+    with pytest.raises(FitError) as info:
+        cross_validate(Dataset(rows=tuple(rows)), "time_linear", k=10, seed=0,
+                       objective=objective)
+    assert str(info.value) == "preset 'fast', fold 0: all own_time values equal (2.0)"
+    # only the cell before the failing one had its folds fitted
+    assert [len(x) for x, *_ in fold_cells] == [10]
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_fit_report_solves_every_abs_rel_cell_in_one_stack(monkeypatch, model_kind):
+    import encwatt.fitting as fitting
+
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+    calls, stacks = [], []  # the cells of each _solve_l1 call, and of each stack
+    solve_l1, solve_stack = fitting._solve_l1, fitting._solve_stack
+
+    def counted_calls(scaled, *args):
+        calls.append(len(scaled))
+        return solve_l1(scaled, *args)
+
+    def counted_stacks(scaled, *args):
+        stacks.append(len(scaled))
+        return solve_stack(scaled, *args)
+
+    monkeypatch.setattr(fitting, "_solve_l1", counted_calls)
+    monkeypatch.setattr(fitting, "_solve_stack", counted_stacks)
+    report = fit_report(ds, model_kind, objective="abs_rel")
+    cells = (sum(len(classes) for classes in report.qp_params.values())
+             if model_kind == "qp_cubic" else len(report.linear_params))
+    # the cells, padded to the longest, fill no more slots than one stack holds
+    rows = [len(rows) for *_, rows in cells_of(ds, model_kind)]
+    assert len(rows) * max(rows) <= fitting._STACK_SLOTS
+    assert calls == stacks == [cells]
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_stacks_hold_at_most_their_slots_and_report_what_one_problem_stacks_do(monkeypatch,
+                                                                               model_kind):
+    import encwatt.fitting as fitting
+
+    ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
+
+    def report():
+        return cross_validate(ds, model_kind, k=5, seed=0, objective="abs_rel").to_json()
+
+    stacks = []  # per stack: (problems, rows of its longest cell)
+    solve = fitting._solve_stack
+
+    def recorded(scaled, masks, starts):
+        stacks.append((sum(len(cell_masks) for cell_masks in masks),
+                       max(len(rows) for rows in scaled)))
+        return solve(scaled, masks, starts)
+
+    monkeypatch.setattr(fitting, "_solve_stack", recorded)
+    monkeypatch.setattr(fitting, "_STACK_SLOTS", 200)
+    small = report()
+    # every stack fits its slots, or is one problem that alone does not;
+    # each cell's own fit and its five folds are solved
+    assert len(stacks) > 2
+    assert all(problems * rows <= 200 or problems == 1 for problems, rows in stacks)
+    assert sum(problems for problems, _ in stacks) == 6 * len(list(cells_of(ds, model_kind)))
+    monkeypatch.setattr(fitting, "_STACK_SLOTS", 1)  # every problem its own stack
+    assert report() == small
+    monkeypatch.undo()
+    assert report() == small
+
+
+def _random_cell(rng, k):
+    """Scaled rows of a random cell of 8-40 rows, some repeated, and its training masks."""
+    n = int(rng.integers(8, 41))
+    # few distinct covariates in some cells, so that a fold can lose rank
+    values = rng.uniform(0.5, 5.0, k if rng.random() < 0.3 else n)
+    x = rng.choice(values, n)
+    design = (np.column_stack([x, np.ones(n)]) if k == 2
+              else np.column_stack([x**3, -(x**2), -x, np.ones(n)]))
+    energy = design @ (np.array([120.0, 10.0]) if k == 2 else np.array([2.0, 5.0, -4.0, 40.0]))
+    energy *= 1.0 + rng.normal(0.0, 0.05, n)
+    repeats = rng.integers(0, n, n // 4)
+    design[repeats[1:]], energy[repeats[1:]] = design[repeats[0]], energy[repeats[0]]
+    masks = np.ones((3, n), dtype=bool)
+    for mask, fold in zip(masks, kfold_split(n, 3, int(rng.integers(100)))):
+        mask[list(fold)] = False
+    return design / energy[:, None], masks
+
+
+@pytest.mark.parametrize("pivots", [0, 1, 10])
+def test_a_cross_cell_stack_solves_each_cell_as_alone(monkeypatch, pivots):
+    import encwatt.fitting as fitting
+
+    monkeypatch.setattr(fitting, "_PIVOTS_PER_ROW", pivots)
+    rng = np.random.default_rng(23)
+    messages = set()
+    for _ in range(25):
+        k = int(rng.choice([2, 4]))
+        cells = [_random_cell(rng, k) for _ in range(int(rng.integers(2, 6)))]
+        starts = np.array([np.linalg.lstsq(scaled, np.ones(len(scaled)), rcond=None)[0]
+                           for scaled, _ in cells])
+        stacked = fitting._solve_l1([scaled for scaled, _ in cells],
+                                    [masks for _, masks in cells], starts)
+        alone = [outcome for (scaled, masks), start in zip(cells, starts)
+                 for outcome in fitting._solve_l1([scaled], [masks], start[None])]
+        assert len(stacked) == len(alone) == 3 * len(cells)
+        for got, expected in zip(stacked, alone):
+            if isinstance(expected, FitError):
+                assert isinstance(got, FitError) and str(got) == str(expected)
+                messages.add(str(expected).split()[0])
+            else:
+                assert np.array_equal(got, expected)
+    # rank failures in every run, and with no pivots allowed, capped ones
+    assert "design" in messages and ("abs_rel" in messages) == (pivots == 0)
 
 
 @pytest.mark.parametrize("joint_folds", [False, True])
@@ -776,15 +909,22 @@ def test_warm_started_folds_report_what_cold_started_folds_do(monkeypatch, seed,
                               joint_folds=joint_folds).to_json()
 
     warm = report()
-    fit_cell = fitting._fit_cell
+    fit = fitting._fit
 
-    def cold(x, energy, model_kind, objective, masks, start):
-        # each fold alone, as a cell: a least-squares start and a stack of one
-        return [fit_cell(x[mask], energy[mask], model_kind, objective, "cold")[0]
-                for mask in masks]
+    def alone(cells, model_kind, objective):
+        # each fit alone, as a cell: a least-squares start and a stack of one
+        return [[fit([(x[mask], energy[mask], np.ones((1, mask.sum()), dtype=bool), None)],
+                     model_kind, objective)[0][0] for mask in masks]
+                for x, energy, masks, _ in cells]
 
-    monkeypatch.setattr(fitting, "_fit_folds", cold)
-    assert warm == report()
+    def unstarted(cells, model_kind, objective):
+        # no start: each fold starts from its own least squares, all in one call
+        return fit([(x, energy, masks, None) for x, energy, masks, _ in cells], model_kind,
+                   objective)
+
+    for cold in (alone, unstarted):
+        monkeypatch.setattr(fitting, "_fit", cold)
+        assert warm == report()
 
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
@@ -951,13 +1091,13 @@ def test_fit_report_fits_each_cell_once(monkeypatch, model_kind):
 
     ds = generate_dataset(SynthDatasetRecipe(n_sequences=10, seed=3))
     calls = []
-    solve = fitting._solve_relative_ls
+    solve = fitting._least_squares
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(fitting, "_solve_relative_ls", counted)
+    monkeypatch.setattr(fitting, "_least_squares", counted)
     report = fit_report(ds, model_kind)
     if model_kind == "qp_cubic":
         cells = sum(len(classes) for classes in report.qp_params.values())
