@@ -43,7 +43,7 @@ _TOOL = f"encwatt {__version__}"
 # which wraps them on this module; retargeting it deletes them.
 # ``generate_dataset`` and ``cross_validate`` are what the commands call, so
 # their spans fire.  ``parse_trace_csv`` is wrapped on ``meter`` too, and
-# ``cmd_measure`` calls meter's, so each parse is one span.
+# ``open_meter`` calls meter's, so each parse is one span.
 # (``load_dataset_csv``, also wrapped here, is a real import.)
 
 def parse_trace_csv(path):
@@ -80,8 +80,7 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     from .energy import ConfidencePolicy
-    # meter's parse_trace_csv, not this module's (see above)
-    from .meter import open_meter, parse_trace_csv
+    from .meter import open_meter
     from .runner import load_manifest, run_campaign
 
     if args.meter.startswith("csv:") and not args.idle_trace:
@@ -89,8 +88,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
                          "own idle baseline, and every net energy 0 J")
     jobs = load_manifest(args.manifest)
     policy = ConfidencePolicy(**_given(args, "alpha", "beta", "min_reps", "max_reps"))
-    meter = open_meter(args.meter)
-    idle_trace = parse_trace_csv(args.idle_trace) if args.idle_trace else None
+    meter = open_meter(args.meter, args.idle_trace)
     signums = (signal.SIGTERM, signal.SIGHUP)
     previous = [signal.signal(signum, _raise_interrupted) for signum in signums]
     try:
@@ -100,7 +98,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
             meter=meter,
             policy=policy,
             out_csv=args.out,
-            idle_trace=idle_trace,
             resume=args.resume,
         )
     finally:

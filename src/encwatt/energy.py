@@ -1,23 +1,24 @@
 """Net encoding-energy computation and the repeat-until-confident stopping rule.
 
-The energy of one encoding run is the integral of total system power over
-the encode duration minus the integral of idle power over a window of the
-same length.  Because single measurements are noisy, a run is repeated
-until a Student-t confidence test bounds the relative deviation of the
-sample mean, or a repetition budget is exhausted; the test reads a
-running mean and sum of squared deviations, so a repetition costs O(1).
-The test's t quantile needs only ``math``: for an integer number of
-degrees of freedom the t CDF is a finite series in ``cos(theta)``,
-``theta = atan(t / sqrt(dof))`` (Abramowitz & Stegun 26.7.3-4), which
-Newton's method inverts in ``theta``.  The stopping rule reads its
-quantiles from one row per ``alpha``, indexed by degrees of freedom and
-cached for the life of the process; a row grows one entry at a time,
-only as far as the repetitions some campaign has reached, never to
+The energy of one encoding run is the joules a meter recorded while it ran
+minus idle power over the same seconds, each recording a
+:class:`CounterSpan` of joules over seconds (a trace's by
+:func:`trace_span`, from its first sample).  Because single measurements
+are noisy, a run is repeated until a Student-t confidence test bounds the
+relative deviation of the sample mean, or a repetition budget is
+exhausted; the test reads a running mean and sum of squared deviations, so
+a repetition costs O(1).  The test's t quantile needs only ``math``: for an
+integer number of degrees of freedom the t CDF is a finite series in
+``cos(theta)``, ``theta = atan(t / sqrt(dof))`` (Abramowitz & Stegun
+26.7.3-4), which Newton's method inverts in ``theta``.  The stopping rule
+reads its quantiles from one row per ``alpha``, indexed by degrees of
+freedom and cached for the life of the process; a row grows one entry at a
+time, only as far as the repetitions some campaign has reached, never to
 ``max_reps`` in advance.
 
 numpy is imported by the functions that build or read a trace, so it is
-loaded when a trace is first built: a counter campaign, whose recordings
-are :class:`CounterSpan` pairs, never loads it.
+loaded when a trace is first built: a counter campaign, whose spans are
+its counter's own, never loads it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "ConfidencePolicy",
     "MeasurementRecord",
     "integrate_energy",
+    "trace_span",
     "net_energy",
     "t_critical",
     "confidence_check",
@@ -132,14 +134,11 @@ class PowerTrace:
 
 
 class CounterSpan(NamedTuple):
-    """The joules a counter counted and the seconds between the readings they span."""
+    """The joules a meter recorded and the seconds they span."""
 
     joules: float
     seconds: float
     source_label: str = ""
-
-
-Recording = PowerTrace | CounterSpan
 
 
 @dataclass(frozen=True)
@@ -208,27 +207,20 @@ def integrate_energy(trace: PowerTrace, t_start: float, t_end: float) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def _energy_over(recording: Recording, seconds: float) -> tuple[float, float]:
-    """A recording's joules over ``seconds`` from its start (a counter's over its own span)."""
-    if isinstance(recording, CounterSpan):
-        return recording.joules, recording.seconds
-    return integrate_energy(recording, recording.start, recording.start + seconds), seconds
+def trace_span(trace: PowerTrace, seconds: float) -> CounterSpan:
+    """The joules of ``trace`` over ``seconds`` from its first sample."""
+    joules = integrate_energy(trace, trace.start, trace.start + seconds)
+    return CounterSpan(joules, seconds, trace.source_label)
 
 
-def net_energy(total: Recording, idle: Recording, duration: float) -> float:
-    """Energy attributable to the measured activity over ``duration`` seconds.
+def net_energy(total: CounterSpan, idle: CounterSpan) -> float:
+    """Energy attributable to the activity ``total`` recorded.
 
-    Each trace is integrated over a window anchored at its own first
-    sample; a counter span gives its own joules over its own seconds.  The
-    idle power over the total's seconds is subtracted.  A negative result
-    means the idle baseline exceeded the total; it is logged as a warning
-    and returned unclamped.
+    Idle power, ``idle``'s joules over its own seconds, is subtracted over
+    ``total``'s seconds.  A negative result means the idle baseline
+    exceeded the total; it is logged as a warning and returned unclamped.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    e_total, seconds = _energy_over(total, duration)
-    e_idle, idle_seconds = _energy_over(idle, seconds)
-    net = float(e_total - e_idle * (seconds / idle_seconds))
+    net = float(total.joules - idle.joules * (total.seconds / idle.seconds))
     if net < 0:
         logger.warning(
             "net energy is negative (%.6g J): idle baseline %r exceeds total %r",

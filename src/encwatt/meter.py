@@ -1,4 +1,4 @@
-"""Power-trace acquisition: CSV files, live counter files, synthetic generators.
+"""Meters recording joules over seconds: trace CSVs, live counter files, synthetic traces.
 
 Trace CSV format: header line ``t_s,p_w`` followed by ``<float>,<float>``
 rows, UTF-8, ``.`` decimal separator, LF or CRLF line endings.  Spaces
@@ -9,10 +9,10 @@ non-negative integer, a cumulative energy counter in microjoules.  The
 counter is its own integrator: a recording's energy is the unwrapped
 difference between a reading the recording thread takes just before the
 activity and one it takes just after, with a sampler thread polling in
-between only to catch wraps, and is returned with the seconds between
-the two readings as a :class:`CounterSpan`.  The wrap-around modulus is read
-once, when the meter is built, from a sibling ``max_energy_range_uj``
-file when there is one (as in a powercap zone), else it is 2**32.
+between only to catch wraps, over the seconds between the two
+readings.  The wrap-around modulus is read once, when the meter is
+built, from a sibling ``max_energy_range_uj`` file when there is one (as
+in a powercap zone), else it is 2**32.
 
 numpy is imported by the functions that parse or generate a trace, so it
 is loaded when a trace is first built; the counter path never loads it.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
-from .energy import CounterSpan, PowerTrace, Recording, _first_invalid_row
+from .energy import CounterSpan, PowerTrace, _first_invalid_row, trace_span
 from .errors import AcquisitionError
 from .models import parse_json, read_json
 
@@ -322,20 +322,19 @@ class Meter(abc.ABC):
     """A source of energy recordings for measured runs and idle baselines."""
 
     @abc.abstractmethod
-    def record(self, activity: Callable[[], T]) -> tuple[Recording, T]:
+    def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
         """Run ``activity`` while measuring; return the recording and its result.
 
-        A trace meter's recording is a trace that starts before the
-        activity and covers all of it, so the activity's energy is its
-        integral over a window of the activity's duration anchored at its
-        first sample.  A counter meter's is the counter's own difference
-        between readings taken just before and just after the activity,
-        with the seconds between them.  An exception from ``activity``
-        propagates unchanged.
+        A trace meter's recording is its trace's energy from the first
+        sample over the seconds the activity took, on the meter's own
+        timer.  A counter meter's is the counter's own difference between
+        readings taken just before and just after the activity, with the
+        seconds between them.  An exception from ``activity`` propagates
+        unchanged.
         """
 
     @abc.abstractmethod
-    def capture_idle(self, duration: float) -> Recording: ...
+    def capture_idle(self, duration: float) -> CounterSpan: ...
 
 
 class _CounterSession:
@@ -432,20 +431,21 @@ class SyntheticMeter(Meter):
         self.recipe = recipe
         self._seeds = itertools.count(recipe.seed + 1)
 
-    def _trace(self, seed: int, seconds: float, active: float, label: str) -> PowerTrace:
-        """``seconds`` plus two periods, active over the first ``active``, noise from ``seed``."""
+    def _span(self, seed: int, seconds: float, active: float, label: str) -> CounterSpan:
+        """``seconds`` of a trace two periods longer, active over the first ``active``."""
         recipe = replace(self.recipe, seed=seed)
-        return generate_synthetic_trace(recipe, seconds + 2 * recipe.period, (0.0, active), label)
+        trace = generate_synthetic_trace(recipe, seconds + 2 * recipe.period, (0.0, active), label)
+        return trace_span(trace, seconds)
 
-    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
+    def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
         seed = next(self._seeds)  # drawn first: an activity that fails uses its seed up
         t0 = time.perf_counter()
         result = activity()
         elapsed = time.perf_counter() - t0
-        return self._trace(seed, elapsed, elapsed, "synthetic-meter"), result
+        return self._span(seed, elapsed, elapsed, "synthetic-meter"), result
 
-    def capture_idle(self, duration: float) -> PowerTrace:
-        return self._trace(next(self._seeds), duration, 0.0, "synthetic-idle")
+    def capture_idle(self, duration: float) -> CounterSpan:
+        return self._span(next(self._seeds), duration, 0.0, "synthetic-idle")
 
 
 class CsvReplayMeter(Meter):
@@ -459,10 +459,12 @@ class CsvReplayMeter(Meter):
         self.path = Path(path)
         self._trace = parse_trace_csv(self.path)
 
-    def record(self, activity: Callable[[], T]) -> tuple[PowerTrace, T]:
-        return self._trace, activity()
+    def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
+        t0 = time.perf_counter()
+        result = activity()
+        return trace_span(self._trace, time.perf_counter() - t0), result
 
-    def capture_idle(self, duration: float) -> PowerTrace:
+    def capture_idle(self, duration: float) -> CounterSpan:
         raise AcquisitionError(f"replay trace {self.path} is no idle baseline; "
                                f"a shared idle trace is needed")
 
@@ -508,12 +510,29 @@ def load_recipe(path_or_inline: str) -> SyntheticRecipe:
     return SyntheticRecipe(**read_json(data, _RECIPE_KEYS, what=f"recipe {path_or_inline!r}"))
 
 
-def open_meter(spec: str) -> Meter:
+@dataclass(frozen=True)
+class _SharedIdleMeter(Meter):
+    """``meter``, with one shared idle trace for its idle baseline."""
+
+    meter: Meter
+    idle: PowerTrace
+
+    def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
+        return self.meter.record(activity)
+
+    def capture_idle(self, duration: float) -> CounterSpan:
+        return trace_span(self.idle, duration)
+
+
+def open_meter(spec: str, idle_trace: Optional[str | Path] = None) -> Meter:
     """Open the meter a CLI spec names: ``csv:<path> | counter:<path> | synth:<recipe>``.
 
     A counter is polled every ``DEFAULT_POLL_PERIOD``; a synthetic meter's
-    grid is its recipe's ``period``.
+    grid is its recipe's ``period``.  An ``idle_trace`` CSV is the meter's
+    idle baseline, read from its first sample, in place of its own.
     """
+    if idle_trace:  # `measure` takes an empty --idle-trace for none
+        return _SharedIdleMeter(open_meter(spec), parse_trace_csv(idle_trace))
     kind, colon, target = spec.partition(":")
     if not colon:
         raise ValueError(f"meter spec {spec!r} must look like kind:target")

@@ -4,7 +4,7 @@ The encoder is invoked through a command template with ``{input}``,
 ``{output}``, ``{preset}``, ``{crf}``, and ``{frames}`` placeholders, so
 any encoder binary or stub script can drive the pipeline.  Measured jobs
 run strictly one at a time; only the meter's sampler runs concurrently
-with the encoder process.
+with the encoder process, and each idle baseline spans its encode's wall time.
 
 Campaign manifests are JSON Lines: one object per line with keys
 ``sequence_id``, ``class`` (optional), ``input``, ``frames``, and one of
@@ -30,13 +30,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dataset import Dataset, DatasetRow, DatasetWriter, check_job_identity, probe_key
-from .energy import (
-    ConfidencePolicy,
-    MeasurementRecord,
-    PowerTrace,
-    measure_until_confident,
-    net_energy,
-)
+from .energy import ConfidencePolicy, MeasurementRecord, measure_until_confident, net_energy
 from .errors import (
     AcquisitionError,
     DatasetError,
@@ -170,16 +164,15 @@ def run_measured_encode(
     encoder_cmd: str,
     meter: Meter,
     policy: ConfidencePolicy,
-    idle_trace: Optional[PowerTrace] = None,
 ) -> tuple[MeasurementRecord, EncodeResult]:
     """Measure one job's net energy, repeating until confident.
 
-    Each repetition records power while the encoder runs, then, unless a
-    shared ``idle_trace`` was supplied, captures a fresh idle baseline of
-    the same duration immediately afterwards (the two consecutive
-    measurements pattern).  Returns the stopping-rule record and the
-    final repetition's encode result with ``wall_time`` set to the mean
-    over the repetitions, the same ones ``mean_energy`` averages.  The
+    Each repetition records energy while the encoder runs, then takes the
+    meter's idle baseline over the encode's wall time, captured right
+    afterwards unless the meter has a shared idle trace (the two
+    consecutive measurements pattern).  Returns the stopping-rule record
+    and the final repetition's encode result with ``wall_time`` set to the
+    mean over the repetitions, the same ones ``mean_energy`` averages.  The
     repetitions share one temporary bitstream file, made before the
     first and removed after the last, so that no recording holds its
     creation or removal.
@@ -190,9 +183,9 @@ def run_measured_encode(
 
     def one_rep() -> float:
         total, result = meter.record(lambda: run_encode(job, encoder_cmd, output_path=out_name))
-        idle = idle_trace if idle_trace is not None else meter.capture_idle(result.wall_time)
+        idle = meter.capture_idle(result.wall_time)
         results.append(result)
-        return net_energy(total, idle, result.wall_time)
+        return net_energy(total, idle)
 
     try:
         record = measure_until_confident(one_rep, policy, job_id=job.label())
@@ -226,7 +219,6 @@ def run_campaign(
     meter: Meter,
     policy: ConfidencePolicy,
     out_csv: str | Path,
-    idle_trace: Optional[PowerTrace] = None,
     resume: bool = False,
 ) -> Dataset:
     """Measure a whole campaign grid sequentially and build a dataset.
@@ -279,9 +271,7 @@ def run_campaign(
                 logger.error("%s: no ultrafast probe time available", job.label())
                 continue
             try:
-                record, result = run_measured_encode(
-                    job, encoder_cmd, meter, policy, idle_trace=idle_trace
-                )
+                record, result = run_measured_encode(job, encoder_cmd, meter, policy)
             except (MeasurementRunError, InvalidMeasurementError) as exc:
                 if isinstance(exc.__cause__, AcquisitionError):
                     raise exc.__cause__

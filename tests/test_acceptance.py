@@ -23,6 +23,7 @@ from encwatt.energy import (
     measure_until_confident,
     net_energy,
     t_critical,
+    trace_span,
 )
 from encwatt.fitting import (
     cross_validate,
@@ -97,7 +98,7 @@ def test_criterion_2_energy_integration():
         # trapezoid areas of the tent: (5+85)/2*4 + (85+25)/2*6
         assert integrate_energy(tent, 0.0, 10.0) == pytest.approx(510.0, rel=1e-9)
         idle = PowerTrace.from_arrays(times, np.full(101, 20.0))
-        assert net_energy(const, idle, 10.0) == pytest.approx(300.0, rel=1e-9)
+        assert net_energy(trace_span(const, 10.0), trace_span(idle, 10.0)) == pytest.approx(300.0, rel=1e-9)
 
 
 # ── 3. stopping-rule coverage ─────────────────────────────────────────────

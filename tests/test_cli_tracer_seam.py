@@ -73,6 +73,10 @@ def test_replayed_measure_parses_each_trace_in_one_span(tmp_path, input_file, en
     assert sorted(attrs["n"] for *_, attrs in parses) == [201, 301]
     ids = {sid for sid, *_ in parses}
     assert not any(parent in ids for _, parent, *_ in parses), parses
+    # A recording and an idle baseline per repetition, each integrated by
+    # the ``energy.integrate_energy`` that the tracer wraps.
+    names = [name for _, _, name, _ in spans]
+    assert names.count("energy.integrate_energy") == 4, names
 
 
 def test_synth_and_crossval_spans_fire_once_per_call(tmp_path):

@@ -20,6 +20,7 @@ from encwatt.energy import (
     measure_until_confident,
     net_energy,
     t_critical,
+    trace_span,
 )
 from encwatt.errors import AcquisitionError, InvalidMeasurementError, MeasurementRunError
 
@@ -230,7 +231,7 @@ def test_net_energy_interpolates_between_two_samples_only(monkeypatch):
 
     monkeypatch.setattr(np, "interp", spy)
     for duration in (0.0005, 1.0, 3.1415, 9.999):
-        net_energy(total, idle, duration)
+        net_energy(trace_span(total, duration), trace_span(idle, duration))
     assert lengths and max(lengths) <= 2
 
 
@@ -239,33 +240,35 @@ def test_net_energy_interpolates_between_two_samples_only(monkeypatch):
 def test_net_energy_constant_powers():
     total = const_trace(50.0)
     idle = const_trace(20.0)
-    assert net_energy(total, idle, 10.0) == pytest.approx(300.0, rel=1e-12)
+    assert net_energy(trace_span(total, 10.0), trace_span(idle, 10.0)) == pytest.approx(
+        300.0, rel=1e-12)
 
 
 def test_net_energy_identical_traces_is_zero():
-    trace = ramp_trace()
-    assert net_energy(trace, trace, 7.5) == pytest.approx(0.0, abs=1e-12)
+    span = trace_span(ramp_trace(), 7.5)
+    assert net_energy(span, span) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_net_energy_ramp_minus_constant():
     total = ramp_trace()            # integral 50 over 10 s
     idle = const_trace(1.0)         # integral 10 over 10 s
-    assert net_energy(total, idle, 10.0) == pytest.approx(40.0, rel=1e-12)
+    assert net_energy(trace_span(total, 10.0), trace_span(idle, 10.0)) == pytest.approx(
+        40.0, rel=1e-12)
 
 
 def test_net_energy_window_uses_each_traces_own_start():
-    total = const_trace(50.0, t0=100.0, t1=110.0)
-    idle = const_trace(20.0, t0=0.0, t1=10.0)
-    assert net_energy(total, idle, 10.0) == pytest.approx(300.0, rel=1e-12)
+    total = trace_span(const_trace(50.0, t0=100.0, t1=110.0, label="total"), 10.0)
+    idle = trace_span(const_trace(20.0, t0=0.0, t1=10.0), 10.0)
+    assert total == (pytest.approx(500.0, rel=1e-12), 10.0, "total")
+    assert net_energy(total, idle) == pytest.approx(300.0, rel=1e-12)
 
 
 def test_net_energy_insufficient_span():
     total = const_trace(50.0, 0.0, 5.0)
-    idle = const_trace(20.0)
-    with pytest.raises(AcquisitionError, match="outside trace span"):
-        net_energy(total, idle, 8.0)
-    with pytest.raises(ValueError, match="duration must be > 0, got 0.0"):
-        net_energy(total, idle, 0.0)
+    with pytest.raises(AcquisitionError, match=r"window \[0\.0, 8\.0\] outside trace span"):
+        trace_span(total, 8.0)
+    with pytest.raises(AcquisitionError, match=r"window \[0\.0, 0\.0\] outside trace span"):
+        trace_span(total, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -280,30 +283,26 @@ def test_net_energy_of_two_traces_is_the_difference_of_their_integrals(seed):
     duration = rng.uniform(0.01, 1.0) * min(total.duration, idle.duration)
     expected = (integrate_energy(total, total.start, total.start + duration)
                 - integrate_energy(idle, idle.start, idle.start + duration))
-    assert net_energy(total, idle, duration) == expected
+    assert net_energy(trace_span(total, duration), trace_span(idle, duration)) == expected
 
 
 def test_net_energy_takes_idle_over_a_counter_span():
     # A counter's joules cover its own span, longer than the activity's
     # wall time; idle power comes off over that span, from an idle trace
-    # as from an idle counter span of another length.
+    # read over the wall time as from an idle counter span of another length.
     total = CounterSpan(joules=60.0, seconds=1.2)
     idle_trace = const_trace(20.0, t0=3.0, t1=13.0)
-    assert net_energy(total, idle_trace, 1.0) == pytest.approx(60.0 - 20.0 * 1.2, rel=1e-12)
+    assert net_energy(total, trace_span(idle_trace, 1.0)) == pytest.approx(
+        60.0 - 20.0 * 1.2, rel=1e-12)
     idle_span = CounterSpan(joules=22.0, seconds=1.1)
-    assert net_energy(total, idle_span, 1.0) == pytest.approx(60.0 - 24.0, rel=1e-12)
-
-
-def test_net_energy_idle_trace_must_cover_the_counter_span():
-    with pytest.raises(AcquisitionError, match="outside trace span"):
-        net_energy(CounterSpan(joules=60.0, seconds=1.2), const_trace(20.0, t1=1.1), 1.0)
+    assert net_energy(total, idle_span) == pytest.approx(60.0 - 24.0, rel=1e-12)
 
 
 def test_net_energy_negative_is_flagged_not_clamped(caplog):
-    total = const_trace(20.0)
-    idle = const_trace(50.0)
+    total = trace_span(const_trace(20.0), 10.0)
+    idle = trace_span(const_trace(50.0), 10.0)
     with caplog.at_level("WARNING", logger="encwatt.energy"):
-        value = net_energy(total, idle, 10.0)
+        value = net_energy(total, idle)
     assert value == pytest.approx(-300.0, rel=1e-12)
     assert any("negative" in rec.message for rec in caplog.records)
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import threading
 import time
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encwatt import meter as meter_module
-from encwatt.energy import PowerTrace, integrate_energy, net_energy
+from encwatt.energy import CounterSpan, PowerTrace, integrate_energy, net_energy, trace_span
 from encwatt.errors import AcquisitionError
 from encwatt.meter import (
     DEFAULT_POLL_PERIOD,
@@ -516,7 +517,7 @@ def test_counter_meter_energy_matches_counter_across_encode(tmp_path, lead_in):
         span, wall = meter.record(encode)
         idle = meter.capture_idle(wall)
     assert feeder.truth_j > 0
-    net = net_energy(span, idle, wall)
+    net = net_energy(span, idle)
     assert net == pytest.approx(feeder.truth_j, rel=0.02), (
         f"net {net:.4f} J, truth {feeder.truth_j:.4f} J, span {span.seconds:.4f} s, "
         f"wall {wall:.4f} s, idle {idle.seconds:.4f} s, {feeder.ticks} feeder ticks")
@@ -552,7 +553,7 @@ def test_counter_meter_row_ignores_a_pause_outside_the_activity_timer(monkeypatc
     total, wall = meter.record(encode)
     idle = meter.capture_idle(wall)
     truth = 40.0 * (step[1] - step[0])
-    assert net_energy(total, idle, wall) == pytest.approx(truth, rel=0.02)
+    assert net_energy(total, idle) == pytest.approx(truth, rel=0.02)
 
 
 def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
@@ -562,7 +563,7 @@ def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("0")
     meter = CounterMeter(f)
-    idle = PowerTrace([(0.0, 0.0), (1.0, 0.0)])
+    idle = CounterSpan(0.0, 1.0)
     errors = []
     for i in range(1, 21):
         def activity():
@@ -574,8 +575,8 @@ def test_counter_meter_edges_bracket_a_short_activity(tmp_path):
             time.sleep(0.01)
             return time.perf_counter() - t0
 
-        trace, wall = meter.record(activity)
-        errors.append(net_energy(trace, idle, wall) - 1.0)
+        span, wall = meter.record(activity)
+        errors.append(net_energy(span, idle) - 1.0)
     assert float(np.median(np.abs(errors))) < 0.01, errors
 
 
@@ -593,7 +594,8 @@ def test_synthetic_net_energy_against_base_only():
     recipe = SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=0.0, period=0.1)
     active = generate_synthetic_trace(recipe, 10.0, (2.0, 8.0))
     base = generate_synthetic_trace(recipe, 10.0)
-    assert net_energy(active, base, 10.0) == pytest.approx(180.0, rel=1e-9)
+    assert net_energy(trace_span(active, 10.0), trace_span(base, 10.0)) == pytest.approx(
+        180.0, rel=1e-9)
 
 
 def test_synthetic_deterministic_for_fixed_seed():
@@ -652,6 +654,7 @@ def test_open_meter_kinds(tmp_path):
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
     assert isinstance(open_meter(f"csv:{trace}"), CsvReplayMeter)
+    assert open_meter(f"csv:{trace}", trace).capture_idle(0.5) == (10.0, 0.5, str(trace))
     meter = open_meter(f"counter:{counter}")
     assert isinstance(meter, CounterMeter)
     assert meter.sample_period == DEFAULT_POLL_PERIOD
@@ -753,16 +756,46 @@ def test_recipe_period_gets_the_sample_period_check(spec):
         open_meter(spec)
 
 
-def test_csv_replay_meter(tmp_path):
+def test_csv_replay_meter(tmp_path, monkeypatch):
+    # Each recording reads the trace from its first sample, at t = 100,
+    # over the seconds the activity took on the meter's own timer.
+    ticks = iter([7.0, 9.5, 20.0, 21.0])
+    monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: next(ticks))
     f = tmp_path / "trace.csv"
-    f.write_text("t_s,p_w\n0.0,20.0\n5.0,20.0\n10.0,20.0\n")
+    f.write_text("t_s,p_w\n100.0,20.0\n105.0,40.0\n110.0,20.0\n")
     meter = CsvReplayMeter(f)
-    trace, result = meter.record(lambda: "done")
+    span, result = meter.record(lambda: "done")
     assert result == "done"
-    assert trace.duration == 10.0
+    assert span == (pytest.approx(2.5 * (20.0 + 30.0) / 2, rel=1e-12), 2.5, str(f))
+    assert meter.record(lambda: None)[0].joules == pytest.approx(1.0 * (20.0 + 24.0) / 2)
     # the replayed trace would net every energy to 0 J
     with pytest.raises(AcquisitionError, match="no idle baseline; a shared idle trace is needed"):
         meter.capture_idle(8.0)
+
+
+def test_shared_idle_trace_is_read_from_its_first_sample(tmp_path):
+    idle = tmp_path / "idle.csv"
+    idle.write_text("t_s,p_w\n100.0,20.0\n105.0,40.0\n110.0,20.0\n")
+    meter = open_meter("synth:base=20,active=30,noise=0", idle)
+    assert meter.capture_idle(2.5) == (pytest.approx(62.5, rel=1e-12), 2.5, str(idle))
+    span, result = meter.record(lambda: "done")
+    assert result == "done" and span.source_label == "synthetic-meter"
+
+
+@pytest.mark.parametrize("short", ["replay", "idle"])
+def test_a_trace_shorter_than_the_activity_is_a_meter_failure(tmp_path, monkeypatch, short):
+    # Both traces start at t = 100 and cover 1 s; the activity takes 1.5 s.
+    ticks = iter([0.0, 1.5])
+    monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: next(ticks))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,p_w\n100.0,50.0\n101.0,50.0\n")
+    long_trace = tmp_path / "long.csv"
+    long_trace.write_text("t_s,p_w\n100.0,50.0\n110.0,50.0\n")
+    meter = open_meter(f"csv:{trace if short == 'replay' else long_trace}",
+                       trace if short == "idle" else long_trace)
+    with pytest.raises(AcquisitionError, match=r"window \[100\.0, 101\.5\] outside trace span "
+                                               rf"\[100\.0, 101\.0\] of '{re.escape(str(trace))}'"):
+        meter.capture_idle(meter.record(lambda: None)[0].seconds)
 
 
 def test_synthetic_meter_record_covers_activity():
@@ -774,13 +807,14 @@ def test_synthetic_meter_record_covers_activity():
         time.sleep(0.4)
         return time.perf_counter() - t0
 
-    trace, wall = meter.record(activity)
-    assert trace.duration >= wall >= 0.4
+    span, wall = meter.record(activity)
+    assert span.seconds >= wall >= 0.4
     idle = meter.capture_idle(wall)
-    e = net_energy(trace, idle, wall)
-    # The active step starts at the trace's first sample and ends after the
-    # activity's own wall time: at most half a period's ramp is lost.
-    assert 30.0 * wall - 30.0 * 0.05 / 2 - 1e-9 <= e <= 30.0 * wall + 1e-9
+    assert idle.seconds == wall
+    e = net_energy(span, idle)
+    # The active step starts at the trace's first sample and lasts the
+    # recording's seconds: at most half a period's ramp is lost.
+    assert 30.0 * span.seconds - 30.0 * 0.05 / 2 - 1e-9 <= e <= 30.0 * span.seconds + 1e-9
 
 
 def _trace_sha256(trace):
@@ -808,23 +842,25 @@ def test_synthetic_trace_bytes_are_pinned(base, active, noise, seed, period, dur
 
 
 def test_synthetic_meter_trace_bytes_are_pinned(monkeypatch):
-    # Seeds recipe.seed + 1, + 2, ... alternate between recordings and idle captures.
+    # Seeds recipe.seed + 1, + 2, ... alternate between recordings and idle
+    # captures.  Each pin is its trace's integral over the span's seconds
+    # from the first sample, taken with `integrate_energy` on the same traces.
     ticks = iter([100.0, 101.234, 200.0, 200.5, 300.0, 303.05])
     monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: next(ticks))
     meter = SyntheticMeter(SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=2.0,
                                            seed=7, period=0.05))
-    digests = []
+    spans = []
     for idle in (1.0, 0.5, 2.0):
-        trace, result = meter.record(lambda: "done")
+        span, result = meter.record(lambda: "done")
         assert result == "done"
-        digests += _trace_sha256(trace), _trace_sha256(meter.capture_idle(idle))
-    assert digests == [
-        "55f122ac25ba42e20d54a832563adb21fc4f98f22201345d4a70de7125dba8f6",
-        "abd856ead3b3357ac6d80b0f4e8a7ae58cfa23157fec5b9b43a2254a9b31acec",
-        "18cac8af3615bbdde5e99c0bd0630c211e175695586cbb0b7b3ea3da168ac7f0",
-        "73f8074ee7daf4dd9a823f82adf57cc8a6559a01ae360e56bde4ea9708f631a7",
-        "98ae70aee76a780c9a6a3d6f62e1d110ed4ccbdddfb65ebb3a765aa0f0929147",
-        "5d1eda59d76e9ed81acc047d4792ea1169c0e09dcf8b6c220e08b2441b38054f",
+        spans += span, meter.capture_idle(idle)
+    assert [(repr(s.joules), repr(s.seconds), s.source_label) for s in spans] == [
+        ("61.18661669855596", "1.2339999999999947", "synthetic-meter"),
+        ("20.351277683246177", "1.0", "synthetic-idle"),
+        ("24.19343070796065", "0.5", "synthetic-meter"),
+        ("10.146240134475349", "0.5", "synthetic-idle"),
+        ("153.3854077104326", "3.0500000000000114", "synthetic-meter"),
+        ("40.889016841130754", "2.0", "synthetic-idle"),
     ]
 
 
@@ -839,4 +875,4 @@ def test_synthetic_meter_activity_that_fails_uses_its_seed_up():
         meter.record(encode)
     idle = meter.capture_idle(1.0)
     expected = generate_synthetic_trace(SyntheticRecipe(noise_std=1.0, seed=6), 1.0 + 2 * 0.1)
-    assert np.array_equal(idle.samples, expected.samples)
+    assert idle.joules == trace_span(expected, 1.0).joules

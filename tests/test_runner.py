@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from encwatt.dataset import DATASET_COLUMNS, load_dataset_csv
-from encwatt.energy import ConfidencePolicy, PowerTrace
+from encwatt.energy import ConfidencePolicy
 from encwatt.errors import (
     AcquisitionError,
     DatasetError,
@@ -19,7 +19,7 @@ from encwatt.errors import (
     ManifestError,
     MeasurementRunError,
 )
-from encwatt.meter import CounterMeter, CsvReplayMeter, SyntheticMeter, SyntheticRecipe
+from encwatt.meter import Meter, SyntheticMeter, SyntheticRecipe, open_meter
 from encwatt.runner import (
     EncodeJob,
     EncodeResult,
@@ -52,6 +52,15 @@ def fast_meter(noise=0.0, period=0.02, seed=0):
         SyntheticRecipe(base_power=20.0, active_power=30.0, noise_std=noise, seed=seed,
                         period=period)
     )
+
+
+FAST_METER = "synth:base=20,active=30,noise=0,period=0.02"
+
+
+def write_trace(path, watts, seconds):
+    """A trace CSV of constant ``watts`` from 0 to ``seconds``; returns ``path``."""
+    path.write_text(f"t_s,p_w\n0.0,{watts}\n{seconds},{watts}\n")
+    return path
 
 
 # ── job validation and QP parsing ─────────────────────────────────────────
@@ -163,9 +172,7 @@ def test_measured_encode_confident_with_low_noise(input_file, tmp_path, monkeypa
     # the rule must reach its verdict within the 8-repetition budget.
     _fake_encodes(monkeypatch, [0.25, 0.27, 0.24, 0.26, 0.25, 0.26, 0.24, 0.25])
     policy = ConfidencePolicy(alpha=0.99, beta=0.15, min_reps=2, max_reps=8)
-    meter, idle = _replay(tmp_path)
-    record, _ = run_measured_encode(make_job(input_file), "unused", meter, policy,
-                                    idle_trace=idle)
+    record, _ = run_measured_encode(make_job(input_file), "unused", _replay(tmp_path), policy)
     assert record.confident
     assert 2 < record.reps <= 8
 
@@ -187,17 +194,11 @@ def test_measured_encode_failure_names_repetition(input_file, stub_encoder, tmp_
     assert all(e > 0 for e in excinfo.value.energies)
 
 
-def test_measured_encode_shared_idle_trace(input_file, encoder_cmd):
-    from encwatt.meter import generate_synthetic_trace
-
-    idle = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=0.0, noise_std=0.0, period=0.02), 30.0
-    )
+def test_measured_encode_shared_idle_trace(input_file, encoder_cmd, tmp_path):
+    meter = open_meter(FAST_METER, write_trace(tmp_path / "idle.csv", 20.0, 30.0))
     job = make_job(input_file, extra_args=("--base-sleep", "0.2"))
     policy = ConfidencePolicy(beta=0.2, min_reps=2, max_reps=4)
-    record, result = run_measured_encode(
-        job, encoder_cmd, fast_meter(), policy, idle_trace=idle
-    )
+    record, result = run_measured_encode(job, encoder_cmd, meter, policy)
     assert record.mean_energy == pytest.approx(30.0 * result.wall_time, abs=30.0 * 0.02 + 1.0)
 
 
@@ -229,12 +230,54 @@ def test_measured_encode_counts_only_the_encode(input_file, tmp_path, monkeypatc
     monkeypatch.setattr(subprocess, "run", encoder)
     monkeypatch.setattr(tempfile, "mkstemp", slow_mkstemp)
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    idle = PowerTrace([(0.0, 0.0), (1.0, 0.0)])
+    meter = open_meter(f"counter:{counter}", write_trace(tmp_path / "idle.csv", 0.0, 1.0))
     policy = ConfidencePolicy(beta=0.5, min_reps=5, max_reps=5)
-    record, _ = run_measured_encode(make_job(input_file), "enc {output}", CounterMeter(counter),
-                                    policy, idle_trace=idle)
+    record, _ = run_measured_encode(make_job(input_file), "enc {output}", meter, policy)
     assert record.reps == 5
     assert float(np.median(record.energies)) == pytest.approx(1.0, rel=0.02), record.energies
+
+
+def test_counter_campaign_rows_are_pinned(input_file, tmp_path, monkeypatch):
+    # A counter at 21.7 W, 48.3 W while an encode runs, on a fake clock that
+    # each encode, idle sleep and counter read advances.  Each recording also
+    # holds 4.1 ms outside the encoder's own timer, so its span is longer
+    # than the wall time its idle baseline lasts.  A row is the span's joules
+    # less idle power over the span's seconds, and the pinned bytes move with
+    # any change to that arithmetic or to the idle baseline's window.
+    import encwatt.meter
+
+    now, joules = [0.0], [0.0]
+
+    def advance(seconds, watts=21.7):
+        now[0] += seconds
+        joules[0] += watts * seconds
+
+    def read_counter(path):
+        advance(0.0013)
+        return int(joules[0] * 1e6)
+
+    walls = iter([0.313, 0.297, 0.619, 0.641])
+
+    def run_encode(job, encoder_cmd, output_path=None):
+        wall = next(walls)
+        advance(wall, watts=48.3)
+        advance(0.0041)
+        return EncodeResult(wall_time=wall, avg_qp=25.0, bitstream_bytes=100, encoder_log="")
+
+    monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: now[0])
+    monkeypatch.setattr("encwatt.meter.time.sleep", advance)
+    monkeypatch.setattr(encwatt.meter, "read_counter_uj", read_counter)
+    monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
+    counter = tmp_path / "energy_uj"
+    counter.write_text("0")
+    meter = encwatt.meter.CounterMeter(counter, sample_period=3600.0)  # no poll in between
+    policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
+    out = tmp_path / "campaign.csv"
+    run_campaign([make_job(input_file, preset="fast")], "unused", meter, policy, out_csv=out)
+    assert out.read_text() == (
+        "sequence_id,class,preset,crf,frames,avg_qp,t_enc_s,t_enc_uf_s,energy_j,reps,confident\n"
+        "seqA,B,ultrafast,23.0,100,25.0,0.305,0.305,8.112619515981432,2,false\n"
+        "seqA,B,fast,23.0,100,25.0,0.63,0.305,16.757816355124643,2,false\n")
 
 
 # ── closure and manifests ─────────────────────────────────────────────────
@@ -394,11 +437,24 @@ def test_load_manifest_gives_a_sequence_one_input_frames_and_class(tmp_path, key
 
 # ── campaigns ─────────────────────────────────────────────────────────────
 
-class SessionCountingMeter(CsvReplayMeter):
+class WrappedMeter(Meter):
+    """Records and captures idle baselines with ``meter``."""
+
+    def __init__(self, meter):
+        self.meter = meter
+
+    def record(self, activity):
+        return self.meter.record(activity)
+
+    def capture_idle(self, duration):
+        return self.meter.capture_idle(duration)
+
+
+class SessionCountingMeter(WrappedMeter):
     """Fails the test if two measurement sessions ever overlap."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, meter):
+        super().__init__(meter)
         self.active = 0
         self.max_active = 0
 
@@ -423,11 +479,9 @@ def test_campaign_grid_with_explicit_ultrafast(input_file, tmp_path, monkeypatch
     # fixed wall times, in campaign order: each job is confident after 2
     # identical repetitions, and medium takes 2.5x its probe's time
     _fake_encodes(monkeypatch, [0.06, 0.06, 0.15, 0.15] * 2)
-    meter, idle = _replay(tmp_path)
-    meter = SessionCountingMeter(meter.path)
+    meter = SessionCountingMeter(_replay(tmp_path))
     out = tmp_path / "campaign.csv"
-    dataset = run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out,
-                           idle_trace=idle)
+    dataset = run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out)
     assert len(dataset.rows) == 4
     assert not dataset.failures
     assert meter.max_active == 1
@@ -512,8 +566,6 @@ def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_pa
     import threading
     import time as time_mod
 
-    from encwatt.meter import CounterMeter, generate_synthetic_trace
-
     counter = tmp_path / "energy_uj"
     scratch = tmp_path / "energy_uj.tmp"
     counter.write_text("0")
@@ -530,13 +582,10 @@ def test_measured_encode_with_live_counter_meter(input_file, encoder_cmd, tmp_pa
     thread = threading.Thread(target=ticker, daemon=True)
     thread.start()
     try:
-        idle = generate_synthetic_trace(
-            SyntheticRecipe(base_power=2.0, active_power=0.0, noise_std=0.0, period=0.05), 30.0
-        )
-        meter = CounterMeter(counter, sample_period=0.05)
+        meter = open_meter(f"counter:{counter}", write_trace(tmp_path / "idle.csv", 2.0, 30.0))
         job = make_job(input_file, extra_args=("--base-sleep", "0.3"))
         policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-        record, result = run_measured_encode(job, encoder_cmd, meter, policy, idle_trace=idle)
+        record, result = run_measured_encode(job, encoder_cmd, meter, policy)
         assert record.reps == 2
         expected = 3.0 * result.wall_time
         for energy in record.energies:
@@ -550,14 +599,10 @@ def test_campaign_records_negative_energy_job_as_failure(input_file, encoder_cmd
     # idle baseline above the measured trace: net energy is negative, the
     # running mean is non-positive, and the job must fail without
     # aborting the campaign
-    from encwatt.meter import SyntheticRecipe as Recipe, generate_synthetic_trace
-
-    hot_idle = generate_synthetic_trace(
-        Recipe(base_power=80.0, active_power=0.0, noise_std=0.0, period=0.02), 30.0
-    )
+    meter = open_meter(FAST_METER, write_trace(tmp_path / "hot_idle.csv", 80.0, 30.0))
     jobs = [make_job(input_file, preset="ultrafast", extra_args=("--base-sleep", "0.05"))]
-    dataset = run_campaign(jobs, encoder_cmd, fast_meter(), quick_policy(),
-                           out_csv=tmp_path / "neg.csv", idle_trace=hot_idle)
+    dataset = run_campaign(jobs, encoder_cmd, meter, quick_policy(),
+                           out_csv=tmp_path / "neg.csv")
     assert len(dataset.rows) == 0
     assert len(dataset.failures) == 1
 
@@ -586,24 +631,36 @@ def test_failed_encodes_leave_no_sampler_running(input_file, stub_encoder, tmp_p
     assert not any(t.is_alive() for t in samplers)
 
 
-def _replay(tmp_path):
-    """A replay meter at 50 W and a 20 W idle trace, both 10 s long."""
-    from encwatt.meter import generate_synthetic_trace
+def _replay(tmp_path, idle_seconds=10.0):
+    """A replay meter at 50 W with a shared 20 W idle trace, 10 s long by default."""
+    trace = write_trace(tmp_path / "replay.csv", 50.0, 10.0)
+    return open_meter(f"csv:{trace}", write_trace(tmp_path / "idle.csv", 20.0, idle_seconds))
 
-    trace = tmp_path / "replay.csv"
-    trace.write_text("t_s,p_w\n0.0,50.0\n10.0,50.0\n")
-    idle = generate_synthetic_trace(
-        SyntheticRecipe(base_power=20.0, active_power=0.0), 10.0
-    )
-    return CsvReplayMeter(trace), idle
+
+def _fake_clock(monkeypatch):
+    """Stop the meter's clock; return the function that advances it."""
+    now = [0.0]
+    monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: now[0])
+
+    def advance(seconds):
+        now[0] += seconds
+
+    return advance
 
 
 def _fake_encodes(monkeypatch, wall_times):
-    """Replace the encoder with results of the given wall times, in turn."""
+    """Replace the encoder with results of the given wall times, in turn.
+
+    Each encode advances the meter's clock by its wall time, so a recording
+    spans exactly its encode.
+    """
     walls = iter(wall_times)
+    advance = _fake_clock(monkeypatch)
 
     def run_encode(job, encoder_cmd, output_path=None):
-        return EncodeResult(wall_time=next(walls), avg_qp=25.0, bitstream_bytes=100, encoder_log="")
+        wall = next(walls)
+        advance(wall)
+        return EncodeResult(wall_time=wall, avg_qp=25.0, bitstream_bytes=100, encoder_log="")
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
 
@@ -611,9 +668,9 @@ def _fake_encodes(monkeypatch, wall_times):
 def test_campaign_rows_use_mean_wall_time_of_repetitions(input_file, tmp_path, monkeypatch):
     _fake_encodes(monkeypatch, [1.0, 3.0])
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     dataset = run_campaign([make_job(input_file)], "unused", meter, policy,
-                           out_csv=tmp_path / "d.csv", idle_trace=idle)
+                           out_csv=tmp_path / "d.csv")
     (row,) = dataset.rows
     assert row.reps == 2
     assert row.t_enc == 2.0 and row.t_enc_uf == 2.0
@@ -622,16 +679,16 @@ def test_campaign_rows_use_mean_wall_time_of_repetitions(input_file, tmp_path, m
 def test_campaign_resume_drops_torn_last_row(input_file, tmp_path, monkeypatch):
     _fake_encodes(monkeypatch, [1.0] * 6)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     out = tmp_path / "campaign.csv"
     uf = make_job(input_file, preset="ultrafast")
     fast = make_job(input_file, preset="fast")
-    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    run_campaign([uf], "unused", meter, policy, out_csv=out)
     complete = out.read_text()
     # a campaign killed while appending the fast row
     out.write_text(complete + "seqA,B,fast,23.0,100,25.0,1.0")
     resumed = run_campaign([uf, fast], "unused", meter, policy,
-                           out_csv=out, idle_trace=idle, resume=True)
+                           out_csv=out, resume=True)
     assert len(resumed.rows) == 2 and not resumed.failures
     loaded = load_dataset_csv(out)
     assert [row.preset for row in loaded.rows] == ["ultrafast", "fast"]
@@ -641,14 +698,14 @@ def test_campaign_resume_drops_torn_last_row(input_file, tmp_path, monkeypatch):
 def test_campaign_resume_rejects_corrupt_row_before_the_last(input_file, tmp_path, monkeypatch):
     _fake_encodes(monkeypatch, [1.0] * 4)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     out = tmp_path / "campaign.csv"
     uf = make_job(input_file, preset="ultrafast")
-    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    run_campaign([uf], "unused", meter, policy, out_csv=out)
     header, row = out.read_text().splitlines()
     out.write_text(f"{header}\n{row[:20]}\n{row}\n")
     with pytest.raises(DatasetError, match="row 2"):
-        run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle, resume=True)
+        run_campaign([uf], "unused", meter, policy, out_csv=out, resume=True)
 
 
 def test_campaign_without_resume_refuses_a_csv_that_holds_rows(input_file, tmp_path, monkeypatch):
@@ -660,25 +717,25 @@ def test_campaign_without_resume_refuses_a_csv_that_holds_rows(input_file, tmp_p
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     out = tmp_path / "campaign.csv"
     uf = make_job(input_file, preset="ultrafast")
     out.write_text(",".join(DATASET_COLUMNS) + "\n")  # a header alone is appended to
-    run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+    run_campaign([uf], "unused", meter, policy, out_csv=out)
     assert len(calls) == 2
     before = out.read_bytes()
     with pytest.raises(DatasetError, match="--resume"):
-        run_campaign([uf], "unused", meter, policy, out_csv=out, idle_trace=idle)
+        run_campaign([uf], "unused", meter, policy, out_csv=out)
     assert len(calls) == 2
     assert out.read_bytes() == before
     assert len(load_dataset_csv(out)) == 1
 
 
-class FailingReplayMeter(CsvReplayMeter):
+class FailingMeter(WrappedMeter):
     """Fails on its recording number ``fail_at``, as a meter lost mid-campaign."""
 
-    def __init__(self, path, fail_at):
-        super().__init__(path)
+    def __init__(self, meter, fail_at):
+        super().__init__(meter)
         self.fail_at = fail_at
         self.recordings = 0
 
@@ -693,12 +750,11 @@ def test_campaign_aborts_on_a_meter_failure_and_keeps_the_rows_before_it(
         input_file, tmp_path, monkeypatch):
     _fake_encodes(monkeypatch, [1.0] * 4)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    _, idle = _replay(tmp_path)
-    meter = FailingReplayMeter(tmp_path / "replay.csv", fail_at=3)
+    meter = FailingMeter(_replay(tmp_path), fail_at=3)
     out = tmp_path / "campaign.csv"
     jobs = [make_job(input_file, preset="ultrafast"), make_job(input_file, preset="fast")]
     with pytest.raises(AcquisitionError, match="counter vanished"):
-        run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+        run_campaign(jobs, "unused", meter, policy, out_csv=out)
     assert meter.recordings == 3
     (row,) = load_dataset_csv(out).rows
     assert row.preset == "ultrafast" and row.reps == 2
@@ -710,11 +766,13 @@ def _logged_encodes(monkeypatch, failing):
     A job whose label is in ``failing`` fails as a crashed encoder does.
     """
     calls = []
+    advance = _fake_clock(monkeypatch)
 
     def run_encode(job, encoder_cmd, output_path=None):
         calls.append(job.label())
         if job.label() in failing:
             raise EncodeFailedError("encoder exited with status 3")
+        advance(1.0)
         return EncodeResult(wall_time=1.0, avg_qp=25.0, bitstream_bytes=100, encoder_log="")
 
     monkeypatch.setattr("encwatt.runner.run_encode", run_encode)
@@ -726,13 +784,12 @@ def test_campaign_aborts_when_the_idle_trace_is_shorter_than_an_encode(
     # a trace that cannot cover an encode is a meter failure: the campaign
     # stops at its first repetition, not after one encode per probe
     calls = _logged_encodes(monkeypatch, failing=())
-    meter, _ = _replay(tmp_path)
-    short_idle = PowerTrace.from_arrays([0.0, 0.5], [20.0, 20.0])
+    meter = _replay(tmp_path, idle_seconds=0.5)
     jobs = [make_job(input_file, preset=preset, crf=crf)
             for preset in ("ultrafast", "medium") for crf in (23.0, 28.0)]
     out = tmp_path / "campaign.csv"
     with pytest.raises(AcquisitionError, match=r"window \[0\.0, 1\.0\] outside trace span"):
-        run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out, idle_trace=short_idle)
+        run_campaign(jobs, "unused", meter, quick_policy(), out_csv=out)
     assert calls == ["seqA:ultrafast:crf23"]
     assert len(load_dataset_csv(out)) == 0
 
@@ -756,11 +813,11 @@ def test_campaign_encodes_no_preset_of_a_bitstream_whose_probe_row_is_refused(
 
     monkeypatch.setattr("encwatt.runner.DatasetRow", refusing_row)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     out = tmp_path / "campaign.csv"
     jobs = [make_job(input_file, preset=preset, sequence_id=seq)
             for seq in ("s1", "s2") for preset in ("ultrafast", "medium")]
-    dataset = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+    dataset = run_campaign(jobs, "unused", meter, policy, out_csv=out)
     loaded = load_dataset_csv(out)
     assert [row.key() for row in loaded.rows] == [("s2", "ultrafast", 23.0),
                                                   ("s2", "medium", 23.0)]
@@ -776,11 +833,11 @@ def test_campaign_resume_after_a_failed_probe_runs_the_probe_then_its_presets(
     failing = {uf}
     calls = _logged_encodes(monkeypatch, failing)
     policy = ConfidencePolicy(alpha=0.99, beta=0.9, min_reps=2, max_reps=2)
-    meter, idle = _replay(tmp_path)
+    meter = _replay(tmp_path)
     out = tmp_path / "campaign.csv"
     jobs = [make_job(input_file, preset=preset, sequence_id="s1")
             for preset in ("slow", "medium", "ultrafast")]
-    first = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle)
+    first = run_campaign(jobs, "unused", meter, policy, out_csv=out)
     assert calls == [uf]
     assert [label for label, _ in first.failures] == [uf, medium, slow]
     assert first.failures[1:] == ((medium, PROBE_FAILED), (slow, PROBE_FAILED))
@@ -788,7 +845,7 @@ def test_campaign_resume_after_a_failed_probe_runs_the_probe_then_its_presets(
 
     failing.clear()
     calls.clear()
-    second = run_campaign(jobs, "unused", meter, policy, out_csv=out, idle_trace=idle,
+    second = run_campaign(jobs, "unused", meter, policy, out_csv=out,
                           resume=True)
     assert calls == [uf] * 2 + [medium] * 2 + [slow] * 2
     assert not second.failures
