@@ -83,9 +83,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
     from .meter import open_meter
     from .runner import load_manifest, run_campaign
 
-    if args.meter.startswith("csv:") and not args.idle_trace:
-        raise ValueError("--meter csv: needs --idle-trace: the replayed trace would be its "
-                         "own idle baseline, and every net energy 0 J")
     jobs = load_manifest(args.manifest)
     policy = ConfidencePolicy(**_given(args, "alpha", "beta", "min_reps", "max_reps"))
     meter = open_meter(args.meter, args.idle_trace)
@@ -181,6 +178,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     from .fitting import fit_report
 
     dataset = load_dataset_csv(args.dataset)
+    if args.out and Path(args.out).exists() and Path(args.out).samefile(args.dataset):
+        raise ValueError(f"--out {args.out} is the dataset: the report would overwrite it")
     if args.subcommand == "crossval":
         report = cross_validate(
             dataset, args.model, k=args.k, seed=args.seed,

@@ -11,8 +11,12 @@ difference between a reading the recording thread takes just before the
 activity and one it takes just after, with a sampler thread polling in
 between only to catch wraps, over the seconds between the two
 readings.  The wrap-around modulus is read once, when the meter is
-built, from a sibling ``max_energy_range_uj`` file when there is one (as
-in a powercap zone), else it is 2**32.
+built, from the ``max_energy_range_uj`` file beside the file the counter
+path resolves to (a powercap zone's, also through a symlink) when there
+is one, else it is 2**32.
+
+A replayed trace CSV cannot be its own idle baseline: it is opened only
+with an idle trace CSV that is another file.
 
 numpy is imported by the functions that parse or generate a trace, so it
 is loaded when a trace is first built; the counter path never loads it.
@@ -200,8 +204,8 @@ def _read_int_file(path: str | Path, what: str, denied: str = "") -> int:
 
 
 def _wrap_modulus(counter_path: str | Path) -> int:
-    """The counter's wrap modulus: its sibling range file, else 2**32."""
-    range_file = Path(counter_path).with_name("max_energy_range_uj")
+    """The counter's wrap modulus: the range file beside the file it resolves to, else 2**32."""
+    range_file = Path(counter_path).resolve().with_name("max_energy_range_uj")
     if not range_file.is_file():
         return DEFAULT_WRAP_UJ
     value = _read_int_file(range_file, str(range_file))
@@ -449,15 +453,16 @@ class SyntheticMeter(Meter):
 
 
 class CsvReplayMeter(Meter):
-    """Replays a fixed trace file; useful for dry runs and diagnostics.
+    """Replays a trace file, with another trace file as its idle baseline,
+    both from their first sample; useful for dry runs and diagnostics."""
 
-    The replayed trace is no idle baseline (it would net every energy to
-    0 J), so a campaign on this meter needs a shared idle trace.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._trace = parse_trace_csv(self.path)
+    def __init__(self, path: str | Path, idle_path: str | Path):
+        with contextlib.suppress(OSError):  # a file that cannot be read is named by its parse
+            if Path(path).samefile(idle_path):
+                raise ValueError(f"idle trace {idle_path} is the replayed trace {path}: "
+                                 f"every net energy would be 0 J")
+        self._trace = parse_trace_csv(path)
+        self._idle = parse_trace_csv(idle_path)
 
     def record(self, activity: Callable[[], T]) -> tuple[CounterSpan, T]:
         t0 = time.perf_counter()
@@ -465,8 +470,7 @@ class CsvReplayMeter(Meter):
         return trace_span(self._trace, time.perf_counter() - t0), result
 
     def capture_idle(self, duration: float) -> CounterSpan:
-        raise AcquisitionError(f"replay trace {self.path} is no idle baseline; "
-                               f"a shared idle trace is needed")
+        return trace_span(self._idle, duration)
 
 
 # The JSON type of each recipe key, and the key each alias spells.
@@ -529,17 +533,20 @@ def open_meter(spec: str, idle_trace: Optional[str | Path] = None) -> Meter:
 
     A counter is polled every ``DEFAULT_POLL_PERIOD``; a synthetic meter's
     grid is its recipe's ``period``.  An ``idle_trace`` CSV is the meter's
-    idle baseline, read from its first sample, in place of its own.
+    idle baseline, read from its first sample, in place of its own; a
+    ``csv:`` replay has none, and is refused without one before any read.
     """
-    if idle_trace:  # `measure` takes an empty --idle-trace for none
-        return _SharedIdleMeter(open_meter(spec), parse_trace_csv(idle_trace))
     kind, colon, target = spec.partition(":")
     if not colon:
         raise ValueError(f"meter spec {spec!r} must look like kind:target")
     if kind not in ("csv", "counter", "synth"):
         raise ValueError(f"unknown meter kind {kind!r}; expected csv, counter, or synth")
+    if not target and kind != "synth":  # an empty recipe is the default one
+        raise ValueError(f"meter spec {spec!r} names no file")
     if kind == "csv":
-        return CsvReplayMeter(target)
-    if kind == "counter":
-        return CounterMeter(target)
-    return SyntheticMeter(load_recipe(target))
+        if not idle_trace:  # `measure` takes an empty --idle-trace for none
+            raise ValueError(f"meter spec {spec!r} needs --idle-trace: the replayed trace would "
+                             f"be its own idle baseline, and every net energy 0 J")
+        return CsvReplayMeter(target, idle_trace)
+    meter = CounterMeter(target) if kind == "counter" else SyntheticMeter(load_recipe(target))
+    return _SharedIdleMeter(meter, parse_trace_csv(idle_trace)) if idle_trace else meter

@@ -580,6 +580,22 @@ def test_fit_bad_dataset_value_exits_two(capsys, tmp_path):
     assert "row 2" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "crossval"])
+@pytest.mark.parametrize("spelling", ["same", "other"])
+def test_fit_out_naming_the_dataset_exits_two(capsys, tmp_path, monkeypatch, command, spelling):
+    # the report would overwrite the measured campaign
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
+    before = data.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    out = str(data) if spelling == "same" else "./d.csv"
+    code, stdout, err = run_cli(capsys, command, str(data), "--model", "uf_linear", "--out", out)
+    assert code == 2
+    assert err == f"error: --out {out} is the dataset: the report would overwrite it\n"
+    assert stdout == ""
+    assert data.read_bytes() == before
+
+
 def test_crossval_out_of_range_avg_qp_exits_two(capsys, tmp_path):
     data = tmp_path / "d.csv"
     run_cli(capsys, "synth", "--out", str(data), "--seed", "1")
@@ -1031,6 +1047,35 @@ def test_measure_csv_meter_without_idle_trace_exits_two(capsys, tmp_path, input_
     )
     assert code == 2
     assert "--idle-trace" in err
+    assert not calls.exists()
+    assert not out.exists()
+
+
+def test_measure_csv_meter_with_its_own_trace_as_idle_exits_two(capsys, tmp_path, input_file,
+                                                                stub_encoder):
+    # every net energy would be 0 J, and each job fail as if the encoder were at fault
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,p_w\n0.0,50.0\n10.0,50.0\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(trace)
+    manifest = tmp_path / "jobs.jsonl"
+    write_manifest(manifest, input_file, presets=("ultrafast",), n_seqs=1)
+    calls = tmp_path / "calls.log"
+    encoder = (
+        f"{sys.executable} {stub_encoder} --input {{input}} --output {{output}} "
+        f"--preset {{preset}} --crf {{crf}} --frames {{frames}} --call-log {calls}"
+    )
+    out = tmp_path / "dataset.csv"
+    for idle in (trace, link):
+        code, _, err = run_cli(
+            capsys, "measure", str(manifest),
+            "--meter", f"csv:{trace}",
+            "--idle-trace", str(idle),
+            "--encoder-cmd", encoder,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert f"idle trace {idle} is the replayed trace" in err
     assert not calls.exists()
     assert not out.exists()
 

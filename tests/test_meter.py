@@ -285,6 +285,26 @@ def test_wrap_modulus_env_override(tmp_path):
     assert counter_energy_uj(counter.sample(), modulus) == 400
 
 
+def test_counter_through_a_symlink_takes_its_zone_wrap_modulus(tmp_path):
+    # as a counter path to a powercap zone's energy_uj through a link usually is
+    zone = tmp_path / "intel-rapl:0"
+    zone.mkdir()
+    rapl_max = 262143328850
+    (zone / "max_energy_range_uj").write_text(f"{rapl_max}\n")
+    (zone / "energy_uj").write_text(str(rapl_max - 1000))
+    links = tmp_path / "links"
+    links.mkdir()
+    (links / "energy_uj").symlink_to(zone / "energy_uj")
+    meter = open_meter(f"counter:{links / 'energy_uj'}")
+
+    def wrap():  # replaced whole, so that no poll reads a half-written file
+        (zone / "next").write_text("500")
+        os.replace(zone / "next", zone / "energy_uj")
+
+    span, _ = meter.record(wrap)
+    assert span.joules == pytest.approx(1500e-6, rel=1e-12)
+
+
 def test_powercap_range_file_must_hold_a_positive_integer(tmp_path):
     f = tmp_path / "energy_uj"
     f.write_text("0")
@@ -651,10 +671,13 @@ def test_recipe_validation():
 def test_open_meter_kinds(tmp_path):
     trace = tmp_path / "x.csv"
     trace.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
+    idle = tmp_path / "idle.csv"
+    idle.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
     counter = tmp_path / "energy_uj"
     counter.write_text("0")
-    assert isinstance(open_meter(f"csv:{trace}"), CsvReplayMeter)
-    assert open_meter(f"csv:{trace}", trace).capture_idle(0.5) == (10.0, 0.5, str(trace))
+    meter = open_meter(f"csv:{trace}", idle)
+    assert isinstance(meter, CsvReplayMeter)
+    assert meter.capture_idle(0.5) == (10.0, 0.5, str(idle))
     meter = open_meter(f"counter:{counter}")
     assert isinstance(meter, CounterMeter)
     assert meter.sample_period == DEFAULT_POLL_PERIOD
@@ -665,6 +688,15 @@ def test_open_meter_kinds(tmp_path):
         open_meter("bogus:/x")
     with pytest.raises(ValueError):
         open_meter("no-colon")
+
+
+def test_open_meter_refuses_a_spec_naming_no_file(tmp_path):
+    idle = tmp_path / "idle.csv"
+    idle.write_text("t_s,p_w\n0.0,20.0\n1.0,20.0\n")
+    for spec in ("counter:", "csv:"):
+        with pytest.raises(ValueError, match=f"^meter spec '{spec}' names no file$"):
+            open_meter(spec, idle)
+    assert open_meter("synth:").recipe == SyntheticRecipe()  # the default recipe
 
 
 def test_open_meter_validation(tmp_path):
@@ -763,14 +795,23 @@ def test_csv_replay_meter(tmp_path, monkeypatch):
     monkeypatch.setattr("encwatt.meter.time.perf_counter", lambda: next(ticks))
     f = tmp_path / "trace.csv"
     f.write_text("t_s,p_w\n100.0,20.0\n105.0,40.0\n110.0,20.0\n")
-    meter = CsvReplayMeter(f)
+    idle = tmp_path / "idle.csv"
+    idle.write_text("t_s,p_w\n50.0,10.0\n60.0,30.0\n")
+    meter = CsvReplayMeter(f, idle)
     span, result = meter.record(lambda: "done")
     assert result == "done"
     assert span == (pytest.approx(2.5 * (20.0 + 30.0) / 2, rel=1e-12), 2.5, str(f))
     assert meter.record(lambda: None)[0].joules == pytest.approx(1.0 * (20.0 + 24.0) / 2)
-    # the replayed trace would net every energy to 0 J
-    with pytest.raises(AcquisitionError, match="no idle baseline; a shared idle trace is needed"):
-        meter.capture_idle(8.0)
+    # the idle trace, not the replayed one, is the baseline: from its own first sample, at t = 50
+    assert meter.capture_idle(5.0) == (pytest.approx(5.0 * (10.0 + 20.0) / 2, rel=1e-12), 5.0,
+                                       str(idle))
+
+
+def test_open_meter_refuses_a_csv_replay_without_an_idle_trace_before_reading(tmp_path):
+    # the replayed trace would be its own idle baseline: every net energy 0 J
+    for idle_trace in (None, ""):
+        with pytest.raises(ValueError, match="needs --idle-trace"):
+            open_meter(f"csv:{tmp_path / 'missing.csv'}", idle_trace)
 
 
 def test_shared_idle_trace_is_read_from_its_first_sample(tmp_path):
